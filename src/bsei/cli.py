@@ -21,6 +21,10 @@ import sys
 
 _INCLUSION_THRESHOLD = 1e-8
 _EQUATION_THRESHOLD = 0.05
+# the explicit-Z rebuild costs one regression chain per grid node and
+# source, quadratic in the step count; skip it on very fine grids
+_Z_CHECK_NODES = 17
+_Z_CHECK_MAX_STEPS = 400
 
 
 def _fmt(x) -> str:
@@ -203,7 +207,7 @@ def write_convergence_csv(path: str, windows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _summary(report, residuals=None, converged=None) -> dict:
+def _summary(report) -> dict:
     sched = report.schedule
     out = {
         "schedule": {
@@ -215,7 +219,7 @@ def _summary(report, residuals=None, converged=None) -> dict:
             "n_windows": sched.n_windows,
             "window_length": sched.window_length,
         },
-        "converged": report.converged if converged is None else converged,
+        "converged": report.converged,
         "seed": report.seed,
         "paths": report.n_paths,
         "steps_total": report.n_steps_total,
@@ -226,6 +230,7 @@ def _summary(report, residuals=None, converged=None) -> dict:
         "inclusion_residual": report.inclusion_residual,
         "equation_residual_max": report.equation_residual_max,
     }
+    residuals = report.residuals
     if residuals is not None:
         out["y_continuity_modulus"] = residuals.y_modulus
         out["z_check"] = [
@@ -253,9 +258,7 @@ def _write_plot_csv(path: str, sol, residuals) -> None:
 
 def cmd_solve(config_path: str) -> int:
     from .errors import ConfigError, NonConvergenceError
-    from .paths import simulate_brownian
-    from .semigroup import SemigroupCache
-    from .solver import solve, verify_solution
+    from .solver import solve, z_crosscheck
 
     try:
         problem, config, outputs = load_config(config_path)
@@ -271,26 +274,21 @@ def cmd_solve(config_path: str) -> int:
             write_convergence_csv(outputs["convergence_csv_path"],
                                   exc.report.windows)
             with open(outputs["report_path"], "w", encoding="utf-8") as fh:
-                json.dump(_summary(exc.report, converged=False), fh, indent=2)
+                json.dump(_summary(exc.report), fh, indent=2)
                 fh.write("\n")
         return 3
 
-    grid = solution.y.grid
-    bm = simulate_brownian(grid, config.n_paths, config.seed)
-    cache = SemigroupCache.build(problem.generator, grid.dt, grid.n_steps)
-    # the explicit-Z rebuild costs one regression chain per grid node and
-    # source, quadratic in the step count; skip it on very fine grids
-    z_nodes = min(17, grid.n_steps) if grid.n_steps <= 400 else 0
-    residuals = verify_solution(solution, problem, cache, bm,
-                                basis_degree=config.basis_degree,
-                                z_check_nodes=z_nodes)
+    n_steps = solution.y.grid.n_steps
+    z_nodes = min(_Z_CHECK_NODES, n_steps) if n_steps <= _Z_CHECK_MAX_STEPS else 0
+    report.residuals.z_checks = z_crosscheck(
+        solution, solution.cache, solution.bm, config.basis_degree, z_nodes)
     write_convergence_csv(outputs["convergence_csv_path"], report.windows)
-    summary = _summary(report, residuals)
     with open(outputs["report_path"], "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(_summary(report), fh, indent=2)
         fh.write("\n")
     if outputs["emit_plot_data"]:
-        _write_plot_csv(outputs["report_path"] + ".plot.csv", solution, residuals)
+        _write_plot_csv(outputs["report_path"] + ".plot.csv", solution,
+                        report.residuals)
 
     ok = (report.converged
           and report.inclusion_residual <= _INCLUSION_THRESHOLD

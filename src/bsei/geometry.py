@@ -400,19 +400,21 @@ class SetValuedSpec:
             object.__setattr__(self, "c0", _frozen(as_point(self.c0, self.dim)))
 
     def center(self, t: float, y, z) -> np.ndarray:
-        y = as_point(y, self.dim)
-        z = as_point(z, self.dim)
-        c = np.zeros(self.dim)
-        if self.c0 is not None:
-            c = as_point(self.c0(t) if callable(self.c0) else self.c0, self.dim)
-        return c + self.a_y @ y + self.a_z @ z
+        return self.center_batch(t, as_point(y, self.dim), as_point(z, self.dim))
 
-    def center_batch(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Centers for (M, d) state arrays at a common time."""
-        c = np.zeros(self.dim)
-        if self.c0 is not None:
-            c = as_point(self.c0(t) if callable(self.c0) else self.c0, self.dim)
-        return c + y @ self.a_y.T + z @ self.a_z.T
+    def center_batch(self, t, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Centers for state arrays of shape (..., d).
+
+        ``t`` is one time for every state, or one time per node when the
+        states are an (n, M, d) stack over n grid nodes.
+        """
+        c = y @ self.a_y.T
+        if callable(self.c0):
+            c0 = np.array([as_point(self.c0(float(s)), self.dim) for s in np.ravel(t)])
+            c = (c0[:, None, :] if np.ndim(t) else c0[0]) + c
+        elif self.c0 is not None:
+            c = self.c0 + c
+        return c + z @ self.a_z.T
 
     def set_at(self, t: float, y, z) -> ConvexCompactSet:
         c = self.center(t, y, z)

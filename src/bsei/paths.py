@@ -225,13 +225,38 @@ class RegressionFit:
     coef_se: np.ndarray       # (p, k) OLS standard errors; NaN under ridge
 
 
-class PolynomialRegression:
+class _FactoredDesign:
+    """Least-squares solves against one design matrix, factored once.
+
+    A full-rank design keeps its thin SVD; a rank-deficient one falls back
+    to ridge with lambda = 1e-10 trace(X'X)/dim and raises ``ridge_used``.
+    """
+
+    def _factor(self, x: np.ndarray) -> None:
+        m, p = x.shape
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        rcond = max(m, p) * np.finfo(float).eps * s[0]
+        self.rank = int(np.sum(s > rcond))
+        self.ridge_used = self.rank < p
+        if self.ridge_used:
+            xtx = x.T @ x
+            lam = _RIDGE_SCALE * np.trace(xtx) / p
+            self._solver = np.linalg.inv(xtx + lam * np.eye(p)) @ x.T
+        else:
+            self._u, self._s, self._vt = u, s, vt
+
+    def _coefficients(self, y: np.ndarray) -> np.ndarray:
+        if self.ridge_used:
+            return self._solver @ y
+        return self._vt.T @ ((self._u.T @ y) / self._s[:, None])
+
+
+class PolynomialRegression(_FactoredDesign):
     """Least-squares projection onto a polynomial basis of path features.
 
     The design factorization is computed once, so repeated fits against the
     same conditioning variables (the common case in backward recursions) are
-    cheap.  A rank-deficient design falls back to ridge with
-    lambda = 1e-10 trace(X'X)/dim and raises the ``ridge_used`` flag.
+    cheap.
     """
 
     def __init__(self, features, degree: int):
@@ -244,18 +269,9 @@ class PolynomialRegression:
                 f"need at least {_MIN_PATHS_PER_BASIS} paths per basis function "
                 f"({p} functions, {m} paths)")
         self.design = x
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-        rcond = max(m, p) * np.finfo(float).eps * s[0]
-        self.rank = int(np.sum(s > rcond))
-        self.ridge_used = self.rank < p
-        if self.ridge_used:
-            xtx = x.T @ x
-            lam = _RIDGE_SCALE * np.trace(xtx) / p
-            self._solver = np.linalg.inv(xtx + lam * np.eye(p)) @ x.T
-            self._xtx_inv_diag = None
-        else:
-            self._u, self._s, self._vt = u, s, vt
-            self._xtx_inv_diag = np.sum((vt.T / s) ** 2, axis=1)
+        self._factor(x)
+        self._xtx_inv_diag = (None if self.ridge_used
+                              else np.sum((self._vt.T / self._s) ** 2, axis=1))
 
     @property
     def basis_dim(self) -> int:
@@ -269,10 +285,7 @@ class PolynomialRegression:
         m, p = self.design.shape
         if y.shape[0] != m:
             raise ValueError("targets and design have different path counts")
-        if self.ridge_used:
-            coef = self._solver @ y
-        else:
-            coef = self._vt.T @ ((self._u.T @ y) / self._s[:, None])
+        coef = self._coefficients(y)
         fitted = self.design @ coef
         resid = y - fitted
         dof = max(m - self.rank, 1)
@@ -290,7 +303,7 @@ class PolynomialRegression:
         )
 
 
-class KernelRegression:
+class KernelRegression(_FactoredDesign):
     """Joint projection onto the polynomial basis and its increment multiples.
 
     For a basis phi_j of the conditioning features and a Brownian increment
@@ -304,21 +317,10 @@ class KernelRegression:
         b = base.design
         if dw.shape != (b.shape[0],):
             raise ValueError("increment vector must have one entry per path")
-        x = np.hstack([b, b * dw[:, None]])
-        m, p2 = x.shape
         self._basis = b
         self._p = b.shape[1]
         self._dt = dt
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-        rcond = max(m, p2) * np.finfo(float).eps * s[0]
-        self.rank = int(np.sum(s > rcond))
-        self.ridge_used = self.rank < p2
-        if self.ridge_used:
-            xtx = x.T @ x
-            lam = _RIDGE_SCALE * np.trace(xtx) / p2
-            self._solver = np.linalg.inv(xtx + lam * np.eye(p2)) @ x.T
-        else:
-            self._u, self._s, self._vt = u, s, vt
+        self._factor(np.hstack([b, b * dw[:, None]]))
 
     def kernel(self, targets) -> np.ndarray:
         """Fitted values of the increment-block coefficient function."""
@@ -326,10 +328,7 @@ class KernelRegression:
         squeeze = y.ndim == 1
         if squeeze:
             y = y[:, None]
-        if self.ridge_used:
-            coef = self._solver @ y
-        else:
-            coef = self._vt.T @ ((self._u.T @ y) / self._s[:, None])
+        coef = self._coefficients(y)
         out = self._basis @ coef[self._p:]
         return out[:, 0] if squeeze else out
 

@@ -188,15 +188,20 @@ class SolveReport:
     n_steps_total: int
     basis_degree: int
     runtime_seconds: float = 0.0
-    inclusion_residual: float | None = None
-    equation_residuals: np.ndarray | None = None
+    residuals: ResidualReport | None = None  # None until every window converged
     ridge_events: int = 0
 
     @property
+    def inclusion_residual(self) -> float | None:
+        return None if self.residuals is None else self.residuals.inclusion_max
+
+    @property
+    def equation_residuals(self) -> np.ndarray | None:
+        return None if self.residuals is None else self.residuals.equation
+
+    @property
     def equation_residual_max(self) -> float | None:
-        if self.equation_residuals is None:
-            return None
-        return float(np.max(self.equation_residuals))
+        return None if self.residuals is None else self.residuals.equation_max
 
     @property
     def converged(self) -> bool:
@@ -207,11 +212,15 @@ class SolveReport:
 class Solution:
     """Adapted triple (Y, Z, g) on the full grid; Y at the last node is the
     terminal data exactly, and g is the last projection onto the constraint
-    sets evaluated at the final (Y, Z)."""
+    sets evaluated at the final (Y, Z).  ``solve`` also attaches the
+    Brownian ensemble the triple is adapted to and the grid semigroup
+    cache, so later checks reuse them instead of rebuilding them."""
 
     y: ProcessEnsemble
     z: ProcessEnsemble
     g: ProcessEnsemble
+    bm: BrownianEnsemble | None = None
+    cache: SemigroupCache | None = None
 
 
 @dataclass(frozen=True)
@@ -229,14 +238,6 @@ class SolverConfig:
     # makes the standard oracles exact (Y features of those problems are
     # collinear with it and only trip the ridge fallback)
     y_features: bool = False
-
-
-def _centers(gspec: SetValuedSpec, times: np.ndarray, y: np.ndarray,
-             z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    for k in range(y.shape[0]):
-        out[k] = gspec.center_batch(float(times[k]), y[k], z[k])
-    return out
 
 
 def _project_onto_sets(g: np.ndarray, centers: np.ndarray,
@@ -268,7 +269,7 @@ def select_generator(g_prev: ProcessEnsemble, y_prev: ProcessEnsemble,
         if (other.grid != g_prev.grid or other.values.shape != g_prev.values.shape
                 or other.start_index != g_prev.start_index):
             raise ValueError("generator/state ensembles must share grid and shape")
-    centers = _centers(gspec, g_prev.times, y_prev.values, z_prev.values)
+    centers = gspec.center_batch(g_prev.times, y_prev.values, z_prev.values)
     out = _project_onto_sets(g_prev.values, centers, gspec)
     return ProcessEnsemble(g_prev.grid, out, g_prev.start_index, adapted=True)
 
@@ -401,8 +402,9 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     The horizon splits into equal windows no longer than the schedule's
     delta; the last window takes the sampled terminal data, every earlier
     window the computed Y at its right endpoint.  Returns the concatenated
-    Solution and a SolveReport carrying per-window iteration diagnostics
-    and the cheap residual checks.
+    Solution, which carries the Brownian ensemble and semigroup cache of
+    the run, and a SolveReport carrying per-window iteration diagnostics
+    and the one residual pass of the run (without the Z cross-check).
     """
     t0 = time.perf_counter()
     a = problem.generator
@@ -452,10 +454,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
 
     sol = Solution(
         y=ProcessEnsemble(grid, y), z=ProcessEnsemble(grid, z),
-        g=ProcessEnsemble(grid, g))
-    residuals = verify_solution(sol, problem, cache, bm, z_check_nodes=0)
-    report.inclusion_residual = residuals.inclusion_max
-    report.equation_residuals = residuals.equation
+        g=ProcessEnsemble(grid, g), bm=bm, cache=cache)
+    report.residuals = verify_solution(sol, problem, cache, bm)
     report.runtime_seconds = time.perf_counter() - t0
     return sol, report
 
@@ -481,21 +481,10 @@ class ResidualReport:
 
 def _inclusion_residual(sol: Solution, problem: BSEIProblem) -> float:
     gspec = problem.gspec
-    times = sol.g.times
-    centers = _centers(gspec, times, sol.y.values, sol.z.values)
+    centers = gspec.center_batch(sol.g.times, sol.y.values, sol.z.values)
     gv = sol.g.values
-    if gspec.shape == "singleton":
-        return float(np.max(np.linalg.norm(gv - centers, axis=-1)))
-    if gspec.shape == "ball":
-        dist = np.linalg.norm(gv - centers, axis=-1) - gspec.radius
-        return float(max(0.0, np.max(dist)))
-    worst = 0.0
-    for k in range(gv.shape[0]):
-        for mm in range(gv.shape[1]):
-            dist = geometry.distance_to(gv[k, mm],
-                                        Polytope(centers[k, mm] + gspec.offsets))
-            worst = max(worst, dist)
-    return worst
+    gap = gv - _project_onto_sets(gv, centers, gspec)
+    return float(np.max(np.linalg.norm(gap, axis=-1)))
 
 
 def verify_solution(sol: Solution, problem: BSEIProblem, cache: SemigroupCache,
@@ -536,28 +525,35 @@ def verify_solution(sol: Solution, problem: BSEIProblem, cache: SemigroupCache,
         y_modulus = max(y_modulus, float(
             np.mean(np.sum(step**2, axis=1) ** (p / 2.0)) ** (1.0 / p)))
 
-    z_checks = None
-    if z_check_nodes > 0:
-        nodes = sorted(set(np.linspace(0, n - 1, min(z_check_nodes, n)).astype(int)))
-        rebuilt = _rebuild_z(sol, cache, bm, basis_degree, nodes, xi)
-        z_checks = []
-        for u in nodes:
-            gap = rebuilt[u] - sol.z.values[u]
-            z_checks.append(ZCheckEntry(
-                node=int(u),
-                discrepancy=float(np.sqrt(np.mean(np.sum(gap**2, axis=1)))),
-                z_norm=float(np.sqrt(np.mean(np.sum(sol.z.values[u]**2, axis=1)))),
-            ))
+    z_checks = (z_crosscheck(sol, cache, bm, basis_degree, z_check_nodes)
+                if z_check_nodes > 0 else None)
     return ResidualReport(inclusion_max=inclusion, equation=equation,
                           y_modulus=y_modulus, z_checks=z_checks)
+
+
+def z_crosscheck(sol: Solution, cache: SemigroupCache, bm: BrownianEnsemble,
+                 basis_degree: int, n_nodes: int) -> list:
+    """Solver Z against the explicit rebuild on up to ``n_nodes`` evenly
+    spaced nodes, as RMS discrepancy and RMS size of Z per node."""
+    n = sol.y.grid.n_steps
+    if n_nodes <= 0:
+        return []
+    nodes = sorted(set(np.linspace(0, n - 1, min(n_nodes, n)).astype(int)))
+    rebuilt = _rebuild_z(sol, cache, bm, basis_degree, nodes, sol.y.values[n])
+
+    def rms(v):
+        return float(np.sqrt(np.mean(np.sum(v**2, axis=1))))
+    return [ZCheckEntry(node=int(u), discrepancy=rms(rebuilt[u] - sol.z.values[u]),
+                        z_norm=rms(sol.z.values[u])) for u in nodes]
 
 
 def _rebuild_z(sol: Solution, cache: SemigroupCache, bm: BrownianEnsemble,
                basis_degree: int, nodes, xi) -> dict:
     """Explicit Z at the requested nodes from the representation kernels.
 
-    Z_u = S(T - t_u) Psi_u + sum_{s > u} dt S(t_s - t_u) tau[s][u], where Psi
-    represents the terminal data and tau the generator selection.  Kernel
+    Z_u = S(T - t_u) Psi_u - sum_{s > u} dt S(t_s - t_u) tau[s][u], where Psi
+    represents the terminal data and tau the generator selection; the minus
+    sign is the one of the scheme Y[k] = E[S Y[k+1] | F_k] - dt g[k].  Kernel
     entries come from tower-chained regressions (one backward chain per
     source) and are folded into the requested nodes on the fly, so nothing
     quadratic in the grid is ever stored.
@@ -577,7 +573,7 @@ def _rebuild_z(sol: Solution, cache: SemigroupCache, bm: BrownianEnsemble,
                 if terminal_kernel:
                     rebuilt[k] += kern @ cache.power(n - k).T
                 else:
-                    rebuilt[k] += dt * (kern @ cache.power(s_src - k).T)
+                    rebuilt[k] -= dt * (kern @ cache.power(s_src - k).T)
             cond = regs[k].fit(cond).values
 
     for u in wanted:

@@ -90,14 +90,13 @@ def test_criterion_01_contraction(ball_run):
                 f"runtime={report.runtime_seconds:.1f}s)")
 
 
-def test_criterion_02_linear_bsde_oracle(singleton_run, refinement_runs):
+def test_criterion_02_linear_bsde_oracle(singleton_run):
     sol, report = singleton_run
     a = 0.5
     nodes = sol.y.grid.nodes
     exact = np.exp(-a * (1.0 - nodes))  # closed-form backward solution, c = 1
     rel = max(np.abs(sol.y.values[k] - exact[k]).max() / exact[k]
               for k in range(len(nodes)))
-    coarse, fine = refinement_runs["singleton"]
     # halving the step must reduce the worst relative error as well
     prob = singleton_demo_problem()
     sol2, _ = solve(prob, SolverConfig(steps_per_window=100, n_paths=10_000,

@@ -166,3 +166,34 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip())["ok"] is True
+
+
+def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
+    # one Brownian ensemble, two semigroup caches (schedule probe and grid)
+    # and one residual pass per run; the Z cross-check reuses them
+    import collections
+
+    import bsei.paths
+    import bsei.solver
+    from bsei.semigroup import SemigroupCache
+
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    draw = counted("draw", bsei.paths.simulate_brownian)
+    monkeypatch.setattr(bsei.paths, "simulate_brownian", draw)
+    monkeypatch.setattr(bsei.solver, "simulate_brownian", draw)
+    monkeypatch.setattr(SemigroupCache, "build", classmethod(
+        counted("build", SemigroupCache.build.__func__)))
+    monkeypatch.setattr(bsei.solver, "verify_solution",
+                        counted("verify", bsei.solver.verify_solution))
+    path = write(tmp_path, demo_config(tmp_path))
+    assert main(["solve", path]) == 0
+    assert counts == {"draw": 1, "build": 2, "verify": 1}
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["z_check"] and report["y_continuity_modulus"] > 0.0

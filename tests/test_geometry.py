@@ -281,3 +281,20 @@ def test_spec_set_at_variants():
     got = spec.set_at(0.5, [1.0, 1.0], [0.0, 0.0])
     assert isinstance(got, Polytope)
     assert np.allclose(got.vertices, [[1.5, 1.0], [2.5, 1.0]])
+
+
+def test_spec_center_batch_over_node_stack():
+    # one time per node of an (n, M, d) stack, with a time-dependent c0
+    a_y = np.array([[0.5, 0.1], [0.0, -0.3]])
+    a_z = np.array([[0.2, 0.0], [0.1, 0.4]])
+    spec = SetValuedSpec(dim=2, shape="ball", a_y=a_y, a_z=a_z, lipschitz_k=1.0,
+                         radius=0.1, c0=lambda t: np.array([t, -2.0 * t]))
+    rng = np.random.default_rng(5)
+    times = np.array([0.0, 0.25, 0.5])
+    y, z = rng.normal(size=(2, 3, 4, 2))
+    got = spec.center_batch(times, y, z)
+    for k in range(3):
+        for m in range(4):
+            want = np.array([times[k], -2.0 * times[k]]) + a_y @ y[k, m] + a_z @ z[k, m]
+            assert np.abs(got[k, m] - want).max() <= 1e-14
+            assert np.abs(spec.center(times[k], y[k, m], z[k, m]) - want).max() <= 1e-14

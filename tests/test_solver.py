@@ -498,3 +498,22 @@ def test_verify_z_crosscheck_trivial_case():
     for zc in res.z_checks:
         assert zc.discrepancy <= bound
         assert abs(zc.z_norm - 1.0) <= 0.05
+
+
+def test_verify_z_crosscheck_with_generator():
+    # g = 0.5 Y is nonzero, so the rebuilt Z must carry the generator with the
+    # scheme's sign, Y[k] = E[S Y[k+1] | F_k] - dt g[k], to match the solver's
+    prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=1,
+                       generator=np.zeros((1, 1)),
+                       terminal=TerminalSpec("linear", [1.0]),
+                       gspec=singleton_spec(1, a_y=0.5))
+    cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
+    sol, _ = solve(prob, cfg)
+    grid = sol.y.grid
+    bm = simulate_brownian(grid, cfg.n_paths, cfg.seed)
+    cache = SemigroupCache.build(prob.generator, grid.dt, grid.n_steps)
+    res = verify_solution(sol, prob, cache, bm, z_check_nodes=grid.n_steps)
+    bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
+    assert len(res.z_checks) == grid.n_steps
+    for zc in res.z_checks:
+        assert zc.discrepancy <= bound
