@@ -9,14 +9,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation-suite failure, 2 input error,
 3 numerical non-convergence.  Set BSEI_THREADS to pin the BLAS thread
-count before any numerics load.
+count; the package applies it on import, before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 _INCLUSION_THRESHOLD = 1e-8
@@ -72,15 +72,24 @@ def _number(lo=None, hi=None, lo_open=False, integer=False):
     def check(v):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError("not a number")
-        x = float(v)
-        if integer and x != int(x):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError("not finite")
+        if integer and isinstance(v, float) and not v.is_integer():
             raise ValueError("not an integer")
+        # Python ints stay exact: a float round trip would round large seeds
+        x = int(v) if integer else float(v)
         if lo is not None and (x <= lo if lo_open else x < lo):
             raise ValueError(f"must be {'>' if lo_open else '>='} {lo}")
         if hi is not None and x > hi:
             raise ValueError(f"must be <= {hi}")
-        return int(x) if integer else x
+        return x
     return check
+
+
+def _boolean(v):
+    if not isinstance(v, bool):
+        raise ValueError("not a boolean (JSON true or false)")
+    return v
 
 
 def _matrix(dim):
@@ -169,7 +178,7 @@ def load_config(path: str):
     config = SolverConfig(
         steps_per_window=num.take("steps_per_window", _number(4, 10_000, integer=True)),
         n_paths=num.take("paths", _number(100, 10_000_000, integer=True)),
-        seed=num.take("seed", _number(integer=True)),
+        seed=num.take("seed", _number(0, 2**64 - 1, integer=True)),  # Philox key
         basis_degree=num.take("basis_degree", _number(0, 8, integer=True),
                               required=False, default=2),
         c_pe=num.take("c_pe", _number(lo=0, lo_open=True), required=False, default=1.0),
@@ -178,8 +187,8 @@ def load_config(path: str):
                        required=False, default=25),
         min_iter=num.take("min_iter", _number(1, 10_000, integer=True),
                           required=False, default=2),
-        y_features=bool(num.take("y_features", None, required=False,
-                                 default=False)),
+        y_features=num.take("y_features", _boolean, required=False,
+                            default=False),
     )
     num.finish()
 
@@ -187,8 +196,8 @@ def load_config(path: str):
     outputs = {
         "report_path": out.take("report_path", str),
         "convergence_csv_path": out.take("convergence_csv_path", str),
-        "emit_plot_data": bool(out.take("emit_plot_data", None,
-                                        required=False, default=False)),
+        "emit_plot_data": out.take("emit_plot_data", _boolean,
+                                   required=False, default=False),
     }
     out.finish()
     top.finish()
@@ -257,7 +266,7 @@ def _write_plot_csv(path: str, sol, residuals) -> None:
 
 
 def cmd_solve(config_path: str) -> int:
-    from .errors import ConfigError, NonConvergenceError
+    from .errors import ConfigError, NonConvergenceError, ScheduleError
     from .solver import solve, z_crosscheck
 
     try:
@@ -277,6 +286,9 @@ def cmd_solve(config_path: str) -> int:
                 json.dump(_summary(exc.report), fh, indent=2)
                 fh.write("\n")
         return 3
+    except ScheduleError as exc:
+        print(f"config error [problem.generator]: {exc}", file=sys.stderr)
+        return 2
 
     n_steps = solution.y.grid.n_steps
     z_nodes = min(_Z_CHECK_NODES, n_steps) if n_steps <= _Z_CHECK_MAX_STEPS else 0
@@ -346,11 +358,6 @@ def cmd_gamma_norm(path: str) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("BSEI_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="bsei",
         description="Backward stochastic evolution inclusion solver and "

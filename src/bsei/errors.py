@@ -7,18 +7,6 @@ class BseiError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ProjectionError(BseiError):
-    """Nearest-point search did not certify optimality within the iteration cap.
-
-    Carries the best iterate found so the caller can decide whether to accept it.
-    """
-
-    def __init__(self, message: str, best_point=None, gap: float | None = None):
-        super().__init__(message)
-        self.best_point = best_point
-        self.gap = gap
-
-
 class AdaptednessError(BseiError):
     """A process ensemble violated its declared adaptedness contract."""
 
@@ -29,6 +17,10 @@ class RegressionError(BseiError):
     def __init__(self, message: str, time_index: int | None = None):
         super().__init__(message)
         self.time_index = time_index
+
+
+class ScheduleError(BseiError, ValueError):
+    """The contraction constants admit no finite window length or count."""
 
 
 class NonConvergenceError(BseiError):

@@ -1,39 +1,51 @@
 """Convex-compact set calculus in Euclidean state space.
 
 Sets come in three variants (singleton, ball, polytope), all with exact
-support functions and nearest-point projections.  On top of those this
-module provides the Hausdorff distance, the set magnitude sup-norm, and a
-sampling probe for the Lipschitz constant of affine set-valued maps.
+support functions and nearest-point projections.  Projection and distance
+take one point or an (..., d) stack through one code path per shape, so a
+point's result does not depend on the stack it came in.  On top of those
+this module provides the Hausdorff distance, the set magnitude sup-norm,
+and a sampling probe for the Lipschitz constant of affine set-valued maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ProjectionError
-
-# Geometric tolerances: closed-form branches are exact up to rounding,
-# iterative (polytope) branches stop at the looser value.
+# Geometric tolerance: every evaluation here is exact up to rounding.
 CLOSED_FORM_TOL = 1e-9
-ITERATIVE_TOL = 1e-6
 
-_PG_MAX_ITER = 10_000
+# A polytope projection evaluates every vertex subset of size <= d + 1 on
+# every point, so larger vertex sets are rejected rather than slowed down.
+MAX_FACE_SUBSETS = 4096
+
+# Point x face x vertex x coordinate entries evaluated at once; bounds the
+# temporaries of a polytope projection over a large stack.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def as_points(x, dim: int | None = None) -> np.ndarray:
+    """Validate and return one finite point (d,) or a stack of them (..., d)."""
+    p = np.asarray(x, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("point has non-finite coordinates")
+    if dim is not None and p.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {p.shape[-1]}")
+    return p
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a finite 1-D float vector."""
-    p = np.asarray(x, dtype=float)
-    if p.ndim == 0:
-        p = p.reshape(1)
+    p = as_points(x, dim)
     if p.ndim != 1 or p.size < 1:
         raise ValueError(f"expected a 1-D point, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point has non-finite coordinates")
-    if dim is not None and p.size != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {p.size}")
     return p
 
 
@@ -41,6 +53,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _dot_last(a: np.ndarray, b) -> np.ndarray:
+    """sum_i a[..., i] * b[..., i] in index order, which numpy's reductions
+    may change with the array layout; a point's result then never depends
+    on the stack it is evaluated in, and no full product array is built."""
+    out = np.zeros(np.broadcast_shapes(a.shape, np.shape(b))[:-1])
+    for i in range(a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    sq = _dot_last(v, v)
+    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -55,6 +82,12 @@ class Singleton:
     @property
     def dim(self) -> int:
         return self.point.size
+
+    def translate(self, shift) -> Singleton:
+        return Singleton(self.point + as_point(shift, self.dim))
+
+    def _nearest(self, p: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.point, p.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -75,12 +108,62 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
+    def translate(self, shift) -> Ball:
+        return Ball(self.center + as_point(shift, self.dim), self.radius)
+
+    def _nearest(self, p: np.ndarray) -> np.ndarray:
+        v = p - self.center
+        nv, r = _norm(v)[..., None], self.radius
+        # in place: the solver passes whole (n, M, d) stacks
+        scale = np.maximum(nv, 1e-300)
+        np.divide(r, scale, out=scale)
+        scale[nv <= r] = 1.0
+        v *= scale
+        v += self.center
+        return v
+
+
+def _face_table(vertices: np.ndarray) -> tuple:
+    """Per subset size k, the affinely independent vertex subsets as
+    (first, weights, proj): for subset f with first vertex v0 and edge matrix
+    E (rows v_i - v0), weights[f] = [pinv(E^T); minus the sum of its rows]
+    (k x d) maps p - v0 to the barycentric weights of v_1..v_{k-1} and, less
+    1, of v0, and proj[f] (d x d) projects onto span(E).  Neither moves with
+    the polytope, so translates share the table."""
+    n, d = vertices.shape
+    sizes = range(1, min(n, d + 1) + 1)
+    count = sum(math.comb(n, k) for k in sizes)
+    if count > MAX_FACE_SUBSETS:
+        raise ValueError(
+            f"polytope with {n} vertices in dimension {d} has {count} vertex "
+            f"subsets of size <= {d + 1}; at most {MAX_FACE_SUBSETS} are supported")
+    groups = []
+    for k in sizes:
+        idx = np.array(list(combinations(range(n), k)))
+        edges = vertices[idx[:, 1:]] - vertices[idx[:, :1]]
+        u, s, vt = np.linalg.svd(edges, full_matrices=False)
+        # rank k - 1 by numpy's matrix_rank rule; the floor d * tiny keeps
+        # every entry of the pseudo-inverse (at most d / s_min) finite
+        tol = np.maximum(s[:, :1] * (max(k - 1, d) * np.finfo(float).eps),
+                         d * np.finfo(float).tiny)
+        keep = np.all(s > tol, axis=1)
+        u, s, vt = u[keep], s[keep], vt[keep]
+        pinv = (u / s[:, None, :]) @ vt
+        weights = np.concatenate([pinv, -pinv.sum(axis=1, keepdims=True)], axis=1)
+        groups.append((idx[keep, 0], weights, vt.transpose(0, 2, 1) @ vt))
+    return tuple(groups)
+
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex hull of a nonempty list of vertices, one per row."""
+    """Convex hull of a nonempty list of vertices, one per row.
+
+    Construction builds the face table of the projection once; at most
+    ``MAX_FACE_SUBSETS`` vertex subsets of size <= d + 1 are accepted.
+    """
 
     vertices: np.ndarray
+    _faces: tuple = field(default=(), repr=False, compare=False)  # set by translate
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -91,10 +174,49 @@ class Polytope:
         if not np.all(np.isfinite(v)):
             raise ValueError("polytope vertices must be finite")
         object.__setattr__(self, "vertices", _frozen(v))
+        object.__setattr__(self, "_faces", self._faces or _face_table(self.vertices))
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
+
+    def translate(self, shift) -> Polytope:
+        """The set moved by ``shift``, sharing this polytope's face table."""
+        return Polytope(self.vertices + as_point(shift, self.dim), self._faces)
+
+    def _nearest(self, p: np.ndarray) -> np.ndarray:
+        """Nearest points by enumeration of the face table.
+
+        A candidate projects p onto the affine hull of one vertex subset and
+        is admissible when its barycentric weights are >= 0 (it lies in the
+        polytope); by Caratheodory the projection is one of them.  It is the
+        only point x of the polytope with max_v <v - x, p - x> <= 0, a
+        maximum positive elsewhere, so the admissible candidate minimising
+        it is kept; squared distances, which differ by only delta^2 along
+        the boundary, would lose it to rounding."""
+        d = self.dim
+        verts = self.vertices
+        flat = p.reshape(-1, d)
+        out = np.empty_like(flat)
+        n_faces = sum(first.size for first, _, _ in self._faces)
+        step = max(1, _CHUNK_ENTRIES // (n_faces * len(verts) * d))
+        for lo in range(0, len(flat), step):
+            q = flat[lo:lo + step, None, :]
+            cands, scores = [], []
+            for first, weights, proj in self._faces:
+                v0 = verts[first]
+                r = q - v0
+                x = v0 + _dot_last(proj, r[..., None, :])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lam = _dot_last(weights, r[..., None, :])
+                    lam[..., -1] += 1.0
+                    ok = np.all(lam >= 0.0, axis=-1)
+                kkt = _dot_last(verts - x[..., None, :], (q - x)[..., None, :])
+                cands.append(x)
+                scores.append(np.where(ok, kkt.max(axis=-1), np.inf))
+            best = np.argmin(np.concatenate(scores, axis=1), axis=1)
+            out[lo:lo + step] = np.concatenate(cands, axis=1)[np.arange(len(best)), best]
+        return out.reshape(p.shape)
 
 
 ConvexCompactSet = Union[Singleton, Ball, Polytope]
@@ -115,141 +237,18 @@ def support(cset: ConvexCompactSet, direction) -> float:
     return float(np.max(cset.vertices @ u))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = idx[u - css / idx > 0][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _certified(gap: float, f: float, noise_floor: float) -> bool:
-    """Accept weights whose duality gap pins the distance within the tolerance.
-
-    Three sufficient conditions: the gap itself is below tol^2/4 (distance
-    error at most tol/sqrt(2) even when the true distance vanishes), the
-    objective already puts the iterate within tol/sqrt(2) of the query, or
-    the gap is small relative to the current distance (the error bound
-    2 gap / distance).  The noise floor absorbs rounding in the gap
-    evaluation on ill-conditioned faces, where suboptimality is second
-    order in the weight error and the measured gap is pure noise.
-    """
-    tol = ITERATIVE_TOL
-    dist = np.sqrt(max(2.0 * f, 0.0))
-    return (gap <= 0.25 * tol * tol + noise_floor
-            or dist <= tol / np.sqrt(2.0)
-            or gap <= 0.5 * tol * dist)
-
-
-def _face_refine(gram: np.ndarray, w: np.ndarray, noise_floor: float):
-    """Active-set refinement of simplex-constrained weights.
-
-    Alternates equality-constrained face solves with vertex add/drop moves;
-    returns certified weights, or None if the move budget runs out first.
-    """
-    n = gram.shape[0]
-    active = np.flatnonzero(w > 1e-12)
-    if active.size == 0:
-        active = np.array([int(np.argmin(np.diag(gram)))])
-    for _ in range(3 * n + 5):
-        k = active.size
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = gram[np.ix_(active, active)]
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            a = np.linalg.solve(kkt, rhs)[:k]
-        except np.linalg.LinAlgError:
-            a = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-        if a.min() < -1e-12:
-            if k == 1:
-                return None
-            active = np.delete(active, int(np.argmin(a)))
-            continue
-        cand = np.zeros(n)
-        cand[active] = np.maximum(a, 0.0)
-        cand /= cand.sum()
-        grad = gram @ cand
-        gap = float(grad @ cand - grad.min())
-        if _certified(gap, 0.5 * float(cand @ grad), noise_floor):
-            return cand
-        entering = int(np.argmin(grad))
-        if entering in active:
-            return None  # face solve cannot certify; hand back to the outer loop
-        active = np.append(active, entering)
-    return None
-
-
-def _project_polytope(point: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Nearest point of conv(vertices) by projected gradient on barycentric weights.
-
-    Works in coordinates centered at the query point, which keeps the
-    gradient free of cancellation.  A periodic active-set refinement
-    accelerates face identification, and the iterate is returned once its
-    simplex duality gap certifies the distance within the tolerance.
-    """
-    n = vertices.shape[0]
-    if n == 1:
-        return vertices[0].copy()
-    centered = vertices - point
-    gram = centered @ centered.T
-    lip = float(np.linalg.eigvalsh(gram)[-1])
-    if lip <= 0.0:  # every vertex coincides with the query point
-        return vertices[0].copy()
-    noise_floor = 64.0 * np.finfo(float).eps * lip
-
-    w = np.full(n, 1.0 / n)
-    best_w, best_f = w, np.inf
-    gap = np.inf
-    for it in range(_PG_MAX_ITER):
-        grad = gram @ w
-        gap = float(grad @ w - grad.min())
-        f = 0.5 * float(w @ grad)
-        if f < best_f:
-            best_f, best_w = f, w
-        if _certified(gap, f, noise_floor):
-            return point + centered.T @ w
-        if it % 25 == 24:
-            refined = _face_refine(gram, w, noise_floor)
-            if refined is not None:
-                return point + centered.T @ refined
-        w = _project_simplex(w - grad / lip)
-    refined = _face_refine(gram, best_w, noise_floor)
-    if refined is not None:
-        return point + centered.T @ refined
-    raise ProjectionError(
-        f"polytope projection did not certify within {_PG_MAX_ITER} iterations",
-        best_point=point + centered.T @ best_w,
-        gap=gap,
-    )
-
-
 def project(point, cset: ConvexCompactSet) -> np.ndarray:
-    """Nearest point of the set; unique because the Euclidean norm is strictly convex."""
-    p = as_point(point, cset.dim)
-    if isinstance(cset, Singleton):
-        return cset.point.copy()
-    if isinstance(cset, Ball):
-        v = p - cset.center
-        nv = float(np.linalg.norm(v))
-        if nv <= cset.radius:
-            return p.copy()
-        return cset.center + (cset.radius / nv) * v
-    return _project_polytope(p, cset.vertices)
+    """Nearest point of the set to one point (d,) or to each point of an
+    (..., d) stack; unique because the Euclidean norm is strictly convex."""
+    return cset._nearest(as_points(point, cset.dim))
 
 
-def distance_to(point, cset: ConvexCompactSet) -> float:
-    """Euclidean distance inf_{x in set} ||point - x||; zero iff the point belongs."""
-    p = as_point(point, cset.dim)
-    if isinstance(cset, Singleton):
-        return float(np.linalg.norm(p - cset.point))
-    if isinstance(cset, Ball):
-        return max(0.0, float(np.linalg.norm(p - cset.center)) - cset.radius)
-    return float(np.linalg.norm(p - _project_polytope(p, cset.vertices)))
+def distance_to(point, cset: ConvexCompactSet):
+    """Euclidean distance inf_{x in set} ||point - x||, zero iff the point
+    belongs (up to rounding); a float for one point, an array for a stack."""
+    p = as_points(point, cset.dim)
+    dist = _norm(p - cset._nearest(p))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _polytope_depth(center: np.ndarray, poly: Polytope) -> float:
@@ -259,26 +258,21 @@ def _polytope_depth(center: np.ndarray, poly: Polytope) -> float:
     negative outside (minus the distance to the polytope), zero on the
     boundary or whenever the polytope has empty interior.
     """
-    d_out = distance_to(center, poly)
-    if d_out > ITERATIVE_TOL:
-        return -d_out
     v = poly.vertices
     d = poly.dim
+    margin = 0.0  # flat polytope: some normal direction has zero support
     if d == 1:
-        lo, hi = float(v.min()), float(v.max())
-        return max(0.0, min(center[0] - lo, hi - center[0]))
-    centered = v - v.mean(axis=0)
-    if v.shape[0] <= d or np.linalg.matrix_rank(centered, tol=1e-9) < d:
-        return 0.0  # flat polytope: some normal direction has zero support
-    try:
+        margin = min(center[0] - v.min(), v.max() - center[0])
+    elif v.shape[0] > d and np.linalg.matrix_rank(v - v.mean(axis=0), tol=1e-9) == d:
         from scipy.spatial import ConvexHull, QhullError
 
-        hull = ConvexHull(v)
-    except QhullError:
-        return 0.0
-    # qhull equations n.x + b <= 0 inside, with unit normals n
-    margins = -(hull.equations[:, :-1] @ center + hull.equations[:, -1])
-    return max(0.0, float(margins.min()))
+        try:
+            eq = ConvexHull(v).equations
+            # qhull equations n.x + b <= 0 inside, with unit normals n
+            margin = float(np.min(-(eq[:, :-1] @ center + eq[:, -1])))
+        except QhullError:
+            pass
+    return float(margin) if margin > 0.0 else -distance_to(center, poly)
 
 
 def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet) -> float:
@@ -301,9 +295,7 @@ def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet) -> float:
             return float(np.linalg.norm(a.point - b.point))
         if isinstance(b, Ball):
             return float(np.linalg.norm(a.point - b.center)) + b.radius
-        d_in = distance_to(a.point, b)
-        d_back = float(np.max(np.linalg.norm(b.vertices - a.point, axis=1)))
-        return max(d_in, d_back)
+        a = Polytope(a.point)  # b is a polytope
 
     if isinstance(a, Ball):
         if isinstance(b, Ball):
@@ -316,9 +308,8 @@ def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet) -> float:
         return max(poly_to_ball, ball_to_poly)
 
     # polytope vs polytope
-    d_ab = max(distance_to(v, b) for v in a.vertices)
-    d_ba = max(distance_to(v, a) for v in b.vertices)
-    return max(d_ab, d_ba)
+    return max(float(np.max(distance_to(a.vertices, b))),
+               float(np.max(distance_to(b.vertices, a))))
 
 
 def magnitude(cset: ConvexCompactSet) -> float:
@@ -355,12 +346,13 @@ def support_gap(a: ConvexCompactSet, b: ConvexCompactSet,
 
 @dataclass(frozen=True)
 class SetValuedSpec:
-    """Affine-center set-valued map (t, y, z) -> shape translated to c0(t) + Ay.y + Az.z.
+    """Affine-center set-valued map (t, y, z) -> base + c0(t) + Ay.y + Az.z.
 
-    The shape (singleton, fixed-radius ball, or fixed vertex offsets) does not
-    depend on (t, y, z), so the map is Lipschitz in Hausdorff distance with
-    constant at most max(||Ay||, ||Az||); ``lipschitz_k`` records the declared
-    bound used by the solver schedule.
+    The base set (the point 0, the ball B(0, radius), or the polytope of the
+    vertex offsets) is built once and does not depend on (t, y, z), so the
+    map is Lipschitz in Hausdorff distance with constant at most
+    max(||Ay||, ||Az||); ``lipschitz_k`` records the declared bound used by
+    the solver schedule.
     """
 
     dim: int
@@ -371,6 +363,7 @@ class SetValuedSpec:
     c0: Union[np.ndarray, Callable[[float], np.ndarray], None] = None
     radius: float = 0.0
     offsets: np.ndarray | None = None
+    base: ConvexCompactSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shape not in ("singleton", "ball", "polytope"):
@@ -384,18 +377,20 @@ class SetValuedSpec:
         if not np.isfinite(k) or k < 0.0:
             raise ValueError("declared Lipschitz constant must be finite and >= 0")
         object.__setattr__(self, "lipschitz_k", k)
-        if self.shape == "ball":
-            r = float(self.radius)
-            if not np.isfinite(r) or r < 0.0:
-                raise ValueError("ball radius must be finite and >= 0")
-            object.__setattr__(self, "radius", r)
-        if self.shape == "polytope":
+        if self.shape == "singleton":
+            base = Singleton(np.zeros(self.dim))
+        elif self.shape == "ball":
+            base = Ball(np.zeros(self.dim), self.radius)
+            object.__setattr__(self, "radius", base.radius)
+        else:
             if self.offsets is None:
                 raise ValueError("polytope shape requires vertex offsets")
             off = np.asarray(self.offsets, dtype=float)
             if off.ndim != 2 or off.shape[1] != self.dim or off.shape[0] < 1:
                 raise ValueError("offsets must be a nonempty (n, d) array")
-            object.__setattr__(self, "offsets", _frozen(off))
+            base = Polytope(off)
+            object.__setattr__(self, "offsets", base.vertices)
+        object.__setattr__(self, "base", base)
         if self.c0 is not None and not callable(self.c0):
             object.__setattr__(self, "c0", _frozen(as_point(self.c0, self.dim)))
 
@@ -417,12 +412,7 @@ class SetValuedSpec:
         return c + z @ self.a_z.T
 
     def set_at(self, t: float, y, z) -> ConvexCompactSet:
-        c = self.center(t, y, z)
-        if self.shape == "singleton":
-            return Singleton(c)
-        if self.shape == "ball":
-            return Ball(c, self.radius)
-        return Polytope(c + self.offsets)
+        return self.base.translate(self.center(t, y, z))
 
 
 def probe_lipschitz(spec: SetValuedSpec, n_samples: int, seed: int,

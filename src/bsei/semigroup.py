@@ -47,10 +47,12 @@ class SemigroupCache:
             raise ValueError("need step > 0 and n_steps >= 1")
         d = a.shape[0]
         powers = np.empty((n_steps + 1, d, d))
-        for k in range(n_steps + 1):
-            powers[k] = matrix_exponential(k * step * a)
-        cache = cls(generator=a, step=float(step), powers=powers)
-        cache._validate()
+        # overflow leaves inf entries, which gamma_bound reports as inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps + 1):
+                powers[k] = matrix_exponential(k * step * a)
+            cache = cls(generator=a, step=float(step), powers=powers)
+            cache._validate()
         return cache
 
     def _validate(self) -> None:
@@ -98,7 +100,10 @@ def gamma_bound(cache: SemigroupCache) -> float:
     """Uniform spectral-norm bound max_k ||exp(k dt A)||_2 over the grid.
 
     Always >= 1 because the grid contains t = 0.  In the Euclidean setting
-    this uniform bound is the gamma-boundedness constant of the family.
+    this uniform bound is the gamma-boundedness constant of the family;
+    it is infinite when some cached power overflowed.
     """
+    if not np.all(np.isfinite(cache.powers)):
+        return float("inf")
     return float(max(np.linalg.norm(cache.powers[k], 2)
                      for k in range(cache.n_steps + 1)))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import NonConvergenceError, RegressionError
-from .geometry import Polytope, SetValuedSpec, project
+from .errors import NonConvergenceError, RegressionError, ScheduleError
+from .geometry import SetValuedSpec, project
 from .paths import (
     BrownianEnsemble,
     KernelRegression,
@@ -127,6 +127,9 @@ def schedule_from_constants(lipschitz: float, gamma_s: float, horizon: float,
         delta = 0.25 * min(1.0 / (beta * beta), horizon)
         while beta * math.sqrt(delta) > 0.5:  # absorb rounding at the margin
             delta = math.nextafter(delta, 0.0)
+    if not delta > 0.0 or math.isinf(horizon / delta):  # beta non-finite or huge
+        raise ScheduleError(f"beta = {beta} (gamma(S) = {gamma_s}) leaves no "
+                            "finite window count")
     n_windows = max(1, math.ceil(horizon / delta - 1e-12))
     return PicardSchedule(
         gamma_s=gamma_s, c_pe=c_pe, lipschitz=lipschitz, horizon=horizon,
@@ -242,18 +245,11 @@ class SolverConfig:
 
 def _project_onto_sets(g: np.ndarray, centers: np.ndarray,
                        gspec: SetValuedSpec) -> np.ndarray:
-    if gspec.shape == "singleton":
-        return centers.copy()
-    if gspec.shape == "ball":
-        v = g - centers
-        nv = np.linalg.norm(v, axis=-1, keepdims=True)
-        r = gspec.radius
-        scale = np.where(nv > r, r / np.maximum(nv, 1e-300), 1.0)
-        return centers + scale * v
-    out = np.empty_like(g)
-    for k in range(g.shape[0]):
-        for m in range(g.shape[1]):
-            out[k, m] = project(g[k, m], Polytope(centers[k, m] + gspec.offsets))
+    # every constraint set is the translate centers + base of one base set;
+    # the result goes into the older allocation, which lowers peak RSS
+    out = g - centers
+    out[...] = project(out, gspec.base)
+    out += centers
     return out
 
 

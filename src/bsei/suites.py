@@ -40,7 +40,7 @@ def _random_set(rng: np.random.Generator, dim: int):
 def geometry_suite(seed: int = 2024, n_pairs: int = 200) -> dict:
     rng = np.random.default_rng(seed)
     checks: list = []
-    tol = 2.0 * geometry.ITERATIVE_TOL
+    tol = 2.0 * geometry.CLOSED_FORM_TOL
 
     sym_gap = tri_gap = 0.0
     for _ in range(n_pairs):
@@ -72,8 +72,8 @@ def geometry_suite(seed: int = 2024, n_pairs: int = 200) -> dict:
         competitors = w @ poly.vertices
         best = min(np.linalg.norm(competitors - x, axis=1))
         opt_gap = max(opt_gap, float(np.linalg.norm(proj - x)) - best)
-    _check(checks, "projection idempotence gap", idem_gap, geometry.ITERATIVE_TOL)
-    _check(checks, "projection optimality gap", opt_gap, geometry.ITERATIVE_TOL)
+    _check(checks, "projection idempotence gap", idem_gap, geometry.CLOSED_FORM_TOL)
+    _check(checks, "projection optimality gap", opt_gap, geometry.CLOSED_FORM_TOL)
 
     spec = SetValuedSpec(dim=2, shape="ball", a_y=0.6 * np.eye(2),
                          a_z=np.zeros((2, 2)), lipschitz_k=0.6, radius=0.3)

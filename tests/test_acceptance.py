@@ -216,7 +216,7 @@ def test_criterion_07_martingale_representation():
 
 def test_criterion_08_geometry_suite():
     rng = np.random.default_rng(8)
-    tol = 2.0 * geometry.ITERATIVE_TOL
+    tol = 2.0 * geometry.CLOSED_FORM_TOL
 
     def random_set():
         kind = rng.integers(3)
@@ -254,7 +254,7 @@ def test_criterion_08_geometry_suite():
         weights = rng.dirichlet(np.ones(6), size=1000)
         dists = np.linalg.norm(weights @ verts - x, axis=1)
         opt_gap = max(opt_gap, best - dists.min())
-    proj_ok = opt_gap <= geometry.ITERATIVE_TOL
+    proj_ok = opt_gap <= geometry.CLOSED_FORM_TOL
 
     _report(8, "metric axioms, ball-ball closed form, projection optimality",
             axioms_ok and ball_ok and proj_ok,

@@ -197,3 +197,89 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
     assert counts == {"draw": 1, "build": 2, "verify": 1}
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["z_check"] and report["y_continuity_modulus"] > 0.0
+
+
+def test_solve_polytope_passes_inclusion_gate(tmp_path):
+    # exact polytope projection: the inclusion residual sits at rounding level
+    cfg = demo_config(tmp_path, **{
+        "problem.dim": 2,
+        "problem.generator": [[-1.0, 0.0], [0.0, -0.5]],
+        "problem.terminal": {"kind": "linear", "coeff": [0.3, 0.3]},
+        "problem.g": {"shape": "polytope", "a_y": [[-0.3, 0.0], [0.0, -0.3]],
+                      "a_z": [[0.0, 0.0], [0.0, 0.0]], "lipschitz_k": 0.3,
+                      "offsets": [[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25],
+                                  [-0.15, 0.15]]},
+        "numerics": {"steps_per_window": 4, "paths": 400, "seed": 11}})
+    assert main(["solve", write(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["inclusion_residual"] <= 1e-12
+
+
+def test_solve_rejects_polytope_over_subset_cap(tmp_path, capsys):
+    offsets = [[float(i), float(i * i % 7)] for i in range(30)]  # 4525 subsets
+    cfg = demo_config(tmp_path, **{
+        "problem.dim": 2,
+        "problem.generator": [[0.0, 0.0], [0.0, 0.0]],
+        "problem.terminal": {"kind": "constant", "coeff": [1.0, 1.0]},
+        "problem.g": {"shape": "polytope", "a_y": [[0.0, 0.0], [0.0, 0.0]],
+                      "a_z": [[0.0, 0.0], [0.0, 0.0]], "lipschitz_k": 0.0,
+                      "offsets": offsets}})
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    assert "problem.g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["numerics.y_features", "outputs.emit_plot_data"])
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_solve_rejects_non_boolean_flags(tmp_path, capsys, field, value):
+    path = write(tmp_path, demo_config(tmp_path, **{field: value}))
+    assert main(["solve", path]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_load_config_keeps_integers_exact(tmp_path):
+    from bsei.cli import load_config
+
+    cfg = demo_config(tmp_path, **{"numerics.seed": 2**60 + 1,
+                                   "numerics.steps_per_window": 40.0})
+    _, config, _ = load_config(write(tmp_path, cfg))
+    assert config.seed == 2**60 + 1
+    assert config.steps_per_window == 40 and isinstance(config.steps_per_window, int)
+    cfg = demo_config(tmp_path, **{"numerics.seed": 2**64 - 1})
+    assert load_config(write(tmp_path, cfg))[1].seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_solve_rejects_seed_outside_philox_key_range(tmp_path, capsys, seed):
+    path = write(tmp_path, demo_config(tmp_path, **{"numerics.seed": seed}))
+    assert main(["solve", path]) == 2
+    assert "numerics.seed" in capsys.readouterr().err
+
+
+def test_solve_non_finite_semigroup_bound_exits_two(tmp_path, capsys):
+    # exp(800) overflows, so gamma(S) and beta are infinite
+    cfg = demo_config(tmp_path, **{"problem.generator": [[800.0]],
+                                   "numerics.paths": 100})
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "problem.generator" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the thread count from /proc")
+def test_bsei_threads_pins_blas_before_numpy_loads():
+    import os
+    from pathlib import Path
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["BSEI_THREADS"] = "1"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import bsei, numpy as np\n"
+            "a = np.ones((500, 500)); a @ a\n"
+            "print([l for l in open('/proc/self/status') if l.startswith('Threads:')][0])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Threads:", "1"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsei import geometry
 from bsei.geometry import (
@@ -17,7 +17,7 @@ from bsei.geometry import (
     support_gap,
 )
 
-TOL = geometry.ITERATIVE_TOL
+TOL = geometry.CLOSED_FORM_TOL
 
 
 def ball_boundary(center, radius, n=2000):
@@ -224,6 +224,70 @@ def test_projection_member_and_idempotent(cset, x):
     p = project(np.array(x), cset)
     assert distance_to(p, cset) <= TOL
     assert np.linalg.norm(project(p, cset) - p) <= TOL
+
+
+# quarter-grid coordinates make repeated, collinear and coplanar vertices common
+coord = st.one_of(
+    st.integers(-12, 12).map(lambda k: k / 4.0),
+    st.floats(-5.0, 5.0, allow_subnormal=False).filter(lambda x: x == 0.0 or abs(x) > 1e-6))
+
+
+@st.composite
+def polytopes_with_points(draw):
+    d = draw(st.integers(1, 3))
+    point = st.lists(coord, min_size=d, max_size=d)
+    verts = np.array(draw(st.lists(point, min_size=1, max_size=7)))
+    if d > 1 and draw(st.booleans()):
+        verts[:, -1] = verts[0, -1]  # flat: no interior in R^d
+    if draw(st.booleans()):
+        verts = np.vstack([verts, verts[:1]])  # repeated vertex
+    pts = np.array(draw(st.lists(st.lists(st.floats(-8.0, 8.0), min_size=d,
+                                          max_size=d), min_size=1, max_size=4)))
+    return Polytope(verts), pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(polytopes_with_points())
+# distance alone cannot tell (1e-9, 0) from the vertex (0, 0): both are 1 away
+@example((Polytope([[0.0, 0.0], [0.25, 0.0]]), np.array([[1e-9, 1.0]])))
+def test_polytope_projection_kkt_and_idempotent(case):
+    # x = proj(p) iff <v - x, p - x> <= 0 for every vertex v
+    poly, pts = case
+    v = poly.vertices
+    for p, x in zip(pts, project(pts, poly)):
+        scale = max(np.abs(v).max(), np.abs(p).max())
+        assert np.max((v - x) @ (p - x)) <= 1e-12 * scale**2
+        assert np.linalg.norm(project(x, poly) - x) <= 1e-14 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    convex_sets(d), st.lists(st.lists(finite, min_size=d, max_size=d),
+                             min_size=1, max_size=5))))
+def test_stacked_calls_match_per_point_calls_bitwise(case):
+    cset, pts = case
+    pts = np.array(pts)
+    stacked, dists = project(pts, cset), distance_to(pts, cset)
+    assert project(pts[None], cset)[0].tobytes() == stacked.tobytes()
+    for i, p in enumerate(pts):
+        assert project(p, cset).tobytes() == stacked[i].tobytes()
+        assert np.float64(distance_to(p, cset)).tobytes() == dists[i].tobytes()
+
+
+def test_polytope_projection_in_chunks_matches_one_pass(monkeypatch):
+    rng = np.random.default_rng(9)
+    poly = Polytope(rng.normal(size=(6, 3)))
+    pts = 2.0 * rng.normal(size=(40, 3))
+    whole = project(pts, poly)
+    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", 1)  # one point per chunk
+    assert project(pts, poly).tobytes() == whole.tobytes()
+
+
+def test_polytope_rejects_too_many_vertex_subsets():
+    rng = np.random.default_rng(10)
+    Polytope(rng.normal(size=(29, 2)))  # 29 + 406 + 3654 = 4089 subsets
+    with pytest.raises(ValueError, match="4096"):
+        Polytope(rng.normal(size=(30, 2)))  # 4525 subsets
 
 
 # ------------------------------------------------------------ set-valued map

@@ -73,6 +73,14 @@ def test_schedule_margin_property(lipschitz, gamma_s, horizon, c_pe):
     assert s.window_length <= s.delta * (1.0 + 1e-9)
 
 
+def test_schedule_rejects_constants_without_a_finite_window():
+    from bsei.errors import ScheduleError
+    with pytest.raises(ScheduleError):
+        schedule_from_constants(1.0, math.inf, 1.0)  # beta = inf
+    with pytest.raises(ScheduleError):
+        schedule_from_constants(1e200, 1.0, 1.0)  # beta^2 overflows: delta = 0
+
+
 def test_compute_schedule_uses_semigroup_bound():
     a = 0.5 * np.eye(2)
     cache = SemigroupCache.build(a, 1.0 / 64, 64)
