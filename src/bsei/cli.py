@@ -21,8 +21,10 @@ import sys
 
 _INCLUSION_THRESHOLD = 1e-8
 _EQUATION_THRESHOLD = 0.05
-# the explicit-Z rebuild costs one regression chain per grid node and
-# source, quadratic in the step count; skip it on very fine grids
+# the explicit-Z rebuild is one backward regression sweep, linear in the step
+# count (a design factorisation and a fit per step); the cap keeps this extra
+# pass off the finest grids, e.g. the 450-step singleton demo would pay about
+# a third of a second for it
 _Z_CHECK_NODES = 17
 _Z_CHECK_MAX_STEPS = 400
 
@@ -287,7 +289,7 @@ def cmd_solve(config_path: str) -> int:
                 fh.write("\n")
         return 3
     except ScheduleError as exc:
-        print(f"config error [problem.generator]: {exc}", file=sys.stderr)
+        print(f"config error [{exc.field}]: {exc}", file=sys.stderr)
         return 2
 
     n_steps = solution.y.grid.n_steps

@@ -20,7 +20,13 @@ class RegressionError(BseiError):
 
 
 class ScheduleError(BseiError, ValueError):
-    """The contraction constants admit no finite window length or count."""
+    """The contraction constants admit no finite window length or count, or
+    plan more grid than the machine can hold; ``field`` names the config
+    entry to change."""
+
+    def __init__(self, message: str, field: str = "problem.generator"):
+        super().__init__(message)
+        self.field = field
 
 
 class NonConvergenceError(BseiError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -214,15 +215,41 @@ def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-@dataclass
 class RegressionFit:
-    """Fitted values plus diagnostics for one regression solve."""
+    """Fitted values and coefficients of one regression solve.
 
-    values: np.ndarray        # (M, k) predictions
-    coefficients: np.ndarray  # (p, k)
-    ridge_used: bool
-    residual_rms: np.ndarray  # (k,) per-target residual standard deviation
-    coef_se: np.ndarray       # (p, k) OLS standard errors; NaN under ridge
+    The diagnostics ``residual_rms`` (per-target residual standard
+    deviation) and ``coef_se`` (OLS standard errors, NaN under ridge) are
+    computed on first access, from the targets array handed to ``fit``;
+    the backward sweeps never read them.
+    """
+
+    def __init__(self, reg: PolynomialRegression, targets: np.ndarray,
+                 fitted: np.ndarray, coef: np.ndarray, squeeze: bool):
+        self._reg, self._targets, self._fitted = reg, targets, fitted
+        self._squeeze = squeeze
+        self.values = fitted[:, 0] if squeeze else fitted          # (M, k)
+        self.coefficients = coef[:, 0] if squeeze else coef        # (p, k)
+        self.ridge_used = reg.ridge_used
+
+    @cached_property
+    def _sigma(self) -> np.ndarray:
+        dof = max(self._targets.shape[0] - self._reg.rank, 1)
+        resid = self._targets - self._fitted
+        return np.sqrt(np.sum(resid**2, axis=0) / dof)
+
+    @cached_property
+    def residual_rms(self) -> np.ndarray:
+        return self._sigma[0] if self._squeeze else self._sigma
+
+    @cached_property
+    def coef_se(self) -> np.ndarray:
+        if self.ridge_used:
+            return np.full_like(self.coefficients, np.nan)
+        reg = self._reg
+        xtx_inv_diag = np.sum((reg._vt.T / reg._s) ** 2, axis=1)
+        se = np.sqrt(np.outer(xtx_inv_diag, self._sigma**2))
+        return se[:, 0] if self._squeeze else se
 
 
 class _FactoredDesign:
@@ -270,8 +297,6 @@ class PolynomialRegression(_FactoredDesign):
                 f"({p} functions, {m} paths)")
         self.design = x
         self._factor(x)
-        self._xtx_inv_diag = (None if self.ridge_used
-                              else np.sum((self._vt.T / self._s) ** 2, axis=1))
 
     @property
     def basis_dim(self) -> int:
@@ -282,25 +307,10 @@ class PolynomialRegression(_FactoredDesign):
         squeeze = y.ndim == 1
         if squeeze:
             y = y[:, None]
-        m, p = self.design.shape
-        if y.shape[0] != m:
+        if y.shape[0] != self.design.shape[0]:
             raise ValueError("targets and design have different path counts")
         coef = self._coefficients(y)
-        fitted = self.design @ coef
-        resid = y - fitted
-        dof = max(m - self.rank, 1)
-        sigma = np.sqrt(np.sum(resid**2, axis=0) / dof)
-        if self.ridge_used:
-            se = np.full_like(coef, np.nan)
-        else:
-            se = np.sqrt(np.outer(self._xtx_inv_diag, sigma**2))
-        return RegressionFit(
-            values=fitted[:, 0] if squeeze else fitted,
-            coefficients=coef[:, 0] if squeeze else coef,
-            ridge_used=self.ridge_used,
-            residual_rms=sigma[0] if squeeze else sigma,
-            coef_se=se[:, 0] if squeeze else se,
-        )
+        return RegressionFit(self, y, self.design @ coef, coef, squeeze)
 
 
 class KernelRegression(_FactoredDesign):

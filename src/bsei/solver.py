@@ -12,6 +12,7 @@ handing its left-endpoint values to the next as terminal data.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -392,6 +393,36 @@ def picard_solve_interval(problem: BSEIProblem, window: tuple,
     return y, z, final_g.values, report, ridge_total
 
 
+def _full_grid_bytes(n_steps: int, n_paths: int, dim: int) -> int:
+    """Bytes of the arrays a solve keeps on the whole grid: Y, Z and g at
+    every node, the Brownian increments per step and levels per node."""
+    return 8 * n_paths * ((3 * dim + 1) * (n_steps + 1) + n_steps)
+
+
+def _about(n: int) -> str:
+    """An integer of any size in a few characters (exact below 10^7)."""
+    digits = str(n)
+    return digits if len(digits) <= 7 else f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
+
+
+def _check_memory(n_steps: int, n_paths: int, dim: int) -> None:
+    """Raise ScheduleError before allocating when the full-grid arrays alone
+    would exceed the machine's physical memory."""
+    try:
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf: no budget
+        return
+    need = _full_grid_bytes(n_steps, n_paths, dim)
+    if need > budget:
+        # blame the path count only when the steps alone would fit
+        field = ("numerics.paths" if _full_grid_bytes(n_steps, 1, dim) <= budget
+                 else "problem.generator")
+        raise ScheduleError(
+            f"the schedule plans {_about(n_steps)} steps x {n_paths} paths, "
+            f"about {_about(need)} bytes of full-grid arrays, more than the "
+            f"{budget} bytes of physical memory", field=field)
+
+
 def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     """Solve the inclusion over the whole horizon by backward concatenation.
 
@@ -412,6 +443,7 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
                                 min_iter=config.min_iter)
     n_win = schedule.n_windows
     n_total = n_win * config.steps_per_window
+    _check_memory(n_total, config.n_paths, problem.dim)
     grid = TimeGrid(horizon, n_total)
     bm = simulate_brownian(grid, config.n_paths, config.seed)
     cache = SemigroupCache.build(a, grid.dt, n_total)
@@ -549,32 +581,25 @@ def _rebuild_z(sol: Solution, cache: SemigroupCache, bm: BrownianEnsemble,
 
     Z_u = S(T - t_u) Psi_u - sum_{s > u} dt S(t_s - t_u) tau[s][u], where Psi
     represents the terminal data and tau the generator selection; the minus
-    sign is the one of the scheme Y[k] = E[S Y[k+1] | F_k] - dt g[k].  Kernel
-    entries come from tower-chained regressions (one backward chain per
-    source) and are folded into the requested nodes on the fly, so nothing
-    quadratic in the grid is ever stored.
+    sign is the one of the scheme Y[k] = E[S Y[k+1] | F_k] - dt g[k].  Kernels
+    and conditional expectations are linear in their targets and commute with
+    right-multiplication by S, so the per-source tower chains sum to one
+    backward sweep: R[n] = xi, R[k] = E[R[k+1] S(dt)' | F_k] - dt g[k], and
+    Z_u = kern_u(R[u+1] S(dt)').  That is one regression fit per node above
+    the lowest requested one, and one kernel design per requested node.
     """
     grid = sol.y.grid
     n, dt = grid.n_steps, grid.dt
     wanted = set(int(u) for u in nodes)
-    regs = [PolynomialRegression(bm.levels[k], basis_degree) for k in range(n)]
-    kerns = {k: KernelRegression(regs[k], bm.increments[k], dt) for k in wanted}
+    lowest = min(wanted, default=n)
+    s_one = cache.power(1)
     rebuilt = {}
-
-    def chain(source, s_src, terminal_kernel):
-        cond = source
-        for k in range(s_src - 1, -1, -1):
-            if k in wanted:
-                kern = kerns[k].kernel(cond)
-                if terminal_kernel:
-                    rebuilt[k] += kern @ cache.power(n - k).T
-                else:
-                    rebuilt[k] -= dt * (kern @ cache.power(s_src - k).T)
-            cond = regs[k].fit(cond).values
-
-    for u in wanted:
-        rebuilt[u] = np.zeros((bm.n_paths, sol.z.dim))
-    chain(xi, n, terminal_kernel=True)
-    for s in range(1, n):
-        chain(sol.g.values[s], s, terminal_kernel=False)
+    r = xi
+    for k in range(n - 1, lowest - 1, -1):
+        propagated = r @ s_one.T
+        reg = PolynomialRegression(bm.levels[k], basis_degree)
+        if k in wanted:
+            rebuilt[k] = KernelRegression(reg, bm.increments[k], dt).kernel(propagated)
+        if k > lowest:
+            r = reg.fit(propagated).values - dt * sol.g.values[k]
     return rebuilt

@@ -265,6 +265,19 @@ def test_solve_non_finite_semigroup_bound_exits_two(tmp_path, capsys):
     assert "problem.generator" in err and len(err.strip().splitlines()) == 1
 
 
+def test_solve_over_memory_budget_exits_two(tmp_path, capsys):
+    # gamma(S) = e^100 is finite, but the schedule plans about 1e175 steps:
+    # refused before any full-grid array is allocated
+    cfg = demo_config(tmp_path, **{"problem.generator": [[100.0]],
+                                   "numerics.paths": 100})
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "problem.generator" in err and "steps x 100 paths" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the thread count from /proc")
 def test_bsei_threads_pins_blas_before_numpy_loads():

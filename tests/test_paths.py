@@ -226,6 +226,26 @@ def test_regression_rank_deficient_ridge_flag():
     fit = reg.fit(np.arange(100.0))
     assert fit.ridge_used
     assert np.abs(fit.values - np.arange(100.0)).max() <= 1e-4
+    assert np.all(np.isnan(fit.coef_se))
+
+
+def test_regression_diagnostics_match_direct_formulas():
+    # residual RMS and standard errors are computed on first access; they
+    # must equal the textbook formulas, per column and for a 1-D target
+    rng = np.random.default_rng(21)
+    feats = rng.normal(size=300)
+    targets = np.column_stack([np.sin(feats), feats**3]) + rng.normal(size=(300, 2))
+    reg = PolynomialRegression(feats, 2)
+    fit = reg.fit(targets)
+    x = reg.design
+    resid = targets - fit.values
+    sigma = np.sqrt(np.sum(resid**2, axis=0) / (300 - 3))
+    se = np.sqrt(np.outer(np.diag(np.linalg.inv(x.T @ x)), sigma**2))
+    assert np.allclose(fit.residual_rms, sigma, rtol=1e-12)
+    assert np.allclose(fit.coef_se, se, rtol=1e-10)
+    one = reg.fit(targets[:, 1])
+    assert one.values.shape == (300,) and one.coef_se.shape == (3,)
+    assert one.residual_rms == pytest.approx(sigma[1], rel=1e-12)
 
 
 def test_regression_constant_feature_dropped_cleanly():

@@ -380,8 +380,7 @@ def test_verify_residuals_and_corruption_detector():
     cfg = SolverConfig(steps_per_window=10, n_paths=4_000, seed=17)
     sol, rep = solve(prob, cfg)
     grid = sol.y.grid
-    bm = simulate_brownian(grid, cfg.n_paths, cfg.seed)
-    cache = SemigroupCache.build(prob.generator, grid.dt, grid.n_steps)
+    bm, cache = sol.bm, sol.cache
     res = verify_solution(sol, prob, cache, bm, z_check_nodes=10)
     assert res.inclusion_max <= 1e-8
     assert res.equation[-1] == 0.0  # exact at the terminal node
@@ -470,7 +469,7 @@ def test_solve_with_y_features_matches_closed_form():
     assert rep.converged
     assert rep.ridge_events > 0
     grid = sol.y.grid
-    w = simulate_brownian(grid, cfg.n_paths, cfg.seed).levels
+    w = sol.bm.levels
     for k in range(0, grid.n_steps + 1, 30):
         exact = np.exp(-0.5 * (1.0 - grid.nodes[k])) * w[k]
         rms = np.sqrt(np.mean((sol.y.values[k][:, 0] - exact) ** 2))
@@ -482,9 +481,7 @@ def test_verify_reports_continuity_modulus():
     cfg = SolverConfig(steps_per_window=10, n_paths=2_000, seed=22)
     sol, _ = solve(prob, cfg)
     grid = sol.y.grid
-    bm = simulate_brownian(grid, cfg.n_paths, cfg.seed)
-    cache = SemigroupCache.build(prob.generator, grid.dt, grid.n_steps)
-    res = verify_solution(sol, prob, cache, bm)
+    res = verify_solution(sol, prob, sol.cache, sol.bm)
     # one-step increments of Y scale like sqrt(dt) for a diffusion-driven Y
     assert 0.0 < res.y_modulus <= 10.0 * np.sqrt(grid.dt)
 
@@ -498,9 +495,7 @@ def test_verify_z_crosscheck_trivial_case():
     cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
     sol, _ = solve(prob, cfg)
     grid = sol.y.grid
-    bm = simulate_brownian(grid, cfg.n_paths, cfg.seed)
-    cache = SemigroupCache.build(prob.generator, grid.dt, grid.n_steps)
-    res = verify_solution(sol, prob, cache, bm, z_check_nodes=grid.n_steps)
+    res = verify_solution(sol, prob, sol.cache, sol.bm, z_check_nodes=grid.n_steps)
     # per-node estimator noise ~ sqrt(6 p_basis / M); three of those
     bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
     for zc in res.z_checks:
@@ -518,10 +513,67 @@ def test_verify_z_crosscheck_with_generator():
     cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
     sol, _ = solve(prob, cfg)
     grid = sol.y.grid
-    bm = simulate_brownian(grid, cfg.n_paths, cfg.seed)
-    cache = SemigroupCache.build(prob.generator, grid.dt, grid.n_steps)
-    res = verify_solution(sol, prob, cache, bm, z_check_nodes=grid.n_steps)
+    res = verify_solution(sol, prob, sol.cache, sol.bm, z_check_nodes=grid.n_steps)
     bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
     assert len(res.z_checks) == grid.n_steps
     for zc in res.z_checks:
         assert zc.discrepancy <= bound
+
+
+def _rebuild_z_per_source(sol, basis_degree, nodes):
+    """The explicit Z rebuild written as one tower chain per source node,
+    quadratic in the step count: the reference for the one-sweep form."""
+    from bsei.paths import KernelRegression, PolynomialRegression
+    bm, cache = sol.bm, sol.cache
+    n, dt = sol.y.grid.n_steps, sol.y.grid.dt
+    regs = [PolynomialRegression(bm.levels[k], basis_degree) for k in range(n)]
+    out = {u: np.zeros((bm.n_paths, sol.z.dim)) for u in nodes}
+    sources = [(sol.y.values[n], n, 1.0)] + [
+        (sol.g.values[s], s, -dt) for s in range(1, n)]
+    for source, s_src, weight in sources:
+        cond = source
+        for k in range(s_src - 1, -1, -1):
+            if k in out:
+                kern = KernelRegression(regs[k], bm.increments[k], dt).kernel(cond)
+                out[k] += weight * (kern @ cache.power(s_src - k).T)
+            cond = regs[k].fit(cond).values
+    return out
+
+
+def test_rebuild_z_one_sweep_matches_per_source_chains():
+    from bsei.solver import _rebuild_z
+    prob = BSEIProblem(
+        horizon=1.0, exponent=2.0, dim=2,
+        generator=np.array([[-1.0, 0.4], [-0.3, -0.5]]),
+        terminal=TerminalSpec("quadratic", [1.0, 0.5]),
+        gspec=SetValuedSpec(dim=2, shape="ball", a_y=np.array([[-0.3, 0.1], [0.0, 0.2]]),
+                            a_z=np.zeros((2, 2)), lipschitz_k=0.4, radius=0.1))
+    sol, _ = solve(prob, SolverConfig(steps_per_window=4, n_paths=600, seed=23))
+    n = sol.y.grid.n_steps
+    assert np.abs(sol.g.values).max() > 0.1
+    nodes = [0, 1, n // 2, n - 2, n - 1]
+    got = _rebuild_z(sol, sol.cache, sol.bm, 2, nodes, sol.y.values[n])
+    want = _rebuild_z_per_source(sol, 2, nodes)
+    assert sorted(got) == nodes
+    for u in nodes:
+        scale = np.abs(want[u]).max()
+        assert scale > 0.0
+        assert np.abs(got[u] - want[u]).max() <= 1e-12 * scale
+
+
+def test_z_crosscheck_fits_at_most_once_per_step(monkeypatch):
+    from bsei.paths import PolynomialRegression
+    from bsei.solver import z_crosscheck
+    sol, _ = solve(_ball_problem(), SolverConfig(steps_per_window=10,
+                                                 n_paths=1_000, seed=24))
+    n = sol.y.grid.n_steps
+    calls = []
+    fit = PolynomialRegression.fit
+
+    def counted(self, targets):
+        calls.append(1)
+        return fit(self, targets)
+    monkeypatch.setattr(PolynomialRegression, "fit", counted)
+    checks = z_crosscheck(sol, sol.cache, sol.bm, 2, n)
+    assert len(checks) == n
+    assert 0 < len(calls) <= n
