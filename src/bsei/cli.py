@@ -8,7 +8,8 @@ Subcommands:
   gamma-norm <op.json>    Gaussian-sum norm of a finite-rank operator
 
 Exit codes: 0 success, 1 validation-suite failure, 2 input error,
-3 numerical non-convergence.  Set BSEI_THREADS to pin the BLAS thread
+3 numerical non-convergence, a non-finite iterate or residuals above
+threshold.  Set BSEI_THREADS to pin the BLAS thread
 count; the package applies it on import, before numpy loads.
 """
 
@@ -18,6 +19,8 @@ import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 _INCLUSION_THRESHOLD = 1e-8
 _EQUATION_THRESHOLD = 0.05
@@ -251,7 +254,6 @@ def _summary(report) -> dict:
 
 
 def _write_plot_csv(path: str, sol, residuals) -> None:
-    import numpy as np
     nodes = sol.y.grid.nodes
     y_mean = sol.y.values.mean(axis=1)
     z_mean = sol.z.values.mean(axis=1)
@@ -267,6 +269,9 @@ def _write_plot_csv(path: str, sol, residuals) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# a number that overflows stops the solve at a non-finite iterate or reaches
+# the outputs as inf and fails the gates: numpy's warnings would repeat that
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(config_path: str) -> int:
     from .errors import ConfigError, NonConvergenceError, ScheduleError
     from .solver import solve, z_crosscheck
@@ -311,6 +316,10 @@ def cmd_solve(config_path: str) -> int:
                       "inclusion_residual": report.inclusion_residual,
                       "equation_residual_max": report.equation_residual_max,
                       "ok": ok}))
+    if not ok:
+        print(f"residuals above threshold: inclusion {report.inclusion_residual:.3e}, "
+              f"equation {report.equation_residual_max:.3e} (gates "
+              f"{_INCLUSION_THRESHOLD:g}, {_EQUATION_THRESHOLD:g})", file=sys.stderr)
     return 0 if ok else 3
 
 
@@ -327,8 +336,6 @@ def cmd_validate(suite: str, seed: int = 2024) -> int:
 
 
 def cmd_gamma_norm(path: str) -> int:
-    import numpy as np
-
     from .errors import ConfigError
     from .gamma import FiniteRankOperator, gamma_norm
 

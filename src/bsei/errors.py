@@ -30,7 +30,8 @@ class ScheduleError(BseiError, ValueError):
 
 
 class NonConvergenceError(BseiError):
-    """Fixed-point iteration hit the iteration cap above tolerance.
+    """Fixed-point iteration hit the iteration cap above tolerance, or an
+    iterate stopped being finite.
 
     The partial report accumulated so far is attached for diagnosis.
     """

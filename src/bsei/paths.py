@@ -147,10 +147,6 @@ class ProcessEnsemble:
     def dim(self) -> int:
         return self.values.shape[2]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.nodes[self.start_index:self.start_index + self.n_nodes]
-
 
 def from_function(grid: TimeGrid, bm: BrownianEnsemble, fn, dim: int) -> ProcessEnsemble:
     """Adapted ensemble X[k] = fn(k, W_{t_k}); fn returns an (M, dim) array."""
@@ -185,13 +181,18 @@ def lp_l2_norm(x: ProcessEnsemble, p: float) -> float:
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    return _lp_l2(x.values, x.grid.dt, p)
+    return _lp_l2(x.values, np.broadcast_to(0.0, x.values.shape), x.grid.dt, p)
 
 
-def _lp_l2(values: np.ndarray, dt: float, p: float) -> float:
-    if values.shape[0] < 2:
-        return 0.0
-    q = dt * np.sum(values[:-1] ** 2, axis=(0, 2))  # (M,)
+def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
+    """Sample norm of the stack x - y; every temporary is one (M, d) node."""
+    sq = np.zeros(x.shape[1:])
+    step = np.empty(x.shape[1:])
+    for k in range(x.shape[0] - 1):
+        np.subtract(x[k], y[k], out=step)
+        step *= step
+        sq += step
+    q = dt * sq.sum(axis=1)  # (M,)
     return float(np.mean(q ** (p / 2.0)) ** (1.0 / p))
 
 

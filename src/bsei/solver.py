@@ -166,11 +166,6 @@ class WindowReport:
     iterations: list
     converged: bool
 
-    @property
-    def final_diff(self) -> float:
-        last = self.iterations[-1]
-        return last.dy + last.dz
-
     def geometric_ratio(self, first: int = 2, last: int = 8) -> float:
         """Least-squares geometric decay rate of dY + dZ over an iteration range."""
         pts = [(r.iteration, r.dy + r.dz) for r in self.iterations
@@ -254,21 +249,17 @@ def _project_onto_sets(g: np.ndarray, centers: np.ndarray,
     return out
 
 
-def select_generator(g_prev: ProcessEnsemble, y_prev: ProcessEnsemble,
-                     z_prev: ProcessEnsemble, gspec: SetValuedSpec) -> ProcessEnsemble:
+def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
+                     times: np.ndarray, gspec: SetValuedSpec) -> np.ndarray:
     """Pointwise nearest-point selection g_new[k][m] in G(t_k, Y[k][m], Z[k][m]).
 
+    The three stacks are (n + 1, M, d) arrays on the nodes ``times``.
     Projection of adapted data through a deterministic map, so the output is
     adapted; the moved distance at each point equals the distance from the
     previous selection to the new constraint set.
     """
-    for other in (y_prev, z_prev):
-        if (other.grid != g_prev.grid or other.values.shape != g_prev.values.shape
-                or other.start_index != g_prev.start_index):
-            raise ValueError("generator/state ensembles must share grid and shape")
-    centers = gspec.center_batch(g_prev.times, y_prev.values, z_prev.values)
-    out = _project_onto_sets(g_prev.values, centers, gspec)
-    return ProcessEnsemble(g_prev.grid, out, g_prev.start_index, adapted=True)
+    centers = gspec.center_batch(times, y_prev, z_prev)
+    return _project_onto_sets(g_prev, centers, gspec)
 
 
 def _window_regressions(bm: BrownianEnsemble, k_lo: int, n_steps: int,
@@ -289,10 +280,11 @@ def _window_regressions(bm: BrownianEnsemble, k_lo: int, n_steps: int,
     return out
 
 
-def solve_linear_bsee(g: ProcessEnsemble, terminal_values: np.ndarray,
+def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray, k_lo: int,
                       cache: SemigroupCache, bm: BrownianEnsemble,
                       basis_degree: int, regressions: list | None = None):
-    """One backward sweep of the linear equation with frozen source g.
+    """One backward sweep of the linear equation with frozen source g, an
+    (n + 1, M, d) array on the grid nodes k_lo, ..., k_lo + n of ``bm``.
 
     Discretization: Y[k] = E[S(dt) Y[k+1] | F_k] - dt g[k] and
     Z[k] = (1/dt) E[S(dt) Y[k+1] dW_k | F_k], both evaluated by regression;
@@ -301,22 +293,21 @@ def solve_linear_bsee(g: ProcessEnsemble, terminal_values: np.ndarray,
     Monte Carlo variance.  Y at the last node equals the terminal values
     exactly.
 
-    Returns (Y, Z) ensembles; Z at the last node is set to zero by
-    convention and carries no quadrature mass.
+    Returns (Y, Z) arrays shaped like g; Z at the last node is set to zero
+    by convention and carries no quadrature mass.
     """
-    grid, k_lo = g.grid, g.start_index
-    n = g.n_nodes - 1
-    dt = grid.dt
+    n = g.shape[0] - 1
+    dt = bm.grid.dt
     if abs(cache.step - dt) > 1e-12 * max(1.0, dt):
         raise ValueError("semigroup cache step disagrees with the grid")
     terminal = np.asarray(terminal_values, dtype=float)
-    if terminal.shape != (g.n_paths, g.dim):
+    if terminal.shape != g.shape[1:]:
         raise ValueError("terminal values must be one vector per path")
     if regressions is None:
         regressions = _window_regressions(bm, k_lo, n, basis_degree)
     s_one = cache.power(1)
-    y = np.empty_like(g.values)
-    z = np.zeros_like(g.values)
+    y = np.empty_like(g)
+    z = np.zeros_like(g)
     y[n] = terminal
     for k in range(n - 1, -1, -1):
         base, kern = regressions[k]
@@ -326,9 +317,8 @@ def solve_linear_bsee(g: ProcessEnsemble, terminal_values: np.ndarray,
             z[k] = kern.kernel(propagated)
         except np.linalg.LinAlgError as exc:
             raise RegressionError(str(exc), time_index=k_lo + k) from exc
-        y[k] = fit_y.values - dt * g.values[k]
-    return (ProcessEnsemble(grid, y, k_lo, adapted=True),
-            ProcessEnsemble(grid, z, k_lo, adapted=True))
+        y[k] = fit_y.values - dt * g[k]
+    return y, z
 
 
 def picard_solve_interval(problem: BSEIProblem, window: tuple,
@@ -342,27 +332,26 @@ def picard_solve_interval(problem: BSEIProblem, window: tuple,
     before ``min_iter`` iterations, so contraction diagnostics have data).
     Ends with one extra selection against the final pair so the inclusion
     holds at the reported iterates.  Raises NonConvergenceError with the
-    partial report attached when the iteration cap is hit above tolerance.
+    partial report attached when an iterate is not finite, or when the
+    iteration cap is hit above tolerance.
     """
     k_lo, k_hi = window
     n = k_hi - k_lo
-    grid, m, d = bm.grid, bm.n_paths, problem.dim
-    if (k_hi - k_lo) * grid.dt > schedule.delta * (1.0 + 1e-9):
+    dt = bm.grid.dt
+    if n * dt > schedule.delta * (1.0 + 1e-9):
         raise ValueError("window longer than the schedule permits")
     p = problem.exponent
-    dt = grid.dt
+    times = bm.grid.nodes[k_lo:k_hi + 1]
     regs = _window_regressions(bm, k_lo, n, basis_degree)
-    zeros = np.zeros((n + 1, m, d))
-    y, z, g = zeros, zeros.copy(), zeros.copy()
+    y = np.zeros((n + 1, bm.n_paths, problem.dim))
+    z, g = np.zeros_like(y), np.zeros_like(y)
     report = WindowReport(index=0, k_lo=k_lo, k_hi=k_hi, iterations=[],
                           converged=False)
     # ridge fallback depends on the design alone, so count it per window
     ridge_total = sum(int(b.ridge_used) + int(k.ridge_used) for b, k in regs)
     prev_sum = None
     for it in range(1, schedule.n_max + 1):
-        g_ens = select_generator(
-            ProcessEnsemble(grid, g, k_lo), ProcessEnsemble(grid, y, k_lo),
-            ProcessEnsemble(grid, z, k_lo), problem.gspec)
+        g_new = select_generator(g, y, z, times, problem.gspec)
         if y_features and it == 2:
             # enrich the basis with the first informative iterate's Y, then
             # freeze it: a basis that moved with the iterate would break the
@@ -370,15 +359,17 @@ def picard_solve_interval(problem: BSEIProblem, window: tuple,
             regs = _window_regressions(bm, k_lo, n, basis_degree, extra=y[:n])
             ridge_total += sum(int(b.ridge_used) + int(k.ridge_used)
                                for b, k in regs)
-        y_ens, z_ens = solve_linear_bsee(
-            g_ens, terminal_values, cache, bm, basis_degree, regressions=regs)
-        dy = _lp_l2(y_ens.values - y, dt, p)
-        dz = _lp_l2(z_ens.values - z, dt, p)
-        dg = _lp_l2(g_ens.values - g, dt, p)
+        y_new, z_new = solve_linear_bsee(g_new, terminal_values, k_lo, cache, bm,
+                                         basis_degree, regressions=regs)
+        dy, dz, dg = (_lp_l2(y_new, y, dt, p), _lp_l2(z_new, z, dt, p),
+                      _lp_l2(g_new, g, dt, p))
         ratio = (dy + dz) / prev_sum if (it >= 2 and prev_sum) else None
         report.iterations.append(IterationRecord(it, dy, dz, dg, ratio,
                                                  schedule.eps(it)))
-        y, z, g = y_ens.values, z_ens.values, g_ens.values
+        if not all(np.isfinite(v).all() for v in (y_new, z_new, g_new)):
+            raise NonConvergenceError(f"window [{k_lo}, {k_hi}] iteration {it}: "
+                                      "non-finite iterate", report=report)
+        y, z, g = y_new, z_new, g_new
         prev_sum = dy + dz
         if it >= schedule.min_iter and dy + dz <= schedule.tol:
             report.converged = True
@@ -387,10 +378,8 @@ def picard_solve_interval(problem: BSEIProblem, window: tuple,
         raise NonConvergenceError(
             f"window [{k_lo}, {k_hi}] still above tol after {schedule.n_max} "
             f"iterations (last dY+dZ = {prev_sum:.3e})", report=report)
-    final_g = select_generator(
-        ProcessEnsemble(grid, g, k_lo), ProcessEnsemble(grid, y, k_lo),
-        ProcessEnsemble(grid, z, k_lo), problem.gspec)
-    return y, z, final_g.values, report, ridge_total
+    final_g = select_generator(g, y, z, times, problem.gspec)
+    return y, z, final_g, report, ridge_total
 
 
 def _full_grid_bytes(n_steps: int, n_paths: int, dim: int) -> int:
@@ -423,6 +412,9 @@ def _check_memory(n_steps: int, n_paths: int, dim: int) -> None:
             f"{budget} bytes of physical memory", field=field)
 
 
+# a non-finite iterate ends the run at its window's finiteness check and an
+# overflowing residual is reported as inf: numpy's warnings would repeat them
+@np.errstate(over="ignore", invalid="ignore")
 def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     """Solve the inclusion over the whole horizon by backward concatenation.
 
@@ -447,7 +439,6 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     grid = TimeGrid(horizon, n_total)
     bm = simulate_brownian(grid, config.n_paths, config.seed)
     cache = SemigroupCache.build(a, grid.dt, n_total)
-    xi = problem.terminal.sample(bm)
 
     m, d = config.n_paths, problem.dim
     y = np.zeros((n_total + 1, m, d))
@@ -457,7 +448,7 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     report = SolveReport(schedule=schedule, windows=windows, seed=config.seed,
                          n_paths=m, n_steps_total=n_total,
                          basis_degree=config.basis_degree)
-    terminal = xi
+    terminal = problem.terminal.sample(bm)
     for w in range(n_win - 1, -1, -1):
         k_lo, k_hi = w * config.steps_per_window, (w + 1) * config.steps_per_window
         try:
@@ -473,8 +464,7 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
         wrep.index = w
         windows.insert(0, wrep)
         report.ridge_events += ridge
-        last = w == n_win - 1
-        stop = k_hi + 1 if last else k_hi
+        stop = k_hi + 1 if w == n_win - 1 else k_hi
         y[k_lo:stop] = y_loc[:stop - k_lo]
         z[k_lo:stop] = z_loc[:stop - k_lo]
         g[k_lo:stop] = g_loc[:stop - k_lo]
@@ -509,7 +499,7 @@ class ResidualReport:
 
 def _inclusion_residual(sol: Solution, problem: BSEIProblem) -> float:
     gspec = problem.gspec
-    centers = gspec.center_batch(sol.g.times, sol.y.values, sol.z.values)
+    centers = gspec.center_batch(sol.g.grid.nodes, sol.y.values, sol.z.values)
     gv = sol.g.values
     gap = gv - _project_onto_sets(gv, centers, gspec)
     return float(np.max(np.linalg.norm(gap, axis=-1)))
@@ -537,19 +527,19 @@ def verify_solution(sol: Solution, problem: BSEIProblem, cache: SemigroupCache,
 
     inclusion = _inclusion_residual(sol, problem)
 
-    xi = sol.y.values[n]
-    u_src = dt * sol.g.values[:n] + sol.z.values[:n] * bm.increments[:, :, None]
+    y, z, g, dw = sol.y.values, sol.z.values, sol.g.values, bm.increments
+    xi = y[n]
     acc = np.zeros_like(xi)
     xi_prop = xi.copy()
     equation = np.empty(n + 1)
     equation[n] = 0.0
     y_modulus = 0.0
     for k in range(n - 1, -1, -1):
-        acc = u_src[k] + acc @ s_one.T
+        acc = (dt * g[k] + z[k] * dw[k][:, None]) + acc @ s_one.T
         xi_prop = xi_prop @ s_one.T
-        res = sol.y.values[k] + acc - xi_prop
+        res = y[k] + acc - xi_prop
         equation[k] = np.mean(np.sum(res**2, axis=1) ** (p / 2.0)) ** (1.0 / p)
-        step = sol.y.values[k + 1] - sol.y.values[k]
+        step = y[k + 1] - y[k]
         y_modulus = max(y_modulus, float(
             np.mean(np.sum(step**2, axis=1) ** (p / 2.0)) ** (1.0 / p)))
 

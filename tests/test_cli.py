@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsei.cli import main
 
@@ -197,6 +198,93 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
     assert counts == {"draw": 1, "build": 2, "verify": 1}
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["z_check"] and report["y_continuity_modulus"] > 0.0
+
+
+def test_solve_builds_only_the_solution_ensembles(tmp_path, monkeypatch):
+    # Picard windows run on plain arrays: the only process ensembles a run
+    # builds are the Y, Z and g of the Solution that solve returns
+    from bsei.paths import ProcessEnsemble
+
+    shapes = []
+    post_init = ProcessEnsemble.__post_init__
+
+    def counted(self):
+        post_init(self)
+        shapes.append(self.values.shape)
+
+    monkeypatch.setattr(ProcessEnsemble, "__post_init__", counted)
+    path = write(tmp_path, demo_config(tmp_path))
+    assert main(["solve", path]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert sum(report["iterations_per_window"]) > 3
+    assert shapes == [(report["steps_total"] + 1, 1000, 1)] * 3
+
+
+def ball_demo_config(tmp_path, **numerics):
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "configs" / "ball_demo.json"
+    cfg = json.loads(src.read_text())
+    cfg["numerics"].update(numerics)
+    cfg["outputs"] = {"report_path": str(tmp_path / "report.json"),
+                      "convergence_csv_path": str(tmp_path / "conv.csv"),
+                      "emit_plot_data": True}
+    return cfg
+
+
+@pytest.mark.parametrize("problem", [
+    {"terminal": {"kind": "quadratic", "coeff": [1e307, 1e307]}},
+    {"terminal": {"kind": "constant", "coeff": [1e308, 1e308]},
+     "generator": [[1.0, 0.0], [0.0, 1.0]]},
+])
+def test_solve_non_finite_iterates_exit_three(tmp_path, problem):
+    # the terminal data overflow: one line naming window and iteration, no
+    # numpy warning, and the partial report and convergence CSV on disk
+    import os
+    from pathlib import Path
+
+    cfg = ball_demo_config(tmp_path, paths=200, steps_per_window=4)
+    cfg["problem"].update(problem)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "bsei.cli", "solve",
+                           write(tmp_path, cfg)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 3
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1
+    assert "window [" in err[0] and "iteration 1" in err[0]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is False and report["iterations_per_window"] == [1]
+    rows = (tmp_path / "conv.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[1] == "1"
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["constant", "linear", "quadratic"]),
+       coeff=st.lists(st.floats(min_value=-1.7e308, max_value=1.7e308),
+                      min_size=2, max_size=2))
+def test_solve_any_terminal_magnitude_exits_zero_or_three(kind, coeff):
+    # the generator stays the demo's: large ones plan thousands of windows
+    import contextlib
+    import io
+    import tempfile
+    import warnings
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = ball_demo_config(Path(tmp), paths=100, steps_per_window=4)
+        cfg["problem"]["terminal"] = {"kind": kind, "coeff": coeff}
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(["solve", write(Path(tmp), cfg)])
+    assert not caught, [str(w.message) for w in caught]
+    assert rc in (0, 3)
+    assert len(err.getvalue().splitlines()) == (1 if rc == 3 else 0)
 
 
 def test_solve_polytope_passes_inclusion_gate(tmp_path):

@@ -6,6 +6,7 @@ from bsei.paths import (
     PolynomialRegression,
     ProcessEnsemble,
     TimeGrid,
+    _lp_l2,
     conditional_expectation,
     from_function,
     ito_integral,
@@ -147,6 +148,26 @@ def test_lp_l2_brownian_integrand():
     oracle = np.sqrt(grid.dt**2 * sum(range(grid.n_steps)))
     assert got == pytest.approx(oracle, rel=0.01)
     assert oracle == pytest.approx(np.sqrt(0.5), rel=0.02)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_l2_difference_matches_textbook_formula(p, d):
+    # mean over paths of (dt sum_{k<n} ||x_k - y_k||^2)^(p/2), to the 1/p
+    rng = np.random.default_rng(int(10 * p) + d)
+    x, y = rng.normal(size=(2, 9, 300, d))
+    dt = 0.125
+    q = dt * ((x - y)[:-1] ** 2).sum(axis=(0, 2))
+    textbook = np.mean(q ** (p / 2)) ** (1 / p)
+    assert _lp_l2(x, y, dt, p) == pytest.approx(textbook, rel=1e-12)
+    assert lp_l2_norm(ProcessEnsemble(TimeGrid(1.0, 8), x - y), p) == pytest.approx(
+        textbook, rel=1e-12)
+
+
+def test_lp_l2_single_node_is_zero():
+    x = np.ones((1, 5, 2))
+    assert _lp_l2(x, np.zeros_like(x), 0.5, 2.0) == 0.0
+    assert _lp_l2(x[:0], x[:0], 0.5, 2.0) == 0.0
 
 
 def test_lp_l2_requires_p_above_one():

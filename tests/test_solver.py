@@ -99,6 +99,18 @@ def _ensembles(grid, m, d, g=None, y=None, z=None):
     return mk(g), mk(y), mk(z)
 
 
+def _select(g, y, z, spec):
+    """select_generator on the arrays of three ensembles, as an ensemble."""
+    return ProcessEnsemble(g.grid, select_generator(g.values, y.values, z.values,
+                                                    g.grid.nodes, spec))
+
+
+def _sweep(g, terminal, cache, bm, degree):
+    """solve_linear_bsee on an ensemble's array, (Y, Z) as ensembles."""
+    return tuple(ProcessEnsemble(g.grid, v, g.start_index) for v in solve_linear_bsee(
+        g.values, terminal, g.start_index, cache, bm, degree))
+
+
 def test_select_singleton_ignores_previous():
     grid = TimeGrid(1.0, 4)
     m, d = 8, 2
@@ -106,7 +118,7 @@ def test_select_singleton_ignores_previous():
     g, y, z = _ensembles(grid, m, d, g=rng.normal(size=(5, m, d)),
                          y=rng.normal(size=(5, m, d)))
     spec = singleton_spec(d, a_y=0.7)
-    out = select_generator(g, y, z, spec)
+    out = _select(g, y, z, spec)
     assert np.allclose(out.values, 0.7 * y.values)
 
 
@@ -117,7 +129,7 @@ def test_select_fixed_point_inside_set():
     spec = SetValuedSpec(dim=d, shape="ball", a_y=np.zeros((d, d)),
                          a_z=np.zeros((d, d)), lipschitz_k=0.0, radius=1.0)
     g, y, z = _ensembles(grid, m, d, g=g_vals)
-    out = select_generator(g, y, z, spec)
+    out = _select(g, y, z, spec)
     assert np.array_equal(out.values, g_vals)  # already inside: untouched
 
 
@@ -130,7 +142,7 @@ def test_select_ball_closed_form():
     spec = SetValuedSpec(dim=d, shape="ball", a_y=np.zeros((d, d)),
                          a_z=np.zeros((d, d)), lipschitz_k=0.0, radius=r)
     g, y, z = _ensembles(grid, m, d, g=g_vals)
-    out = select_generator(g, y, z, spec)
+    out = _select(g, y, z, spec)
     assert np.allclose(out.values, np.tile(r * u, (3, m, 1)), atol=1e-14)
 
 
@@ -143,7 +155,7 @@ def test_select_polytope_shape():
     rng = np.random.default_rng(3)
     y_vals = rng.normal(size=(2, m, d))
     g, y, z = _ensembles(grid, m, d, y=y_vals)
-    out = select_generator(g, y, z, spec)
+    out = _select(g, y, z, spec)
     from bsei.geometry import Polytope, distance_to
     for k in range(2):
         for j in range(m):
@@ -159,7 +171,7 @@ def test_linear_solve_constant_terminal():
     bm = simulate_brownian(grid, m, seed=4)
     cache = SemigroupCache.build(np.zeros((1, 1)), grid.dt, 12)
     g = ProcessEnsemble(grid, np.zeros((13, m, 1)))
-    y, z = solve_linear_bsee(g, np.full((m, 1), 3.0), cache, bm, 2)
+    y, z = _sweep(g, np.full((m, 1), 3.0), cache, bm, 2)
     assert np.abs(y.values - 3.0).max() <= 1e-10
     assert np.abs(z.values).max() <= 1e-10
 
@@ -170,7 +182,7 @@ def test_linear_solve_martingale_terminal():
     bm = simulate_brownian(grid, m, seed=5)
     cache = SemigroupCache.build(np.zeros((1, 1)), grid.dt, 25)
     g = ProcessEnsemble(grid, np.zeros((26, m, 1)))
-    y, z = solve_linear_bsee(g, bm.levels[-1][:, None], cache, bm, 2)
+    y, z = _sweep(g, bm.levels[-1][:, None], cache, bm, 2)
     for k in range(26):
         dev = np.sqrt(np.mean((y.values[k][:, 0] - bm.levels[k]) ** 2))
         se = np.sqrt(3.0 * (1.0 - grid.nodes[k]) / m)  # accumulated fit noise
@@ -192,7 +204,7 @@ def test_linear_solve_fed_iteratively_matches_backward_ode():
     y = ProcessEnsemble(grid, np.zeros((51, m, 1)))
     for _ in range(12):
         g = ProcessEnsemble(grid, a * y.values)
-        y, _ = solve_linear_bsee(g, term, cache, bm, 2)
+        y, _ = _sweep(g, term, cache, bm, 2)
     exact = np.exp(-a * (1.0 - grid.nodes))
     err = max(np.abs(y.values[k] - exact[k]).max() / exact[k] for k in range(51))
     assert err <= 0.02  # O(dt) one-step bias at dt = 0.02
@@ -205,7 +217,7 @@ def test_linear_solve_terminal_exact_bitwise():
     cache = SemigroupCache.build(np.eye(2), grid.dt, 5)
     term = np.random.default_rng(8).normal(size=(m, 2))
     g = ProcessEnsemble(grid, np.zeros((6, m, 2)))
-    y, _ = solve_linear_bsee(g, term, cache, bm, 1)
+    y, _ = _sweep(g, term, cache, bm, 1)
     assert np.array_equal(y.values[-1], term)
 
 
@@ -352,14 +364,13 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
         g = np.zeros_like(y)
         for it in range(1, sched.n_max + 1):
             g_new = a * y  # direct evaluation of the singleton center map
-            y_ens, z_ens = solve_linear_bsee(
-                ProcessEnsemble(grid, g_new, k_lo), terminal, cache, bm,
-                cfg.basis_degree)
-            dy = np.sqrt(np.mean(grid.dt * np.sum((y_ens.values - y)[:-1] ** 2,
+            y_new, z_new = solve_linear_bsee(g_new, terminal, k_lo, cache, bm,
+                                             cfg.basis_degree)
+            dy = np.sqrt(np.mean(grid.dt * np.sum((y_new - y)[:-1] ** 2,
                                                   axis=(0, 2))))
-            dz = np.sqrt(np.mean(grid.dt * np.sum((z_ens.values - z)[:-1] ** 2,
+            dz = np.sqrt(np.mean(grid.dt * np.sum((z_new - z)[:-1] ** 2,
                                                   axis=(0, 2))))
-            y, z, g = y_ens.values, z_ens.values, g_new
+            y, z, g = y_new, z_new, g_new
             if it >= 2 and dy + dz <= sched.tol:
                 break
         g = a * y  # trailing selection
@@ -420,7 +431,7 @@ def test_selection_moves_by_the_pointwise_distance():
                              a_z=np.zeros((d, d)), lipschitz_k=0.5, **extra)
         g, y, z = (ProcessEnsemble(grid, v) for v in
                    (g_vals, y_vals, np.zeros((5, m, d))))
-        out = select_generator(g, y, z, spec)
+        out = _select(g, y, z, spec)
         for k in range(5):
             for j in range(m):
                 moved = np.linalg.norm(out.values[k, j] - g_vals[k, j])
