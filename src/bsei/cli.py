@@ -141,13 +141,13 @@ def load_config(path: str):
     if top.take("schema", _number(integer=True)) != 1:
         raise ConfigError("unsupported schema version (expected 1)", field="schema")
 
-    prob = _Schema(top.take("problem", dict), "problem")
+    prob = _Schema(top.take("problem"), "problem")
     dim = prob.take("dim", _number(lo=1, integer=True))
     horizon = prob.take("horizon", _number(lo=0, lo_open=True))
     p = prob.take("p", _number(lo=1, hi=8, lo_open=True))
     generator = prob.take("generator", _matrix(dim))
 
-    term = _Schema(prob.take("terminal", dict), "problem.terminal")
+    term = _Schema(prob.take("terminal"), "problem.terminal")
     kind = term.take("kind", str)
     coeff = term.take("coeff", _vector(dim))
     term.finish()
@@ -156,20 +156,20 @@ def load_config(path: str):
     except ValueError as exc:
         raise ConfigError(str(exc), field="problem.terminal.kind")
 
-    gsch = _Schema(prob.take("g", dict), "problem.g")
+    gsch = _Schema(prob.take("g"), "problem.g")
     shape = gsch.take("shape", str)
     a_y = gsch.take("a_y", _matrix(dim))
     a_z = gsch.take("a_z", _matrix(dim))
     lip = gsch.take("lipschitz_k", _number(lo=0))
     c0 = gsch.take("c0", _vector(dim), required=False)
     radius = gsch.take("radius", _number(lo=0), required=False, default=0.0)
-    offsets = gsch.take("offsets", None, required=False)
+    offsets = gsch.take("offsets", lambda v: np.asarray(v, dtype=float),
+                        required=False)
     gsch.finish()
     try:
         gspec = SetValuedSpec(
             dim=dim, shape=shape, a_y=a_y, a_z=a_z, lipschitz_k=lip, c0=c0,
-            radius=radius,
-            offsets=None if offsets is None else np.asarray(offsets, dtype=float))
+            radius=radius, offsets=offsets)
     except ValueError as exc:
         raise ConfigError(str(exc), field="problem.g")
     prob.finish()
@@ -179,7 +179,7 @@ def load_config(path: str):
     except ValueError as exc:
         raise ConfigError(str(exc), field="problem")
 
-    num = _Schema(top.take("numerics", dict), "numerics")
+    num = _Schema(top.take("numerics"), "numerics")
     config = SolverConfig(
         steps_per_window=num.take("steps_per_window", _number(4, 10_000, integer=True)),
         n_paths=num.take("paths", _number(100, 10_000_000, integer=True)),
@@ -192,12 +192,10 @@ def load_config(path: str):
                        required=False, default=25),
         min_iter=num.take("min_iter", _number(1, 10_000, integer=True),
                           required=False, default=2),
-        y_features=num.take("y_features", _boolean, required=False,
-                            default=False),
     )
     num.finish()
 
-    out = _Schema(top.take("outputs", dict), "outputs")
+    out = _Schema(top.take("outputs"), "outputs")
     outputs = {
         "report_path": out.take("report_path", str),
         "convergence_csv_path": out.take("convergence_csv_path", str),
@@ -299,8 +297,7 @@ def cmd_solve(config_path: str) -> int:
 
     n_steps = solution.y.grid.n_steps
     z_nodes = min(_Z_CHECK_NODES, n_steps) if n_steps <= _Z_CHECK_MAX_STEPS else 0
-    report.residuals.z_checks = z_crosscheck(
-        solution, solution.cache, solution.bm, config.basis_degree, z_nodes)
+    report.residuals.z_checks = z_crosscheck(solution, config.basis_degree, z_nodes)
     write_convergence_csv(outputs["convergence_csv_path"], report.windows)
     with open(outputs["report_path"], "w", encoding="utf-8") as fh:
         json.dump(_summary(report), fh, indent=2)

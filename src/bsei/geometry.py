@@ -29,15 +29,21 @@ MAX_FACE_SUBSETS = 4096
 _CHUNK_ENTRIES = 1 << 16
 
 
-def as_points(x, dim: int | None = None) -> np.ndarray:
-    """Validate and return one finite point (d,) or a stack of them (..., d)."""
+def _stack(x, dim: int | None) -> np.ndarray:
+    """One point (d,) or a stack of them (..., d), finite or not."""
     p = np.asarray(x, dtype=float)
     if p.ndim == 0:
         p = p.reshape(1)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point has non-finite coordinates")
     if dim is not None and p.shape[-1] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {p.shape[-1]}")
+    return p
+
+
+def as_points(x, dim: int | None = None) -> np.ndarray:
+    """Validate and return one finite point (d,) or a stack of them (..., d)."""
+    p = _stack(x, dim)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("point has non-finite coordinates")
     return p
 
 
@@ -87,7 +93,10 @@ class Singleton:
         return Singleton(self.point + as_point(shift, self.dim))
 
     def _nearest(self, p: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.point, p.shape).copy()
+        # 0 * p keeps a non-finite coordinate non-finite and is exact otherwise
+        out = p * 0.0
+        out += self.point
+        return out
 
 
 @dataclass(frozen=True)
@@ -239,8 +248,14 @@ def support(cset: ConvexCompactSet, direction) -> float:
 
 def project(point, cset: ConvexCompactSet) -> np.ndarray:
     """Nearest point of the set to one point (d,) or to each point of an
-    (..., d) stack; unique because the Euclidean norm is strictly convex."""
-    return cset._nearest(as_points(point, cset.dim))
+    (..., d) stack; unique because the Euclidean norm is strictly convex.
+
+    No finiteness scan: a point with a non-finite coordinate gets a
+    non-finite nearest point, without a warning, and the caller's own check
+    of its results sees it."""
+    p = _stack(point, cset.dim)
+    with np.errstate(invalid="ignore"):
+        return cset._nearest(p)
 
 
 def distance_to(point, cset: ConvexCompactSet):

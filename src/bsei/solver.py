@@ -30,7 +30,7 @@ from .paths import (
     _lp_l2,
     simulate_brownian,
 )
-from .semigroup import SemigroupCache, gamma_bound
+from .semigroup import SemigroupCache, gamma_bound, matrix_exponential
 
 _SCHEDULE_PROBE_STEPS = 256
 
@@ -211,15 +211,16 @@ class SolveReport:
 class Solution:
     """Adapted triple (Y, Z, g) on the full grid; Y at the last node is the
     terminal data exactly, and g is the last projection onto the constraint
-    sets evaluated at the final (Y, Z).  ``solve`` also attaches the
-    Brownian ensemble the triple is adapted to and the grid semigroup
-    cache, so later checks reuse them instead of rebuilding them."""
+    sets evaluated at the final (Y, Z).  It also carries the Brownian
+    ensemble the triple is adapted to and the one-step semigroup S(dt),
+    whose powers are every S(t_j - t_k) on the grid, so the checks read
+    them instead of rebuilding them."""
 
     y: ProcessEnsemble
     z: ProcessEnsemble
     g: ProcessEnsemble
-    bm: BrownianEnsemble | None = None
-    cache: SemigroupCache | None = None
+    bm: BrownianEnsemble
+    s_dt: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -232,11 +233,6 @@ class SolverConfig:
     tol: float = 1e-3
     n_max: int = 25
     min_iter: int = 2
-    # regress on the current iterate's Y alongside the Brownian value; off by
-    # default because the Brownian value alone is the smallest basis that
-    # makes the standard oracles exact (Y features of those problems are
-    # collinear with it and only trip the ridge fallback)
-    y_features: bool = False
 
 
 def _project_onto_sets(g: np.ndarray, centers: np.ndarray,
@@ -263,28 +259,23 @@ def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
 
 
 def _window_regressions(bm: BrownianEnsemble, k_lo: int, n_steps: int,
-                        basis_degree: int, extra: np.ndarray | None = None) -> list:
-    """Per-step factored designs: the basis projection and its kernel variant.
-
-    ``extra`` optionally appends per-step state columns (the current iterate's
-    Y) to the Brownian conditioning feature.
-    """
+                        basis_degree: int) -> list:
+    """Per-step factored designs on the Brownian value: the basis projection
+    and its kernel variant."""
     out = []
     for k in range(n_steps):
-        feats = bm.levels[k_lo + k]
-        if extra is not None:
-            feats = np.column_stack([feats, extra[k]])
-        base = PolynomialRegression(feats, basis_degree)
+        base = PolynomialRegression(bm.levels[k_lo + k], basis_degree)
         out.append((base, KernelRegression(base, bm.increments[k_lo + k],
                                            bm.grid.dt)))
     return out
 
 
 def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray, k_lo: int,
-                      cache: SemigroupCache, bm: BrownianEnsemble,
+                      s_dt: np.ndarray, bm: BrownianEnsemble,
                       basis_degree: int, regressions: list | None = None):
     """One backward sweep of the linear equation with frozen source g, an
-    (n + 1, M, d) array on the grid nodes k_lo, ..., k_lo + n of ``bm``.
+    (n + 1, M, d) array on the grid nodes k_lo, ..., k_lo + n of ``bm``,
+    and the one-step semigroup ``s_dt`` = S(dt) of that grid.
 
     Discretization: Y[k] = E[S(dt) Y[k+1] | F_k] - dt g[k] and
     Z[k] = (1/dt) E[S(dt) Y[k+1] dW_k | F_k], both evaluated by regression;
@@ -298,21 +289,18 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray, k_lo: int,
     """
     n = g.shape[0] - 1
     dt = bm.grid.dt
-    if abs(cache.step - dt) > 1e-12 * max(1.0, dt):
-        raise ValueError("semigroup cache step disagrees with the grid")
     terminal = np.asarray(terminal_values, dtype=float)
     if terminal.shape != g.shape[1:]:
         raise ValueError("terminal values must be one vector per path")
     if regressions is None:
         regressions = _window_regressions(bm, k_lo, n, basis_degree)
-    s_one = cache.power(1)
     y = np.empty_like(g)
     z = np.zeros_like(g)
     y[n] = terminal
     for k in range(n - 1, -1, -1):
         base, kern = regressions[k]
         try:
-            propagated = y[k + 1] @ s_one.T
+            propagated = y[k + 1] @ s_dt.T
             fit_y = base.fit(propagated)
             z[k] = kern.kernel(propagated)
         except np.linalg.LinAlgError as exc:
@@ -323,8 +311,8 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray, k_lo: int,
 
 def picard_solve_interval(problem: BSEIProblem, window: tuple,
                           terminal_values: np.ndarray, schedule: PicardSchedule,
-                          cache: SemigroupCache, bm: BrownianEnsemble,
-                          basis_degree: int, y_features: bool = False):
+                          s_dt: np.ndarray, bm: BrownianEnsemble,
+                          basis_degree: int):
     """Fixed-point iteration from the zero triple on one backward window.
 
     Alternates generator selection and the linear solve until the summed
@@ -352,14 +340,7 @@ def picard_solve_interval(problem: BSEIProblem, window: tuple,
     prev_sum = None
     for it in range(1, schedule.n_max + 1):
         g_new = select_generator(g, y, z, times, problem.gspec)
-        if y_features and it == 2:
-            # enrich the basis with the first informative iterate's Y, then
-            # freeze it: a basis that moved with the iterate would break the
-            # fixed-map contraction the diagnostics certify
-            regs = _window_regressions(bm, k_lo, n, basis_degree, extra=y[:n])
-            ridge_total += sum(int(b.ridge_used) + int(k.ridge_used)
-                               for b, k in regs)
-        y_new, z_new = solve_linear_bsee(g_new, terminal_values, k_lo, cache, bm,
+        y_new, z_new = solve_linear_bsee(g_new, terminal_values, k_lo, s_dt, bm,
                                          basis_degree, regressions=regs)
         dy, dz, dg = (_lp_l2(y_new, y, dt, p), _lp_l2(z_new, z, dt, p),
                       _lp_l2(g_new, g, dt, p))
@@ -421,15 +402,20 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     The horizon splits into equal windows no longer than the schedule's
     delta; the last window takes the sampled terminal data, every earlier
     window the computed Y at its right endpoint.  Returns the concatenated
-    Solution, which carries the Brownian ensemble and semigroup cache of
-    the run, and a SolveReport carrying per-window iteration diagnostics
+    Solution, which carries the Brownian ensemble and S(dt) of the run,
+    and a SolveReport carrying per-window iteration diagnostics
     and the one residual pass of the run (without the Z cross-check).
     """
     t0 = time.perf_counter()
     a = problem.generator
     horizon = problem.horizon
-    probe = SemigroupCache.build(a, horizon / _SCHEDULE_PROBE_STEPS,
-                                 _SCHEDULE_PROBE_STEPS)
+    step = horizon / _SCHEDULE_PROBE_STEPS
+    try:
+        probe = SemigroupCache.build(a, step, _SCHEDULE_PROBE_STEPS)
+    except ValueError as exc:  # a zero step, or the law fails in floating point
+        raise ScheduleError(f"no semigroup probe on [0, {horizon}]: {exc}",
+                            field="problem.generator" if step > 0.0
+                            else "problem.horizon") from exc
     schedule = compute_schedule(problem, probe, c_pe=config.c_pe,
                                 n_max=config.n_max, tol=config.tol,
                                 min_iter=config.min_iter)
@@ -438,7 +424,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     _check_memory(n_total, config.n_paths, problem.dim)
     grid = TimeGrid(horizon, n_total)
     bm = simulate_brownian(grid, config.n_paths, config.seed)
-    cache = SemigroupCache.build(a, grid.dt, n_total)
+    # on a uniform grid every S(t_j - t_k) is a power of this one matrix
+    s_dt = matrix_exponential(grid.dt * a)
 
     m, d = config.n_paths, problem.dim
     y = np.zeros((n_total + 1, m, d))
@@ -453,8 +440,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
         k_lo, k_hi = w * config.steps_per_window, (w + 1) * config.steps_per_window
         try:
             y_loc, z_loc, g_loc, wrep, ridge = picard_solve_interval(
-                problem, (k_lo, k_hi), terminal, schedule, cache, bm,
-                config.basis_degree, y_features=config.y_features)
+                problem, (k_lo, k_hi), terminal, schedule, s_dt, bm,
+                config.basis_degree)
         except NonConvergenceError as exc:
             if exc.report is not None:
                 exc.report.index = w
@@ -472,8 +459,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
 
     sol = Solution(
         y=ProcessEnsemble(grid, y), z=ProcessEnsemble(grid, z),
-        g=ProcessEnsemble(grid, g), bm=bm, cache=cache)
-    report.residuals = verify_solution(sol, problem, cache, bm)
+        g=ProcessEnsemble(grid, g), bm=bm, s_dt=s_dt)
+    report.residuals = verify_solution(sol, problem)
     report.runtime_seconds = time.perf_counter() - t0
     return sol, report
 
@@ -497,37 +484,34 @@ class ResidualReport:
         return float(np.max(self.equation))
 
 
-def _inclusion_residual(sol: Solution, problem: BSEIProblem) -> float:
-    gspec = problem.gspec
-    centers = gspec.center_batch(sol.g.grid.nodes, sol.y.values, sol.z.values)
-    gv = sol.g.values
-    gap = gv - _project_onto_sets(gv, centers, gspec)
-    return float(np.max(np.linalg.norm(gap, axis=-1)))
+def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
+    """Pure diagnostics on a completed solution, on the Brownian ensemble
+    and the S(dt) that it carries.
 
-
-def verify_solution(sol: Solution, problem: BSEIProblem, cache: SemigroupCache,
-                    bm: BrownianEnsemble, basis_degree: int = 2,
-                    z_check_nodes: int = 0) -> ResidualReport:
-    """Pure diagnostics on a completed solution.
-
-    Reports (a) the worst pointwise distance of g to its constraint set,
+    Reports (a) the worst pointwise distance of g to its constraint set and
     (b) the per-node sample norm of the discrete backward-equation residual
     Y[k] + sum_j dt S(t_j - t_k) g[j] + sum_j S(t_j - t_k) Z[j] dW_j
-    - S(T - t_k) xi, and (c), on up to ``z_check_nodes`` evenly spaced
-    nodes, the mismatch between the solver's Z and the explicit rebuild
-    from the representation kernel of g plus the terminal part.  The
-    discrete modulus of continuity of Y comes along for free; on a grid
-    that is the strongest statement available about time continuity.
+    - S(T - t_k) xi, both node by node in one backward pass.  The discrete
+    modulus of continuity of Y comes along for free; on a grid that is the
+    strongest statement available about time continuity.  The Z
+    cross-check is ``z_crosscheck``.
     """
     grid = sol.y.grid
     n = grid.n_steps
     dt = grid.dt
+    nodes = grid.nodes
     p = problem.exponent
-    s_one = cache.power(1)
+    s_dt, gspec = sol.s_dt, problem.gspec
+    y, z, g, dw = sol.y.values, sol.z.values, sol.g.values, sol.bm.increments
 
-    inclusion = _inclusion_residual(sol, problem)
+    def inclusion_gap(k):
+        centers = gspec.center_batch(nodes[k], y[k], z[k])
+        gap = g[k] - _project_onto_sets(g[k], centers, gspec)
+        return np.max(np.linalg.norm(gap, axis=-1))
 
-    y, z, g, dw = sol.y.values, sol.z.values, sol.g.values, bm.increments
+    # kept per node so that a NaN gap reaches the maximum
+    inclusion = np.empty(n + 1)
+    inclusion[n] = inclusion_gap(n)
     xi = y[n]
     acc = np.zeros_like(xi)
     xi_prop = xi.copy()
@@ -535,29 +519,27 @@ def verify_solution(sol: Solution, problem: BSEIProblem, cache: SemigroupCache,
     equation[n] = 0.0
     y_modulus = 0.0
     for k in range(n - 1, -1, -1):
-        acc = (dt * g[k] + z[k] * dw[k][:, None]) + acc @ s_one.T
-        xi_prop = xi_prop @ s_one.T
+        inclusion[k] = inclusion_gap(k)
+        acc = (dt * g[k] + z[k] * dw[k][:, None]) + acc @ s_dt.T
+        xi_prop = xi_prop @ s_dt.T
         res = y[k] + acc - xi_prop
         equation[k] = np.mean(np.sum(res**2, axis=1) ** (p / 2.0)) ** (1.0 / p)
         step = y[k + 1] - y[k]
         y_modulus = max(y_modulus, float(
             np.mean(np.sum(step**2, axis=1) ** (p / 2.0)) ** (1.0 / p)))
 
-    z_checks = (z_crosscheck(sol, cache, bm, basis_degree, z_check_nodes)
-                if z_check_nodes > 0 else None)
-    return ResidualReport(inclusion_max=inclusion, equation=equation,
-                          y_modulus=y_modulus, z_checks=z_checks)
+    return ResidualReport(inclusion_max=float(np.max(inclusion)),
+                          equation=equation, y_modulus=y_modulus)
 
 
-def z_crosscheck(sol: Solution, cache: SemigroupCache, bm: BrownianEnsemble,
-                 basis_degree: int, n_nodes: int) -> list:
+def z_crosscheck(sol: Solution, basis_degree: int, n_nodes: int) -> list:
     """Solver Z against the explicit rebuild on up to ``n_nodes`` evenly
     spaced nodes, as RMS discrepancy and RMS size of Z per node."""
     n = sol.y.grid.n_steps
     if n_nodes <= 0:
         return []
     nodes = sorted(set(np.linspace(0, n - 1, min(n_nodes, n)).astype(int)))
-    rebuilt = _rebuild_z(sol, cache, bm, basis_degree, nodes, sol.y.values[n])
+    rebuilt = _rebuild_z(sol, basis_degree, nodes)
 
     def rms(v):
         return float(np.sqrt(np.mean(np.sum(v**2, axis=1))))
@@ -565,28 +547,27 @@ def z_crosscheck(sol: Solution, cache: SemigroupCache, bm: BrownianEnsemble,
                         z_norm=rms(sol.z.values[u])) for u in nodes]
 
 
-def _rebuild_z(sol: Solution, cache: SemigroupCache, bm: BrownianEnsemble,
-               basis_degree: int, nodes, xi) -> dict:
+def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:
     """Explicit Z at the requested nodes from the representation kernels.
 
     Z_u = S(T - t_u) Psi_u - sum_{s > u} dt S(t_s - t_u) tau[s][u], where Psi
-    represents the terminal data and tau the generator selection; the minus
-    sign is the one of the scheme Y[k] = E[S Y[k+1] | F_k] - dt g[k].  Kernels
-    and conditional expectations are linear in their targets and commute with
-    right-multiplication by S, so the per-source tower chains sum to one
-    backward sweep: R[n] = xi, R[k] = E[R[k+1] S(dt)' | F_k] - dt g[k], and
-    Z_u = kern_u(R[u+1] S(dt)').  That is one regression fit per node above
-    the lowest requested one, and one kernel design per requested node.
+    represents the terminal data xi = Y[n] and tau the generator selection;
+    the minus sign is the one of the scheme Y[k] = E[S Y[k+1] | F_k] - dt g[k].
+    Kernels and conditional expectations are linear in their targets and
+    commute with right-multiplication by S, so the per-source tower chains
+    sum to one backward sweep: R[n] = xi, R[k] = E[R[k+1] S(dt)' | F_k]
+    - dt g[k], and Z_u = kern_u(R[u+1] S(dt)').  That is one regression fit
+    per node above the lowest requested one, and one kernel design per
+    requested node.
     """
-    grid = sol.y.grid
+    grid, bm, s_dt = sol.y.grid, sol.bm, sol.s_dt
     n, dt = grid.n_steps, grid.dt
     wanted = set(int(u) for u in nodes)
     lowest = min(wanted, default=n)
-    s_one = cache.power(1)
     rebuilt = {}
-    r = xi
+    r = sol.y.values[n]
     for k in range(n - 1, lowest - 1, -1):
-        propagated = r @ s_one.T
+        propagated = r @ s_dt.T
         reg = PolynomialRegression(bm.levels[k], basis_degree)
         if k in wanted:
             rebuilt[k] = KernelRegression(reg, bm.increments[k], dt).kernel(propagated)

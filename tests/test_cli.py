@@ -170,8 +170,9 @@ def test_console_entry_point(tmp_path):
 
 
 def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
-    # one Brownian ensemble, two semigroup caches (schedule probe and grid)
-    # and one residual pass per run; the Z cross-check reuses them
+    # one Brownian ensemble, one semigroup cache (the schedule probe; the
+    # solve reads S(dt) alone) and one residual pass per run; the Z
+    # cross-check reuses them
     import collections
 
     import bsei.paths
@@ -195,7 +196,7 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
                         counted("verify", bsei.solver.verify_solution))
     path = write(tmp_path, demo_config(tmp_path))
     assert main(["solve", path]) == 0
-    assert counts == {"draw": 1, "build": 2, "verify": 1}
+    assert counts == {"draw": 1, "build": 1, "verify": 1}
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["z_check"] and report["y_continuity_modulus"] > 0.0
 
@@ -261,6 +262,33 @@ def test_solve_non_finite_iterates_exit_three(tmp_path, problem):
     assert len(rows) == 2 and rows[1].split(",")[1] == "1"
 
 
+def test_solve_overflowing_centres_exit_three(tmp_path):
+    # Y stays finite, but the centres a_y Y of the second iteration overflow:
+    # the selection hands on non-finite points and the iteration's own
+    # finiteness check ends the run, with no numpy warning (the declared
+    # lipschitz_k stays the demo's, so the schedule plans four windows)
+    import os
+    from pathlib import Path
+
+    cfg = ball_demo_config(tmp_path, paths=100, steps_per_window=4)
+    cfg["problem"]["terminal"] = {"kind": "constant", "coeff": [1e307, 1e307]}
+    cfg["problem"]["g"]["a_y"] = [[20.0, 0.0], [0.0, 20.0]]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "bsei.cli", "solve",
+                           write(tmp_path, cfg)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 3
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1
+    assert "window [" in err[0] and "iteration 2: non-finite iterate" in err[0]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is False and report["iterations_per_window"] == [2]
+    rows = (tmp_path / "conv.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == ["1", "2"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["constant", "linear", "quadratic"]),
        coeff=st.lists(st.floats(min_value=-1.7e308, max_value=1.7e308),
@@ -317,12 +345,21 @@ def test_solve_rejects_polytope_over_subset_cap(tmp_path, capsys):
     assert "problem.g" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["numerics.y_features", "outputs.emit_plot_data"])
+@pytest.mark.parametrize("field", ["outputs.emit_plot_data"])
 @pytest.mark.parametrize("value", ["false", 0, 1, None])
 def test_solve_rejects_non_boolean_flags(tmp_path, capsys, field, value):
     path = write(tmp_path, demo_config(tmp_path, **{field: value}))
     assert main(["solve", path]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None, False, True])
+def test_solve_rejects_y_features(tmp_path, capsys, value):
+    # the field is gone from the schema: any value is an unknown field
+    path = write(tmp_path, demo_config(tmp_path, **{"numerics.y_features": value}))
+    assert main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert "numerics.y_features" in err and len(err.strip().splitlines()) == 1
 
 
 def test_load_config_keeps_integers_exact(tmp_path):
@@ -384,3 +421,175 @@ def test_bsei_threads_pins_blas_before_numpy_loads():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["Threads:", "1"]
+
+
+# ------------------------------------------------- config mutation property
+
+def _mutation_bases():
+    """Valid ball, singleton and polytope configs that solve in well under a
+    second: at most 400 paths, four steps per window, at most nine windows."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "configs"
+    ball = json.loads((root / "ball_demo.json").read_text())
+    ball["numerics"].update(paths=200, steps_per_window=4)
+    singleton = json.loads((root / "singleton_demo.json").read_text())
+    singleton["numerics"].update(paths=200, steps_per_window=4)
+    polytope = json.loads(json.dumps(ball))
+    polytope["problem"]["terminal"]["coeff"] = [0.3, 0.3]
+    polytope["problem"]["g"] = {
+        "shape": "polytope", "a_y": [[-0.3, 0.0], [0.0, -0.3]],
+        "a_z": [[0.0, 0.0], [0.0, 0.0]], "lipschitz_k": 0.3,
+        "offsets": [[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25], [-0.15, 0.15]]}
+    polytope["numerics"] = {"steps_per_window": 4, "paths": 400, "seed": 11,
+                            "basis_degree": 2, "c_pe": 1.0, "tol": 1e-3,
+                            "n_max": 25, "min_iter": 2}
+    return {"ball": ball, "singleton": singleton, "polytope": polytope}
+
+
+_MUTATION_BASES = _mutation_bases()
+
+# Values that the schema rejects, plus a band of accepted ones, for every
+# field that sizes the run: with at most 400 paths, 8 steps per window, 30
+# iterations, |A_ij| <= 0.1 (gamma(S) <= 1.4), horizon <= 1.5, declared
+# Lipschitz constant <= 0.5 and c_pe <= 1, no run plans more than about 41
+# windows or allocates more than a few MB.  Huge values either fail the
+# schema or make the schedule constants overflow, which exits 2 at once.
+_REJECTED_OR_OVERFLOWING = {
+    "numerics.paths": [-1, 0, 99, 10_000_001, 150.5, 1e308],
+    "numerics.steps_per_window": [-4, 0, 3, 10_001, 4.5, 1e308],
+    "numerics.n_max": [-1, 0, 10_001, 2.5, 1e308],
+    "numerics.min_iter": [-1, 0, 10_001, 2.5, 1e308],
+    "numerics.c_pe": [-1.0, 0.0, -1e308, 1e200, 1e308],
+    "numerics.tol": [-1.0, 0.0, -1e308],
+    "numerics.seed": [-1, 2**64, 1.5, 1e308],
+    "numerics.basis_degree": [-1, 9, 2.5, 1e308],
+    "problem.horizon": [0.0, -1.0, 5e-324, 1e-310, 1e200, 1e308],
+    "problem.p": [1.0, 0.5, 8.5, -1.0, 1e308],
+    "problem.dim": [0, -1, 3, 1.5, 1e308],
+    "problem.g.lipschitz_k": [-1.0, -1e308, 1e200, 1e308],
+    "problem.generator": [1e300, -1e300, 1e308, -1e308],
+    "schema": [0, 2, 1.5, -1, 1e308],
+}
+_ACCEPTED = {
+    "numerics.paths": st.integers(100, 400),
+    "numerics.steps_per_window": st.integers(4, 8),
+    "numerics.n_max": st.integers(1, 30),
+    "numerics.min_iter": st.integers(1, 30),
+    "numerics.c_pe": st.floats(1e-3, 1.0),
+    "numerics.tol": st.floats(1e-300, 1e308),
+    "numerics.seed": st.integers(0, 2**64 - 1),
+    "numerics.basis_degree": st.integers(0, 8),
+    "problem.horizon": st.floats(1e-3, 1.5),
+    "problem.p": st.floats(1.01, 8.0),
+    "problem.dim": st.just(1),
+    "problem.g.lipschitz_k": st.floats(0.0, 0.5),
+    "problem.generator": st.floats(-0.1, 0.1),
+    "schema": st.just(1),
+}
+_WRONG_TYPES = ["x", "", None, [], {}, {"a": 1}, True, False]
+
+
+def _field(path) -> str:
+    """Dotted config field of a path, without list indices."""
+    return ".".join(p for p in path if isinstance(p, str))
+
+
+def _mutable_paths(node, path=()):
+    """Every key and list entry of the config except the output file names
+    and the outputs block that holds them."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        sub = path + (key,)
+        if sub[:1] == ("outputs",) and sub != ("outputs", "emit_plot_data"):
+            continue
+        yield sub
+        yield from _mutable_paths(child, sub)
+
+
+def _mutated_value(draw, path, value):
+    """A new value for the entry at ``path`` whose base value is ``value``."""
+    field = _field(path)
+    budgeted = field in _ACCEPTED
+    kinds = ["wrong_type", "out_of_range", "accepted"]
+    if isinstance(value, list):
+        kinds.append("wrong_length")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "wrong_type":
+        # a JSON true would read as 1.0 in the generator, and an object in
+        # place of an object would delete its keys
+        wrong = [w for w in _WRONG_TYPES
+                 if not (isinstance(w, bool) and field == "problem.generator")
+                 and not (isinstance(w, dict) and isinstance(value, dict))]
+        return draw(st.sampled_from(wrong))
+    if kind == "wrong_length":
+        return value[:-1] if draw(st.booleans()) else value + value[:1]
+    if kind == "out_of_range":
+        return draw(st.sampled_from(_REJECTED_OR_OVERFLOWING.get(
+            field, [-1e308, 1e308, -1.0, 0.0, 5e-324, 2**64])))
+    if budgeted:
+        return draw(_ACCEPTED[field])
+    if field in ("problem.terminal.kind", "problem.g.shape"):
+        return draw(st.sampled_from(["constant", "linear", "quadratic", "ball",
+                                     "singleton", "polytope", "sphere"]))
+    if field == "outputs.emit_plot_data":
+        return draw(st.booleans())
+    return draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _parent(cfg, path):
+    """The container holding the entry at ``path``, or None when it is gone."""
+    node = cfg
+    for key in path:
+        parent = node
+        if isinstance(node, dict) and key in node:
+            node = node[key]
+        elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+            node = node[key]
+        else:
+            return None
+    return parent
+
+
+def _has_field(cfg, field: str) -> bool:
+    node = cfg
+    for key in field.split("."):
+        if not isinstance(node, dict) or key not in node:
+            return False
+        node = node[key]
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solve_any_config_mutation_exits_with_a_documented_code(data):
+    import contextlib
+    import copy
+    import io
+    import re
+    import tempfile
+    from pathlib import Path
+
+    base = _MUTATION_BASES[data.draw(st.sampled_from(sorted(_MUTATION_BASES)),
+                                     label="base")]
+    cfg = json.loads(json.dumps(base))
+    paths = list(_mutable_paths(base))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(paths), label="path")
+        parent, base_parent = _parent(cfg, path), _parent(base, path)
+        if parent is not None:  # else an earlier mutation replaced an ancestor
+            parent[path[-1]] = copy.deepcopy(
+                _mutated_value(data.draw, path, base_parent[path[-1]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["outputs"]["report_path"] = str(Path(tmp) / "report.json")
+        cfg["outputs"]["convergence_csv_path"] = str(Path(tmp) / "conv.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["solve", write(Path(tmp), cfg)])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3)
+    assert len(lines) == (0 if rc == 0 else 1), lines
+    if rc == 2:
+        named = re.match(r"config error \[([^\]]+)\]: ", lines[0])
+        assert named and _has_field(cfg, named.group(1)), lines[0]

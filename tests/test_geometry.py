@@ -274,6 +274,26 @@ def test_stacked_calls_match_per_point_calls_bitwise(case):
         assert np.float64(distance_to(p, cset)).tobytes() == dists[i].tobytes()
 
 
+@pytest.mark.parametrize("cset", [
+    Singleton([1.0, 2.0]), Ball([0.5, -0.5], 0.3),
+    Polytope([[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25], [-0.15, 0.15]]),
+    Polytope([[0.0, 0.0], [1.0, 0.0]]),
+])
+def test_project_gives_non_finite_points_non_finite_nearest_points(cset):
+    # no finiteness scan and no warning: a caller's own check sees the
+    # non-finite rows, and the finite rows are the ones of a finite stack
+    import warnings
+    finite = np.array([[0.3, 0.1], [2.0, -1.0], [-0.1, 0.2]])
+    pts = np.array([[np.inf, 0.0], [-np.inf, np.inf], [np.nan, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = project(np.concatenate([finite, pts]), cset)
+    assert not np.isfinite(out[3:]).all(axis=1).any()
+    assert out[:3].tobytes() == project(finite, cset).tobytes()
+    with pytest.raises(ValueError, match="dimension"):
+        project([np.inf, 0.0, 0.0], cset)
+
+
 def test_polytope_projection_in_chunks_matches_one_pass(monkeypatch):
     rng = np.random.default_rng(9)
     poly = Polytope(rng.normal(size=(6, 3)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bsei.errors import NonConvergenceError
 from bsei.geometry import SetValuedSpec
 from bsei.paths import ProcessEnsemble, TimeGrid, simulate_brownian
-from bsei.semigroup import SemigroupCache
+from bsei.semigroup import SemigroupCache, matrix_exponential
 from bsei.solver import (
     BSEIProblem,
     SolverConfig,
@@ -20,6 +20,7 @@ from bsei.solver import (
     solve,
     solve_linear_bsee,
     verify_solution,
+    z_crosscheck,
 )
 
 
@@ -105,10 +106,10 @@ def _select(g, y, z, spec):
                                                     g.grid.nodes, spec))
 
 
-def _sweep(g, terminal, cache, bm, degree):
+def _sweep(g, terminal, s_dt, bm, degree):
     """solve_linear_bsee on an ensemble's array, (Y, Z) as ensembles."""
     return tuple(ProcessEnsemble(g.grid, v, g.start_index) for v in solve_linear_bsee(
-        g.values, terminal, g.start_index, cache, bm, degree))
+        g.values, terminal, g.start_index, s_dt, bm, degree))
 
 
 def test_select_singleton_ignores_previous():
@@ -169,9 +170,9 @@ def test_linear_solve_constant_terminal():
     grid = TimeGrid(1.0, 12)
     m = 2_000
     bm = simulate_brownian(grid, m, seed=4)
-    cache = SemigroupCache.build(np.zeros((1, 1)), grid.dt, 12)
+    s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
     g = ProcessEnsemble(grid, np.zeros((13, m, 1)))
-    y, z = _sweep(g, np.full((m, 1), 3.0), cache, bm, 2)
+    y, z = _sweep(g, np.full((m, 1), 3.0), s_dt, bm, 2)
     assert np.abs(y.values - 3.0).max() <= 1e-10
     assert np.abs(z.values).max() <= 1e-10
 
@@ -180,9 +181,9 @@ def test_linear_solve_martingale_terminal():
     grid = TimeGrid(1.0, 25)
     m = 20_000
     bm = simulate_brownian(grid, m, seed=5)
-    cache = SemigroupCache.build(np.zeros((1, 1)), grid.dt, 25)
+    s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
     g = ProcessEnsemble(grid, np.zeros((26, m, 1)))
-    y, z = _sweep(g, bm.levels[-1][:, None], cache, bm, 2)
+    y, z = _sweep(g, bm.levels[-1][:, None], s_dt, bm, 2)
     for k in range(26):
         dev = np.sqrt(np.mean((y.values[k][:, 0] - bm.levels[k]) ** 2))
         se = np.sqrt(3.0 * (1.0 - grid.nodes[k]) / m)  # accumulated fit noise
@@ -199,12 +200,12 @@ def test_linear_solve_fed_iteratively_matches_backward_ode():
     m = 500
     a = 0.5
     bm = simulate_brownian(grid, m, seed=6)
-    cache = SemigroupCache.build(np.zeros((1, 1)), grid.dt, 50)
+    s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
     term = np.full((m, 1), 1.0)
     y = ProcessEnsemble(grid, np.zeros((51, m, 1)))
     for _ in range(12):
         g = ProcessEnsemble(grid, a * y.values)
-        y, _ = _sweep(g, term, cache, bm, 2)
+        y, _ = _sweep(g, term, s_dt, bm, 2)
     exact = np.exp(-a * (1.0 - grid.nodes))
     err = max(np.abs(y.values[k] - exact[k]).max() / exact[k] for k in range(51))
     assert err <= 0.02  # O(dt) one-step bias at dt = 0.02
@@ -214,10 +215,10 @@ def test_linear_solve_terminal_exact_bitwise():
     grid = TimeGrid(1.0, 5)
     m = 300
     bm = simulate_brownian(grid, m, seed=7)
-    cache = SemigroupCache.build(np.eye(2), grid.dt, 5)
+    s_dt = matrix_exponential(grid.dt * np.eye(2))
     term = np.random.default_rng(8).normal(size=(m, 2))
     g = ProcessEnsemble(grid, np.zeros((6, m, 2)))
-    y, _ = _sweep(g, term, cache, bm, 1)
+    y, _ = _sweep(g, term, s_dt, bm, 1)
     assert np.array_equal(y.values[-1], term)
 
 
@@ -246,7 +247,7 @@ def test_picard_singleton_constant_two_iterations():
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
     sched = compute_schedule(prob, cache)
     y, z, g, rep, _ = picard_solve_interval(prob, (12, 16), np.full((500, 1), 2.0),
-                                            sched, cache, bm, 1)
+                                            sched, cache.power(1), bm, 1)
     assert rep.converged
     assert len(rep.iterations) == 2
     assert rep.iterations[1].dy + rep.iterations[1].dz <= 1e-12
@@ -258,8 +259,8 @@ def test_picard_nonconvergence_carries_report():
     bm = simulate_brownian(TimeGrid(1.0, 16), 600, seed=10)
     sched = compute_schedule(prob, cache, tol=1e-16, n_max=3)
     with pytest.raises(NonConvergenceError) as exc:
-        picard_solve_interval(prob, (12, 16), np.ones((600, 2)), sched, cache,
-                              bm, 1)
+        picard_solve_interval(prob, (12, 16), np.ones((600, 2)), sched,
+                              cache.power(1), bm, 1)
     assert exc.value.report is not None
     assert len(exc.value.report.iterations) == 3
 
@@ -271,8 +272,8 @@ def test_window_length_guard():
     sched = compute_schedule(prob, cache)
     assert sched.delta < 0.75
     with pytest.raises(ValueError):
-        picard_solve_interval(prob, (0, 8), np.ones((600, 2)), sched, cache,
-                              bm, 1)
+        picard_solve_interval(prob, (0, 8), np.ones((600, 2)), sched,
+                              cache.power(1), bm, 1)
 
 
 # ------------------------------------------------------------------ solve
@@ -287,12 +288,12 @@ def test_solve_single_window_matches_interval_call():
     n_win = rep.schedule.n_windows
     grid = sol.y.grid
     bm = simulate_brownian(grid, 400, 12)
-    cache = SemigroupCache.build(prob.generator, grid.dt, grid.n_steps)
+    s_dt = matrix_exponential(grid.dt * prob.generator)
     # replay the last window by hand: bitwise identical
     k_lo = (n_win - 1) * 8
     y, z, g, _, _ = picard_solve_interval(
         prob, (k_lo, grid.n_steps), prob.terminal.sample(bm), rep.schedule,
-        cache, bm, cfg.basis_degree)
+        s_dt, bm, cfg.basis_degree)
     assert np.array_equal(sol.y.values[k_lo:-1], y[:-1])
     assert np.array_equal(sol.y.values[-1], y[-1])
     assert np.array_equal(sol.g.values[k_lo:-1], g[:-1])
@@ -349,7 +350,7 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
 
     grid = sol.y.grid
     bm = simulate_brownian(grid, 400, 16)
-    cache = SemigroupCache.build(prob.generator, grid.dt, grid.n_steps)
+    s_dt = matrix_exponential(grid.dt * prob.generator)
     sched = rep.schedule
     n_w = cfg.steps_per_window
     y_all = np.zeros((grid.n_steps + 1, 400, 1))
@@ -364,7 +365,7 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
         g = np.zeros_like(y)
         for it in range(1, sched.n_max + 1):
             g_new = a * y  # direct evaluation of the singleton center map
-            y_new, z_new = solve_linear_bsee(g_new, terminal, k_lo, cache, bm,
+            y_new, z_new = solve_linear_bsee(g_new, terminal, k_lo, s_dt, bm,
                                              cfg.basis_degree)
             dy = np.sqrt(np.mean(grid.dt * np.sum((y_new - y)[:-1] ** 2,
                                                   axis=(0, 2))))
@@ -391,16 +392,17 @@ def test_verify_residuals_and_corruption_detector():
     cfg = SolverConfig(steps_per_window=10, n_paths=4_000, seed=17)
     sol, rep = solve(prob, cfg)
     grid = sol.y.grid
-    bm, cache = sol.bm, sol.cache
-    res = verify_solution(sol, prob, cache, bm, z_check_nodes=10)
+    res = verify_solution(sol, prob)
+    res.z_checks = z_crosscheck(sol, cfg.basis_degree, 10)
     assert res.inclusion_max <= 1e-8
     assert res.equation[-1] == 0.0  # exact at the terminal node
     assert res.equation_max <= 0.1
     assert len(res.z_checks) == 10
 
     doubled = Solution(y=sol.y,
-                       z=ProcessEnsemble(grid, 2.0 * sol.z.values), g=sol.g)
-    res2 = verify_solution(doubled, prob, cache, bm)
+                       z=ProcessEnsemble(grid, 2.0 * sol.z.values), g=sol.g,
+                       bm=sol.bm, s_dt=sol.s_dt)
+    res2 = verify_solution(doubled, prob)
     # residual grows by about the scale of the stochastic convolution term
     assert res2.equation_max >= res.equation_max + 0.3
 
@@ -467,18 +469,15 @@ def test_picard_decay_at_boundary_schedule():
         assert ratios and max(ratios) <= 0.9
 
 
-def test_solve_with_y_features_matches_closed_form():
-    # enriched basis (current-iterate Y columns): still converges, and the
-    # collinear Y ~ W case exercises the ridge fallback with its audit flag
+def test_solve_linear_terminal_matches_closed_form():
+    # g = Y / 2 on the singleton, xi = W_T: Y_t = exp(-(1 - t) / 2) W_t
     prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=1,
                        generator=np.zeros((1, 1)),
                        terminal=TerminalSpec("linear", [1.0]),
                        gspec=singleton_spec(1, a_y=0.5))
-    cfg = SolverConfig(steps_per_window=20, n_paths=4_000, seed=3,
-                       y_features=True)
+    cfg = SolverConfig(steps_per_window=20, n_paths=4_000, seed=3)
     sol, rep = solve(prob, cfg)
     assert rep.converged
-    assert rep.ridge_events > 0
     grid = sol.y.grid
     w = sol.bm.levels
     for k in range(0, grid.n_steps + 1, 30):
@@ -487,12 +486,71 @@ def test_solve_with_y_features_matches_closed_form():
         assert rms <= 0.05
 
 
+def test_solve_counts_ridge_fallbacks_of_window_designs(monkeypatch):
+    # a duplicated basis column makes every window design rank-deficient:
+    # each step's basis projection and kernel design fall back to ridge once
+    import bsei.paths
+    prob = _ball_problem()
+    cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=25)
+    _, plain = solve(prob, cfg)
+    assert plain.ridge_events == 0
+    design = bsei.paths._monomial_design
+
+    def duplicated_last_column(features, degree):
+        x = design(features, degree)
+        return np.column_stack([x, x[:, -1]])
+    monkeypatch.setattr(bsei.paths, "_monomial_design", duplicated_last_column)
+    _, rep = solve(prob, cfg)
+    assert rep.converged
+    assert rep.ridge_events == 2 * rep.n_steps_total
+
+
+def _stacked_inclusion_residual(sol, problem):
+    """The inclusion residual over the whole (N + 1, M, d) stack at once:
+    the reference for the node-by-node form."""
+    from bsei.solver import _project_onto_sets
+    gspec = problem.gspec
+    centers = gspec.center_batch(sol.g.grid.nodes, sol.y.values, sol.z.values)
+    gv = sol.g.values
+    gap = gv - _project_onto_sets(gv, centers, gspec)
+    return float(np.max(np.linalg.norm(gap, axis=-1)))
+
+
+@pytest.mark.parametrize("shape, extra", [
+    ("ball", {"radius": 0.2}),
+    ("polytope", {"offsets": np.array([[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25],
+                                       [-0.15, 0.15]])}),
+])
+def test_inclusion_residual_node_by_node_matches_stacked_formula(shape, extra):
+    d = 2
+    prob = BSEIProblem(
+        horizon=1.0, exponent=2.0, dim=d, generator=np.diag([-1.0, -0.5]),
+        terminal=TerminalSpec("linear", [0.3, 0.3]),
+        gspec=SetValuedSpec(dim=d, shape=shape, a_y=-0.3 * np.eye(d),
+                            a_z=np.zeros((d, d)), lipschitz_k=0.3,
+                            c0=lambda t: np.array([0.1 * t, -0.05]), **extra))
+    sol, rep = solve(prob, SolverConfig(steps_per_window=4, n_paths=400, seed=26))
+    assert rep.inclusion_residual == _stacked_inclusion_residual(sol, prob)
+    # g moved off its sets at the first or the last node only: a gap far
+    # above rounding that each end of the backward pass must see
+    grid = sol.g.grid
+    noise = np.random.default_rng(27).normal(size=sol.g.values.shape[1:])
+    for node in (0, grid.n_steps):
+        g = sol.g.values.copy()
+        g[node] += 5.0 * noise
+        moved = Solution(y=sol.y, z=sol.z, g=ProcessEnsemble(grid, g),
+                         bm=sol.bm, s_dt=sol.s_dt)
+        got = verify_solution(moved, prob).inclusion_max
+        assert got > 1.0
+        assert got == _stacked_inclusion_residual(moved, prob)
+
+
 def test_verify_reports_continuity_modulus():
     prob = _ball_problem()
     cfg = SolverConfig(steps_per_window=10, n_paths=2_000, seed=22)
     sol, _ = solve(prob, cfg)
     grid = sol.y.grid
-    res = verify_solution(sol, prob, sol.cache, sol.bm)
+    res = verify_solution(sol, prob)
     # one-step increments of Y scale like sqrt(dt) for a diffusion-driven Y
     assert 0.0 < res.y_modulus <= 10.0 * np.sqrt(grid.dt)
 
@@ -506,7 +564,8 @@ def test_verify_z_crosscheck_trivial_case():
     cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
     sol, _ = solve(prob, cfg)
     grid = sol.y.grid
-    res = verify_solution(sol, prob, sol.cache, sol.bm, z_check_nodes=grid.n_steps)
+    res = verify_solution(sol, prob)
+    res.z_checks = z_crosscheck(sol, cfg.basis_degree, grid.n_steps)
     # per-node estimator noise ~ sqrt(6 p_basis / M); three of those
     bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
     for zc in res.z_checks:
@@ -524,19 +583,22 @@ def test_verify_z_crosscheck_with_generator():
     cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
     sol, _ = solve(prob, cfg)
     grid = sol.y.grid
-    res = verify_solution(sol, prob, sol.cache, sol.bm, z_check_nodes=grid.n_steps)
+    res = verify_solution(sol, prob)
+    res.z_checks = z_crosscheck(sol, cfg.basis_degree, grid.n_steps)
     bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
     assert len(res.z_checks) == grid.n_steps
     for zc in res.z_checks:
         assert zc.discrepancy <= bound
 
 
-def _rebuild_z_per_source(sol, basis_degree, nodes):
+def _rebuild_z_per_source(sol, generator, basis_degree, nodes):
     """The explicit Z rebuild written as one tower chain per source node,
-    quadratic in the step count: the reference for the one-sweep form."""
+    quadratic in the step count, with every S(t_s - t_u) an exponential of
+    its own: the reference for the one-sweep form."""
     from bsei.paths import KernelRegression, PolynomialRegression
-    bm, cache = sol.bm, sol.cache
+    bm = sol.bm
     n, dt = sol.y.grid.n_steps, sol.y.grid.dt
+    cache = SemigroupCache.build(generator, dt, n)
     regs = [PolynomialRegression(bm.levels[k], basis_degree) for k in range(n)]
     out = {u: np.zeros((bm.n_paths, sol.z.dim)) for u in nodes}
     sources = [(sol.y.values[n], n, 1.0)] + [
@@ -563,8 +625,8 @@ def test_rebuild_z_one_sweep_matches_per_source_chains():
     n = sol.y.grid.n_steps
     assert np.abs(sol.g.values).max() > 0.1
     nodes = [0, 1, n // 2, n - 2, n - 1]
-    got = _rebuild_z(sol, sol.cache, sol.bm, 2, nodes, sol.y.values[n])
-    want = _rebuild_z_per_source(sol, 2, nodes)
+    got = _rebuild_z(sol, 2, nodes)
+    want = _rebuild_z_per_source(sol, prob.generator, 2, nodes)
     assert sorted(got) == nodes
     for u in nodes:
         scale = np.abs(want[u]).max()
@@ -585,6 +647,6 @@ def test_z_crosscheck_fits_at_most_once_per_step(monkeypatch):
         calls.append(1)
         return fit(self, targets)
     monkeypatch.setattr(PolynomialRegression, "fit", counted)
-    checks = z_crosscheck(sol, sol.cache, sol.bm, 2, n)
+    checks = z_crosscheck(sol, 2, n)
     assert len(checks) == n
     assert 0 < len(calls) <= n
