@@ -17,7 +17,6 @@ from .errors import (
     BseiError,
     ConfigError,
     NonConvergenceError,
-    RegressionError,
     ScheduleError,
 )
 from .gamma import (

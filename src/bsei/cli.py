@@ -22,6 +22,12 @@ import sys
 
 import numpy as np
 
+from .errors import ConfigError, NonConvergenceError, ScheduleError
+from .gamma import FiniteRankOperator, gamma_norm
+from .geometry import SetValuedSpec
+from .solver import BSEIProblem, SolverConfig, TerminalSpec
+from .suites import SUITE_NAMES, run_suite
+
 _INCLUSION_THRESHOLD = 1e-8
 _EQUATION_THRESHOLD = 0.05
 # the explicit-Z rebuild is one backward regression sweep, linear in the step
@@ -41,14 +47,12 @@ class _Schema:
 
     def __init__(self, data: dict, context: str = ""):
         if not isinstance(data, dict):
-            from .errors import ConfigError
             raise ConfigError(f"expected an object at {context or 'top level'}",
                               field=context)
         self.data = dict(data)
         self.context = context
 
     def take(self, name: str, check=None, required: bool = True, default=None):
-        from .errors import ConfigError
         field = f"{self.context}.{name}" if self.context else name
         if name not in self.data:
             if required:
@@ -58,15 +62,12 @@ class _Schema:
         if check is not None:
             try:
                 value = check(value)
-            except ConfigError:
-                raise
             except Exception as exc:
                 raise ConfigError(f"invalid value for {field!r}: {exc}",
                                   field=field) from exc
         return value
 
     def finish(self):
-        from .errors import ConfigError
         if self.data:
             stray = sorted(self.data)[0]
             field = f"{self.context}.{stray}" if self.context else stray
@@ -97,9 +98,15 @@ def _boolean(v):
     return v
 
 
-def _matrix(dim):
-    import numpy as np
+def _string(nonempty: bool = False):
+    def check(v):
+        if not isinstance(v, str) or (nonempty and not v):
+            raise ValueError(f"not a {'non-empty ' if nonempty else ''}string")
+        return v
+    return check
 
+
+def _matrix(dim):
     def check(v):
         m = np.asarray(v, dtype=float)
         if m.shape != (dim, dim) or not np.all(np.isfinite(m)):
@@ -109,8 +116,6 @@ def _matrix(dim):
 
 
 def _vector(dim=None):
-    import numpy as np
-
     def check(v):
         a = np.asarray(v, dtype=float)
         if a.ndim != 1 or not np.all(np.isfinite(a)):
@@ -123,12 +128,6 @@ def _vector(dim=None):
 
 def load_config(path: str):
     """Parse and validate a run configuration; returns (problem, config, outputs)."""
-    import numpy as np
-
-    from .errors import ConfigError
-    from .geometry import SetValuedSpec
-    from .solver import BSEIProblem, SolverConfig, TerminalSpec
-
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -148,7 +147,7 @@ def load_config(path: str):
     generator = prob.take("generator", _matrix(dim))
 
     term = _Schema(prob.take("terminal"), "problem.terminal")
-    kind = term.take("kind", str)
+    kind = term.take("kind", _string())
     coeff = term.take("coeff", _vector(dim))
     term.finish()
     try:
@@ -157,7 +156,7 @@ def load_config(path: str):
         raise ConfigError(str(exc), field="problem.terminal.kind")
 
     gsch = _Schema(prob.take("g"), "problem.g")
-    shape = gsch.take("shape", str)
+    shape = gsch.take("shape", _string())
     a_y = gsch.take("a_y", _matrix(dim))
     a_z = gsch.take("a_z", _matrix(dim))
     lip = gsch.take("lipschitz_k", _number(lo=0))
@@ -197,8 +196,9 @@ def load_config(path: str):
 
     out = _Schema(top.take("outputs"), "outputs")
     outputs = {
-        "report_path": out.take("report_path", str),
-        "convergence_csv_path": out.take("convergence_csv_path", str),
+        "report_path": out.take("report_path", _string(nonempty=True)),
+        "convergence_csv_path": out.take("convergence_csv_path",
+                                         _string(nonempty=True)),
         "emit_plot_data": out.take("emit_plot_data", _boolean,
                                    required=False, default=False),
     }
@@ -251,6 +251,14 @@ def _summary(report) -> dict:
     return out
 
 
+def _write_outputs(outputs: dict, report) -> None:
+    """The convergence CSV and the JSON report, of a full or partial run."""
+    write_convergence_csv(outputs["convergence_csv_path"], report.windows)
+    with open(outputs["report_path"], "w", encoding="utf-8") as fh:
+        json.dump(_summary(report), fh, indent=2)
+        fh.write("\n")
+
+
 def _write_plot_csv(path: str, sol, residuals) -> None:
     nodes = sol.y.grid.nodes
     y_mean = sol.y.values.mean(axis=1)
@@ -271,37 +279,25 @@ def _write_plot_csv(path: str, sol, residuals) -> None:
 # the outputs as inf and fails the gates: numpy's warnings would repeat that
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(config_path: str) -> int:
-    from .errors import ConfigError, NonConvergenceError, ScheduleError
+    # looked up at call time, so that a rebinding of these attributes of
+    # bsei.solver (as perfbench/tracer.py does) is what runs
     from .solver import solve, z_crosscheck
 
     try:
         problem, config, outputs = load_config(config_path)
-    except ConfigError as exc:
+        solution, report = solve(problem, config)
+    except (ConfigError, ScheduleError) as exc:
         print(f"config error [{exc.field}]: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        solution, report = solve(problem, config)
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
-        if exc.report is not None and exc.report.windows:
-            write_convergence_csv(outputs["convergence_csv_path"],
-                                  exc.report.windows)
-            with open(outputs["report_path"], "w", encoding="utf-8") as fh:
-                json.dump(_summary(exc.report), fh, indent=2)
-                fh.write("\n")
+        _write_outputs(outputs, exc.report)
         return 3
-    except ScheduleError as exc:
-        print(f"config error [{exc.field}]: {exc}", file=sys.stderr)
-        return 2
 
     n_steps = solution.y.grid.n_steps
     z_nodes = min(_Z_CHECK_NODES, n_steps) if n_steps <= _Z_CHECK_MAX_STEPS else 0
     report.residuals.z_checks = z_crosscheck(solution, config.basis_degree, z_nodes)
-    write_convergence_csv(outputs["convergence_csv_path"], report.windows)
-    with open(outputs["report_path"], "w", encoding="utf-8") as fh:
-        json.dump(_summary(report), fh, indent=2)
-        fh.write("\n")
+    _write_outputs(outputs, report)
     if outputs["emit_plot_data"]:
         _write_plot_csv(outputs["report_path"] + ".plot.csv", solution,
                         report.residuals)
@@ -321,8 +317,6 @@ def cmd_solve(config_path: str) -> int:
 
 
 def cmd_validate(suite: str, seed: int = 2024) -> int:
-    from .suites import SUITE_NAMES, run_suite
-
     if suite not in SUITE_NAMES:
         print(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}",
               file=sys.stderr)
@@ -333,9 +327,6 @@ def cmd_validate(suite: str, seed: int = 2024) -> int:
 
 
 def cmd_gamma_norm(path: str) -> int:
-    from .errors import ConfigError
-    from .gamma import FiniteRankOperator, gamma_norm
-
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)

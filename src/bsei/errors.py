@@ -11,14 +11,6 @@ class AdaptednessError(BseiError):
     """A process ensemble violated its declared adaptedness contract."""
 
 
-class RegressionError(BseiError):
-    """A conditional-expectation regression failed; records the grid index."""
-
-    def __init__(self, message: str, time_index: int | None = None):
-        super().__init__(message)
-        self.time_index = time_index
-
-
 class ScheduleError(BseiError, ValueError):
     """The contraction constants admit no finite window length or count, or
     plan more grid than the machine can hold; ``field`` names the config

@@ -72,8 +72,17 @@ def _dot_last(a: np.ndarray, b) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    sq = _dot_last(v, v)
-    return np.sqrt(sq, out=sq)
+    """Euclidean norms over the last axis; a finite vector whose sum of
+    squares overflows is measured in units of its largest |coordinate|."""
+    with np.errstate(over="ignore"):
+        sq = _dot_last(v, v)
+        np.sqrt(sq, out=sq)
+        if not sq.max(initial=0.0) < np.inf:  # one reduction when all is finite
+            far = np.isinf(sq) & np.isfinite(v).all(axis=-1)
+            unit = np.abs(v[far]).max(axis=-1, initial=0.0)[:, None]
+            w = v[far] / unit
+            sq[far] = unit[:, 0] * np.sqrt(_dot_last(w, w))
+    return sq
 
 
 @dataclass(frozen=True)
@@ -220,7 +229,7 @@ class Polytope:
                     lam = _dot_last(weights, r[..., None, :])
                     lam[..., -1] += 1.0
                     ok = np.all(lam >= 0.0, axis=-1)
-                kkt = _dot_last(verts - x[..., None, :], (q - x)[..., None, :])
+                    kkt = _dot_last(verts - x[..., None, :], (q - x)[..., None, :])
                 cands.append(x)
                 scores.append(np.where(ok, kkt.max(axis=-1), np.inf))
             best = np.argmin(np.concatenate(scores, axis=1), axis=1)

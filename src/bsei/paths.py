@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AdaptednessError, RegressionError
+from .errors import AdaptednessError
 
 _RIDGE_SCALE = 1e-10
 _MIN_PATHS_PER_BASIS = 10
@@ -47,6 +47,7 @@ class TimeGrid:
         return self.horizon / self.n_steps
 
     def node_index(self, t: float) -> int:
+        """Grid index of time t; raises for off-grid or out-of-range times."""
         k = t / self.dt
         k_round = int(round(k))
         if abs(k - k_round) > 1e-9 * max(1.0, abs(k)):
@@ -113,16 +114,14 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemb
 
 @dataclass(frozen=True)
 class ProcessEnsemble:
-    """Vector-valued process samples X[k][m] on consecutive grid nodes.
+    """Vector-valued process samples X[k][m] on the grid nodes 0, 1, ....
 
-    ``start_index`` is the global grid index of X[0].  ``adapted`` declares
-    the left-endpoint adaptedness contract: X[k] may depend on increments
-    strictly before global node start_index + k only.
+    ``adapted`` declares the left-endpoint adaptedness contract: X[k] may
+    depend on increments strictly before node k only.
     """
 
     grid: TimeGrid
     values: np.ndarray  # (n_nodes, M, d)
-    start_index: int = 0
     adapted: bool = True
 
     def __post_init__(self):
@@ -131,7 +130,7 @@ class ProcessEnsemble:
             raise ValueError("values must be a (n_nodes, n_paths, dim) array")
         if not np.all(np.isfinite(v)):
             raise ValueError("process values must be finite")
-        if self.start_index < 0 or self.start_index + v.shape[0] - 1 > self.grid.n_steps:
+        if v.shape[0] - 1 > self.grid.n_steps:
             raise ValueError("node range falls outside the grid")
         object.__setattr__(self, "values", v)
 
@@ -164,14 +163,11 @@ def ito_integral(step_values: ProcessEnsemble, bm: BrownianEnsemble,
     if step_values.grid != bm.grid or step_values.n_paths != bm.n_paths:
         raise ValueError("integrand and Brownian ensemble live on different grids")
     k_up = bm.grid.node_index(upto)
-    lo = step_values.start_index
-    if k_up > lo + step_values.n_nodes - 1:
+    if k_up > step_values.n_nodes - 1:
         raise ValueError("integrand does not cover the integration window")
-    if k_up <= lo:
+    if k_up == 0:
         return np.zeros((bm.n_paths, step_values.dim))
-    x = step_values.values[:k_up - lo]
-    dw = bm.increments[lo:k_up]
-    return np.einsum("kmd,km->md", x, dw)
+    return np.einsum("kmd,km->md", step_values.values[:k_up], bm.increments[:k_up])
 
 
 def lp_l2_norm(x: ProcessEnsemble, p: float) -> float:
@@ -192,7 +188,11 @@ def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
         np.subtract(x[k], y[k], out=step)
         step *= step
         sq += step
-    q = dt * sq.sum(axis=1)  # (M,)
+    return _sample_norm(dt * sq.sum(axis=1), p)
+
+
+def _sample_norm(q: np.ndarray, p: float) -> float:
+    """Sample L^p(Omega) norm (mean_m q[m]^{p/2})^{1/p} of squared norms q."""
     return float(np.mean(q ** (p / 2.0)) ** (1.0 / p))
 
 
@@ -254,10 +254,12 @@ class RegressionFit:
 
 
 class _FactoredDesign:
-    """Least-squares solves against one design matrix, factored once.
+    """Least-squares solves against one design matrix through its thin SVD,
+    factored once.
 
-    A full-rank design keeps its thin SVD; a rank-deficient one falls back
-    to ridge with lambda = 1e-10 trace(X'X)/dim and raises ``ridge_used``.
+    A rank-deficient design raises ``ridge_used`` and applies ridge with
+    lambda = 1e-10 trace(X'X)/dim as a filter on the singular values,
+    dividing by s + lambda/s instead of s; at full rank lambda = 0.
     """
 
     def _factor(self, x: np.ndarray) -> None:
@@ -267,15 +269,22 @@ class _FactoredDesign:
         self.rank = int(np.sum(s > rcond))
         self.ridge_used = self.rank < p
         if self.ridge_used:
-            xtx = x.T @ x
-            lam = _RIDGE_SCALE * np.trace(xtx) / p
-            self._solver = np.linalg.inv(xtx + lam * np.eye(p)) @ x.T
-        else:
-            self._u, self._s, self._vt = u, s, vt
+            lam = _RIDGE_SCALE * np.sum(s * s) / p
+            with np.errstate(divide="ignore"):  # s = 0 filters to 1/inf = 0
+                s = s + lam / s
+        self._u, self._s, self._vt = u, s, vt  # _s: the divisors
+
+    def _as_targets(self, targets) -> tuple:
+        """Targets as an (M, k) array, and whether they came as one vector."""
+        y = np.asarray(targets, dtype=float)
+        squeeze = y.ndim == 1
+        if squeeze:
+            y = y[:, None]
+        if y.shape[0] != self._u.shape[0]:
+            raise ValueError("targets and design have different path counts")
+        return y, squeeze
 
     def _coefficients(self, y: np.ndarray) -> np.ndarray:
-        if self.ridge_used:
-            return self._solver @ y
         return self._vt.T @ ((self._u.T @ y) / self._s[:, None])
 
 
@@ -299,17 +308,8 @@ class PolynomialRegression(_FactoredDesign):
         self.design = x
         self._factor(x)
 
-    @property
-    def basis_dim(self) -> int:
-        return self.design.shape[1]
-
     def fit(self, targets) -> RegressionFit:
-        y = np.asarray(targets, dtype=float)
-        squeeze = y.ndim == 1
-        if squeeze:
-            y = y[:, None]
-        if y.shape[0] != self.design.shape[0]:
-            raise ValueError("targets and design have different path counts")
+        y, squeeze = self._as_targets(targets)
         coef = self._coefficients(y)
         return RegressionFit(self, y, self.design @ coef, coef, squeeze)
 
@@ -335,10 +335,7 @@ class KernelRegression(_FactoredDesign):
 
     def kernel(self, targets) -> np.ndarray:
         """Fitted values of the increment-block coefficient function."""
-        y = np.asarray(targets, dtype=float)
-        squeeze = y.ndim == 1
-        if squeeze:
-            y = y[:, None]
+        y, squeeze = self._as_targets(targets)
         coef = self._coefficients(y)
         out = self._basis @ coef[self._p:]
         return out[:, 0] if squeeze else out
@@ -367,7 +364,6 @@ class KernelEnsemble:
     """
 
     grid: TimeGrid
-    start_index: int
     taus: tuple  # taus[u]: (u, M, d) array
 
     def tau(self, u: int, s: int) -> np.ndarray:
@@ -400,12 +396,9 @@ def martingale_representation(g: ProcessEnsemble, bm: BrownianEnsemble,
     if g.grid != bm.grid or g.n_paths != bm.n_paths:
         raise ValueError("process and Brownian ensemble live on different grids")
     n, m, d = g.values.shape
-    lo = g.start_index
     dt = g.grid.dt
-    regs = [PolynomialRegression(bm.levels[lo + k], basis_degree)
-            for k in range(n - 1)]
-    kerns = [KernelRegression(regs[k], bm.increments[lo + k], dt)
-             for k in range(n - 1)]
+    regs = [PolynomialRegression(bm.levels[k], basis_degree) for k in range(n - 1)]
+    kerns = [KernelRegression(regs[k], bm.increments[k], dt) for k in range(n - 1)]
     mean_part = g.values.mean(axis=1)
     taus = []
     residuals = np.empty(n)
@@ -414,15 +407,12 @@ def martingale_representation(g: ProcessEnsemble, bm: BrownianEnsemble,
         tau_u = np.empty((u, m, d))
         cond = gu
         for k in range(u - 1, -1, -1):
-            try:
-                tau_u[k] = kerns[k].kernel(cond)
-                cond = regs[k].fit(cond).values
-            except np.linalg.LinAlgError as exc:
-                raise RegressionError(str(exc), time_index=lo + k) from exc
+            tau_u[k] = kerns[k].kernel(cond)
+            cond = regs[k].fit(cond).values
         recon = np.tile(mean_part[u], (m, 1))
         for k in range(u):
-            recon += tau_u[k] * bm.increments[lo + k][:, None]
+            recon += tau_u[k] * bm.increments[k][:, None]
         taus.append(tau_u)
         residuals[u] = np.sqrt(np.mean(np.sum((gu - recon) ** 2, axis=1)))
-    kernel = KernelEnsemble(g.grid, lo, tuple(taus))
+    kernel = KernelEnsemble(g.grid, tuple(taus))
     return MartingaleRepresentation(mean_part, kernel, residuals)

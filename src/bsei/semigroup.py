@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .paths import TimeGrid
+
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """exp(a): symmetric matrices by diagonalization, otherwise Pade 13
@@ -73,16 +75,6 @@ class SemigroupCache:
     def n_steps(self) -> int:
         return self.powers.shape[0] - 1
 
-    def node_index(self, t: float) -> int:
-        """Grid index of time t; raises for off-grid or out-of-range times."""
-        k = t / self.step
-        k_round = int(round(k))
-        if abs(k - k_round) > 1e-9 * max(1.0, abs(k)):
-            raise ValueError(f"time {t} is not a grid multiple of {self.step}")
-        if not 0 <= k_round <= self.n_steps:
-            raise ValueError(f"time {t} outside the cached range")
-        return k_round
-
     def power(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.n_steps:
             raise ValueError(f"power index {k} outside 0..{self.n_steps}")
@@ -91,7 +83,7 @@ class SemigroupCache:
 
 def apply(cache: SemigroupCache, t: float, x) -> np.ndarray:
     """exp(t A) x for a grid-aligned time; x may be a vector or an (..., d) array."""
-    k = cache.node_index(t)
+    k = TimeGrid(cache.step * cache.n_steps, cache.n_steps).node_index(t)
     x = np.asarray(x, dtype=float)
     return x @ cache.powers[k].T
 

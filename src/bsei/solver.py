@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import NonConvergenceError, RegressionError, ScheduleError
+from .errors import NonConvergenceError, ScheduleError
 from .geometry import SetValuedSpec, project
 from .paths import (
     BrownianEnsemble,
@@ -28,6 +28,7 @@ from .paths import (
     ProcessEnsemble,
     TimeGrid,
     _lp_l2,
+    _sample_norm,
     simulate_brownian,
 )
 from .semigroup import SemigroupCache, gamma_bound, matrix_exponential
@@ -195,10 +196,6 @@ class SolveReport:
         return None if self.residuals is None else self.residuals.inclusion_max
 
     @property
-    def equation_residuals(self) -> np.ndarray | None:
-        return None if self.residuals is None else self.residuals.equation
-
-    @property
     def equation_residual_max(self) -> float | None:
         return None if self.residuals is None else self.residuals.equation_max
 
@@ -235,27 +232,23 @@ class SolverConfig:
     min_iter: int = 2
 
 
-def _project_onto_sets(g: np.ndarray, centers: np.ndarray,
-                       gspec: SetValuedSpec) -> np.ndarray:
-    # every constraint set is the translate centers + base of one base set;
-    # the result goes into the older allocation, which lowers peak RSS
-    out = g - centers
-    out[...] = project(out, gspec.base)
-    out += centers
-    return out
-
-
 def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
                      times: np.ndarray, gspec: SetValuedSpec) -> np.ndarray:
     """Pointwise nearest-point selection g_new[k][m] in G(t_k, Y[k][m], Z[k][m]).
 
-    The three stacks are (n + 1, M, d) arrays on the nodes ``times``.
-    Projection of adapted data through a deterministic map, so the output is
-    adapted; the moved distance at each point equals the distance from the
-    previous selection to the new constraint set.
+    The three stacks are (n + 1, M, d) arrays on the nodes ``times``, or
+    (M, d) arrays at the one time ``times``.  Projection of adapted data
+    through a deterministic map, so the output is adapted; the moved
+    distance at each point equals the distance from the previous selection
+    to the new constraint set.
     """
     centers = gspec.center_batch(times, y_prev, z_prev)
-    return _project_onto_sets(g_prev, centers, gspec)
+    # every constraint set is the translate centers + base of one base set;
+    # the result goes into the older allocation, which lowers peak RSS
+    out = g_prev - centers
+    out[...] = project(out, gspec.base)
+    out += centers
+    return out
 
 
 def _window_regressions(bm: BrownianEnsemble, k_lo: int, n_steps: int,
@@ -299,21 +292,18 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray, k_lo: int,
     y[n] = terminal
     for k in range(n - 1, -1, -1):
         base, kern = regressions[k]
-        try:
-            propagated = y[k + 1] @ s_dt.T
-            fit_y = base.fit(propagated)
-            z[k] = kern.kernel(propagated)
-        except np.linalg.LinAlgError as exc:
-            raise RegressionError(str(exc), time_index=k_lo + k) from exc
-        y[k] = fit_y.values - dt * g[k]
+        propagated = y[k + 1] @ s_dt.T
+        z[k] = kern.kernel(propagated)
+        y[k] = base.fit(propagated).values - dt * g[k]
     return y, z
 
 
-def picard_solve_interval(problem: BSEIProblem, window: tuple,
+def picard_solve_interval(problem: BSEIProblem, index: int, window: tuple,
                           terminal_values: np.ndarray, schedule: PicardSchedule,
                           s_dt: np.ndarray, bm: BrownianEnsemble,
                           basis_degree: int):
-    """Fixed-point iteration from the zero triple on one backward window.
+    """Fixed-point iteration from the zero triple on window ``index``, the
+    grid nodes ``window`` = (k_lo, k_hi).
 
     Alternates generator selection and the linear solve until the summed
     difference norm dY + dZ falls below the schedule tolerance (but never
@@ -333,7 +323,7 @@ def picard_solve_interval(problem: BSEIProblem, window: tuple,
     regs = _window_regressions(bm, k_lo, n, basis_degree)
     y = np.zeros((n + 1, bm.n_paths, problem.dim))
     z, g = np.zeros_like(y), np.zeros_like(y)
-    report = WindowReport(index=0, k_lo=k_lo, k_hi=k_hi, iterations=[],
+    report = WindowReport(index=index, k_lo=k_lo, k_hi=k_hi, iterations=[],
                           converged=False)
     # ridge fallback depends on the design alone, so count it per window
     ridge_total = sum(int(b.ridge_used) + int(k.ridge_used) for b, k in regs)
@@ -440,15 +430,12 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
         k_lo, k_hi = w * config.steps_per_window, (w + 1) * config.steps_per_window
         try:
             y_loc, z_loc, g_loc, wrep, ridge = picard_solve_interval(
-                problem, (k_lo, k_hi), terminal, schedule, s_dt, bm,
+                problem, w, (k_lo, k_hi), terminal, schedule, s_dt, bm,
                 config.basis_degree)
         except NonConvergenceError as exc:
-            if exc.report is not None:
-                exc.report.index = w
-                windows.insert(0, exc.report)
+            windows.insert(0, exc.report)
             report.runtime_seconds = time.perf_counter() - t0
             raise NonConvergenceError(str(exc), report=report) from exc
-        wrep.index = w
         windows.insert(0, wrep)
         report.ridge_events += ridge
         stop = k_hi + 1 if w == n_win - 1 else k_hi
@@ -505,8 +492,7 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     y, z, g, dw = sol.y.values, sol.z.values, sol.g.values, sol.bm.increments
 
     def inclusion_gap(k):
-        centers = gspec.center_batch(nodes[k], y[k], z[k])
-        gap = g[k] - _project_onto_sets(g[k], centers, gspec)
+        gap = g[k] - select_generator(g[k], y[k], z[k], nodes[k], gspec)
         return np.max(np.linalg.norm(gap, axis=-1))
 
     # kept per node so that a NaN gap reaches the maximum
@@ -523,10 +509,9 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
         acc = (dt * g[k] + z[k] * dw[k][:, None]) + acc @ s_dt.T
         xi_prop = xi_prop @ s_dt.T
         res = y[k] + acc - xi_prop
-        equation[k] = np.mean(np.sum(res**2, axis=1) ** (p / 2.0)) ** (1.0 / p)
+        equation[k] = _sample_norm(np.sum(res**2, axis=1), p)
         step = y[k + 1] - y[k]
-        y_modulus = max(y_modulus, float(
-            np.mean(np.sum(step**2, axis=1) ** (p / 2.0)) ** (1.0 / p)))
+        y_modulus = max(y_modulus, _sample_norm(np.sum(step**2, axis=1), p))
 
     return ResidualReport(inclusion_max=float(np.max(inclusion)),
                           equation=equation, y_modulus=y_modulus)

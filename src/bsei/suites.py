@@ -14,8 +14,6 @@ from .gamma import FiniteRankOperator, gamma_norm, ito_isomorphism_report, kw_in
 from .geometry import Ball, Polytope, SetValuedSpec, Singleton
 from .paths import TimeGrid, from_function, martingale_representation, simulate_brownian
 
-SUITE_NAMES = ("geometry", "gamma", "ito", "representation")
-
 
 def _check(report: list, name: str, value: float, bound: float,
            larger_ok: bool = False) -> None:
@@ -194,13 +192,12 @@ def _finish(name: str, checks: list) -> dict:
             "checks": checks}
 
 
+_SUITES = {"geometry": geometry_suite, "gamma": gamma_suite, "ito": ito_suite,
+           "representation": representation_suite}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, seed: int = 2024) -> dict:
-    if name == "geometry":
-        return geometry_suite(seed)
-    if name == "gamma":
-        return gamma_suite(seed)
-    if name == "ito":
-        return ito_suite(seed)
-    if name == "representation":
-        return representation_suite(seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    return _SUITES[name](seed)

@@ -353,6 +353,22 @@ def test_solve_rejects_non_boolean_flags(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["outputs.report_path",
+                                   "outputs.convergence_csv_path",
+                                   "problem.terminal.kind", "problem.g.shape"])
+@pytest.mark.parametrize("value", [None, 3, [], ""])
+def test_solve_rejects_non_string_fields(tmp_path, monkeypatch, capsys, field, value):
+    # a path of any other JSON value would become a file name such as 'None'
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, demo_config(tmp_path, **{field: value}))
+    assert main(["solve", "config.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    # an empty shape is a string, which the set-valued map rejects as a shape
+    named = "problem.g" if (field, value) == ("problem.g.shape", "") else field
+    assert len(err) == 1 and err[0].startswith(f"config error [{named}]")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("value", ["false", 0, 1, None, False, True])
 def test_solve_rejects_y_features(tmp_path, capsys, value):
     # the field is gone from the schema: any value is an unknown field

@@ -260,10 +260,14 @@ def test_polytope_projection_kkt_and_idempotent(case):
         assert np.linalg.norm(project(x, poly) - x) <= 1e-14 * scale
 
 
+# far enough that a sum of squared coordinates overflows
+far = st.one_of(st.floats(1e200, 1e307), st.floats(-1e307, -1e200))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
-    convex_sets(d), st.lists(st.lists(finite, min_size=d, max_size=d),
-                             min_size=1, max_size=5))))
+    convex_sets(d), st.lists(st.lists(st.one_of(finite, far), min_size=d,
+                                      max_size=d), min_size=1, max_size=5))))
 def test_stacked_calls_match_per_point_calls_bitwise(case):
     cset, pts = case
     pts = np.array(pts)
@@ -272,6 +276,30 @@ def test_stacked_calls_match_per_point_calls_bitwise(case):
     for i, p in enumerate(pts):
         assert project(p, cset).tobytes() == stacked[i].tobytes()
         assert np.float64(distance_to(p, cset)).tobytes() == dists[i].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("magnitude", [1e200, 1e250, 1e300, 1e307])
+def test_far_points_project_and_measure_without_overflow(d, magnitude):
+    # squared coordinates overflow from about 1.3e154 on; the nearest points
+    # and distances stay those of the scaled-down problem, with no warning
+    import warnings
+    x = magnitude * np.array([-1.0, 1.0, 0.5])[:d]
+    unit = x / magnitude
+    length = magnitude * np.linalg.norm(unit)
+    center = np.array([0.5, -0.25, 0.0])[:d]
+    box = np.array(np.meshgrid(*[[0.0, 1.0]] * d)).reshape(d, -1).T
+    cases = [
+        (Singleton(center), center, length),
+        (Ball(center, 0.2), center + 0.2 * unit / np.linalg.norm(unit), length),
+        (Polytope(box), np.clip(x, 0.0, 1.0), length),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cset, nearest, dist in cases:
+            assert np.allclose(project(x, cset), nearest, rtol=1e-12, atol=1e-15)
+            assert distance_to(x, cset) == pytest.approx(dist, rel=1e-12)
+            assert distance_to(x[None], cset)[0] == distance_to(x, cset)
 
 
 @pytest.mark.parametrize("cset", [

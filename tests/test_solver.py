@@ -108,8 +108,8 @@ def _select(g, y, z, spec):
 
 def _sweep(g, terminal, s_dt, bm, degree):
     """solve_linear_bsee on an ensemble's array, (Y, Z) as ensembles."""
-    return tuple(ProcessEnsemble(g.grid, v, g.start_index) for v in solve_linear_bsee(
-        g.values, terminal, g.start_index, s_dt, bm, degree))
+    return tuple(ProcessEnsemble(g.grid, v) for v in solve_linear_bsee(
+        g.values, terminal, 0, s_dt, bm, degree))
 
 
 def test_select_singleton_ignores_previous():
@@ -246,7 +246,7 @@ def test_picard_singleton_constant_two_iterations():
     cache = SemigroupCache.build(np.zeros((d, d)), 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
     sched = compute_schedule(prob, cache)
-    y, z, g, rep, _ = picard_solve_interval(prob, (12, 16), np.full((500, 1), 2.0),
+    y, z, g, rep, _ = picard_solve_interval(prob, 3, (12, 16), np.full((500, 1), 2.0),
                                             sched, cache.power(1), bm, 1)
     assert rep.converged
     assert len(rep.iterations) == 2
@@ -259,7 +259,7 @@ def test_picard_nonconvergence_carries_report():
     bm = simulate_brownian(TimeGrid(1.0, 16), 600, seed=10)
     sched = compute_schedule(prob, cache, tol=1e-16, n_max=3)
     with pytest.raises(NonConvergenceError) as exc:
-        picard_solve_interval(prob, (12, 16), np.ones((600, 2)), sched,
+        picard_solve_interval(prob, 3, (12, 16), np.ones((600, 2)), sched,
                               cache.power(1), bm, 1)
     assert exc.value.report is not None
     assert len(exc.value.report.iterations) == 3
@@ -272,7 +272,7 @@ def test_window_length_guard():
     sched = compute_schedule(prob, cache)
     assert sched.delta < 0.75
     with pytest.raises(ValueError):
-        picard_solve_interval(prob, (0, 8), np.ones((600, 2)), sched,
+        picard_solve_interval(prob, 0, (0, 8), np.ones((600, 2)), sched,
                               cache.power(1), bm, 1)
 
 
@@ -292,7 +292,7 @@ def test_solve_single_window_matches_interval_call():
     # replay the last window by hand: bitwise identical
     k_lo = (n_win - 1) * 8
     y, z, g, _, _ = picard_solve_interval(
-        prob, (k_lo, grid.n_steps), prob.terminal.sample(bm), rep.schedule,
+        prob, n_win - 1, (k_lo, grid.n_steps), prob.terminal.sample(bm), rep.schedule,
         s_dt, bm, cfg.basis_degree)
     assert np.array_equal(sol.y.values[k_lo:-1], y[:-1])
     assert np.array_equal(sol.y.values[-1], y[-1])
@@ -508,11 +508,9 @@ def test_solve_counts_ridge_fallbacks_of_window_designs(monkeypatch):
 def _stacked_inclusion_residual(sol, problem):
     """The inclusion residual over the whole (N + 1, M, d) stack at once:
     the reference for the node-by-node form."""
-    from bsei.solver import _project_onto_sets
-    gspec = problem.gspec
-    centers = gspec.center_batch(sol.g.grid.nodes, sol.y.values, sol.z.values)
     gv = sol.g.values
-    gap = gv - _project_onto_sets(gv, centers, gspec)
+    gap = gv - select_generator(gv, sol.y.values, sol.z.values, sol.g.grid.nodes,
+                                problem.gspec)
     return float(np.max(np.linalg.norm(gap, axis=-1)))
 
 
