@@ -7,10 +7,10 @@ Subcommands:
                           (geometry | gamma | ito | representation)
   gamma-norm <op.json>    Gaussian-sum norm of a finite-rank operator
 
-Exit codes: 0 success, 1 validation-suite failure, 2 input error,
-3 numerical non-convergence, a non-finite iterate or residuals above
-threshold.  Set BSEI_THREADS to pin the BLAS thread
-count; the package applies it on import, before numpy loads.
+Exit codes: 0 success, 1 validation-suite failure, 2 input error (an
+unwritable output included), 3 numerical non-convergence, a non-finite
+iterate or residuals above threshold.  Set BSEI_THREADS to pin the BLAS
+thread count; the package applies it on import, before numpy loads.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,12 +31,6 @@ from .suites import SUITE_NAMES, run_suite
 
 _INCLUSION_THRESHOLD = 1e-8
 _EQUATION_THRESHOLD = 0.05
-# the explicit-Z rebuild is one backward regression sweep, linear in the step
-# count (a design factorisation and a fit per step); the cap keeps this extra
-# pass off the finest grids, e.g. the 450-step singleton demo would pay about
-# a third of a second for it
-_Z_CHECK_NODES = 17
-_Z_CHECK_MAX_STEPS = 400
 
 
 def _fmt(x) -> str:
@@ -52,12 +47,10 @@ class _Schema:
         self.data = dict(data)
         self.context = context
 
-    def take(self, name: str, check=None, required: bool = True, default=None):
+    def take(self, name: str, check=None):
         field = f"{self.context}.{name}" if self.context else name
         if name not in self.data:
-            if required:
-                raise ConfigError(f"missing field {field!r}", field=field)
-            return default
+            raise ConfigError(f"missing field {field!r}", field=field)
         value = self.data.pop(name)
         if check is not None:
             try:
@@ -66,6 +59,11 @@ class _Schema:
                 raise ConfigError(f"invalid value for {field!r}: {exc}",
                                   field=field) from exc
         return value
+
+    def take_present(self, checks: dict) -> dict:
+        """The fields among ``checks`` that are present, each checked."""
+        return {name: self.take(name, check) for name, check in checks.items()
+                if name in self.data}
 
     def finish(self):
         if self.data:
@@ -106,6 +104,18 @@ def _string(nonempty: bool = False):
     return check
 
 
+def _output_path(v):
+    """A file name in an existing directory, checked before the solve."""
+    path = _string(nonempty=True)(v)
+    folder = os.path.dirname(path) or "."
+    if "\0" in path or os.path.isdir(path) or not os.path.isdir(folder):
+        raise ValueError("not a file name in an existing directory")
+    return path
+
+
+_seed = _number(0, 2**64 - 1, integer=True)  # the Philox key width
+
+
 def _matrix(dim):
     def check(v):
         m = np.asarray(v, dtype=float)
@@ -126,17 +136,25 @@ def _vector(dim=None):
     return check
 
 
-def load_config(path: str):
-    """Parse and validate a run configuration; returns (problem, config, outputs)."""
+def _build(field: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError reported against ``field``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=field) from exc
+
+
+def _read_json(path: str, field: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}", field="config")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}", field="config")
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ConfigError(f"cannot read {path} as JSON: {exc}", field=field) from exc
 
-    top = _Schema(raw)
+
+def load_config(path: str):
+    """Parse and validate a run configuration; returns (problem, config, outputs)."""
+    top = _Schema(_read_json(path, "config"))
     if top.take("schema", _number(integer=True)) != 1:
         raise ConfigError("unsupported schema version (expected 1)", field="schema")
 
@@ -150,57 +168,43 @@ def load_config(path: str):
     kind = term.take("kind", _string())
     coeff = term.take("coeff", _vector(dim))
     term.finish()
-    try:
-        terminal = TerminalSpec(kind, coeff)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="problem.terminal.kind")
+    terminal = _build("problem.terminal.kind", TerminalSpec, kind, coeff)
 
     gsch = _Schema(prob.take("g"), "problem.g")
     shape = gsch.take("shape", _string())
     a_y = gsch.take("a_y", _matrix(dim))
     a_z = gsch.take("a_z", _matrix(dim))
     lip = gsch.take("lipschitz_k", _number(lo=0))
-    c0 = gsch.take("c0", _vector(dim), required=False)
-    radius = gsch.take("radius", _number(lo=0), required=False, default=0.0)
-    offsets = gsch.take("offsets", lambda v: np.asarray(v, dtype=float),
-                        required=False)
+    optional = gsch.take_present({"c0": _vector(dim), "radius": _number(lo=0),
+                                  "offsets": lambda v: np.asarray(v, dtype=float)})
     gsch.finish()
-    try:
-        gspec = SetValuedSpec(
-            dim=dim, shape=shape, a_y=a_y, a_z=a_z, lipschitz_k=lip, c0=c0,
-            radius=radius, offsets=offsets)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="problem.g")
+    gspec = _build("problem.g", SetValuedSpec, dim=dim, shape=shape, a_y=a_y,
+                   a_z=a_z, lipschitz_k=lip, **optional)
     prob.finish()
-    try:
-        problem = BSEIProblem(horizon=horizon, exponent=p, dim=dim,
-                              generator=generator, terminal=terminal, gspec=gspec)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="problem")
+    problem = _build("problem", BSEIProblem, horizon=horizon, exponent=p, dim=dim,
+                     generator=generator, terminal=terminal, gspec=gspec)
 
     num = _Schema(top.take("numerics"), "numerics")
     config = SolverConfig(
         steps_per_window=num.take("steps_per_window", _number(4, 10_000, integer=True)),
         n_paths=num.take("paths", _number(100, 10_000_000, integer=True)),
-        seed=num.take("seed", _number(0, 2**64 - 1, integer=True)),  # Philox key
-        basis_degree=num.take("basis_degree", _number(0, 8, integer=True),
-                              required=False, default=2),
-        c_pe=num.take("c_pe", _number(lo=0, lo_open=True), required=False, default=1.0),
-        tol=num.take("tol", _number(lo=0, lo_open=True), required=False, default=1e-3),
-        n_max=num.take("n_max", _number(1, 10_000, integer=True),
-                       required=False, default=25),
-        min_iter=num.take("min_iter", _number(1, 10_000, integer=True),
-                          required=False, default=2),
+        seed=num.take("seed", _seed),
+        **num.take_present({
+            "basis_degree": _number(0, 8, integer=True),
+            "c_pe": _number(lo=0, lo_open=True),
+            "tol": _number(lo=0, lo_open=True),
+            "n_max": _number(1, 10_000, integer=True),
+            "min_iter": _number(1, 10_000, integer=True),
+        }),
     )
     num.finish()
 
     out = _Schema(top.take("outputs"), "outputs")
     outputs = {
-        "report_path": out.take("report_path", _string(nonempty=True)),
-        "convergence_csv_path": out.take("convergence_csv_path",
-                                         _string(nonempty=True)),
-        "emit_plot_data": out.take("emit_plot_data", _boolean,
-                                   required=False, default=False),
+        "report_path": out.take("report_path", _output_path),
+        "convergence_csv_path": out.take("convergence_csv_path", _output_path),
+        "emit_plot_data": False,
+        **out.take_present({"emit_plot_data": _boolean}),
     }
     out.finish()
     top.finish()
@@ -232,31 +236,19 @@ def _summary(report) -> dict:
             "window_length": sched.window_length,
         },
         "converged": report.converged,
-        "seed": report.seed,
-        "paths": report.n_paths,
+        "seed": report.config.seed,
+        "paths": report.config.n_paths,
         "steps_total": report.n_steps_total,
-        "basis_degree": report.basis_degree,
+        "basis_degree": report.config.basis_degree,
         "runtime_seconds": report.runtime_seconds,
         "ridge_events": report.ridge_events,
         "iterations_per_window": [len(w.iterations) for w in report.windows],
         "inclusion_residual": report.inclusion_residual,
         "equation_residual_max": report.equation_residual_max,
     }
-    residuals = report.residuals
-    if residuals is not None:
-        out["y_continuity_modulus"] = residuals.y_modulus
-        out["z_check"] = [
-            {"node": zc.node, "discrepancy": zc.discrepancy, "z_norm": zc.z_norm}
-            for zc in (residuals.z_checks or [])]
+    if report.residuals is not None:
+        out["y_continuity_modulus"] = report.residuals.y_modulus
     return out
-
-
-def _write_outputs(outputs: dict, report) -> None:
-    """The convergence CSV and the JSON report, of a full or partial run."""
-    write_convergence_csv(outputs["convergence_csv_path"], report.windows)
-    with open(outputs["report_path"], "w", encoding="utf-8") as fh:
-        json.dump(_summary(report), fh, indent=2)
-        fh.write("\n")
 
 
 def _write_plot_csv(path: str, sol, residuals) -> None:
@@ -275,32 +267,38 @@ def _write_plot_csv(path: str, sol, residuals) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_outputs(outputs: dict, report, solution=None) -> None:
+    """The convergence CSV and the JSON report of a full or partial run, and
+    with ``emit_plot_data`` the plot CSV of a full one."""
+    try:
+        write_convergence_csv(outputs["convergence_csv_path"], report.windows)
+        with open(outputs["report_path"], "w", encoding="utf-8") as fh:
+            json.dump(_summary(report), fh, indent=2)
+            fh.write("\n")
+        if solution is not None and outputs["emit_plot_data"]:
+            _write_plot_csv(outputs["report_path"] + ".plot.csv", solution,
+                            report.residuals)
+    except OSError as exc:
+        raise ConfigError(f"cannot write: {exc}", field="outputs") from exc
+
+
 # a number that overflows stops the solve at a non-finite iterate or reaches
 # the outputs as inf and fails the gates: numpy's warnings would repeat that
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(config_path: str) -> int:
-    # looked up at call time, so that a rebinding of these attributes of
+    # looked up at call time, so that a rebinding of this attribute of
     # bsei.solver (as perfbench/tracer.py does) is what runs
-    from .solver import solve, z_crosscheck
+    from .solver import solve
 
+    problem, config, outputs = load_config(config_path)
     try:
-        problem, config, outputs = load_config(config_path)
         solution, report = solve(problem, config)
-    except (ConfigError, ScheduleError) as exc:
-        print(f"config error [{exc.field}]: {exc}", file=sys.stderr)
-        return 2
     except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
         _write_outputs(outputs, exc.report)
+        print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
 
-    n_steps = solution.y.grid.n_steps
-    z_nodes = min(_Z_CHECK_NODES, n_steps) if n_steps <= _Z_CHECK_MAX_STEPS else 0
-    report.residuals.z_checks = z_crosscheck(solution, config.basis_degree, z_nodes)
-    _write_outputs(outputs, report)
-    if outputs["emit_plot_data"]:
-        _write_plot_csv(outputs["report_path"] + ".plot.csv", solution,
-                        report.residuals)
+    _write_outputs(outputs, report, solution)
 
     ok = (report.converged
           and report.inclusion_residual <= _INCLUSION_THRESHOLD
@@ -316,41 +314,41 @@ def cmd_solve(config_path: str) -> int:
     return 0 if ok else 3
 
 
-def cmd_validate(suite: str, seed: int = 2024) -> int:
+def cmd_validate(suite: str, seed: int) -> int:
     if suite not in SUITE_NAMES:
-        print(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown suite {suite!r}; choose from "
+                          f"{', '.join(SUITE_NAMES)}", field="suite")
     result = run_suite(suite, seed=seed)
     print(json.dumps(result, indent=2))
     return 0 if result["passed"] else 1
 
 
+def _terms(v):
+    """Rank-one terms [{"h": cell samples, "e": range vector}, ...] as (h, e)."""
+    if not (isinstance(v, list) and v and all(
+            isinstance(t, dict) and sorted(t) == ["e", "h"] for t in v)):
+        raise ValueError("need a non-empty list of {h, e} objects")
+    h, e = (np.array([_vector()(t[k]) for t in v]) for k in "he")  # ragged: raises
+    if 0 in h.shape + e.shape:
+        raise ValueError("every h and e needs at least one entry")
+    return h, e
+
+
+# an overflowing norm is reported as one line, not as numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_gamma_norm(path: str) -> int:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error [operator]: {exc}", file=sys.stderr)
-        return 2
-    try:
-        top = _Schema(raw)
-        window = top.take("window", None)
-        terms = top.take("terms", None)
-        n_gauss = top.take("n_gauss", _number(1, integer=True),
-                           required=False, default=100_000)
-        seed = top.take("seed", _number(integer=True), required=False, default=0)
-        top.finish()
-        h = np.array([t["h"] for t in terms], dtype=float)
-        e = np.array([t["e"] for t in terms], dtype=float)
-        op = FiniteRankOperator((window[0], window[1]), h, e)
-    except (ConfigError, KeyError, TypeError, ValueError, IndexError) as exc:
-        print(f"config error [operator]: {exc}", file=sys.stderr)
-        return 2
-    est = gamma_norm(op, n_gauss, seed)
-    print(json.dumps({"monte_carlo": est.monte_carlo, "exact": est.exact,
-                      "standard_error": est.standard_error,
-                      "dropped_terms": est.dropped_terms}))
+    top = _Schema(_read_json(path, "operator"))
+    window = top.take("window", _vector(2))
+    h, e = top.take("terms", _terms)
+    sampling = {"n_gauss": 100_000, "seed": 0, **top.take_present({
+        "n_gauss": _number(1, 10_000_000, integer=True), "seed": _seed})}
+    top.finish()
+    # the terms are checked: the operator can refuse only the window
+    est = gamma_norm(_build("window", FiniteRankOperator, window, h, e), **sampling)
+    if not all(map(math.isfinite, (est.monte_carlo, est.exact, est.standard_error))):
+        raise ConfigError("the operator's norm overflows double precision",
+                          field="terms")
+    print(json.dumps(vars(est)))
     return 0
 
 
@@ -370,11 +368,15 @@ def main(argv=None) -> int:
     p_gn.add_argument("operator", help="path to the operator description")
 
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args.config)
-    if args.command == "validate":
-        return cmd_validate(args.suite, seed=args.seed)
-    return cmd_gamma_norm(args.operator)
+    try:
+        if args.command == "solve":
+            return cmd_solve(args.config)
+        if args.command == "validate":
+            return cmd_validate(args.suite, seed=args.seed)
+        return cmd_gamma_norm(args.operator)
+    except (ConfigError, ScheduleError) as exc:
+        print(f"config error [{exc.field}]: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

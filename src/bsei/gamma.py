@@ -36,7 +36,7 @@ class FiniteRankOperator:
             raise ValueError(f"window must satisfy 0 <= s < t, got ({s}, {t})")
         h = np.atleast_2d(np.asarray(self.h, dtype=float))
         e = np.atleast_2d(np.asarray(self.e, dtype=float))
-        if h.shape[0] < 1 or h.shape[0] != e.shape[0]:
+        if h.shape[0] != e.shape[0] or 0 in h.shape + e.shape:
             raise ValueError("need matching nonempty term lists")
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(e))):
             raise ValueError("operator samples must be finite")
@@ -83,7 +83,8 @@ def _orthonormalize(op: FiniteRankOperator):
             rows[i][j] = c
             v -= c * q
         nrm = np.sqrt(w * np.sum(v * v))
-        if nrm <= _GS_DROP_REL * max(orig, 1e-300):
+        # strict: an overflowed term (nrm = orig = inf) is kept, so the result shows it
+        if nrm < _GS_DROP_REL * max(orig, 1e-300):
             dropped += 1
             continue
         qs.append(v / nrm)

@@ -71,17 +71,22 @@ def _dot_last(a: np.ndarray, b) -> np.ndarray:
     return out
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # smaller norms lost bits to underflow
+
+
 def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis; a finite vector whose sum of
-    squares overflows is measured in units of its largest |coordinate|."""
+    """Euclidean norms over the last axis; a finite nonzero vector whose
+    squares over- or underflow is measured in its largest |coordinate|."""
     with np.errstate(over="ignore"):
         sq = _dot_last(v, v)
         np.sqrt(sq, out=sq)
-        if not sq.max(initial=0.0) < np.inf:  # one reduction when all is finite
-            far = np.isinf(sq) & np.isfinite(v).all(axis=-1)
-            unit = np.abs(v[far]).max(axis=-1, initial=0.0)[:, None]
-            w = v[far] / unit
-            sq[far] = unit[:, 0] * np.sqrt(_dot_last(w, w))
+        # two reductions when every norm is in range, three for all zeros
+        if (not _SQRT_TINY <= sq.min(initial=np.inf) <= sq.max(initial=0.0) < np.inf
+                and v.any()):
+            unit = np.abs(v).max(axis=-1, initial=0.0)  # NaN in a NaN row
+            off = (0.0 < unit) & (unit < np.inf) & ~((_SQRT_TINY <= sq) & (sq < np.inf))
+            w = v[off] / unit[off, None]
+            sq[off] = unit[off] * np.sqrt(_dot_last(w, w))
     return sq
 
 
@@ -131,12 +136,13 @@ class Ball:
 
     def _nearest(self, p: np.ndarray) -> np.ndarray:
         v = p - self.center
-        nv, r = _norm(v)[..., None], self.radius
-        # in place: the solver passes whole (n, M, d) stacks
-        scale = np.maximum(nv, 1e-300)
-        np.divide(r, scale, out=scale)
-        scale[nv <= r] = 1.0
-        v *= scale
+        # scale by min(1, r/|v|) in place, as the solver passes whole
+        # (n, M, d) stacks; fmin keeps the point for 0/0 and a NaN norm
+        scale = _norm(v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self.radius, scale, out=scale)
+        np.fmin(scale, 1.0, out=scale)
+        v *= scale[..., None]
         v += self.center
         return v
 

@@ -91,7 +91,7 @@ class BSEIProblem:
 
 @dataclass(frozen=True)
 class PicardSchedule:
-    """Contraction constants governing window length and iteration budget.
+    """Contraction constants governing the window length.
 
     beta = c L gamma (1 + sqrt(T) (1 + gamma)) and the window length
     delta = min(1/beta^2, T)/4 force beta sqrt(delta) <= 1/2, which is the
@@ -107,21 +107,15 @@ class PicardSchedule:
     delta: float
     n_windows: int
     window_length: float
-    n_max: int
-    tol: float
-    min_iter: int
 
     def eps(self, n: int) -> float:
         return (self.beta * math.sqrt(self.delta) / 2.0) ** n
 
 
 def schedule_from_constants(lipschitz: float, gamma_s: float, horizon: float,
-                            c_pe: float = 1.0, n_max: int = 25,
-                            tol: float = 1e-3, min_iter: int = 2) -> PicardSchedule:
-    if c_pe <= 0.0:
-        raise ValueError("c_pe must be positive")
-    if lipschitz < 0.0 or gamma_s < 1.0 or horizon <= 0.0:
-        raise ValueError("need lipschitz >= 0, gamma_s >= 1, horizon > 0")
+                            c_pe: float) -> PicardSchedule:
+    if c_pe <= 0.0 or lipschitz < 0.0 or gamma_s < 1.0 or horizon <= 0.0:
+        raise ValueError("need c_pe > 0, lipschitz >= 0, gamma_s >= 1, horizon > 0")
     beta = c_pe * lipschitz * gamma_s * (1.0 + math.sqrt(horizon) * (1.0 + gamma_s))
     if beta * beta == 0.0:  # includes subnormal beta whose square underflows
         delta = horizon / 4.0
@@ -137,16 +131,14 @@ def schedule_from_constants(lipschitz: float, gamma_s: float, horizon: float,
         gamma_s=gamma_s, c_pe=c_pe, lipschitz=lipschitz, horizon=horizon,
         beta=beta, delta=delta, n_windows=n_windows,
         window_length=horizon / n_windows,
-        n_max=n_max, tol=tol, min_iter=min_iter,
     )
 
 
 def compute_schedule(problem: BSEIProblem, cache: SemigroupCache,
-                     c_pe: float = 1.0, n_max: int = 25, tol: float = 1e-3,
-                     min_iter: int = 2) -> PicardSchedule:
+                     c_pe: float) -> PicardSchedule:
     """Schedule for a problem, with gamma(S) read off the cached semigroup."""
     return schedule_from_constants(problem.lipschitz_k, gamma_bound(cache),
-                                   problem.horizon, c_pe, n_max, tol, min_iter)
+                                   problem.horizon, c_pe)
 
 
 @dataclass
@@ -166,6 +158,7 @@ class WindowReport:
     k_hi: int
     iterations: list
     converged: bool
+    ridge_events: int  # ridge fallbacks of the window's designs
 
     def geometric_ratio(self, first: int = 2, last: int = 8) -> float:
         """Least-squares geometric decay rate of dY + dZ over an iteration range."""
@@ -183,13 +176,14 @@ class WindowReport:
 class SolveReport:
     schedule: PicardSchedule
     windows: list
-    seed: int
-    n_paths: int
+    config: SolverConfig
     n_steps_total: int
-    basis_degree: int
     runtime_seconds: float = 0.0
     residuals: ResidualReport | None = None  # None until every window converged
-    ridge_events: int = 0
+
+    @property
+    def ridge_events(self) -> int:
+        return sum(w.ridge_events for w in self.windows)
 
     @property
     def inclusion_residual(self) -> float | None:
@@ -222,6 +216,9 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Numerics of a run.  These defaults are the package's only ones: the
+    CLI passes on just the fields a config file sets."""
+
     steps_per_window: int = 40
     n_paths: int = 10_000
     seed: int = 0
@@ -301,17 +298,18 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray, k_lo: int,
 def picard_solve_interval(problem: BSEIProblem, index: int, window: tuple,
                           terminal_values: np.ndarray, schedule: PicardSchedule,
                           s_dt: np.ndarray, bm: BrownianEnsemble,
-                          basis_degree: int):
+                          config: SolverConfig):
     """Fixed-point iteration from the zero triple on window ``index``, the
     grid nodes ``window`` = (k_lo, k_hi).
 
     Alternates generator selection and the linear solve until the summed
-    difference norm dY + dZ falls below the schedule tolerance (but never
-    before ``min_iter`` iterations, so contraction diagnostics have data).
+    difference norm dY + dZ falls below ``config.tol`` (but never before
+    ``config.min_iter`` iterations, so contraction diagnostics have data).
     Ends with one extra selection against the final pair so the inclusion
-    holds at the reported iterates.  Raises NonConvergenceError with the
-    partial report attached when an iterate is not finite, or when the
-    iteration cap is hit above tolerance.
+    holds at the reported iterates.  Returns (Y, Z, g, window report).
+    Raises NonConvergenceError with the partial report attached when an
+    iterate is not finite, or when ``config.n_max`` iterations end above
+    tolerance.
     """
     k_lo, k_hi = window
     n = k_hi - k_lo
@@ -320,18 +318,18 @@ def picard_solve_interval(problem: BSEIProblem, index: int, window: tuple,
         raise ValueError("window longer than the schedule permits")
     p = problem.exponent
     times = bm.grid.nodes[k_lo:k_hi + 1]
-    regs = _window_regressions(bm, k_lo, n, basis_degree)
+    regs = _window_regressions(bm, k_lo, n, config.basis_degree)
     y = np.zeros((n + 1, bm.n_paths, problem.dim))
     z, g = np.zeros_like(y), np.zeros_like(y)
-    report = WindowReport(index=index, k_lo=k_lo, k_hi=k_hi, iterations=[],
-                          converged=False)
     # ridge fallback depends on the design alone, so count it per window
-    ridge_total = sum(int(b.ridge_used) + int(k.ridge_used) for b, k in regs)
+    report = WindowReport(
+        index=index, k_lo=k_lo, k_hi=k_hi, iterations=[], converged=False,
+        ridge_events=sum(int(b.ridge_used) + int(k.ridge_used) for b, k in regs))
     prev_sum = None
-    for it in range(1, schedule.n_max + 1):
+    for it in range(1, config.n_max + 1):
         g_new = select_generator(g, y, z, times, problem.gspec)
         y_new, z_new = solve_linear_bsee(g_new, terminal_values, k_lo, s_dt, bm,
-                                         basis_degree, regressions=regs)
+                                         config.basis_degree, regressions=regs)
         dy, dz, dg = (_lp_l2(y_new, y, dt, p), _lp_l2(z_new, z, dt, p),
                       _lp_l2(g_new, g, dt, p))
         ratio = (dy + dz) / prev_sum if (it >= 2 and prev_sum) else None
@@ -342,15 +340,15 @@ def picard_solve_interval(problem: BSEIProblem, index: int, window: tuple,
                                       "non-finite iterate", report=report)
         y, z, g = y_new, z_new, g_new
         prev_sum = dy + dz
-        if it >= schedule.min_iter and dy + dz <= schedule.tol:
+        if it >= config.min_iter and dy + dz <= config.tol:
             report.converged = True
             break
     if not report.converged:
         raise NonConvergenceError(
-            f"window [{k_lo}, {k_hi}] still above tol after {schedule.n_max} "
+            f"window [{k_lo}, {k_hi}] still above tol after {config.n_max} "
             f"iterations (last dY+dZ = {prev_sum:.3e})", report=report)
     final_g = select_generator(g, y, z, times, problem.gspec)
-    return y, z, final_g, report, ridge_total
+    return y, z, final_g, report
 
 
 def _full_grid_bytes(n_steps: int, n_paths: int, dim: int) -> int:
@@ -394,7 +392,7 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     window the computed Y at its right endpoint.  Returns the concatenated
     Solution, which carries the Brownian ensemble and S(dt) of the run,
     and a SolveReport carrying per-window iteration diagnostics
-    and the one residual pass of the run (without the Z cross-check).
+    and the one residual pass of the run.
     """
     t0 = time.perf_counter()
     a = problem.generator
@@ -406,9 +404,7 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
         raise ScheduleError(f"no semigroup probe on [0, {horizon}]: {exc}",
                             field="problem.generator" if step > 0.0
                             else "problem.horizon") from exc
-    schedule = compute_schedule(problem, probe, c_pe=config.c_pe,
-                                n_max=config.n_max, tol=config.tol,
-                                min_iter=config.min_iter)
+    schedule = compute_schedule(problem, probe, config.c_pe)
     n_win = schedule.n_windows
     n_total = n_win * config.steps_per_window
     _check_memory(n_total, config.n_paths, problem.dim)
@@ -417,27 +413,22 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     # on a uniform grid every S(t_j - t_k) is a power of this one matrix
     s_dt = matrix_exponential(grid.dt * a)
 
-    m, d = config.n_paths, problem.dim
-    y = np.zeros((n_total + 1, m, d))
+    y = np.zeros((n_total + 1, config.n_paths, problem.dim))
     z = np.zeros_like(y)
     g = np.zeros_like(y)
-    windows = []
-    report = SolveReport(schedule=schedule, windows=windows, seed=config.seed,
-                         n_paths=m, n_steps_total=n_total,
-                         basis_degree=config.basis_degree)
+    report = SolveReport(schedule=schedule, windows=[], config=config,
+                         n_steps_total=n_total)
     terminal = problem.terminal.sample(bm)
     for w in range(n_win - 1, -1, -1):
         k_lo, k_hi = w * config.steps_per_window, (w + 1) * config.steps_per_window
         try:
-            y_loc, z_loc, g_loc, wrep, ridge = picard_solve_interval(
-                problem, w, (k_lo, k_hi), terminal, schedule, s_dt, bm,
-                config.basis_degree)
+            y_loc, z_loc, g_loc, wrep = picard_solve_interval(
+                problem, w, (k_lo, k_hi), terminal, schedule, s_dt, bm, config)
         except NonConvergenceError as exc:
-            windows.insert(0, exc.report)
+            report.windows.insert(0, exc.report)
             report.runtime_seconds = time.perf_counter() - t0
             raise NonConvergenceError(str(exc), report=report) from exc
-        windows.insert(0, wrep)
-        report.ridge_events += ridge
+        report.windows.insert(0, wrep)
         stop = k_hi + 1 if w == n_win - 1 else k_hi
         y[k_lo:stop] = y_loc[:stop - k_lo]
         z[k_lo:stop] = z_loc[:stop - k_lo]
@@ -453,18 +444,10 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
 
 
 @dataclass
-class ZCheckEntry:
-    node: int
-    discrepancy: float
-    z_norm: float
-
-
-@dataclass
 class ResidualReport:
     inclusion_max: float
     equation: np.ndarray  # (N + 1,) per-node sample norms
     y_modulus: float = 0.0  # max one-step increment of Y in sample L^p
-    z_checks: list | None = None
 
     @property
     def equation_max(self) -> float:
@@ -480,8 +463,7 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     Y[k] + sum_j dt S(t_j - t_k) g[j] + sum_j S(t_j - t_k) Z[j] dW_j
     - S(T - t_k) xi, both node by node in one backward pass.  The discrete
     modulus of continuity of Y comes along for free; on a grid that is the
-    strongest statement available about time continuity.  The Z
-    cross-check is ``z_crosscheck``.
+    strongest statement available about time continuity.
     """
     grid = sol.y.grid
     n = grid.n_steps
@@ -517,23 +499,11 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
                           equation=equation, y_modulus=y_modulus)
 
 
-def z_crosscheck(sol: Solution, basis_degree: int, n_nodes: int) -> list:
-    """Solver Z against the explicit rebuild on up to ``n_nodes`` evenly
-    spaced nodes, as RMS discrepancy and RMS size of Z per node."""
-    n = sol.y.grid.n_steps
-    if n_nodes <= 0:
-        return []
-    nodes = sorted(set(np.linspace(0, n - 1, min(n_nodes, n)).astype(int)))
-    rebuilt = _rebuild_z(sol, basis_degree, nodes)
-
-    def rms(v):
-        return float(np.sqrt(np.mean(np.sum(v**2, axis=1))))
-    return [ZCheckEntry(node=int(u), discrepancy=rms(rebuilt[u] - sol.z.values[u]),
-                        z_norm=rms(sol.z.values[u])) for u in nodes]
-
-
 def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:
     """Explicit Z at the requested nodes from the representation kernels.
+
+    No run calls it: it is the tests' reference for an explicit Z, and the
+    benchmark tracer (perfbench/tracer.py) binds it by name.
 
     Z_u = S(T - t_u) Psi_u - sum_{s > u} dt S(t_s - t_u) tau[s][u], where Psi
     represents the terminal data xi = Y[n] and tau the generator selection;

@@ -143,6 +143,40 @@ def test_gamma_norm_invalid_operator(tmp_path):
     assert main(["gamma-norm", str(path)]) == 2
 
 
+_UNIT_TERM = {"h": [1.0], "e": [1.0]}
+
+
+@pytest.mark.parametrize("op, field", [
+    ({"window": [0.0, 1.0], "terms": []}, "terms"),
+    ({"window": [0.0, 1.0], "terms": [{"h": [], "e": [1.0]}]}, "terms"),
+    ({"window": [0.0, 1.0], "terms": [{"h": [1.0], "e": []}]}, "terms"),
+    ({"window": [0.0, 1.0], "terms": [{"h": [1.0]}]}, "terms"),
+    ({"window": [0.0, 1.0], "terms": [_UNIT_TERM, {"h": [1.0, 2.0], "e": [1.0]}]},
+     "terms"),
+    # the term's norm overflows: it used to be dropped as dependent (exact 0)
+    ({"window": [0.0, 1.0], "terms": [{"h": [1e200, 1e200], "e": [1e200]}]}, "terms"),
+    ({"window": [0.0, 1.0], "terms": [{"h": [1e150, 1e150], "e": [1e200]}]}, "terms"),
+    # a finite term norm of 1e163 whose square, and so the result, overflows
+    ({"window": [0.0, 1.0], "terms": [{"h": [1e153, 1e153], "e": [1e10]}]}, "terms"),
+    ({"window": [1.0, 0.0], "terms": [_UNIT_TERM]}, "window"),
+    ({"window": [0.0], "terms": [_UNIT_TERM]}, "window"),
+    ({"window": [0.0, 1.0], "terms": [_UNIT_TERM], "n_gauss": 10_000_001}, "n_gauss"),
+    ({"window": [0.0, 1.0], "terms": [_UNIT_TERM], "seed": -1}, "seed"),
+])
+def test_gamma_norm_rejects_hostile_operators(tmp_path, capsys, op, field):
+    import warnings
+
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gamma-norm", str(path)]) == 2
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
+    assert out.out == "" and len(err) == 1
+    assert err[0].startswith(f"config error [{field}]"), err[0]
+
+
 def test_ball_demo_config_contracts(tmp_path, monkeypatch):
     # the shipped ball demo: exit 0 and every reported ratio at most 0.6
     import shutil
@@ -171,8 +205,7 @@ def test_console_entry_point(tmp_path):
 
 def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
     # one Brownian ensemble, one semigroup cache (the schedule probe; the
-    # solve reads S(dt) alone) and one residual pass per run; the Z
-    # cross-check reuses them
+    # solve reads S(dt) alone) and one residual pass per run
     import collections
 
     import bsei.paths
@@ -198,7 +231,7 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
     assert main(["solve", path]) == 0
     assert counts == {"draw": 1, "build": 1, "verify": 1}
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["z_check"] and report["y_continuity_modulus"] > 0.0
+    assert report["y_continuity_modulus"] > 0.0
 
 
 def test_solve_builds_only_the_solution_ensembles(tmp_path, monkeypatch):
@@ -367,6 +400,35 @@ def test_solve_rejects_non_string_fields(tmp_path, monkeypatch, capsys, field, v
     named = "problem.g" if (field, value) == ("problem.g.shape", "") else field
     assert len(err) == 1 and err[0].startswith(f"config error [{named}]")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("outputs, named", [
+    ({"report_path": "missing/report.json"}, "outputs.report_path"),
+    ({"convergence_csv_path": "missing/conv.csv"}, "outputs.convergence_csv_path"),
+    ({"report_path": "."}, "outputs.report_path"),
+    ({"convergence_csv_path": "out"}, "outputs.convergence_csv_path"),
+    ({"report_path": "nul\0.json"}, "outputs.report_path"),
+    # a directory where the plot CSV goes is found only when writing
+    ({"report_path": "out/report.json", "emit_plot_data": True}, "outputs"),
+])
+def test_solve_output_paths_fail_in_one_line(tmp_path, monkeypatch, capsys,
+                                             outputs, named):
+    # a bad path is refused before the solve and nothing is written; a
+    # write that fails anyway exits 2 with one line, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / "report.json.plot.csv").mkdir(parents=True)
+    cfg = demo_config(tmp_path, **{"numerics.paths": 100})
+    cfg["outputs"] = {"report_path": "report.json",
+                      "convergence_csv_path": "conv.csv",
+                      "emit_plot_data": False, **outputs}
+    write(tmp_path, cfg)
+    assert main(["solve", "config.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error [{named}]"), err
+    late = outputs.get("emit_plot_data", False)
+    assert ("cannot write" in err[0]) == late
+    written = ["config.json", "conv.csv", "out"] if late else ["config.json", "out"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1, None, False, True])

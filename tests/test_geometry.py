@@ -260,14 +260,19 @@ def test_polytope_projection_kkt_and_idempotent(case):
         assert np.linalg.norm(project(x, poly) - x) <= 1e-14 * scale
 
 
-# far enough that a sum of squared coordinates overflows
-far = st.one_of(st.floats(1e200, 1e307), st.floats(-1e307, -1e200))
+# far enough that a sum of squared coordinates overflows, or small enough
+# that it underflows
+far = st.one_of(st.floats(1e200, 1e307), st.floats(-1e307, -1e200),
+                st.floats(1e-300, 1e-160), st.floats(-1e-160, -1e-300))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
     convex_sets(d), st.lists(st.lists(st.one_of(finite, far), min_size=d,
                                       max_size=d), min_size=1, max_size=5))))
+# tiny offsets from the set, whose sums of squares underflow
+@example((Ball([0.0, 0.0], 1e-171), [[1e-170, 1e-170], [1.0, -2e-300], [0.0, 0.0]]))
+@example((Singleton([0.0, 0.0]), [[1e-200, 0.0], [-3e-300, 1e-160]]))
 def test_stacked_calls_match_per_point_calls_bitwise(case):
     cset, pts = case
     pts = np.array(pts)
@@ -279,25 +284,36 @@ def test_stacked_calls_match_per_point_calls_bitwise(case):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("magnitude", [1e200, 1e250, 1e300, 1e307])
+@pytest.mark.parametrize("magnitude", [1e-300, 1e-250, 1e-200, 1e-170, 1e-160,
+                                       1e200, 1e250, 1e300, 1e307])
 def test_far_points_project_and_measure_without_overflow(d, magnitude):
-    # squared coordinates overflow from about 1.3e154 on; the nearest points
-    # and distances stay those of the scaled-down problem, with no warning
+    # squared coordinates overflow from about 1.3e154 on and underflow below
+    # about 1.5e-154; the nearest points and distances stay those of the
+    # rescaled problem, with no warning.  Tiny points meet sets of their own
+    # scale at the origin: an O(1) translate would absorb them
     import warnings
     x = magnitude * np.array([-1.0, 1.0, 0.5])[:d]
     unit = x / magnitude
     length = magnitude * np.linalg.norm(unit)
-    center = np.array([0.5, -0.25, 0.0])[:d]
-    box = np.array(np.meshgrid(*[[0.0, 1.0]] * d)).reshape(d, -1).T
-    cases = [
-        (Singleton(center), center, length),
-        (Ball(center, 0.2), center + 0.2 * unit / np.linalg.norm(unit), length),
-        (Polytope(box), np.clip(x, 0.0, 1.0), length),
-    ]
+    if magnitude > 1.0:
+        center = np.array([0.5, -0.25, 0.0])[:d]
+        box = np.array(np.meshgrid(*[[0.0, 1.0]] * d)).reshape(d, -1).T
+        cases = [
+            (Singleton(center), center, length),
+            (Ball(center, 0.2), center + 0.2 * unit / np.linalg.norm(unit), length),
+            (Polytope(box), np.clip(x, 0.0, 1.0), length),
+        ]
+    else:
+        r = 0.2 * magnitude
+        cases = [
+            (Singleton(np.zeros(d)), np.zeros(d), length),
+            (Ball(np.zeros(d), r), r * unit / np.linalg.norm(unit), length - r),
+        ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for cset, nearest, dist in cases:
-            assert np.allclose(project(x, cset), nearest, rtol=1e-12, atol=1e-15)
+            assert np.allclose(project(x, cset), nearest, rtol=1e-12,
+                               atol=1e-15 * min(1.0, magnitude))
             assert distance_to(x, cset) == pytest.approx(dist, rel=1e-12)
             assert distance_to(x[None], cset)[0] == distance_to(x, cset)
 

@@ -20,7 +20,6 @@ from bsei.solver import (
     solve,
     solve_linear_bsee,
     verify_solution,
-    z_crosscheck,
 )
 
 
@@ -33,7 +32,7 @@ def singleton_spec(dim, a_y=0.0, a_z=0.0, k=None):
 # ----------------------------------------------------------------- schedule
 
 def test_schedule_degenerate_zero_lipschitz():
-    s = schedule_from_constants(0.0, 1.0, 2.0)
+    s = schedule_from_constants(0.0, 1.0, 2.0, 1.0)
     assert s.beta == 0.0
     assert s.delta == 0.5  # T/4
     assert s.n_windows == 4
@@ -77,9 +76,9 @@ def test_schedule_margin_property(lipschitz, gamma_s, horizon, c_pe):
 def test_schedule_rejects_constants_without_a_finite_window():
     from bsei.errors import ScheduleError
     with pytest.raises(ScheduleError):
-        schedule_from_constants(1.0, math.inf, 1.0)  # beta = inf
+        schedule_from_constants(1.0, math.inf, 1.0, 1.0)  # beta = inf
     with pytest.raises(ScheduleError):
-        schedule_from_constants(1e200, 1.0, 1.0)  # beta^2 overflows: delta = 0
+        schedule_from_constants(1e200, 1.0, 1.0, 1.0)  # beta^2 overflows: delta = 0
 
 
 def test_compute_schedule_uses_semigroup_bound():
@@ -88,7 +87,7 @@ def test_compute_schedule_uses_semigroup_bound():
     prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=2, generator=a,
                        terminal=TerminalSpec("constant", [1.0, 0.0]),
                        gspec=singleton_spec(2, a_y=1.0))
-    s = compute_schedule(prob, cache)
+    s = compute_schedule(prob, cache, 1.0)
     assert s.gamma_s == pytest.approx(np.exp(0.5), rel=1e-9)
 
 
@@ -245,9 +244,10 @@ def test_picard_singleton_constant_two_iterations():
                                            c0=np.array([0.0])))
     cache = SemigroupCache.build(np.zeros((d, d)), 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
-    sched = compute_schedule(prob, cache)
-    y, z, g, rep, _ = picard_solve_interval(prob, 3, (12, 16), np.full((500, 1), 2.0),
-                                            sched, cache.power(1), bm, 1)
+    sched = compute_schedule(prob, cache, 1.0)
+    y, z, g, rep = picard_solve_interval(prob, 3, (12, 16), np.full((500, 1), 2.0),
+                                         sched, cache.power(1), bm,
+                                         SolverConfig(basis_degree=1))
     assert rep.converged
     assert len(rep.iterations) == 2
     assert rep.iterations[1].dy + rep.iterations[1].dz <= 1e-12
@@ -257,10 +257,11 @@ def test_picard_nonconvergence_carries_report():
     prob = _ball_problem()
     cache = SemigroupCache.build(prob.generator, 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 600, seed=10)
-    sched = compute_schedule(prob, cache, tol=1e-16, n_max=3)
+    sched = compute_schedule(prob, cache, 1.0)
     with pytest.raises(NonConvergenceError) as exc:
         picard_solve_interval(prob, 3, (12, 16), np.ones((600, 2)), sched,
-                              cache.power(1), bm, 1)
+                              cache.power(1), bm,
+                              SolverConfig(basis_degree=1, tol=1e-16, n_max=3))
     assert exc.value.report is not None
     assert len(exc.value.report.iterations) == 3
 
@@ -269,11 +270,11 @@ def test_window_length_guard():
     prob = _ball_problem()
     cache = SemigroupCache.build(prob.generator, 1.0 / 8, 8)
     bm = simulate_brownian(TimeGrid(1.0, 8), 600, seed=11)
-    sched = compute_schedule(prob, cache)
+    sched = compute_schedule(prob, cache, 1.0)
     assert sched.delta < 0.75
     with pytest.raises(ValueError):
         picard_solve_interval(prob, 0, (0, 8), np.ones((600, 2)), sched,
-                              cache.power(1), bm, 1)
+                              cache.power(1), bm, SolverConfig(basis_degree=1))
 
 
 # ------------------------------------------------------------------ solve
@@ -291,9 +292,9 @@ def test_solve_single_window_matches_interval_call():
     s_dt = matrix_exponential(grid.dt * prob.generator)
     # replay the last window by hand: bitwise identical
     k_lo = (n_win - 1) * 8
-    y, z, g, _, _ = picard_solve_interval(
+    y, z, g, _ = picard_solve_interval(
         prob, n_win - 1, (k_lo, grid.n_steps), prob.terminal.sample(bm), rep.schedule,
-        s_dt, bm, cfg.basis_degree)
+        s_dt, bm, cfg)
     assert np.array_equal(sol.y.values[k_lo:-1], y[:-1])
     assert np.array_equal(sol.y.values[-1], y[-1])
     assert np.array_equal(sol.g.values[k_lo:-1], g[:-1])
@@ -363,7 +364,7 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
         y = np.zeros((n + 1, 400, 1))
         z = np.zeros_like(y)
         g = np.zeros_like(y)
-        for it in range(1, sched.n_max + 1):
+        for it in range(1, cfg.n_max + 1):
             g_new = a * y  # direct evaluation of the singleton center map
             y_new, z_new = solve_linear_bsee(g_new, terminal, k_lo, s_dt, bm,
                                              cfg.basis_degree)
@@ -372,7 +373,7 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
             dz = np.sqrt(np.mean(grid.dt * np.sum((z_new - z)[:-1] ** 2,
                                                   axis=(0, 2))))
             y, z, g = y_new, z_new, g_new
-            if it >= 2 and dy + dz <= sched.tol:
+            if it >= 2 and dy + dz <= cfg.tol:
                 break
         g = a * y  # trailing selection
         stop = k_hi + 1 if w == sched.n_windows - 1 else k_hi
@@ -393,11 +394,9 @@ def test_verify_residuals_and_corruption_detector():
     sol, rep = solve(prob, cfg)
     grid = sol.y.grid
     res = verify_solution(sol, prob)
-    res.z_checks = z_crosscheck(sol, cfg.basis_degree, 10)
     assert res.inclusion_max <= 1e-8
     assert res.equation[-1] == 0.0  # exact at the terminal node
     assert res.equation_max <= 0.1
-    assert len(res.z_checks) == 10
 
     doubled = Solution(y=sol.y,
                        z=ProcessEnsemble(grid, 2.0 * sol.z.values), g=sol.g,
@@ -505,6 +504,24 @@ def test_solve_counts_ridge_fallbacks_of_window_designs(monkeypatch):
     assert rep.ridge_events == 2 * rep.n_steps_total
 
 
+def test_partial_report_counts_the_failing_windows_ridge_fallbacks(monkeypatch):
+    # the count sits on each window report, so the window that fails (here
+    # the last one, which is solved first) brings its fallbacks along
+    import bsei.paths
+    design = bsei.paths._monomial_design
+
+    def duplicated_last_column(features, degree):
+        x = design(features, degree)
+        return np.column_stack([x, x[:, -1]])
+    monkeypatch.setattr(bsei.paths, "_monomial_design", duplicated_last_column)
+    cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=25, tol=1e-16, n_max=2)
+    with pytest.raises(NonConvergenceError) as exc:
+        solve(_ball_problem(), cfg)
+    rep = exc.value.report
+    assert len(rep.windows) == 1 and not rep.converged
+    assert rep.ridge_events == 2 * cfg.steps_per_window
+
+
 def _stacked_inclusion_residual(sol, problem):
     """The inclusion residual over the whole (N + 1, M, d) stack at once:
     the reference for the node-by-node form."""
@@ -553,7 +570,13 @@ def test_verify_reports_continuity_modulus():
     assert 0.0 < res.y_modulus <= 10.0 * np.sqrt(grid.dt)
 
 
+def _rms(v):
+    """RMS over paths of the Euclidean length of an (M, d) array."""
+    return float(np.sqrt(np.mean(np.sum(v**2, axis=1))))
+
+
 def test_verify_z_crosscheck_trivial_case():
+    from bsei.solver import _rebuild_z
     # no generator, martingale terminal: the rebuilt Z must match the solver's
     prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=1,
                        generator=np.zeros((1, 1)),
@@ -562,16 +585,16 @@ def test_verify_z_crosscheck_trivial_case():
     cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
     sol, _ = solve(prob, cfg)
     grid = sol.y.grid
-    res = verify_solution(sol, prob)
-    res.z_checks = z_crosscheck(sol, cfg.basis_degree, grid.n_steps)
+    rebuilt = _rebuild_z(sol, cfg.basis_degree, range(grid.n_steps))
     # per-node estimator noise ~ sqrt(6 p_basis / M); three of those
     bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
-    for zc in res.z_checks:
-        assert zc.discrepancy <= bound
-        assert abs(zc.z_norm - 1.0) <= 0.05
+    for u, z_u in rebuilt.items():
+        assert _rms(z_u - sol.z.values[u]) <= bound
+        assert abs(_rms(sol.z.values[u]) - 1.0) <= 0.05
 
 
 def test_verify_z_crosscheck_with_generator():
+    from bsei.solver import _rebuild_z
     # g = 0.5 Y is nonzero, so the rebuilt Z must carry the generator with the
     # scheme's sign, Y[k] = E[S Y[k+1] | F_k] - dt g[k], to match the solver's
     prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=1,
@@ -581,12 +604,11 @@ def test_verify_z_crosscheck_with_generator():
     cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
     sol, _ = solve(prob, cfg)
     grid = sol.y.grid
-    res = verify_solution(sol, prob)
-    res.z_checks = z_crosscheck(sol, cfg.basis_degree, grid.n_steps)
+    rebuilt = _rebuild_z(sol, cfg.basis_degree, range(grid.n_steps))
     bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
-    assert len(res.z_checks) == grid.n_steps
-    for zc in res.z_checks:
-        assert zc.discrepancy <= bound
+    assert len(rebuilt) == grid.n_steps
+    for u, z_u in rebuilt.items():
+        assert _rms(z_u - sol.z.values[u]) <= bound
 
 
 def _rebuild_z_per_source(sol, generator, basis_degree, nodes):
@@ -634,7 +656,7 @@ def test_rebuild_z_one_sweep_matches_per_source_chains():
 
 def test_z_crosscheck_fits_at_most_once_per_step(monkeypatch):
     from bsei.paths import PolynomialRegression
-    from bsei.solver import z_crosscheck
+    from bsei.solver import _rebuild_z
     sol, _ = solve(_ball_problem(), SolverConfig(steps_per_window=10,
                                                  n_paths=1_000, seed=24))
     n = sol.y.grid.n_steps
@@ -645,6 +667,6 @@ def test_z_crosscheck_fits_at_most_once_per_step(monkeypatch):
         calls.append(1)
         return fit(self, targets)
     monkeypatch.setattr(PolynomialRegression, "fit", counted)
-    checks = z_crosscheck(sol, 2, n)
-    assert len(checks) == n
+    rebuilt = _rebuild_z(sol, 2, range(n))
+    assert len(rebuilt) == n
     assert 0 < len(calls) <= n
