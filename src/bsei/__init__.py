@@ -58,6 +58,7 @@ from .paths import (
     martingale_representation,
     regress,
     simulate_brownian,
+    step_designs,
 )
 from .semigroup import SemigroupCache, apply, gamma_bound, matrix_exponential
 from .solver import (

@@ -114,22 +114,31 @@ def _output_path(v):
 
 
 _seed = _number(0, 2**64 - 1, integer=True)  # the Philox key width
+_real = _number()
+
+
+def _array(v, depth: int) -> np.ndarray:
+    """JSON lists nested ``depth`` deep as a float array, each entry held to
+    the rule of ``_number``: numpy alone would read "1" and true as numbers."""
+    if depth == 0:
+        return _real(v)
+    if not isinstance(v, list):
+        raise ValueError(f"need a list nested {depth} deep")
+    return np.array([_array(x, depth - 1) for x in v], dtype=float)  # ragged: raises
 
 
 def _matrix(dim):
     def check(v):
-        m = np.asarray(v, dtype=float)
-        if m.shape != (dim, dim) or not np.all(np.isfinite(m)):
-            raise ValueError(f"need a finite {dim}x{dim} matrix")
+        m = _array(v, 2)
+        if m.shape != (dim, dim):
+            raise ValueError(f"need a {dim}x{dim} matrix")
         return m
     return check
 
 
 def _vector(dim=None):
     def check(v):
-        a = np.asarray(v, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)):
-            raise ValueError("need a finite vector")
+        a = _array(v, 1)
         if dim is not None and a.size != dim:
             raise ValueError(f"need length {dim}")
         return a
@@ -176,7 +185,7 @@ def load_config(path: str):
     a_z = gsch.take("a_z", _matrix(dim))
     lip = gsch.take("lipschitz_k", _number(lo=0))
     optional = gsch.take_present({"c0": _vector(dim), "radius": _number(lo=0),
-                                  "offsets": lambda v: np.asarray(v, dtype=float)})
+                                  "offsets": lambda v: _array(v, 2)})
     gsch.finish()
     gspec = _build("problem.g", SetValuedSpec, dim=dim, shape=shape, a_y=a_y,
                    a_z=a_z, lipschitz_k=lip, **optional)
@@ -252,9 +261,9 @@ def _summary(report) -> dict:
 
 
 def _write_plot_csv(path: str, sol, residuals) -> None:
-    nodes = sol.y.grid.nodes
-    y_mean = sol.y.values.mean(axis=1)
-    z_mean = sol.z.values.mean(axis=1)
+    nodes = sol.grid.nodes
+    y_mean = sol.y.mean(axis=1)
+    z_mean = sol.z.mean(axis=1)
     d = y_mean.shape[1]
     header = (["t"] + [f"y_mean_{i}" for i in range(d)]
               + [f"z_mean_{i}" for i in range(d)] + ["equation_residual"])

@@ -9,7 +9,7 @@ Cauchy-Schwarz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,10 +103,18 @@ def gamma_norm(op: FiniteRankOperator, n_gauss: int, seed: int) -> GammaNormEsti
     Estimated with ``n_gauss`` independent standard Gaussian draws per
     orthonormalized term, and cross-checked against the Euclidean closed
     form (sum_i ||e~_i||^2)^{1/2}.
+
+    The work runs in units of the powers of two 2^a and 2^b nearest above
+    the largest |entry| of h and of e, so that squares of tiny or huge
+    entries stay in range; the norms scale by 2^(a + b), restored with
+    ldexp.  Powers of two scale exactly: wherever the unscaled arithmetic
+    neither underflows nor overflows, the results are bitwise the same.
     """
     if n_gauss < 1:
         raise ValueError("n_gauss must be >= 1")
-    e_tilde, dropped = _orthonormalize(op)
+    a, b = (int(np.frexp(np.abs(x).max())[1]) for x in (op.h, op.e))
+    scaled = replace(op, h=np.ldexp(op.h, -a), e=np.ldexp(op.e, -b))
+    e_tilde, dropped = _orthonormalize(scaled)
     exact = float(np.sqrt(np.sum(e_tilde**2)))
     if e_tilde.shape[0] == 0:
         return GammaNormEstimate(0.0, 0.0, 0.0, dropped)
@@ -117,7 +125,8 @@ def gamma_norm(op: FiniteRankOperator, n_gauss: int, seed: int) -> GammaNormEsti
     mc = float(np.sqrt(mean_sq))
     se_mean = float(norms_sq.std(ddof=1) / np.sqrt(n_gauss)) if n_gauss > 1 else 0.0
     se = se_mean / (2.0 * mc) if mc > 0.0 else se_mean
-    return GammaNormEstimate(mc, exact, se, dropped)
+    return GammaNormEstimate(*(float(np.ldexp(x, a + b)) for x in (mc, exact, se)),
+                             dropped)
 
 
 def kw_integral(f_samples, grid: TimeGrid, s: float, t: float) -> np.ndarray:

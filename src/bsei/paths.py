@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# numpy loads numpy.random lazily; every solve draws, so load it with the package
+from numpy.random import Generator, Philox
 
 from .errors import AdaptednessError
 
@@ -59,7 +61,7 @@ class TimeGrid:
 
 def _philox_normals(seed: int, step: int, n: int) -> np.ndarray:
     key = np.array([seed % (1 << 64), step], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    return Generator(Philox(key=key)).standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -324,13 +326,12 @@ class KernelRegression(_FactoredDesign):
     regressing target * dW / dt directly.
     """
 
-    def __init__(self, base: PolynomialRegression, dw: np.ndarray, dt: float):
+    def __init__(self, base: PolynomialRegression, dw: np.ndarray):
         b = base.design
         if dw.shape != (b.shape[0],):
             raise ValueError("increment vector must have one entry per path")
         self._basis = b
         self._p = b.shape[1]
-        self._dt = dt
         self._factor(np.hstack([b, b * dw[:, None]]))
 
     def kernel(self, targets) -> np.ndarray:
@@ -339,6 +340,17 @@ class KernelRegression(_FactoredDesign):
         coef = self._coefficients(y)
         out = self._basis @ coef[self._p:]
         return out[:, 0] if squeeze else out
+
+
+def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
+                 degree: int) -> list:
+    """Per step k_lo, ..., k_lo + n_steps - 1: the factored basis projection
+    on the Brownian value W[k] and its kernel variant on the increment dW[k]."""
+    out = []
+    for k in range(k_lo, k_lo + n_steps):
+        base = PolynomialRegression(bm.levels[k], degree)
+        out.append((base, KernelRegression(base, bm.increments[k])))
+    return out
 
 
 def regress(targets, state_features, basis_degree: int) -> RegressionFit:
@@ -396,9 +408,7 @@ def martingale_representation(g: ProcessEnsemble, bm: BrownianEnsemble,
     if g.grid != bm.grid or g.n_paths != bm.n_paths:
         raise ValueError("process and Brownian ensemble live on different grids")
     n, m, d = g.values.shape
-    dt = g.grid.dt
-    regs = [PolynomialRegression(bm.levels[k], basis_degree) for k in range(n - 1)]
-    kerns = [KernelRegression(regs[k], bm.increments[k], dt) for k in range(n - 1)]
+    designs = step_designs(bm, 0, n - 1, basis_degree)
     mean_part = g.values.mean(axis=1)
     taus = []
     residuals = np.empty(n)
@@ -407,8 +417,9 @@ def martingale_representation(g: ProcessEnsemble, bm: BrownianEnsemble,
         tau_u = np.empty((u, m, d))
         cond = gu
         for k in range(u - 1, -1, -1):
-            tau_u[k] = kerns[k].kernel(cond)
-            cond = regs[k].fit(cond).values
+            base, kern = designs[k]
+            tau_u[k] = kern.kernel(cond)
+            cond = base.fit(cond).values
         recon = np.tile(mean_part[u], (m, 1))
         for k in range(u):
             recon += tau_u[k] * bm.increments[k][:, None]

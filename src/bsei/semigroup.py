@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .paths import TimeGrid
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """exp(a): symmetric matrices by diagonalization, otherwise Pade 13
-    scaling-and-squaring (scipy's expm)."""
+    scaling-and-squaring (scipy's expm, imported here so that symmetric
+    generators never load scipy)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -27,6 +27,8 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     if np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max())):
         w, v = np.linalg.eigh(0.5 * (a + a.T))
         return (v * np.exp(w)) @ v.T
+    import scipy.linalg
+
     return scipy.linalg.expm(a)
 
 

@@ -25,11 +25,11 @@ from .paths import (
     BrownianEnsemble,
     KernelRegression,
     PolynomialRegression,
-    ProcessEnsemble,
     TimeGrid,
     _lp_l2,
     _sample_norm,
     simulate_brownian,
+    step_designs,
 )
 from .semigroup import SemigroupCache, gamma_bound, matrix_exponential
 
@@ -200,18 +200,21 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Solution:
-    """Adapted triple (Y, Z, g) on the full grid; Y at the last node is the
-    terminal data exactly, and g is the last projection onto the constraint
-    sets evaluated at the final (Y, Z).  It also carries the Brownian
-    ensemble the triple is adapted to and the one-step semigroup S(dt),
-    whose powers are every S(t_j - t_k) on the grid, so the checks read
-    them instead of rebuilding them."""
+    """Adapted triple (Y, Z, g) as (N + 1, M, d) arrays on the grid of
+    ``bm``, the Brownian ensemble it is adapted to; Y at the last node is
+    the terminal data exactly, and g is the last projection onto the
+    constraint sets evaluated at the final (Y, Z).  ``s_dt`` is S(dt), whose
+    powers are every S(t_j - t_k) on the grid, so the checks read it."""
 
-    y: ProcessEnsemble
-    z: ProcessEnsemble
-    g: ProcessEnsemble
+    y: np.ndarray
+    z: np.ndarray
+    g: np.ndarray
     bm: BrownianEnsemble
     s_dt: np.ndarray
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.bm.grid
 
 
 @dataclass(frozen=True)
@@ -248,24 +251,12 @@ def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
     return out
 
 
-def _window_regressions(bm: BrownianEnsemble, k_lo: int, n_steps: int,
-                        basis_degree: int) -> list:
-    """Per-step factored designs on the Brownian value: the basis projection
-    and its kernel variant."""
-    out = []
-    for k in range(n_steps):
-        base = PolynomialRegression(bm.levels[k_lo + k], basis_degree)
-        out.append((base, KernelRegression(base, bm.increments[k_lo + k],
-                                           bm.grid.dt)))
-    return out
-
-
-def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray, k_lo: int,
-                      s_dt: np.ndarray, bm: BrownianEnsemble,
-                      basis_degree: int, regressions: list | None = None):
+def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
+                      s_dt: np.ndarray, dt: float, designs: list):
     """One backward sweep of the linear equation with frozen source g, an
-    (n + 1, M, d) array on the grid nodes k_lo, ..., k_lo + n of ``bm``,
-    and the one-step semigroup ``s_dt`` = S(dt) of that grid.
+    (n + 1, M, d) array on n + 1 consecutive nodes of a grid of step ``dt``,
+    the one-step semigroup ``s_dt`` = S(dt) of that grid, and ``designs``,
+    the n per-step (basis, kernel) pairs of ``paths.step_designs``.
 
     Discretization: Y[k] = E[S(dt) Y[k+1] | F_k] - dt g[k] and
     Z[k] = (1/dt) E[S(dt) Y[k+1] dW_k | F_k], both evaluated by regression;
@@ -278,29 +269,27 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray, k_lo: int,
     by convention and carries no quadrature mass.
     """
     n = g.shape[0] - 1
-    dt = bm.grid.dt
     terminal = np.asarray(terminal_values, dtype=float)
     if terminal.shape != g.shape[1:]:
         raise ValueError("terminal values must be one vector per path")
-    if regressions is None:
-        regressions = _window_regressions(bm, k_lo, n, basis_degree)
     y = np.empty_like(g)
     z = np.zeros_like(g)
     y[n] = terminal
     for k in range(n - 1, -1, -1):
-        base, kern = regressions[k]
+        base, kern = designs[k]
         propagated = y[k + 1] @ s_dt.T
         z[k] = kern.kernel(propagated)
         y[k] = base.fit(propagated).values - dt * g[k]
     return y, z
 
 
-def picard_solve_interval(problem: BSEIProblem, index: int, window: tuple,
+def picard_solve_interval(problem: BSEIProblem, index: int,
                           terminal_values: np.ndarray, schedule: PicardSchedule,
                           s_dt: np.ndarray, bm: BrownianEnsemble,
                           config: SolverConfig):
     """Fixed-point iteration from the zero triple on window ``index``, the
-    grid nodes ``window`` = (k_lo, k_hi).
+    grid nodes k_lo = index * ``config.steps_per_window`` to
+    k_hi = k_lo + ``config.steps_per_window``.
 
     Alternates generator selection and the linear solve until the summed
     difference norm dY + dZ falls below ``config.tol`` (but never before
@@ -311,25 +300,26 @@ def picard_solve_interval(problem: BSEIProblem, index: int, window: tuple,
     iterate is not finite, or when ``config.n_max`` iterations end above
     tolerance.
     """
-    k_lo, k_hi = window
-    n = k_hi - k_lo
+    n = config.steps_per_window
+    k_lo, k_hi = index * n, (index + 1) * n
     dt = bm.grid.dt
     if n * dt > schedule.delta * (1.0 + 1e-9):
         raise ValueError("window longer than the schedule permits")
+    if not 0 <= k_lo < k_hi <= bm.grid.n_steps:
+        raise ValueError(f"window {index} leaves the grid of {bm.grid.n_steps} steps")
     p = problem.exponent
     times = bm.grid.nodes[k_lo:k_hi + 1]
-    regs = _window_regressions(bm, k_lo, n, config.basis_degree)
+    designs = step_designs(bm, k_lo, n, config.basis_degree)
     y = np.zeros((n + 1, bm.n_paths, problem.dim))
     z, g = np.zeros_like(y), np.zeros_like(y)
     # ridge fallback depends on the design alone, so count it per window
     report = WindowReport(
         index=index, k_lo=k_lo, k_hi=k_hi, iterations=[], converged=False,
-        ridge_events=sum(int(b.ridge_used) + int(k.ridge_used) for b, k in regs))
+        ridge_events=sum(int(b.ridge_used) + int(k.ridge_used) for b, k in designs))
     prev_sum = None
     for it in range(1, config.n_max + 1):
         g_new = select_generator(g, y, z, times, problem.gspec)
-        y_new, z_new = solve_linear_bsee(g_new, terminal_values, k_lo, s_dt, bm,
-                                         config.basis_degree, regressions=regs)
+        y_new, z_new = solve_linear_bsee(g_new, terminal_values, s_dt, dt, designs)
         dy, dz, dg = (_lp_l2(y_new, y, dt, p), _lp_l2(z_new, z, dt, p),
                       _lp_l2(g_new, g, dt, p))
         ratio = (dy + dz) / prev_sum if (it >= 2 and prev_sum) else None
@@ -420,24 +410,21 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
                          n_steps_total=n_total)
     terminal = problem.terminal.sample(bm)
     for w in range(n_win - 1, -1, -1):
-        k_lo, k_hi = w * config.steps_per_window, (w + 1) * config.steps_per_window
         try:
             y_loc, z_loc, g_loc, wrep = picard_solve_interval(
-                problem, w, (k_lo, k_hi), terminal, schedule, s_dt, bm, config)
+                problem, w, terminal, schedule, s_dt, bm, config)
         except NonConvergenceError as exc:
             report.windows.insert(0, exc.report)
             report.runtime_seconds = time.perf_counter() - t0
             raise NonConvergenceError(str(exc), report=report) from exc
         report.windows.insert(0, wrep)
-        stop = k_hi + 1 if w == n_win - 1 else k_hi
-        y[k_lo:stop] = y_loc[:stop - k_lo]
-        z[k_lo:stop] = z_loc[:stop - k_lo]
-        g[k_lo:stop] = g_loc[:stop - k_lo]
+        k_lo, k_hi = wrep.k_lo, wrep.k_hi
+        stop = k_hi + 1 if k_hi == n_total else k_hi
+        for full, part in ((y, y_loc), (z, z_loc), (g, g_loc)):
+            full[k_lo:stop] = part[:stop - k_lo]
         terminal = y_loc[0]
 
-    sol = Solution(
-        y=ProcessEnsemble(grid, y), z=ProcessEnsemble(grid, z),
-        g=ProcessEnsemble(grid, g), bm=bm, s_dt=s_dt)
+    sol = Solution(y=y, z=z, g=g, bm=bm, s_dt=s_dt)
     report.residuals = verify_solution(sol, problem)
     report.runtime_seconds = time.perf_counter() - t0
     return sol, report
@@ -465,13 +452,13 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     modulus of continuity of Y comes along for free; on a grid that is the
     strongest statement available about time continuity.
     """
-    grid = sol.y.grid
+    grid = sol.grid
     n = grid.n_steps
     dt = grid.dt
     nodes = grid.nodes
     p = problem.exponent
     s_dt, gspec = sol.s_dt, problem.gspec
-    y, z, g, dw = sol.y.values, sol.z.values, sol.g.values, sol.bm.increments
+    y, z, g, dw = sol.y, sol.z, sol.g, sol.bm.increments
 
     def inclusion_gap(k):
         gap = g[k] - select_generator(g[k], y[k], z[k], nodes[k], gspec)
@@ -515,17 +502,17 @@ def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:
     per node above the lowest requested one, and one kernel design per
     requested node.
     """
-    grid, bm, s_dt = sol.y.grid, sol.bm, sol.s_dt
+    grid, bm, s_dt = sol.grid, sol.bm, sol.s_dt
     n, dt = grid.n_steps, grid.dt
     wanted = set(int(u) for u in nodes)
     lowest = min(wanted, default=n)
     rebuilt = {}
-    r = sol.y.values[n]
+    r = sol.y[n]
     for k in range(n - 1, lowest - 1, -1):
         propagated = r @ s_dt.T
         reg = PolynomialRegression(bm.levels[k], basis_degree)
         if k in wanted:
-            rebuilt[k] = KernelRegression(reg, bm.increments[k], dt).kernel(propagated)
+            rebuilt[k] = KernelRegression(reg, bm.increments[k]).kernel(propagated)
         if k > lowest:
-            r = reg.fit(propagated).values - dt * sol.g.values[k]
+            r = reg.fit(propagated).values - dt * sol.g[k]
     return rebuilt

@@ -93,17 +93,17 @@ def test_criterion_01_contraction(ball_run):
 def test_criterion_02_linear_bsde_oracle(singleton_run):
     sol, report = singleton_run
     a = 0.5
-    nodes = sol.y.grid.nodes
+    nodes = sol.grid.nodes
     exact = np.exp(-a * (1.0 - nodes))  # closed-form backward solution, c = 1
-    rel = max(np.abs(sol.y.values[k] - exact[k]).max() / exact[k]
+    rel = max(np.abs(sol.y[k] - exact[k]).max() / exact[k]
               for k in range(len(nodes)))
     # halving the step must reduce the worst relative error as well
     prob = singleton_demo_problem()
     sol2, _ = solve(prob, SolverConfig(steps_per_window=100, n_paths=10_000,
                                        seed=2024))
-    nodes2 = sol2.y.grid.nodes
+    nodes2 = sol2.grid.nodes
     exact2 = np.exp(-a * (1.0 - nodes2))
-    rel2 = max(np.abs(sol2.y.values[k] - exact2[k]).max() / exact2[k]
+    rel2 = max(np.abs(sol2.y[k] - exact2[k]).max() / exact2[k]
                for k in range(len(nodes2)))
     ok = rel <= 0.05 and rel2 < rel
     _report(2, "singleton linear oracle: relative error <= 5% and shrinking",
@@ -118,15 +118,15 @@ def test_criterion_03_martingale_terminal_oracle():
                             a_z=np.zeros((1, 1)), lipschitz_k=0.0))
     cfg = SolverConfig(steps_per_window=13, n_paths=10_000, seed=5)
     sol, _ = solve(prob, cfg)
-    grid = sol.y.grid
+    grid = sol.grid
     n, m = grid.n_steps, cfg.n_paths
     w = simulate_brownian(grid, m, cfg.seed).levels
-    z_dev = max(np.sqrt(np.mean((sol.z.values[k][:, 0] - 1.0) ** 2))
+    z_dev = max(np.sqrt(np.mean((sol.z[k][:, 0] - 1.0) ** 2))
                 for k in range(1, n))
     y_ok = True
     worst_y = 0.0
     for k in range(n + 1):
-        dev = np.sqrt(np.mean((sol.y.values[k][:, 0] - w[k]) ** 2))
+        dev = np.sqrt(np.mean((sol.y[k][:, 0] - w[k]) ** 2))
         # accumulated regression noise: each step contributes sd sqrt(dt)
         # through a 3-function basis, independent across steps
         se = np.sqrt(3.0 * (1.0 - grid.nodes[k]) / m)
@@ -292,9 +292,9 @@ def test_criterion_11_degenerate_shape_equivalence():
                                         seed=77))[0]
 
     s1, s2 = run("singleton"), run("ball")
-    gap = max(np.abs(s1.y.values - s2.y.values).max(),
-              np.abs(s1.z.values - s2.z.values).max(),
-              np.abs(s1.g.values - s2.g.values).max())
+    gap = max(np.abs(s1.y - s2.y).max(),
+              np.abs(s1.z - s2.z).max(),
+              np.abs(s1.g - s2.g).max())
     _report(11, "radius-zero ball run equals singleton run", gap <= 1e-12,
             f"(gap={gap:.2e})")
 

@@ -156,12 +156,16 @@ _UNIT_TERM = {"h": [1.0], "e": [1.0]}
     # the term's norm overflows: it used to be dropped as dependent (exact 0)
     ({"window": [0.0, 1.0], "terms": [{"h": [1e200, 1e200], "e": [1e200]}]}, "terms"),
     ({"window": [0.0, 1.0], "terms": [{"h": [1e150, 1e150], "e": [1e200]}]}, "terms"),
-    # a finite term norm of 1e163 whose square, and so the result, overflows
-    ({"window": [0.0, 1.0], "terms": [{"h": [1e153, 1e153], "e": [1e10]}]}, "terms"),
+    # a JSON string or boolean is not a number, though numpy would read it so
+    ({"window": [0.0, 1.0], "terms": [{"h": ["1"], "e": [1.0]}]}, "terms"),
     ({"window": [1.0, 0.0], "terms": [_UNIT_TERM]}, "window"),
     ({"window": [0.0], "terms": [_UNIT_TERM]}, "window"),
     ({"window": [0.0, 1.0], "terms": [_UNIT_TERM], "n_gauss": 10_000_001}, "n_gauss"),
     ({"window": [0.0, 1.0], "terms": [_UNIT_TERM], "seed": -1}, "seed"),
+    ({"window": [0.0, 1.0], "terms": [{"h": [1.0], "e": [True]}]}, "terms"),
+    ({"window": [0.0, 1.0], "terms": [{"h": [False, 1.0], "e": ["2"]}]}, "terms"),
+    ({"window": [0.0, "1"], "terms": [_UNIT_TERM]}, "window"),
+    ({"window": [False, True], "terms": [_UNIT_TERM]}, "window"),
 ])
 def test_gamma_norm_rejects_hostile_operators(tmp_path, capsys, op, field):
     import warnings
@@ -175,6 +179,25 @@ def test_gamma_norm_rejects_hostile_operators(tmp_path, capsys, op, field):
     err = out.err.strip().splitlines()
     assert out.out == "" and len(err) == 1
     assert err[0].startswith(f"config error [{field}]"), err[0]
+
+
+@pytest.mark.parametrize("scale, entries", [
+    (1e163, {"h": [1e153, 1e153], "e": [1e10]}),  # its square overflows
+    (1e-200, {"h": [1e-200, 1e-200], "e": [1.0]}),  # its square underflows
+])
+def test_gamma_norm_keeps_tiny_and_huge_finite_norms(tmp_path, capsys, scale,
+                                                     entries):
+    import warnings
+
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"window": [0.0, 1.0], "terms": [entries]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gamma-norm", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["exact"] == pytest.approx(scale, rel=1e-12)
+    assert abs(out["monte_carlo"] - scale) <= 3.0 * out["standard_error"]
+    assert out["dropped_terms"] == 0
 
 
 def test_ball_demo_config_contracts(tmp_path, monkeypatch):
@@ -235,8 +258,8 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
 
 
 def test_solve_builds_only_the_solution_ensembles(tmp_path, monkeypatch):
-    # Picard windows run on plain arrays: the only process ensembles a run
-    # builds are the Y, Z and g of the Solution that solve returns
+    # the solve path runs on plain arrays: not even the Solution that solve
+    # returns holds a process ensemble
     from bsei.paths import ProcessEnsemble
 
     shapes = []
@@ -251,7 +274,7 @@ def test_solve_builds_only_the_solution_ensembles(tmp_path, monkeypatch):
     assert main(["solve", path]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert sum(report["iterations_per_window"]) > 3
-    assert shapes == [(report["steps_total"] + 1, 1000, 1)] * 3
+    assert shapes == []
 
 
 def ball_demo_config(tmp_path, **numerics):
@@ -320,6 +343,23 @@ def test_solve_overflowing_centres_exit_three(tmp_path):
     assert report["converged"] is False and report["iterations_per_window"] == [2]
     rows = (tmp_path / "conv.csv").read_text().splitlines()
     assert [r.split(",")[1] for r in rows[1:]] == ["1", "2"]
+
+
+def test_solve_overflowing_trailing_selection_exits_three(tmp_path, capsys):
+    # one iteration meets tol = 1e308, so the trailing selection of each
+    # window is the first to see centres a_y Y that overflow: g is not
+    # finite, and the residual gates say so in one line (was a traceback)
+    import warnings
+
+    cfg = ball_demo_config(tmp_path, paths=100, steps_per_window=4, tol=1e308,
+                           min_iter=1)
+    cfg["problem"]["terminal"] = {"kind": "constant", "coeff": [1e150, 1e150]}
+    cfg["problem"]["g"]["a_y"] = [[1e160, 0.0], [0.0, 1e160]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", write(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("residuals above threshold"), err
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,6 +480,31 @@ def test_solve_rejects_y_features(tmp_path, capsys, value):
     assert "numerics.y_features" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("problem.terminal.coeff", ["1", True]),
+    ("problem.terminal.coeff", [1.0, False]),
+    ("problem.generator", [["0", False], [False, "0"]]),
+    ("problem.g.a_y", [[0.5, 0.0], [0.0, True]]),
+    ("problem.g.c0", ["0.1", True]),
+    ("problem.g.offsets", [[0.0, 0.0], ["1", 0.0], [0.0, True]]),
+])
+def test_solve_rejects_strings_and_booleans_in_arrays(tmp_path, capsys, field, value):
+    # a JSON string or boolean in a config vector or matrix is not a number
+    cfg = ball_demo_config(tmp_path, paths=100)
+    if field == "problem.g.offsets":
+        cfg["problem"]["g"] = dict(cfg["problem"]["g"], shape="polytope")
+        del cfg["problem"]["g"]["radius"]
+    *parents, leaf = field.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error [{field}]"), err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_load_config_keeps_integers_exact(tmp_path):
     from bsei.cli import load_config
 
@@ -479,6 +544,22 @@ def test_solve_over_memory_budget_exits_two(tmp_path, capsys):
     assert "problem.generator" in err and "steps x 100 paths" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only where a non-symmetric generator needs expm
+    import os
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import bsei.cli, sys\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -595,11 +676,9 @@ def _mutated_value(draw, path, value):
         kinds.append("wrong_length")
     kind = draw(st.sampled_from(kinds))
     if kind == "wrong_type":
-        # a JSON true would read as 1.0 in the generator, and an object in
-        # place of an object would delete its keys
+        # an object in place of an object would delete its keys
         wrong = [w for w in _WRONG_TYPES
-                 if not (isinstance(w, bool) and field == "problem.generator")
-                 and not (isinstance(w, dict) and isinstance(value, dict))]
+                 if not (isinstance(w, dict) and isinstance(value, dict))]
         return draw(st.sampled_from(wrong))
     if kind == "wrong_length":
         return value[:-1] if draw(st.booleans()) else value + value[:1]

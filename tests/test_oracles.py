@@ -72,14 +72,14 @@ def test_deterministic_problem_matches_pathwise_reference(shape, extra,
                                               n_paths=200, seed=5))
     assert report.converged and len(report.windows) > 1
     y_ref, g_ref = _deterministic_reference(problem, report, sol.s_dt,
-                                            sol.y.grid.dt)
+                                            sol.grid.dt)
     centers = C0 + y_ref @ A_Y.T
     if shape != "singleton":  # the selection leaves the centres somewhere
         assert np.abs(g_ref - centers).max() > 0.05
-    for got, ref in ((sol.y.values, y_ref), (sol.g.values, g_ref)):
+    for got, ref in ((sol.y, y_ref), (sol.g, g_ref)):
         tol = 1e-12 * np.maximum(1.0, np.abs(ref))
         assert np.all(np.abs(got - ref[:, None, :]) <= tol[:, None, :])
-    assert np.abs(sol.z.values).max() <= 1e-12 * max(1.0, np.abs(y_ref).max())
+    assert np.abs(sol.z).max() <= 1e-12 * max(1.0, np.abs(y_ref).max())
 
 
 def test_commuting_singleton_problem_matches_closed_form():
@@ -97,17 +97,17 @@ def test_commuting_singleton_problem_matches_closed_form():
     sol, report = solve(problem, SolverConfig(steps_per_window=20, n_paths=m,
                                               seed=0))
     assert report.converged
-    grid = sol.y.grid
+    grid = sol.grid
     k = grid.n_steps // 2
     assert grid.nodes[k] == 0.5
     factor_c = expm((a - a_y) * 0.5) @ c
 
     def rms(v):
         return float(np.sqrt(np.mean(np.sum(v**2, axis=1))))
-    assert rms(sol.y.values[k] - np.outer(sol.bm.levels[k], factor_c)) <= 0.05
-    assert rms(sol.z.values[k] - factor_c) <= 0.05
+    assert rms(sol.y[k] - np.outer(sol.bm.levels[k], factor_c)) <= 0.05
+    assert rms(sol.z[k] - factor_c) <= 0.05
     y0_scale = np.abs(expm(a - a_y) @ c)
-    assert np.all(np.abs(sol.y.values[0].mean(axis=0)) <= 4.0 * y0_scale / np.sqrt(m))
+    assert np.all(np.abs(sol.y[0].mean(axis=0)) <= 4.0 * y0_scale / np.sqrt(m))
 
 
 def test_commuting_singleton_quadratic_terminal_matches_closed_form():
@@ -127,7 +127,7 @@ def test_commuting_singleton_quadratic_terminal_matches_closed_form():
     sol, report = solve(problem, SolverConfig(steps_per_window=20, n_paths=m,
                                               seed=0))
     assert report.converged
-    grid = sol.y.grid
+    grid = sol.grid
     k = grid.n_steps // 2
     assert grid.n_steps == 80 and grid.nodes[k] == 0.5
     factor_c = expm((a - a_y) * 0.5) @ c
@@ -135,8 +135,8 @@ def test_commuting_singleton_quadratic_terminal_matches_closed_form():
 
     def rms(v):
         return float(np.sqrt(np.mean(np.sum(v**2, axis=1))))
-    assert rms(sol.y.values[k] - np.outer(w**2 + 0.5, factor_c)) <= 0.15
-    assert rms(sol.z.values[k] - np.outer(2.0 * w, factor_c)) <= 0.25
+    assert rms(sol.y[k] - np.outer(w**2 + 0.5, factor_c)) <= 0.15
+    assert rms(sol.z[k] - np.outer(2.0 * w, factor_c)) <= 0.25
     y0 = expm(a - a_y) @ c
     sd = np.sqrt(2.0) * np.abs(y0) / np.sqrt(m)
-    assert np.all(np.abs(sol.y.values[0].mean(axis=0) - y0) <= 4.0 * sd)
+    assert np.all(np.abs(sol.y[0].mean(axis=0) - y0) <= 4.0 * sd)

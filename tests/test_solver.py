@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bsei.errors import NonConvergenceError
 from bsei.geometry import SetValuedSpec
-from bsei.paths import ProcessEnsemble, TimeGrid, simulate_brownian
+from bsei.paths import ProcessEnsemble, TimeGrid, simulate_brownian, step_designs
 from bsei.semigroup import SemigroupCache, matrix_exponential
 from bsei.solver import (
     BSEIProblem,
@@ -108,7 +108,8 @@ def _select(g, y, z, spec):
 def _sweep(g, terminal, s_dt, bm, degree):
     """solve_linear_bsee on an ensemble's array, (Y, Z) as ensembles."""
     return tuple(ProcessEnsemble(g.grid, v) for v in solve_linear_bsee(
-        g.values, terminal, 0, s_dt, bm, degree))
+        g.values, terminal, s_dt, g.grid.dt,
+        step_designs(bm, 0, g.grid.n_steps, degree)))
 
 
 def test_select_singleton_ignores_previous():
@@ -245,9 +246,10 @@ def test_picard_singleton_constant_two_iterations():
     cache = SemigroupCache.build(np.zeros((d, d)), 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
     sched = compute_schedule(prob, cache, 1.0)
-    y, z, g, rep = picard_solve_interval(prob, 3, (12, 16), np.full((500, 1), 2.0),
+    y, z, g, rep = picard_solve_interval(prob, 3, np.full((500, 1), 2.0),
                                          sched, cache.power(1), bm,
-                                         SolverConfig(basis_degree=1))
+                                         SolverConfig(steps_per_window=4,
+                                                      basis_degree=1))
     assert rep.converged
     assert len(rep.iterations) == 2
     assert rep.iterations[1].dy + rep.iterations[1].dz <= 1e-12
@@ -259,9 +261,10 @@ def test_picard_nonconvergence_carries_report():
     bm = simulate_brownian(TimeGrid(1.0, 16), 600, seed=10)
     sched = compute_schedule(prob, cache, 1.0)
     with pytest.raises(NonConvergenceError) as exc:
-        picard_solve_interval(prob, 3, (12, 16), np.ones((600, 2)), sched,
+        picard_solve_interval(prob, 3, np.ones((600, 2)), sched,
                               cache.power(1), bm,
-                              SolverConfig(basis_degree=1, tol=1e-16, n_max=3))
+                              SolverConfig(steps_per_window=4, basis_degree=1,
+                                           tol=1e-16, n_max=3))
     assert exc.value.report is not None
     assert len(exc.value.report.iterations) == 3
 
@@ -272,32 +275,43 @@ def test_window_length_guard():
     bm = simulate_brownian(TimeGrid(1.0, 8), 600, seed=11)
     sched = compute_schedule(prob, cache, 1.0)
     assert sched.delta < 0.75
-    with pytest.raises(ValueError):
-        picard_solve_interval(prob, 0, (0, 8), np.ones((600, 2)), sched,
-                              cache.power(1), bm, SolverConfig(basis_degree=1))
+    # one window over the whole grid is too long; the windows of index 8
+    # and -1 have a permitted length but leave the grid's 8 steps
+    for index, steps in ((0, 8), (8, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            picard_solve_interval(prob, index, np.ones((600, 2)), sched,
+                                  cache.power(1), bm,
+                                  SolverConfig(steps_per_window=steps,
+                                               basis_degree=1))
 
 
 # ------------------------------------------------------------------ solve
 
 def test_solve_single_window_matches_interval_call():
-    prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=1,
-                       generator=np.zeros((1, 1)),
-                       terminal=TerminalSpec("constant", [1.5]),
-                       gspec=singleton_spec(1, a_y=0.25))
-    cfg = SolverConfig(steps_per_window=8, n_paths=400, seed=12)
-    sol, rep = solve(prob, cfg)
-    n_win = rep.schedule.n_windows
-    grid = sol.y.grid
-    bm = simulate_brownian(grid, 400, 12)
-    s_dt = matrix_exponential(grid.dt * prob.generator)
-    # replay the last window by hand: bitwise identical
-    k_lo = (n_win - 1) * 8
-    y, z, g, _ = picard_solve_interval(
-        prob, n_win - 1, (k_lo, grid.n_steps), prob.terminal.sample(bm), rep.schedule,
-        s_dt, bm, cfg)
-    assert np.array_equal(sol.y.values[k_lo:-1], y[:-1])
-    assert np.array_equal(sol.y.values[-1], y[-1])
-    assert np.array_equal(sol.g.values[k_lo:-1], g[:-1])
+    # replay every window by hand, each from the replayed Y of the window
+    # after it: the stitched solution is bitwise identical, for two counts
+    for a_y, n_win in ((0.25, 4), (0.5, 9)):
+        prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=1,
+                           generator=np.zeros((1, 1)),
+                           terminal=TerminalSpec("constant", [1.5]),
+                           gspec=singleton_spec(1, a_y=a_y))
+        cfg = SolverConfig(steps_per_window=8, n_paths=400, seed=12)
+        sol, rep = solve(prob, cfg)
+        assert rep.schedule.n_windows == n_win
+        grid = sol.grid
+        bm = simulate_brownian(grid, 400, 12)
+        s_dt = matrix_exponential(grid.dt * prob.generator)
+        terminal = prob.terminal.sample(bm)
+        for w in range(n_win - 1, -1, -1):
+            y, z, g, wrep = picard_solve_interval(prob, w, terminal, rep.schedule,
+                                                  s_dt, bm, cfg)
+            k_lo, k_hi = wrep.k_lo, wrep.k_hi
+            assert (k_lo, k_hi) == (8 * w, 8 * w + 8)
+            for got, want in ((sol.y, y), (sol.z, z), (sol.g, g)):
+                assert np.array_equal(got[k_lo:k_hi], want[:-1])
+                if w == n_win - 1:
+                    assert np.array_equal(got[-1], want[-1])
+            terminal = y[0]
 
 
 def test_solve_linear_bsde_closed_form_oracle():
@@ -308,9 +322,9 @@ def test_solve_linear_bsde_closed_form_oracle():
                        gspec=singleton_spec(1, a_y=a))
     sol, rep = solve(prob, SolverConfig(steps_per_window=50, n_paths=10_000,
                                         seed=13))
-    nodes = sol.y.grid.nodes
+    nodes = sol.grid.nodes
     exact = np.exp(-a * (1.0 - nodes))
-    rel = max(np.abs(sol.y.values[k] - exact[k]).max() / exact[k]
+    rel = max(np.abs(sol.y[k] - exact[k]).max() / exact[k]
               for k in range(len(nodes)))
     assert rel <= 0.05
     assert rep.converged
@@ -327,16 +341,16 @@ def test_solve_ball_radius_zero_equals_singleton():
     s1, _ = solve(mk("singleton", 0.0), cfg)
     s2, _ = solve(mk("ball", 0.0), cfg)
     for a, b in [(s1.y, s2.y), (s1.z, s2.z), (s1.g, s2.g)]:
-        assert np.abs(a.values - b.values).max() <= 1e-12
+        assert np.abs(a - b).max() <= 1e-12
 
 
 def test_solve_terminal_condition_exact_per_path():
     prob = _ball_problem()
     sol, _ = solve(prob, SolverConfig(steps_per_window=8, n_paths=500, seed=15))
-    grid = sol.y.grid
+    grid = sol.grid
     bm = simulate_brownian(grid, 500, 15)
     xi = prob.terminal.sample(bm)
-    assert np.array_equal(sol.y.values[-1], xi)
+    assert np.array_equal(sol.y[-1], xi)
 
 
 def test_solve_singleton_reduction_matches_plain_pipeline():
@@ -349,7 +363,7 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
     cfg = SolverConfig(steps_per_window=6, n_paths=400, seed=16)
     sol, rep = solve(prob, cfg)
 
-    grid = sol.y.grid
+    grid = sol.grid
     bm = simulate_brownian(grid, 400, 16)
     s_dt = matrix_exponential(grid.dt * prob.generator)
     sched = rep.schedule
@@ -361,13 +375,14 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
     for w in range(sched.n_windows - 1, -1, -1):
         k_lo, k_hi = w * n_w, (w + 1) * n_w
         n = k_hi - k_lo
+        designs = step_designs(bm, k_lo, n, cfg.basis_degree)
         y = np.zeros((n + 1, 400, 1))
         z = np.zeros_like(y)
         g = np.zeros_like(y)
         for it in range(1, cfg.n_max + 1):
             g_new = a * y  # direct evaluation of the singleton center map
-            y_new, z_new = solve_linear_bsee(g_new, terminal, k_lo, s_dt, bm,
-                                             cfg.basis_degree)
+            y_new, z_new = solve_linear_bsee(g_new, terminal, s_dt, grid.dt,
+                                             designs)
             dy = np.sqrt(np.mean(grid.dt * np.sum((y_new - y)[:-1] ** 2,
                                                   axis=(0, 2))))
             dz = np.sqrt(np.mean(grid.dt * np.sum((z_new - z)[:-1] ** 2,
@@ -381,9 +396,9 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
         z_all[k_lo:stop] = z[:stop - k_lo]
         g_all[k_lo:stop] = g[:stop - k_lo]
         terminal = y[0]
-    assert np.abs(sol.y.values - y_all).max() <= 1e-12
-    assert np.abs(sol.z.values - z_all).max() <= 1e-12
-    assert np.abs(sol.g.values - g_all).max() <= 1e-12
+    assert np.abs(sol.y - y_all).max() <= 1e-12
+    assert np.abs(sol.z - z_all).max() <= 1e-12
+    assert np.abs(sol.g - g_all).max() <= 1e-12
 
 
 # ------------------------------------------------------------------ verify
@@ -392,15 +407,12 @@ def test_verify_residuals_and_corruption_detector():
     prob = _ball_problem()
     cfg = SolverConfig(steps_per_window=10, n_paths=4_000, seed=17)
     sol, rep = solve(prob, cfg)
-    grid = sol.y.grid
     res = verify_solution(sol, prob)
     assert res.inclusion_max <= 1e-8
     assert res.equation[-1] == 0.0  # exact at the terminal node
     assert res.equation_max <= 0.1
 
-    doubled = Solution(y=sol.y,
-                       z=ProcessEnsemble(grid, 2.0 * sol.z.values), g=sol.g,
-                       bm=sol.bm, s_dt=sol.s_dt)
+    doubled = Solution(y=sol.y, z=2.0 * sol.z, g=sol.g, bm=sol.bm, s_dt=sol.s_dt)
     res2 = verify_solution(doubled, prob)
     # residual grows by about the scale of the stochastic convolution term
     assert res2.equation_max >= res.equation_max + 0.3
@@ -477,11 +489,11 @@ def test_solve_linear_terminal_matches_closed_form():
     cfg = SolverConfig(steps_per_window=20, n_paths=4_000, seed=3)
     sol, rep = solve(prob, cfg)
     assert rep.converged
-    grid = sol.y.grid
+    grid = sol.grid
     w = sol.bm.levels
     for k in range(0, grid.n_steps + 1, 30):
         exact = np.exp(-0.5 * (1.0 - grid.nodes[k])) * w[k]
-        rms = np.sqrt(np.mean((sol.y.values[k][:, 0] - exact) ** 2))
+        rms = np.sqrt(np.mean((sol.y[k][:, 0] - exact) ** 2))
         assert rms <= 0.05
 
 
@@ -525,8 +537,8 @@ def test_partial_report_counts_the_failing_windows_ridge_fallbacks(monkeypatch):
 def _stacked_inclusion_residual(sol, problem):
     """The inclusion residual over the whole (N + 1, M, d) stack at once:
     the reference for the node-by-node form."""
-    gv = sol.g.values
-    gap = gv - select_generator(gv, sol.y.values, sol.z.values, sol.g.grid.nodes,
+    gv = sol.g
+    gap = gv - select_generator(gv, sol.y, sol.z, sol.grid.nodes,
                                 problem.gspec)
     return float(np.max(np.linalg.norm(gap, axis=-1)))
 
@@ -548,13 +560,12 @@ def test_inclusion_residual_node_by_node_matches_stacked_formula(shape, extra):
     assert rep.inclusion_residual == _stacked_inclusion_residual(sol, prob)
     # g moved off its sets at the first or the last node only: a gap far
     # above rounding that each end of the backward pass must see
-    grid = sol.g.grid
-    noise = np.random.default_rng(27).normal(size=sol.g.values.shape[1:])
+    grid = sol.grid
+    noise = np.random.default_rng(27).normal(size=sol.g.shape[1:])
     for node in (0, grid.n_steps):
-        g = sol.g.values.copy()
+        g = sol.g.copy()
         g[node] += 5.0 * noise
-        moved = Solution(y=sol.y, z=sol.z, g=ProcessEnsemble(grid, g),
-                         bm=sol.bm, s_dt=sol.s_dt)
+        moved = Solution(y=sol.y, z=sol.z, g=g, bm=sol.bm, s_dt=sol.s_dt)
         got = verify_solution(moved, prob).inclusion_max
         assert got > 1.0
         assert got == _stacked_inclusion_residual(moved, prob)
@@ -564,7 +575,7 @@ def test_verify_reports_continuity_modulus():
     prob = _ball_problem()
     cfg = SolverConfig(steps_per_window=10, n_paths=2_000, seed=22)
     sol, _ = solve(prob, cfg)
-    grid = sol.y.grid
+    grid = sol.grid
     res = verify_solution(sol, prob)
     # one-step increments of Y scale like sqrt(dt) for a diffusion-driven Y
     assert 0.0 < res.y_modulus <= 10.0 * np.sqrt(grid.dt)
@@ -584,13 +595,13 @@ def test_verify_z_crosscheck_trivial_case():
                        gspec=singleton_spec(1))
     cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
     sol, _ = solve(prob, cfg)
-    grid = sol.y.grid
+    grid = sol.grid
     rebuilt = _rebuild_z(sol, cfg.basis_degree, range(grid.n_steps))
     # per-node estimator noise ~ sqrt(6 p_basis / M); three of those
     bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
     for u, z_u in rebuilt.items():
-        assert _rms(z_u - sol.z.values[u]) <= bound
-        assert abs(_rms(sol.z.values[u]) - 1.0) <= 0.05
+        assert _rms(z_u - sol.z[u]) <= bound
+        assert abs(_rms(sol.z[u]) - 1.0) <= 0.05
 
 
 def test_verify_z_crosscheck_with_generator():
@@ -603,12 +614,12 @@ def test_verify_z_crosscheck_with_generator():
                        gspec=singleton_spec(1, a_y=0.5))
     cfg = SolverConfig(steps_per_window=10, n_paths=10_000, seed=19)
     sol, _ = solve(prob, cfg)
-    grid = sol.y.grid
+    grid = sol.grid
     rebuilt = _rebuild_z(sol, cfg.basis_degree, range(grid.n_steps))
     bound = 3.0 * np.sqrt(6.0 * 3.0 / cfg.n_paths)
     assert len(rebuilt) == grid.n_steps
     for u, z_u in rebuilt.items():
-        assert _rms(z_u - sol.z.values[u]) <= bound
+        assert _rms(z_u - sol.z[u]) <= bound
 
 
 def _rebuild_z_per_source(sol, generator, basis_degree, nodes):
@@ -617,17 +628,17 @@ def _rebuild_z_per_source(sol, generator, basis_degree, nodes):
     its own: the reference for the one-sweep form."""
     from bsei.paths import KernelRegression, PolynomialRegression
     bm = sol.bm
-    n, dt = sol.y.grid.n_steps, sol.y.grid.dt
+    n, dt = sol.grid.n_steps, sol.grid.dt
     cache = SemigroupCache.build(generator, dt, n)
     regs = [PolynomialRegression(bm.levels[k], basis_degree) for k in range(n)]
-    out = {u: np.zeros((bm.n_paths, sol.z.dim)) for u in nodes}
-    sources = [(sol.y.values[n], n, 1.0)] + [
-        (sol.g.values[s], s, -dt) for s in range(1, n)]
+    out = {u: np.zeros((bm.n_paths, sol.z.shape[2])) for u in nodes}
+    sources = [(sol.y[n], n, 1.0)] + [
+        (sol.g[s], s, -dt) for s in range(1, n)]
     for source, s_src, weight in sources:
         cond = source
         for k in range(s_src - 1, -1, -1):
             if k in out:
-                kern = KernelRegression(regs[k], bm.increments[k], dt).kernel(cond)
+                kern = KernelRegression(regs[k], bm.increments[k]).kernel(cond)
                 out[k] += weight * (kern @ cache.power(s_src - k).T)
             cond = regs[k].fit(cond).values
     return out
@@ -642,8 +653,8 @@ def test_rebuild_z_one_sweep_matches_per_source_chains():
         gspec=SetValuedSpec(dim=2, shape="ball", a_y=np.array([[-0.3, 0.1], [0.0, 0.2]]),
                             a_z=np.zeros((2, 2)), lipschitz_k=0.4, radius=0.1))
     sol, _ = solve(prob, SolverConfig(steps_per_window=4, n_paths=600, seed=23))
-    n = sol.y.grid.n_steps
-    assert np.abs(sol.g.values).max() > 0.1
+    n = sol.grid.n_steps
+    assert np.abs(sol.g).max() > 0.1
     nodes = [0, 1, n // 2, n - 2, n - 1]
     got = _rebuild_z(sol, 2, nodes)
     want = _rebuild_z_per_source(sol, prob.generator, 2, nodes)
@@ -659,7 +670,7 @@ def test_z_crosscheck_fits_at_most_once_per_step(monkeypatch):
     from bsei.solver import _rebuild_z
     sol, _ = solve(_ball_problem(), SolverConfig(steps_per_window=10,
                                                  n_paths=1_000, seed=24))
-    n = sol.y.grid.n_steps
+    n = sol.grid.n_steps
     calls = []
     fit = PolynomialRegression.fit
 
