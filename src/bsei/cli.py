@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, ScheduleError
 from .gamma import FiniteRankOperator, gamma_norm
-from .geometry import SetValuedSpec
+from .geometry import Ball, Polytope, SetValuedSpec, Singleton
 from .solver import BSEIProblem, SolverConfig, TerminalSpec
 from .suites import SUITE_NAMES, run_suite
 
@@ -47,10 +47,12 @@ class _Schema:
         self.data = dict(data)
         self.context = context
 
-    def take(self, name: str, check=None):
+    def take(self, name: str, check=None, required_by: str | None = None):
+        """The field ``name``, checked; a missing one is reported against
+        ``required_by``, the field whose value asks for it, when given."""
         field = f"{self.context}.{name}" if self.context else name
         if name not in self.data:
-            raise ConfigError(f"missing field {field!r}", field=field)
+            raise ConfigError(f"missing field {field!r}", field=required_by or field)
         value = self.data.pop(name)
         if check is not None:
             try:
@@ -145,6 +147,15 @@ def _vector(dim=None):
     return check
 
 
+def _offsets(dim):
+    def check(v):
+        m = _array(v, 2)
+        if m.ndim != 2 or len(m) < 1 or m.shape[1] != dim:
+            raise ValueError(f"need a nonempty list of length-{dim} vertex offsets")
+        return m
+    return check
+
+
 def _build(field: str, make, *args, **kwargs):
     """make(*args, **kwargs), with a ValueError reported against ``field``."""
     try:
@@ -159,6 +170,21 @@ def _read_json(path: str, field: str):
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"cannot read {path} as JSON: {exc}", field=field) from exc
+
+
+def _base_set(g: _Schema, dim: int):
+    """G's base set at the origin, from ``problem.g.shape`` and the fields of
+    that shape alone: a field of another shape is left to be unknown."""
+    shape = g.take("shape", _string())
+    if shape == "singleton":
+        return Singleton(np.zeros(dim))
+    if shape == "ball":
+        return Ball(np.zeros(dim), g.take("radius", _number(lo=0), "problem.g.shape"))
+    if shape == "polytope":
+        offsets = g.take("offsets", _offsets(dim), "problem.g.shape")
+        return _build("problem.g.offsets", Polytope, offsets)
+    raise ConfigError(f"unknown shape {shape!r}; choose from singleton, ball, polytope",
+                      field="problem.g.shape")
 
 
 def load_config(path: str):
@@ -180,15 +206,14 @@ def load_config(path: str):
     terminal = _build("problem.terminal.kind", TerminalSpec, kind, coeff)
 
     gsch = _Schema(prob.take("g"), "problem.g")
-    shape = gsch.take("shape", _string())
+    base = _base_set(gsch, dim)
     a_y = gsch.take("a_y", _matrix(dim))
     a_z = gsch.take("a_z", _matrix(dim))
     lip = gsch.take("lipschitz_k", _number(lo=0))
-    optional = gsch.take_present({"c0": _vector(dim), "radius": _number(lo=0),
-                                  "offsets": lambda v: _array(v, 2)})
+    c0 = gsch.take_present({"c0": _vector(dim)})
     gsch.finish()
-    gspec = _build("problem.g", SetValuedSpec, dim=dim, shape=shape, a_y=a_y,
-                   a_z=a_z, lipschitz_k=lip, **optional)
+    gspec = _build("problem.g", SetValuedSpec, base=base, a_y=a_y, a_z=a_z,
+                   lipschitz_k=lip, **c0)
     prob.finish()
     problem = _build("problem", BSEIProblem, horizon=horizon, exponent=p, dim=dim,
                      generator=generator, terminal=terminal, gspec=gspec)
@@ -232,6 +257,12 @@ def write_convergence_csv(path: str, windows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _residual(x):
+    """A residual as JSON: null where it is not finite, as where a partial
+    run has none, since strict JSON has no NaN or Infinity."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _summary(report) -> dict:
     sched = report.schedule
     out = {
@@ -252,11 +283,11 @@ def _summary(report) -> dict:
         "runtime_seconds": report.runtime_seconds,
         "ridge_events": report.ridge_events,
         "iterations_per_window": [len(w.iterations) for w in report.windows],
-        "inclusion_residual": report.inclusion_residual,
-        "equation_residual_max": report.equation_residual_max,
+        "inclusion_residual": _residual(report.inclusion_residual),
+        "equation_residual_max": _residual(report.equation_residual_max),
     }
     if report.residuals is not None:
-        out["y_continuity_modulus"] = report.residuals.y_modulus
+        out["y_continuity_modulus"] = _residual(report.residuals.y_modulus)
     return out
 
 
@@ -282,7 +313,7 @@ def _write_outputs(outputs: dict, report, solution=None) -> None:
     try:
         write_convergence_csv(outputs["convergence_csv_path"], report.windows)
         with open(outputs["report_path"], "w", encoding="utf-8") as fh:
-            json.dump(_summary(report), fh, indent=2)
+            json.dump(_summary(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
         if solution is not None and outputs["emit_plot_data"]:
             _write_plot_csv(outputs["report_path"] + ".plot.csv", solution,
@@ -313,9 +344,9 @@ def cmd_solve(config_path: str) -> int:
           and report.inclusion_residual <= _INCLUSION_THRESHOLD
           and report.equation_residual_max <= _EQUATION_THRESHOLD)
     print(json.dumps({"converged": report.converged,
-                      "inclusion_residual": report.inclusion_residual,
-                      "equation_residual_max": report.equation_residual_max,
-                      "ok": ok}))
+                      "inclusion_residual": _residual(report.inclusion_residual),
+                      "equation_residual_max": _residual(report.equation_residual_max),
+                      "ok": ok}, allow_nan=False))
     if not ok:
         print(f"residuals above threshold: inclusion {report.inclusion_residual:.3e}, "
               f"equation {report.equation_residual_max:.3e} (gates "

@@ -1,17 +1,21 @@
 """Convex-compact set calculus in Euclidean state space.
 
-Sets come in three variants (singleton, ball, polytope), all with exact
-support functions and nearest-point projections.  Projection and distance
-take one point or an (..., d) stack through one code path per shape, so a
-point's result does not depend on the stack it came in.  On top of those
-this module provides the Hausdorff distance, the set magnitude sup-norm,
-and a sampling probe for the Lipschitz constant of affine set-valued maps.
+Sets come in three shapes (``Singleton``, ``Ball``, ``Polytope``).  Each answers
+every geometric question about itself for a whole (..., d) stack through one
+code path, so a point's result does not depend on the stack it came in:
+its nearest points, its support function, its description as the convex
+hull of a few balls, and the excess of each of a list of balls over it.  On
+top of those this module provides the Hausdorff distance, the set magnitude
+sup-norm, and a sampling probe for the Lipschitz constant of affine
+set-valued maps, none of which asks a set for its shape.  Every Euclidean
+norm goes through ``_norm``, which does not overflow or underflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Union
 
@@ -90,6 +94,13 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _dots(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """<x, u> for a point or rows x (..., d) and each direction of a stack u
+    (..., d): one matrix-vector product per direction, so a direction's
+    values do not depend on the stack it came in."""
+    return (x @ u[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class Singleton:
     """One-point set {point}."""
@@ -105,6 +116,16 @@ class Singleton:
 
     def translate(self, shift) -> Singleton:
         return Singleton(self.point + as_point(shift, self.dim))
+
+    @property
+    def _balls(self) -> tuple:
+        return self.point[None], np.zeros(1)
+
+    def _support(self, u: np.ndarray) -> np.ndarray:
+        return _dots(self.point, u)
+
+    def _excess(self, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        return _norm(centres - self.point) + radii
 
     def _nearest(self, p: np.ndarray) -> np.ndarray:
         # 0 * p keeps a non-finite coordinate non-finite and is exact otherwise
@@ -134,6 +155,18 @@ class Ball:
     def translate(self, shift) -> Ball:
         return Ball(self.center + as_point(shift, self.dim), self.radius)
 
+    @property
+    def _balls(self) -> tuple:
+        return self.center[None], np.array([self.radius])
+
+    def _support(self, u: np.ndarray) -> np.ndarray:
+        return _dots(self.center, u) + self.radius * _norm(u)
+
+    def _excess(self, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        # |p - c| + (r - s), not r - (s - |p - c|): translates of one ball then
+        # give their gap exactly, however small against the radius
+        return np.maximum(_norm(centres - self.center) + (radii - self.radius), 0.0)
+
     def _nearest(self, p: np.ndarray) -> np.ndarray:
         v = p - self.center
         # scale by min(1, r/|v|) in place, as the solver passes whole
@@ -145,6 +178,18 @@ class Ball:
         v *= scale[..., None]
         v += self.center
         return v
+
+
+# Score factors with entries inside this range multiply and sum in full
+# precision, without under- or overflow.
+_FACTOR_RANGE = (2.0 ** -450, 2.0 ** 450)
+
+
+def _binary_exponent(scale):
+    """For each scale outside ``_FACTOR_RANGE``, the power of two that brings
+    it into [0.5, 1); 0 inside the range, at 0 and for a non-finite scale."""
+    lo, hi = _FACTOR_RANGE
+    return np.where((scale > hi) | ((0.0 < scale) & (scale < lo)), np.frexp(scale)[1], 0)
 
 
 def _face_table(vertices: np.ndarray) -> tuple:
@@ -191,8 +236,6 @@ class Polytope:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        if v.ndim == 1:
-            v = v.reshape(1, -1)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("polytope needs a nonempty (n, d) vertex array")
         if not np.all(np.isfinite(v)):
@@ -208,6 +251,46 @@ class Polytope:
         """The set moved by ``shift``, sharing this polytope's face table."""
         return Polytope(self.vertices + as_point(shift, self.dim), self._faces)
 
+    @property
+    def _balls(self) -> tuple:
+        return self.vertices, np.zeros(len(self.vertices))
+
+    def _support(self, u: np.ndarray) -> np.ndarray:
+        return _dots(self.vertices, u).max(axis=-1)
+
+    def _excess(self, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """A ball B(c, r) centred outside or on the boundary reaches r + d(c, P)
+        from the polytope; one centred at depth h > 0 inside, h the distance
+        from c to the nearest facet hyperplane, reaches max(0, r - h)."""
+        out = _norm(centres - self._nearest(centres)) + radii
+        if radii.any():  # the facets are built only for a ball with room inside
+            normals, offsets = self._facets
+            depth = np.min(offsets - _dots(normals, centres), axis=-1)
+            out = np.where(depth > 0.0, np.maximum(radii - depth, 0.0), out)
+        return out
+
+    @cached_property
+    def _facets(self) -> tuple:
+        """Unit normals (F, d) and offsets (F,) with the polytope the set of
+        x where n.x <= b for every pair; a polytope without interior has the
+        one pair (0, 0) instead, depth 0 everywhere."""
+        v, d = self.vertices, self.dim
+        if d == 1:
+            return np.array([[-1.0], [1.0]]), np.array([-v.min(), v.max()])
+        if len(v) > d and np.linalg.matrix_rank(v - v.mean(axis=0)) == d:
+            # imported here alone, so that importing the package loads no scipy
+            from scipy.spatial import ConvexHull, QhullError
+
+            # qhull in units of a power of two near max |v|: exact, and it
+            # loses precision far from 1
+            e = np.frexp(np.abs(v).max())[1]
+            try:
+                eq = ConvexHull(np.ldexp(v, -e)).equations  # n.x + b <= 0 inside
+                return eq[:, :-1], -np.ldexp(eq[:, -1], e)
+            except QhullError:
+                pass
+        return np.zeros((1, d)), np.zeros(1)
+
     def _nearest(self, p: np.ndarray) -> np.ndarray:
         """Nearest points by enumeration of the face table.
 
@@ -217,11 +300,24 @@ class Polytope:
         only point x of the polytope with max_v <v - x, p - x> <= 0, a
         maximum positive elsewhere, so the admissible candidate minimising
         it is kept; squared distances, which differ by only delta^2 along
-        the boundary, would lose it to rounding."""
+        the boundary, would lose it to rounding.
+
+        The two factors of a score are within a small multiple of the
+        polytope's extent and of a point's reach (its largest coordinate
+        distance from vertex 0, or the extent); where their products would
+        under- or overflow they are scaled by powers of two, which is exact,
+        so in-range points keep their bits."""
         d = self.dim
         verts = self.vertices
         flat = p.reshape(-1, d)
         out = np.empty_like(flat)
+        extent = np.ptp(verts, axis=0).max()
+        e_vert = _binary_exponent(extent)
+        reach = np.abs(flat - verts[0])
+        # one reduction at ordinary scales, where no factor leaves the range
+        scaled = e_vert != 0 or not reach.max(initial=0.0) <= _FACTOR_RANGE[1]
+        if scaled:
+            e_point = _binary_exponent(np.maximum(reach.max(axis=-1), extent))[:, None, None]
         n_faces = sum(first.size for first, _, _ in self._faces)
         step = max(1, _CHUNK_ENTRIES // (n_faces * len(verts) * d))
         for lo in range(0, len(flat), step):
@@ -235,7 +331,11 @@ class Polytope:
                     lam = _dot_last(weights, r[..., None, :])
                     lam[..., -1] += 1.0
                     ok = np.all(lam >= 0.0, axis=-1)
-                    kkt = _dot_last(verts - x[..., None, :], (q - x)[..., None, :])
+                    if scaled:
+                        kkt = _dot_last(np.ldexp(verts - x[..., None, :], -e_vert),
+                                        np.ldexp(q - x, -e_point[lo:lo + step])[..., None, :])
+                    else:
+                        kkt = _dot_last(verts - x[..., None, :], (q - x)[..., None, :])
                 cands.append(x)
                 scores.append(np.where(ok, kkt.max(axis=-1), np.inf))
             best = np.argmin(np.concatenate(scores, axis=1), axis=1)
@@ -253,12 +353,7 @@ def _check_dims(a, b) -> None:
 
 def support(cset: ConvexCompactSet, direction) -> float:
     """Support value sup_{x in set} <x, direction>; direction need not be unit."""
-    u = as_point(direction, cset.dim)
-    if isinstance(cset, Singleton):
-        return float(cset.point @ u)
-    if isinstance(cset, Ball):
-        return float(cset.center @ u + cset.radius * np.linalg.norm(u))
-    return float(np.max(cset.vertices @ u))
+    return float(cset._support(as_point(direction, cset.dim)))
 
 
 def project(point, cset: ConvexCompactSet) -> np.ndarray:
@@ -281,65 +376,15 @@ def distance_to(point, cset: ConvexCompactSet):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def _polytope_depth(center: np.ndarray, poly: Polytope) -> float:
-    """Signed depth of a point in a polytope.
-
-    Positive inside (radius of the largest inscribed ball centered there),
-    negative outside (minus the distance to the polytope), zero on the
-    boundary or whenever the polytope has empty interior.
-    """
-    v = poly.vertices
-    d = poly.dim
-    margin = 0.0  # flat polytope: some normal direction has zero support
-    if d == 1:
-        margin = min(center[0] - v.min(), v.max() - center[0])
-    elif v.shape[0] > d and np.linalg.matrix_rank(v - v.mean(axis=0), tol=1e-9) == d:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            eq = ConvexHull(v).equations
-            # qhull equations n.x + b <= 0 inside, with unit normals n
-            margin = float(np.min(-(eq[:, :-1] @ center + eq[:, -1])))
-        except QhullError:
-            pass
-    return float(margin) if margin > 0.0 else -distance_to(center, poly)
-
-
 def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet) -> float:
     """Hausdorff distance max(sup_{x in a} d(x,b), sup_{y in b} d(y,a)).
 
-    Every variant pair admits an exact evaluation: balls and singletons in
-    closed form, polytopes by projecting extreme points (the supremum of a
-    convex distance function over a convex compact is attained at them),
-    and the ball-into-polytope direction through the signed depth of the
-    ball's center.
+    Exact: each set is the convex hull of a few balls (``_balls``), and the
+    distance to a convex set is convex, so each supremum is attained on one
+    of those balls, where ``_excess`` gives it.
     """
     _check_dims(a, b)
-    if isinstance(a, Polytope) and not isinstance(b, Polytope):
-        return hausdorff(b, a)
-    if isinstance(a, Ball) and isinstance(b, Singleton):
-        return hausdorff(b, a)
-
-    if isinstance(a, Singleton):
-        if isinstance(b, Singleton):
-            return float(np.linalg.norm(a.point - b.point))
-        if isinstance(b, Ball):
-            return float(np.linalg.norm(a.point - b.center)) + b.radius
-        a = Polytope(a.point)  # b is a polytope
-
-    if isinstance(a, Ball):
-        if isinstance(b, Ball):
-            gap = float(np.linalg.norm(a.center - b.center))
-            return gap + abs(a.radius - b.radius)
-        # b is a polytope
-        vert_dists = np.linalg.norm(b.vertices - a.center, axis=1)
-        poly_to_ball = max(0.0, float(vert_dists.max()) - a.radius)
-        ball_to_poly = max(0.0, a.radius - _polytope_depth(a.center, b))
-        return max(poly_to_ball, ball_to_poly)
-
-    # polytope vs polytope
-    return max(float(np.max(distance_to(a.vertices, b))),
-               float(np.max(distance_to(b.vertices, a))))
+    return float(max(b._excess(*a._balls).max(), a._excess(*b._balls).max()))
 
 
 def magnitude(cset: ConvexCompactSet) -> float:
@@ -362,42 +407,37 @@ def direction_net(dim: int, n_directions: int | None = None) -> np.ndarray:
         return np.column_stack([np.cos(theta), np.sin(theta)])
     rng = np.random.default_rng(171717)
     u = rng.standard_normal((n, dim))
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
+    return u / _norm(u)[:, None]
 
 
 def support_gap(a: ConvexCompactSet, b: ConvexCompactSet,
                 directions: np.ndarray | None = None) -> float:
     """Max |h_a(u) - h_b(u)| over a direction net; zero iff the sets agree on it."""
     _check_dims(a, b)
-    if directions is None:
-        directions = direction_net(a.dim)
-    return max(abs(support(a, u) - support(b, u)) for u in directions)
+    u = as_points(direction_net(a.dim) if directions is None else directions, a.dim)
+    return float(np.max(np.abs(a._support(u) - b._support(u))))
 
 
 @dataclass(frozen=True)
 class SetValuedSpec:
     """Affine-center set-valued map (t, y, z) -> base + c0(t) + Ay.y + Az.z.
 
-    The base set (the point 0, the ball B(0, radius), or the polytope of the
-    vertex offsets) is built once and does not depend on (t, y, z), so the
-    map is Lipschitz in Hausdorff distance with constant at most
-    max(||Ay||, ||Az||); ``lipschitz_k`` records the declared bound used by
-    the solver schedule.
+    The base set does not depend on (t, y, z), so the map is Lipschitz in
+    Hausdorff distance with constant at most max(||Ay||, ||Az||);
+    ``lipschitz_k`` records the declared bound used by the solver schedule.
     """
 
-    dim: int
-    shape: str  # "singleton" | "ball" | "polytope"
+    base: ConvexCompactSet
     a_y: np.ndarray
     a_z: np.ndarray
     lipschitz_k: float
     c0: Union[np.ndarray, Callable[[float], np.ndarray], None] = None
-    radius: float = 0.0
-    offsets: np.ndarray | None = None
-    base: ConvexCompactSet = field(init=False, repr=False, compare=False)
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
 
     def __post_init__(self):
-        if self.shape not in ("singleton", "ball", "polytope"):
-            raise ValueError(f"unknown shape {self.shape!r}")
         for name in ("a_y", "a_z"):
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (self.dim, self.dim) or not np.all(np.isfinite(m)):
@@ -407,20 +447,6 @@ class SetValuedSpec:
         if not np.isfinite(k) or k < 0.0:
             raise ValueError("declared Lipschitz constant must be finite and >= 0")
         object.__setattr__(self, "lipschitz_k", k)
-        if self.shape == "singleton":
-            base = Singleton(np.zeros(self.dim))
-        elif self.shape == "ball":
-            base = Ball(np.zeros(self.dim), self.radius)
-            object.__setattr__(self, "radius", base.radius)
-        else:
-            if self.offsets is None:
-                raise ValueError("polytope shape requires vertex offsets")
-            off = np.asarray(self.offsets, dtype=float)
-            if off.ndim != 2 or off.shape[1] != self.dim or off.shape[0] < 1:
-                raise ValueError("offsets must be a nonempty (n, d) array")
-            base = Polytope(off)
-            object.__setattr__(self, "offsets", base.vertices)
-        object.__setattr__(self, "base", base)
         if self.c0 is not None and not callable(self.c0):
             object.__setattr__(self, "c0", _frozen(as_point(self.c0, self.dim)))
 
@@ -473,7 +499,7 @@ def probe_lipschitz(spec: SetValuedSpec, n_samples: int, seed: int,
             else:
                 h = scale * rng.standard_normal(d)
                 y2, z2 = y + h, z + h
-            denom = float(np.linalg.norm(y - y2) + np.linalg.norm(z - z2))
+            denom = float(_norm(y - y2) + _norm(z - z2))
             if denom > 1e-12:
                 break
         else:

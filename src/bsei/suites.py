@@ -73,8 +73,8 @@ def geometry_suite(seed: int = 2024, n_pairs: int = 200) -> dict:
     _check(checks, "projection idempotence gap", idem_gap, geometry.CLOSED_FORM_TOL)
     _check(checks, "projection optimality gap", opt_gap, geometry.CLOSED_FORM_TOL)
 
-    spec = SetValuedSpec(dim=2, shape="ball", a_y=0.6 * np.eye(2),
-                         a_z=np.zeros((2, 2)), lipschitz_k=0.6, radius=0.3)
+    spec = SetValuedSpec(base=Ball(np.zeros(2), 0.3), a_y=0.6 * np.eye(2),
+                         a_z=np.zeros((2, 2)), lipschitz_k=0.6)
     probe = geometry.probe_lipschitz(spec, 200, seed)
     _check(checks, "lipschitz probe vs operator norm", probe,
            0.6 + geometry.CLOSED_FORM_TOL)

@@ -41,15 +41,15 @@ def ball_demo_problem():
     return BSEIProblem(
         horizon=1.0, exponent=2.0, dim=d, generator=np.diag([-1.0, -0.5]),
         terminal=TerminalSpec("linear", [1.0, 1.0]),
-        gspec=SetValuedSpec(dim=d, shape="ball", a_y=-0.3 * np.eye(d),
-                            a_z=np.zeros((d, d)), lipschitz_k=0.3, radius=0.2))
+        gspec=SetValuedSpec(base=Ball(np.zeros(d), 0.2), a_y=-0.3 * np.eye(d),
+                            a_z=np.zeros((d, d)), lipschitz_k=0.3))
 
 
 def singleton_demo_problem(a=0.5):
     return BSEIProblem(
         horizon=1.0, exponent=2.0, dim=1, generator=np.zeros((1, 1)),
         terminal=TerminalSpec("constant", [1.0]),
-        gspec=SetValuedSpec(dim=1, shape="singleton", a_y=a * np.eye(1),
+        gspec=SetValuedSpec(base=Singleton(np.zeros(1)), a_y=a * np.eye(1),
                             a_z=np.zeros((1, 1)), lipschitz_k=a))
 
 
@@ -114,7 +114,7 @@ def test_criterion_03_martingale_terminal_oracle():
     prob = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=1, generator=np.zeros((1, 1)),
         terminal=TerminalSpec("linear", [1.0]),
-        gspec=SetValuedSpec(dim=1, shape="singleton", a_y=np.zeros((1, 1)),
+        gspec=SetValuedSpec(base=Singleton(np.zeros(1)), a_y=np.zeros((1, 1)),
                             a_z=np.zeros((1, 1)), lipschitz_k=0.0))
     cfg = SolverConfig(steps_per_window=13, n_paths=10_000, seed=5)
     sol, _ = solve(prob, cfg)
@@ -281,17 +281,16 @@ def test_criterion_10_equation_residual(refinement_runs):
 
 
 def test_criterion_11_degenerate_shape_equivalence():
-    def run(shape):
+    def run(base):
         prob = BSEIProblem(
             horizon=1.0, exponent=2.0, dim=1, generator=np.zeros((1, 1)),
             terminal=TerminalSpec("linear", [1.0]),
-            gspec=SetValuedSpec(dim=1, shape=shape, a_y=-0.4 * np.eye(1),
-                                a_z=np.zeros((1, 1)), lipschitz_k=0.4,
-                                radius=0.0))
+            gspec=SetValuedSpec(base=base, a_y=-0.4 * np.eye(1),
+                                a_z=np.zeros((1, 1)), lipschitz_k=0.4))
         return solve(prob, SolverConfig(steps_per_window=10, n_paths=2_000,
                                         seed=77))[0]
 
-    s1, s2 = run("singleton"), run("ball")
+    s1, s2 = run(Singleton(np.zeros(1))), run(Ball(np.zeros(1), 0.0))
     gap = max(np.abs(s1.y - s2.y).max(),
               np.abs(s1.z - s2.z).max(),
               np.abs(s1.g - s2.g).max())

@@ -218,10 +218,16 @@ def test_ball_demo_config_contracts(tmp_path, monkeypatch):
 
 
 def test_console_entry_point(tmp_path):
+    import os
+    from pathlib import Path
+
     cfg = demo_config(tmp_path)
     path = write(tmp_path, cfg)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-m", "bsei.cli", "solve", path],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip())["ok"] is True
 
@@ -348,8 +354,12 @@ def test_solve_overflowing_centres_exit_three(tmp_path):
 def test_solve_overflowing_trailing_selection_exits_three(tmp_path, capsys):
     # one iteration meets tol = 1e308, so the trailing selection of each
     # window is the first to see centres a_y Y that overflow: g is not
-    # finite, and the residual gates say so in one line (was a traceback)
+    # finite, and the residual gates say so in one line (was a traceback);
+    # stdout and the report stay strict JSON, with null for the residual
     import warnings
+
+    def no_constant(token):
+        raise ValueError(f"{token} is not JSON")
 
     cfg = ball_demo_config(tmp_path, paths=100, steps_per_window=4, tol=1e308,
                            min_iter=1)
@@ -358,8 +368,11 @@ def test_solve_overflowing_trailing_selection_exits_three(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["solve", write(tmp_path, cfg)]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("residuals above threshold"), err
+    for text in (out.out, (tmp_path / "report.json").read_text()):
+        assert json.loads(text, parse_constant=no_constant)["inclusion_residual"] is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -436,9 +449,32 @@ def test_solve_rejects_non_string_fields(tmp_path, monkeypatch, capsys, field, v
     write(tmp_path, demo_config(tmp_path, **{field: value}))
     assert main(["solve", "config.json"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    # an empty shape is a string, which the set-valued map rejects as a shape
-    named = "problem.g" if (field, value) == ("problem.g.shape", "") else field
-    assert len(err) == 1 and err[0].startswith(f"config error [{named}]")
+    assert len(err) == 1 and err[0].startswith(f"config error [{field}]")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("g, named", [
+    ({"shape": "singleton"}, "problem.g.radius"),
+    ({"shape": "singleton", "radius": None, "offsets": [[0.0, 0.0]]}, "problem.g.offsets"),
+    ({"shape": "polytope", "offsets": [[0.0, 0.0], [0.1, 0.0]]}, "problem.g.radius"),
+    ({"offsets": [[0.0, 0.0], [0.1, 0.0]]}, "problem.g.offsets"),
+    ({"radius": None}, "problem.g.radius"),
+    ({"shape": "polytope", "radius": None, "offsets": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
+     "problem.g.offsets"),
+], ids=["singleton-radius", "singleton-offsets", "polytope-radius", "ball-offsets",
+        "ball-no-radius", "polytope-offsets-width"])
+def test_solve_rejects_fields_of_another_shape(tmp_path, monkeypatch, capsys, g, named):
+    # each shape reads its own fields alone: another shape's field is unknown
+    # and a missing one of its own is named, where both were ignored or
+    # defaulted (a singleton with a radius solved and exited 0)
+    monkeypatch.chdir(tmp_path)
+    cfg = ball_demo_config(tmp_path, paths=100)
+    cfg["problem"]["g"].update(g)
+    cfg["problem"]["g"] = {k: v for k, v in cfg["problem"]["g"].items() if v is not None}
+    write(tmp_path, cfg)
+    assert main(["solve", "config.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [problem.g.") and named in err[0], err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 

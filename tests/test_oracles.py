@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bsei.geometry import SetValuedSpec, project
+from bsei.geometry import Ball, Polytope, SetValuedSpec, Singleton, project
 from bsei.solver import BSEIProblem, SolverConfig, TerminalSpec, solve
 
 A = np.array([[-1.0, 0.4], [-0.3, -0.5]])
@@ -56,18 +56,18 @@ def _deterministic_reference(problem, report, s_dt, dt):
 
 
 @pytest.mark.parametrize("shape, extra, steps_per_window", [
-    ("singleton", {}, 4),
-    ("ball", {"radius": 0.2}, 6),
-    ("polytope", {"offsets": np.array([[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25],
-                                       [-0.15, 0.15]])}, 8),
+    ("singleton", {"base": Singleton(np.zeros(2))}, 4),
+    ("ball", {"base": Ball(np.zeros(2), 0.2)}, 6),
+    ("polytope", {"base": Polytope([[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25],
+                                    [-0.15, 0.15]])}, 8),
 ])
 def test_deterministic_problem_matches_pathwise_reference(shape, extra,
                                                           steps_per_window):
     problem = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=2, generator=A,
         terminal=TerminalSpec("constant", [1.0, -0.5]),
-        gspec=SetValuedSpec(dim=2, shape=shape, a_y=A_Y, a_z=np.zeros((2, 2)),
-                            lipschitz_k=0.4, c0=C0, **extra))
+        gspec=SetValuedSpec(a_y=A_Y, a_z=np.zeros((2, 2)), lipschitz_k=0.4,
+                            c0=C0, **extra))
     sol, report = solve(problem, SolverConfig(steps_per_window=steps_per_window,
                                               n_paths=200, seed=5))
     assert report.converged and len(report.windows) > 1
@@ -91,7 +91,7 @@ def test_commuting_singleton_problem_matches_closed_form():
     problem = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=2, generator=a,
         terminal=TerminalSpec("linear", c),
-        gspec=SetValuedSpec(dim=2, shape="singleton", a_y=a_y,
+        gspec=SetValuedSpec(base=Singleton(np.zeros(2)), a_y=a_y,
                             a_z=np.zeros((2, 2)), lipschitz_k=0.3))
     m = 10_000
     sol, report = solve(problem, SolverConfig(steps_per_window=20, n_paths=m,
@@ -121,7 +121,7 @@ def test_commuting_singleton_quadratic_terminal_matches_closed_form():
     problem = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=2, generator=a,
         terminal=TerminalSpec("quadratic", c),
-        gspec=SetValuedSpec(dim=2, shape="singleton", a_y=a_y,
+        gspec=SetValuedSpec(base=Singleton(np.zeros(2)), a_y=a_y,
                             a_z=np.zeros((2, 2)), lipschitz_k=0.3))
     m = 10_000
     sol, report = solve(problem, SolverConfig(steps_per_window=20, n_paths=m,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsei.errors import NonConvergenceError
-from bsei.geometry import SetValuedSpec
+from bsei.geometry import Ball, Polytope, SetValuedSpec, Singleton
 from bsei.paths import ProcessEnsemble, TimeGrid, simulate_brownian, step_designs
 from bsei.semigroup import SemigroupCache, matrix_exponential
 from bsei.solver import (
@@ -24,7 +24,7 @@ from bsei.solver import (
 
 
 def singleton_spec(dim, a_y=0.0, a_z=0.0, k=None):
-    return SetValuedSpec(dim=dim, shape="singleton", a_y=a_y * np.eye(dim),
+    return SetValuedSpec(base=Singleton(np.zeros(dim)), a_y=a_y * np.eye(dim),
                          a_z=a_z * np.eye(dim),
                          lipschitz_k=abs(a_y) + abs(a_z) if k is None else k)
 
@@ -127,8 +127,8 @@ def test_select_fixed_point_inside_set():
     grid = TimeGrid(1.0, 3)
     m, d = 5, 2
     g_vals = 0.05 * np.random.default_rng(2).normal(size=(4, m, d))
-    spec = SetValuedSpec(dim=d, shape="ball", a_y=np.zeros((d, d)),
-                         a_z=np.zeros((d, d)), lipschitz_k=0.0, radius=1.0)
+    spec = SetValuedSpec(base=Ball(np.zeros(d), 1.0), a_y=np.zeros((d, d)),
+                         a_z=np.zeros((d, d)), lipschitz_k=0.0)
     g, y, z = _ensembles(grid, m, d, g=g_vals)
     out = _select(g, y, z, spec)
     assert np.array_equal(out.values, g_vals)  # already inside: untouched
@@ -140,8 +140,8 @@ def test_select_ball_closed_form():
     r = 0.4
     u = np.array([0.6, 0.8])
     g_vals = np.tile(2.0 * r * u, (3, m, 1))
-    spec = SetValuedSpec(dim=d, shape="ball", a_y=np.zeros((d, d)),
-                         a_z=np.zeros((d, d)), lipschitz_k=0.0, radius=r)
+    spec = SetValuedSpec(base=Ball(np.zeros(d), r), a_y=np.zeros((d, d)),
+                         a_z=np.zeros((d, d)), lipschitz_k=0.0)
     g, y, z = _ensembles(grid, m, d, g=g_vals)
     out = _select(g, y, z, spec)
     assert np.allclose(out.values, np.tile(r * u, (3, m, 1)), atol=1e-14)
@@ -151,13 +151,13 @@ def test_select_polytope_shape():
     grid = TimeGrid(1.0, 1)
     m, d = 4, 2
     off = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    spec = SetValuedSpec(dim=d, shape="polytope", a_y=np.eye(d),
-                         a_z=np.zeros((d, d)), lipschitz_k=1.0, offsets=off)
+    spec = SetValuedSpec(base=Polytope(off), a_y=np.eye(d),
+                         a_z=np.zeros((d, d)), lipschitz_k=1.0)
     rng = np.random.default_rng(3)
     y_vals = rng.normal(size=(2, m, d))
     g, y, z = _ensembles(grid, m, d, y=y_vals)
     out = _select(g, y, z, spec)
-    from bsei.geometry import Polytope, distance_to
+    from bsei.geometry import distance_to
     for k in range(2):
         for j in range(m):
             assert distance_to(out.values[k, j],
@@ -228,9 +228,8 @@ def _ball_problem(d=2, radius=0.2, pull=-0.3):
     return BSEIProblem(
         horizon=1.0, exponent=2.0, dim=d, generator=np.diag([-1.0, -0.5]),
         terminal=TerminalSpec("linear", np.ones(d)),
-        gspec=SetValuedSpec(dim=d, shape="ball", a_y=pull * np.eye(d),
-                            a_z=np.zeros((d, d)), lipschitz_k=abs(pull),
-                            radius=radius))
+        gspec=SetValuedSpec(base=Ball(np.zeros(d), radius), a_y=pull * np.eye(d),
+                            a_z=np.zeros((d, d)), lipschitz_k=abs(pull)))
 
 
 def test_picard_singleton_constant_two_iterations():
@@ -238,7 +237,7 @@ def test_picard_singleton_constant_two_iterations():
     prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=d,
                        generator=np.zeros((d, d)),
                        terminal=TerminalSpec("constant", [2.0]),
-                       gspec=SetValuedSpec(dim=d, shape="singleton",
+                       gspec=SetValuedSpec(base=Singleton(np.zeros(d)),
                                            a_y=np.zeros((d, d)),
                                            a_z=np.zeros((d, d)),
                                            lipschitz_k=0.0,
@@ -332,14 +331,14 @@ def test_solve_linear_bsde_closed_form_oracle():
 
 
 def test_solve_ball_radius_zero_equals_singleton():
-    mk = lambda shape, r: BSEIProblem(
+    mk = lambda base: BSEIProblem(
         horizon=1.0, exponent=2.0, dim=1, generator=np.zeros((1, 1)),
         terminal=TerminalSpec("linear", [1.0]),
-        gspec=SetValuedSpec(dim=1, shape=shape, a_y=-0.4 * np.eye(1),
-                            a_z=np.zeros((1, 1)), lipschitz_k=0.4, radius=r))
+        gspec=SetValuedSpec(base=base, a_y=-0.4 * np.eye(1),
+                            a_z=np.zeros((1, 1)), lipschitz_k=0.4))
     cfg = SolverConfig(steps_per_window=8, n_paths=500, seed=14)
-    s1, _ = solve(mk("singleton", 0.0), cfg)
-    s2, _ = solve(mk("ball", 0.0), cfg)
+    s1, _ = solve(mk(Singleton(np.zeros(1))), cfg)
+    s2, _ = solve(mk(Ball(np.zeros(1), 0.0)), cfg)
     for a, b in [(s1.y, s2.y), (s1.z, s2.z), (s1.g, s2.g)]:
         assert np.abs(a - b).max() <= 1e-12
 
@@ -437,11 +436,10 @@ def test_selection_moves_by_the_pointwise_distance():
     rng = np.random.default_rng(20)
     g_vals = rng.normal(size=(5, m, d))
     y_vals = rng.normal(size=(5, m, d))
-    for shape, extra in (("ball", {"radius": 0.3}),
-                         ("polytope", {"offsets": np.array(
-                             [[0.0, 0.0], [0.4, 0.0], [0.0, 0.4]])})):
-        spec = SetValuedSpec(dim=d, shape=shape, a_y=0.5 * np.eye(d),
-                             a_z=np.zeros((d, d)), lipschitz_k=0.5, **extra)
+    for base in (Ball(np.zeros(d), 0.3),
+                 Polytope([[0.0, 0.0], [0.4, 0.0], [0.0, 0.4]])):
+        spec = SetValuedSpec(base=base, a_y=0.5 * np.eye(d),
+                             a_z=np.zeros((d, d)), lipschitz_k=0.5)
         g, y, z = (ProcessEnsemble(grid, v) for v in
                    (g_vals, y_vals, np.zeros((5, m, d))))
         out = _select(g, y, z, spec)
@@ -544,16 +542,16 @@ def _stacked_inclusion_residual(sol, problem):
 
 
 @pytest.mark.parametrize("shape, extra", [
-    ("ball", {"radius": 0.2}),
-    ("polytope", {"offsets": np.array([[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25],
-                                       [-0.15, 0.15]])}),
+    ("ball", {"base": Ball(np.zeros(2), 0.2)}),
+    ("polytope", {"base": Polytope([[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25],
+                                    [-0.15, 0.15]])}),
 ])
 def test_inclusion_residual_node_by_node_matches_stacked_formula(shape, extra):
     d = 2
     prob = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=d, generator=np.diag([-1.0, -0.5]),
         terminal=TerminalSpec("linear", [0.3, 0.3]),
-        gspec=SetValuedSpec(dim=d, shape=shape, a_y=-0.3 * np.eye(d),
+        gspec=SetValuedSpec(a_y=-0.3 * np.eye(d),
                             a_z=np.zeros((d, d)), lipschitz_k=0.3,
                             c0=lambda t: np.array([0.1 * t, -0.05]), **extra))
     sol, rep = solve(prob, SolverConfig(steps_per_window=4, n_paths=400, seed=26))
@@ -650,8 +648,9 @@ def test_rebuild_z_one_sweep_matches_per_source_chains():
         horizon=1.0, exponent=2.0, dim=2,
         generator=np.array([[-1.0, 0.4], [-0.3, -0.5]]),
         terminal=TerminalSpec("quadratic", [1.0, 0.5]),
-        gspec=SetValuedSpec(dim=2, shape="ball", a_y=np.array([[-0.3, 0.1], [0.0, 0.2]]),
-                            a_z=np.zeros((2, 2)), lipschitz_k=0.4, radius=0.1))
+        gspec=SetValuedSpec(base=Ball(np.zeros(2), 0.1),
+                            a_y=np.array([[-0.3, 0.1], [0.0, 0.2]]),
+                            a_z=np.zeros((2, 2)), lipschitz_k=0.4))
     sol, _ = solve(prob, SolverConfig(steps_per_window=4, n_paths=600, seed=23))
     n = sol.grid.n_steps
     assert np.abs(sol.g).max() > 0.1
