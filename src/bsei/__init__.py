@@ -13,7 +13,6 @@ if _os.environ.get("BSEI_THREADS"):  # BLAS reads it when numpy loads, below
         _os.environ.setdefault(_var, _os.environ["BSEI_THREADS"])
 
 from .errors import (
-    AdaptednessError,
     BseiError,
     ConfigError,
     NonConvergenceError,
@@ -23,7 +22,6 @@ from .gamma import (
     FiniteRankOperator,
     GammaNormEstimate,
     IsomorphismReport,
-    bounded_operator_pushthrough,
     gamma_norm,
     ito_isomorphism_report,
     kw_integral,
@@ -34,33 +32,27 @@ from .geometry import (
     Polytope,
     SetValuedSpec,
     Singleton,
-    direction_net,
     distance_to,
     hausdorff,
     magnitude,
     probe_lipschitz,
     project,
     support,
-    support_gap,
 )
 from .paths import (
     BrownianEnsemble,
-    KernelEnsemble,
     MartingaleRepresentation,
     PolynomialRegression,
-    ProcessEnsemble,
     RegressionFit,
     TimeGrid,
-    conditional_expectation,
     from_function,
     ito_integral,
     lp_l2_norm,
     martingale_representation,
-    regress,
     simulate_brownian,
     step_designs,
 )
-from .semigroup import SemigroupCache, apply, gamma_bound, matrix_exponential
+from .semigroup import SemigroupCache, gamma_bound, matrix_exponential
 from .solver import (
     BSEIProblem,
     PicardSchedule,

@@ -358,7 +358,7 @@ def cmd_validate(suite: str, seed: int) -> int:
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from "
                           f"{', '.join(SUITE_NAMES)}", field="suite")
-    result = run_suite(suite, seed=seed)
+    result = run_suite(suite, seed=_build("seed", _seed, seed))
     print(json.dumps(result, indent=2))
     return 0 if result["passed"] else 1
 

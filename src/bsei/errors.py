@@ -7,10 +7,6 @@ class BseiError(Exception):
     """Base class for all package-specific failures."""
 
 
-class AdaptednessError(BseiError):
-    """A process ensemble violated its declared adaptedness contract."""
-
-
 class ScheduleError(BseiError, ValueError):
     """The contraction constants admit no finite window length or count, or
     plan more grid than the machine can hold; ``field`` names the config

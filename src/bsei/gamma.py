@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .paths import BrownianEnsemble, ProcessEnsemble, TimeGrid, ito_integral, lp_l2_norm
+from .errors import ConfigError
+from .paths import BrownianEnsemble, TimeGrid, _physical_memory, ito_integral, lp_l2_norm
 
 _GS_DROP_REL = 1e-10
 
@@ -109,6 +110,7 @@ def gamma_norm(op: FiniteRankOperator, n_gauss: int, seed: int) -> GammaNormEsti
     entries stay in range; the norms scale by 2^(a + b), restored with
     ldexp.  Powers of two scale exactly: wherever the unscaled arithmetic
     neither underflows nor overflows, the results are bitwise the same.
+    Draws that would not fit in physical memory raise ``ConfigError``.
     """
     if n_gauss < 1:
         raise ValueError("n_gauss must be >= 1")
@@ -118,6 +120,11 @@ def gamma_norm(op: FiniteRankOperator, n_gauss: int, seed: int) -> GammaNormEsti
     exact = float(np.sqrt(np.sum(e_tilde**2)))
     if e_tilde.shape[0] == 0:
         return GammaNormEstimate(0.0, 0.0, 0.0, dropped)
+    need, budget = 8 * n_gauss * sum(e_tilde.shape), _physical_memory()
+    if budget is not None and need > budget:  # the draws and their images
+        raise ConfigError(f"{n_gauss} draws of {e_tilde.shape[0]} terms need about "
+                          f"{need} bytes, more than the {budget} bytes of physical "
+                          "memory", field="n_gauss")
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((n_gauss, e_tilde.shape[0]))
     norms_sq = np.sum((draws @ e_tilde) ** 2, axis=1)
@@ -144,19 +151,6 @@ def kw_integral(f_samples, grid: TimeGrid, s: float, t: float) -> np.ndarray:
     return grid.dt * f[ks:kt].sum(axis=0)
 
 
-def bounded_operator_pushthrough(b, f_samples, grid: TimeGrid,
-                                 s: float, t: float):
-    """Both sides of the identity integral(B f) = B integral(f).
-
-    Returned as (lhs, rhs); with linear quadrature they agree to rounding.
-    """
-    b = np.asarray(b, dtype=float)
-    f = np.atleast_2d(np.asarray(f_samples, dtype=float))
-    lhs = kw_integral(f @ b.T, grid, s, t)
-    rhs = b @ kw_integral(f, grid, s, t)
-    return lhs, rhs
-
-
 @dataclass(frozen=True)
 class IsomorphismReport:
     ratio: float
@@ -166,9 +160,10 @@ class IsomorphismReport:
     degenerate: bool
 
 
-def ito_isomorphism_report(phi: ProcessEnsemble, bm: BrownianEnsemble,
+def ito_isomorphism_report(phi: np.ndarray, bm: BrownianEnsemble,
                            p: float) -> IsomorphismReport:
-    """Ratio (E||int phi dW||^p)^{1/p} / ||phi||_{L^p(Omega;L^2)}.
+    """Ratio (E||int phi dW||^p)^{1/p} / ||phi||_{L^p(Omega;L^2)} for an
+    (N + 1, M, d) integrand on the grid of ``bm``.
 
     Equals one (up to sampling error) at p = 2; for other exponents the
     two-sided equivalence constants are unspecified, so the ratio is
@@ -179,9 +174,9 @@ def ito_isomorphism_report(phi: ProcessEnsemble, bm: BrownianEnsemble,
         raise ValueError("p must exceed 1")
     integral = ito_integral(phi, bm, bm.grid.horizon)
     a = np.sum(integral**2, axis=1) ** (p / 2.0)          # ||I_m||^p
-    q = bm.grid.dt * np.sum(phi.values[:-1] ** 2, axis=(0, 2))
+    q = bm.grid.dt * np.sum(phi[:-1] ** 2, axis=(0, 2))
     b = q ** (p / 2.0)
-    denominator = lp_l2_norm(phi, p)
+    denominator = lp_l2_norm(phi, bm.grid.dt, p)
     numerator = float(np.mean(a) ** (1.0 / p))
     if denominator == 0.0:
         return IsomorphismReport(1.0, numerator, 0.0, 0.0, True)

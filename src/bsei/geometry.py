@@ -392,32 +392,6 @@ def magnitude(cset: ConvexCompactSet) -> float:
     return hausdorff(cset, Singleton(np.zeros(cset.dim)))
 
 
-def direction_net(dim: int, n_directions: int | None = None) -> np.ndarray:
-    """Deterministic unit-direction net, default resolution 64 * dim.
-
-    In the plane the net is the evenly spaced angular grid; in higher
-    dimension a fixed-seed Gaussian sample is normalized, which keeps the
-    net reproducible and resolution-controlled.
-    """
-    n = 64 * dim if n_directions is None else int(n_directions)
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    rng = np.random.default_rng(171717)
-    u = rng.standard_normal((n, dim))
-    return u / _norm(u)[:, None]
-
-
-def support_gap(a: ConvexCompactSet, b: ConvexCompactSet,
-                directions: np.ndarray | None = None) -> float:
-    """Max |h_a(u) - h_b(u)| over a direction net; zero iff the sets agree on it."""
-    _check_dims(a, b)
-    u = as_points(direction_net(a.dim) if directions is None else directions, a.dim)
-    return float(np.max(np.abs(a._support(u) - b._support(u))))
-
-
 @dataclass(frozen=True)
 class SetValuedSpec:
     """Affine-center set-valued map (t, y, z) -> base + c0(t) + Ay.y + Az.z.

@@ -1,7 +1,10 @@
-"""Path-space machinery: Brownian ensembles on a uniform grid, adapted
-process storage, the left-endpoint stochastic integral, discrete
-L^p(Omega; L^2) norms, least-squares conditional expectations, and the
-martingale representation with a strictly lower-triangular kernel.
+"""Path-space machinery: Brownian ensembles on a uniform grid, the
+left-endpoint stochastic integral, discrete L^p(Omega; L^2) norms,
+least-squares conditional expectations, and the martingale representation
+with a strictly lower-triangular kernel.
+
+A process is an (n_nodes, M, d) array of its values X[k][m] at the grid
+nodes 0, 1, ... of the Brownian ensemble it is driven by.
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 (seed, step index), so the draws for a given step never depend on the
@@ -11,14 +14,13 @@ number of paths or steps requested elsewhere.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 # numpy loads numpy.random lazily; every solve draws, so load it with the package
 from numpy.random import Generator, Philox
-
-from .errors import AdaptednessError
 
 _RIDGE_SCALE = 1e-10
 _MIN_PATHS_PER_BASIS = 10
@@ -59,6 +61,15 @@ class TimeGrid:
         return k_round
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, the budget of every large allocation;
+    None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf
+        return None
+
+
 def _philox_normals(seed: int, step: int, n: int) -> np.ndarray:
     key = np.array([seed % (1 << 64), step], dtype=np.uint64)
     return Generator(Philox(key=key)).standard_normal(n)
@@ -90,18 +101,6 @@ class BrownianEnsemble:
         """Brownian values W[k][m] at the grid nodes, W[0] = 0."""
         return self._levels
 
-    def resampled_after(self, k_from: int, fresh_seed: int) -> "BrownianEnsemble":
-        """Copy with increments at steps >= k_from redrawn under a new seed.
-
-        Used to exercise adaptedness: anything measurable at node k must be
-        unchanged when only later increments move.
-        """
-        sq = np.sqrt(self.grid.dt)
-        inc = np.array(self.increments)
-        for k in range(max(k_from, 0), self.grid.n_steps):
-            inc[k] = sq * _philox_normals(fresh_seed, k, self.n_paths)
-        return BrownianEnsemble(self.grid, self.n_paths, fresh_seed, inc)
-
 
 def simulate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemble:
     """Draw a reproducible Brownian increment ensemble on the grid."""
@@ -114,72 +113,40 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemb
     return BrownianEnsemble(grid, n_paths, seed, inc)
 
 
-@dataclass(frozen=True)
-class ProcessEnsemble:
-    """Vector-valued process samples X[k][m] on the grid nodes 0, 1, ....
-
-    ``adapted`` declares the left-endpoint adaptedness contract: X[k] may
-    depend on increments strictly before node k only.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray  # (n_nodes, M, d)
-    adapted: bool = True
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3:
-            raise ValueError("values must be a (n_nodes, n_paths, dim) array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("process values must be finite")
-        if v.shape[0] - 1 > self.grid.n_steps:
-            raise ValueError("node range falls outside the grid")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
+def from_function(bm: BrownianEnsemble, fn, dim: int) -> np.ndarray:
+    """Adapted process X[k] = fn(k, W_{t_k}) on the grid of ``bm``, as an
+    (N + 1, M, dim) array; fn must return an (M, dim) array."""
+    out = np.empty((bm.grid.n_steps + 1, bm.n_paths, dim))
+    for k in range(bm.grid.n_steps + 1):
+        x = np.asarray(fn(k, bm.levels[k]), dtype=float)
+        if x.shape != out.shape[1:]:
+            raise ValueError(f"fn returned shape {x.shape} at node {k}, "
+                             f"expected {out.shape[1:]}")
+        out[k] = x
+    return out
 
 
-def from_function(grid: TimeGrid, bm: BrownianEnsemble, fn, dim: int) -> ProcessEnsemble:
-    """Adapted ensemble X[k] = fn(k, W_{t_k}); fn returns an (M, dim) array."""
-    out = np.empty((grid.n_steps + 1, bm.n_paths, dim))
-    for k in range(grid.n_steps + 1):
-        out[k] = np.asarray(fn(k, bm.levels[k]), dtype=float).reshape(bm.n_paths, dim)
-    return ProcessEnsemble(grid, out)
-
-
-def ito_integral(step_values: ProcessEnsemble, bm: BrownianEnsemble,
-                 upto: float) -> np.ndarray:
-    """Per-path integral sum_{k: t_{k+1} <= upto} X[k] dW[k] (left endpoints)."""
-    if not step_values.adapted:
-        raise AdaptednessError("integrand does not declare adaptedness")
-    if step_values.grid != bm.grid or step_values.n_paths != bm.n_paths:
-        raise ValueError("integrand and Brownian ensemble live on different grids")
+def ito_integral(values: np.ndarray, bm: BrownianEnsemble, upto: float) -> np.ndarray:
+    """Per-path integral sum_{k: t_{k+1} <= upto} X[k] dW[k] (left endpoints)
+    of an (n_nodes, M, d) integrand."""
+    if values.shape[1] != bm.n_paths:
+        raise ValueError(f"integrand has {values.shape[1]} paths, the Brownian "
+                         f"ensemble {bm.n_paths}")
     k_up = bm.grid.node_index(upto)
-    if k_up > step_values.n_nodes - 1:
+    if k_up > values.shape[0] - 1:
         raise ValueError("integrand does not cover the integration window")
-    if k_up == 0:
-        return np.zeros((bm.n_paths, step_values.dim))
-    return np.einsum("kmd,km->md", step_values.values[:k_up], bm.increments[:k_up])
+    return np.einsum("kmd,km->md", values[:k_up], bm.increments[:k_up])
 
 
-def lp_l2_norm(x: ProcessEnsemble, p: float) -> float:
-    """Sample norm ((1/M) sum_m (sum_k dt ||X[k][m]||^2)^{p/2})^{1/p}.
+def lp_l2_norm(values: np.ndarray, dt: float, p: float) -> float:
+    """Sample norm ((1/M) sum_m (sum_k dt ||X[k][m]||^2)^{p/2})^{1/p} of an
+    (n_nodes, M, d) process.
 
     Left-endpoint convention: the last stored node carries no quadrature mass.
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    return _lp_l2(x.values, np.broadcast_to(0.0, x.values.shape), x.grid.dt, p)
+    return _lp_l2(values, np.broadcast_to(0.0, values.shape), dt, p)
 
 
 def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
@@ -353,47 +320,14 @@ def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
     return out
 
 
-def regress(targets, state_features, basis_degree: int) -> RegressionFit:
-    return PolynomialRegression(state_features, basis_degree).fit(targets)
-
-
-def conditional_expectation(targets, state_features, basis_degree: int) -> np.ndarray:
-    """L^2(Omega)-orthogonal projection of per-path targets onto the span of
-    polynomials in the conditioning features.
-
-    Exact (up to conditioning) whenever the targets already are such a
-    polynomial of the features.
-    """
-    return regress(targets, state_features, basis_degree).values
-
-
-@dataclass(frozen=True)
-class KernelEnsemble:
-    """Two-time kernel samples tau[u][s][m], stored only for s < u.
-
-    Entries on or above the diagonal do not exist, which makes the support
-    condition of the representation kernel structural.
-    """
-
-    grid: TimeGrid
-    taus: tuple  # taus[u]: (u, M, d) array
-
-    def tau(self, u: int, s: int) -> np.ndarray:
-        if not 0 <= u < len(self.taus):
-            raise ValueError(f"node index {u} out of range")
-        if not 0 <= s < u:
-            raise ValueError("kernel is strictly lower-triangular: need s < u")
-        return self.taus[u][s]
-
-
 @dataclass(frozen=True)
 class MartingaleRepresentation:
     mean_part: np.ndarray     # (n_nodes, d) ensemble means
-    kernel: KernelEnsemble
+    taus: tuple               # taus[u]: (u, M, d) kernel tau[u][s], s < u only
     residuals: np.ndarray     # (n_nodes,) L^2(Omega) reconstruction residuals
 
 
-def martingale_representation(g: ProcessEnsemble, bm: BrownianEnsemble,
+def martingale_representation(g: np.ndarray, bm: BrownianEnsemble,
                               basis_degree: int) -> MartingaleRepresentation:
     """Decompose g_u = E(g_u) + sum_{k<u} tau[u][k] dW_k on the grid.
 
@@ -401,19 +335,19 @@ def martingale_representation(g: ProcessEnsemble, bm: BrownianEnsemble,
     through the tower chain m_k = E[m_{k+1} | F_{t_k}] (fitted backwards
     from m_u = g_u, so the per-step targets never see the accumulated
     future noise of g_u) and reads each kernel from the increment block of
-    the joint basis regression.
+    the joint basis regression.  The kernel of node u is stored for s < u
+    only, so its support condition is structural: taus[u][u] does not exist.
     """
-    if not g.adapted:
-        raise AdaptednessError("martingale representation needs an adapted process")
-    if g.grid != bm.grid or g.n_paths != bm.n_paths:
-        raise ValueError("process and Brownian ensemble live on different grids")
-    n, m, d = g.values.shape
+    n, m, d = g.shape
+    if m != bm.n_paths or n > bm.grid.n_steps + 1:
+        raise ValueError(f"process of shape {g.shape} does not fit the Brownian "
+                         f"ensemble's {bm.grid.n_steps + 1} nodes x {bm.n_paths} paths")
     designs = step_designs(bm, 0, n - 1, basis_degree)
-    mean_part = g.values.mean(axis=1)
+    mean_part = g.mean(axis=1)
     taus = []
     residuals = np.empty(n)
     for u in range(n):
-        gu = g.values[u]
+        gu = g[u]
         tau_u = np.empty((u, m, d))
         cond = gu
         for k in range(u - 1, -1, -1):
@@ -425,5 +359,4 @@ def martingale_representation(g: ProcessEnsemble, bm: BrownianEnsemble,
             recon += tau_u[k] * bm.increments[k][:, None]
         taus.append(tau_u)
         residuals[u] = np.sqrt(np.mean(np.sum((gu - recon) ** 2, axis=1)))
-    kernel = KernelEnsemble(g.grid, tuple(taus))
-    return MartingaleRepresentation(mean_part, kernel, residuals)
+    return MartingaleRepresentation(mean_part, tuple(taus), residuals)

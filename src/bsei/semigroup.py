@@ -1,7 +1,7 @@
 """Matrix semigroup S(t) = exp(t A) on a uniform time grid.
 
 The generator is a plain d x d matrix; the cache precomputes exp(k dt A)
-for every grid node, rejects off-grid times, and exposes the uniform
+for every grid node k, as ``powers[k]``, and exposes the uniform
 operator-norm bound that plays the role of the gamma-bound of the family
 in the Euclidean setting.
 """
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .paths import TimeGrid
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
@@ -76,18 +74,6 @@ class SemigroupCache:
     @property
     def n_steps(self) -> int:
         return self.powers.shape[0] - 1
-
-    def power(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.n_steps:
-            raise ValueError(f"power index {k} outside 0..{self.n_steps}")
-        return self.powers[k]
-
-
-def apply(cache: SemigroupCache, t: float, x) -> np.ndarray:
-    """exp(t A) x for a grid-aligned time; x may be a vector or an (..., d) array."""
-    k = TimeGrid(cache.step * cache.n_steps, cache.n_steps).node_index(t)
-    x = np.asarray(x, dtype=float)
-    return x @ cache.powers[k].T
 
 
 def gamma_bound(cache: SemigroupCache) -> float:

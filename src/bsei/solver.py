@@ -12,7 +12,6 @@ handing its left-endpoint values to the next as terminal data.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .paths import (
     PolynomialRegression,
     TimeGrid,
     _lp_l2,
+    _physical_memory,
     _sample_norm,
     simulate_brownian,
     step_designs,
@@ -356,12 +356,9 @@ def _about(n: int) -> str:
 def _check_memory(n_steps: int, n_paths: int, dim: int) -> None:
     """Raise ScheduleError before allocating when the full-grid arrays alone
     would exceed the machine's physical memory."""
-    try:
-        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):  # no sysconf: no budget
-        return
+    budget = _physical_memory()
     need = _full_grid_bytes(n_steps, n_paths, dim)
-    if need > budget:
+    if budget is not None and need > budget:
         # blame the path count only when the steps alone would fit
         field = ("numerics.paths" if _full_grid_bytes(n_steps, 1, dim) <= budget
                  else "problem.generator")

@@ -139,12 +139,12 @@ def ito_suite(seed: int = 2024, n_paths: int = 100_000) -> dict:
         "quadratic": lambda k, w: np.column_stack([w**2 - grid.nodes[k], w]),
     }
     for name, fn in integrands.items():
-        phi = from_function(grid, bm, fn, 2)
+        phi = from_function(bm, fn, 2)
         rep = ito_isomorphism_report(phi, bm, 2.0)
         _check(checks, f"p=2 isometry ratio deviation ({name})",
                abs(rep.ratio - 1.0), 3.0 * rep.standard_error)
     for p in (1.5, 3.0):
-        phi = from_function(grid, bm, integrands["brownian"], 2)
+        phi = from_function(bm, integrands["brownian"], 2)
         rep = ito_isomorphism_report(phi, bm, p)
         checks.append({"name": f"p={p} isomorphism ratio (reported)",
                        "value": float(rep.ratio), "bound": None, "passed": True})
@@ -156,21 +156,20 @@ def representation_suite(seed: int = 2024, n_paths: int = 10_000) -> dict:
     grid = TimeGrid(1.0, 24)
     bm = simulate_brownian(grid, n_paths, seed)
     e = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    g = from_function(grid, bm, lambda k, w: w[:, None] * e, 2)
+    g = from_function(bm, lambda k, w: w[:, None] * e, 2)
     rep = martingale_representation(g, bm, basis_degree=1)
     _check(checks, "brownian reconstruction residual", float(rep.residuals.max()),
            3.0 / np.sqrt(n_paths))
     _check(checks, "brownian mean part", float(np.abs(rep.mean_part).max()),
            4.0 / np.sqrt(n_paths))
-    lower_ok = all(rep.kernel.taus[u].shape[0] == u
-                   for u in range(len(rep.kernel.taus)))
+    lower_ok = all(t.shape[0] == u for u, t in enumerate(rep.taus))
     checks.append({"name": "kernel strictly lower-triangular", "value": lower_ok,
                    "bound": True, "passed": bool(lower_ok)})
 
-    gd = from_function(grid, bm, lambda k, w: np.tile([2.0, float(k)], (n_paths, 1)), 2)
+    gd = from_function(bm, lambda k, w: np.tile([2.0, float(k)], (n_paths, 1)), 2)
     repd = martingale_representation(gd, bm, basis_degree=1)
     tau_max = max((float(np.abs(t).max()) if t.size else 0.0)
-                  for t in repd.kernel.taus)
+                  for t in repd.taus)
     _check(checks, "deterministic source kernel magnitude", tau_max, 1e-10)
     _check(checks, "deterministic source residual", float(repd.residuals.max()),
            1e-10)
@@ -179,8 +178,8 @@ def representation_suite(seed: int = 2024, n_paths: int = 10_000) -> dict:
     # so the observed ratio is reported rather than asserted
     dt = grid.dt
     tau_sq = sum(dt * dt * float(np.mean(np.sum(t**2, axis=(0, 2))))
-                 for t in rep.kernel.taus if t.size)
-    g_norm = float(np.sqrt(np.mean(dt * np.sum(g.values[:-1] ** 2, axis=(0, 2)))))
+                 for t in rep.taus if t.size)
+    g_norm = float(np.sqrt(np.mean(dt * np.sum(g[:-1] ** 2, axis=(0, 2)))))
     checks.append({"name": "kernel/source norm ratio (reported)",
                    "value": float(np.sqrt(tau_sq) / g_norm), "bound": None,
                    "passed": True})

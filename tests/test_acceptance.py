@@ -192,7 +192,7 @@ def test_criterion_06_ito_isometry():
     ok = True
     details = []
     for name, fn in integrands.items():
-        rep = ito_isomorphism_report(from_function(grid, bm, fn, 2), bm, 2.0)
+        rep = ito_isomorphism_report(from_function(bm, fn, 2), bm, 2.0)
         good = abs(rep.ratio - 1.0) <= 3.0 * rep.standard_error
         ok = ok and good
         details.append(f"{name}:{rep.ratio:.4f}")
@@ -204,11 +204,10 @@ def test_criterion_07_martingale_representation():
     grid = TimeGrid(1.0, 25)
     m = 10_000
     bm = simulate_brownian(grid, m, seed=9)
-    g = from_function(grid, bm, lambda k, w: w[:, None], 1)
+    g = from_function(bm, lambda k, w: w[:, None], 1)
     rep = martingale_representation(g, bm, basis_degree=1)
     resid_ok = rep.residuals.max() <= 3.0 / np.sqrt(m)
-    shape_ok = all(rep.kernel.taus[u].shape[0] == u
-                   for u in range(len(rep.kernel.taus)))
+    shape_ok = all(rep.taus[u].shape[0] == u for u in range(len(rep.taus)))
     _report(7, "representation residual <= 3/sqrt(M), kernel lower-triangular",
             resid_ok and shape_ok,
             f"(max residual={rep.residuals.max():.4f}, bound={3 / np.sqrt(m):.4f})")

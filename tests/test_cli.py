@@ -125,6 +125,17 @@ def test_validate_representation_passes(capsys):
     assert out["passed"] is True
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("suite", ["geometry", "gamma", "ito", "representation"])
+def test_validate_rejects_seed_outside_philox_key_range(capsys, suite, seed):
+    # -1 used to end in a traceback or run, 2^64 to run as seed 0
+    assert main(["validate", suite, f"--seed={seed}"]) == 2
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
+    assert out.out == "" and len(err) == 1
+    assert err[0].startswith("config error [seed]"), err[0]
+
+
 def test_gamma_norm_subcommand(tmp_path, capsys):
     op = {"window": [0.0, 1.0],
           "terms": [{"h": [1, 1, 1, 1, 0, 0, 0, 0], "e": [2.0, 0.0]}],
@@ -200,6 +211,22 @@ def test_gamma_norm_keeps_tiny_and_huge_finite_norms(tmp_path, capsys, scale,
     assert out["dropped_terms"] == 0
 
 
+def test_gamma_norm_over_memory_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # 1000 draws of one term and their images take 16000 bytes
+    import bsei.gamma
+
+    monkeypatch.setattr(bsei.gamma, "_physical_memory", lambda: 12_000)
+    path = tmp_path / "op.json"
+    for n_gauss, code in ((1000, 2), (500, 0)):
+        path.write_text(json.dumps({"window": [0.0, 1.0], "terms": [_UNIT_TERM],
+                                    "n_gauss": n_gauss}))
+        assert main(["gamma-norm", str(path)]) == code
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [n_gauss]"), err
+    assert json.loads(out.out)["exact"] == 1.0
+
+
 def test_ball_demo_config_contracts(tmp_path, monkeypatch):
     # the shipped ball demo: exit 0 and every reported ratio at most 0.6
     import shutil
@@ -261,26 +288,6 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
     assert counts == {"draw": 1, "build": 1, "verify": 1}
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["y_continuity_modulus"] > 0.0
-
-
-def test_solve_builds_only_the_solution_ensembles(tmp_path, monkeypatch):
-    # the solve path runs on plain arrays: not even the Solution that solve
-    # returns holds a process ensemble
-    from bsei.paths import ProcessEnsemble
-
-    shapes = []
-    post_init = ProcessEnsemble.__post_init__
-
-    def counted(self):
-        post_init(self)
-        shapes.append(self.values.shape)
-
-    monkeypatch.setattr(ProcessEnsemble, "__post_init__", counted)
-    path = write(tmp_path, demo_config(tmp_path))
-    assert main(["solve", path]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert sum(report["iterations_per_window"]) > 3
-    assert shapes == []
 
 
 def ball_demo_config(tmp_path, **numerics):

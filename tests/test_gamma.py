@@ -3,12 +3,11 @@ import pytest
 
 from bsei.gamma import (
     FiniteRankOperator,
-    bounded_operator_pushthrough,
     gamma_norm,
     ito_isomorphism_report,
     kw_integral,
 )
-from bsei.paths import ProcessEnsemble, TimeGrid, from_function, simulate_brownian
+from bsei.paths import TimeGrid, from_function, simulate_brownian
 
 
 # --------------------------------------------------------------- gamma norm
@@ -121,11 +120,12 @@ def test_pushthrough_identity():
     grid = TimeGrid(1.0, 32)
     rng = np.random.default_rng(10)
     f = grid.nodes[:, None] * np.array([1.0, -1.0])
+    # integral(B f) = B integral(f): linear quadrature agrees to rounding
     for b in (np.eye(2), np.zeros((2, 2)), rng.normal(size=(2, 2))):
-        lhs, rhs = bounded_operator_pushthrough(b, f, grid, 0.0, 1.0)
-        assert np.abs(lhs - rhs).max() <= 1e-12
+        lhs = kw_integral(f @ b.T, grid, 0.0, 1.0)
+        assert np.abs(lhs - b @ kw_integral(f, grid, 0.0, 1.0)).max() <= 1e-12
     b = rng.normal(size=(2, 2))
-    lhs, _ = bounded_operator_pushthrough(b, f, grid, 0.0, 1.0)
+    lhs = kw_integral(f @ b.T, grid, 0.0, 1.0)
     left_riemann_half = grid.dt**2 * sum(range(32))
     assert np.allclose(lhs, b @ np.array([1.0, -1.0]) * left_riemann_half)
 
@@ -136,7 +136,7 @@ def test_isometry_constant_integrand():
     grid = TimeGrid(1.0, 16)
     m = 100_000
     bm = simulate_brownian(grid, m, seed=11)
-    phi = from_function(grid, bm, lambda k, w: np.tile([1.0], (m, 1)), 1)
+    phi = from_function(bm, lambda k, w: np.tile([1.0], (m, 1)), 1)
     rep = ito_isomorphism_report(phi, bm, 2.0)
     assert abs(rep.ratio - 1.0) <= 3.0 * rep.standard_error
     assert rep.denominator == pytest.approx(1.0)
@@ -145,7 +145,7 @@ def test_isometry_constant_integrand():
 def test_isometry_adapted_brownian_integrand():
     grid = TimeGrid(1.0, 32)
     bm = simulate_brownian(grid, 100_000, seed=12)
-    phi = from_function(grid, bm, lambda k, w: w[:, None], 1)
+    phi = from_function(bm, lambda k, w: w[:, None], 1)
     rep = ito_isomorphism_report(phi, bm, 2.0)
     assert abs(rep.ratio - 1.0) <= 3.0 * rep.standard_error
 
@@ -153,7 +153,7 @@ def test_isometry_adapted_brownian_integrand():
 def test_isomorphism_degenerate_integrand_flagged():
     grid = TimeGrid(1.0, 8)
     bm = simulate_brownian(grid, 100, seed=13)
-    phi = ProcessEnsemble(grid, np.zeros((9, 100, 2)))
+    phi = np.zeros((9, 100, 2))
     rep = ito_isomorphism_report(phi, bm, 2.0)
     assert rep.degenerate and rep.ratio == 1.0
 
@@ -164,7 +164,7 @@ def test_isomorphism_other_exponents_stable_across_seeds():
         ratios = []
         for seed in (1, 2):
             bm = simulate_brownian(grid, 50_000, seed=seed)
-            phi = from_function(grid, bm, lambda k, w: w[:, None], 1)
+            phi = from_function(bm, lambda k, w: w[:, None], 1)
             ratios.append(ito_isomorphism_report(phi, bm, p).ratio)
         assert np.isfinite(ratios).all()
         assert abs(ratios[0] - ratios[1]) <= 0.05 * ratios[0]

@@ -14,7 +14,6 @@ from bsei.geometry import (
     probe_lipschitz,
     project,
     support,
-    support_gap,
 )
 
 TOL = geometry.CLOSED_FORM_TOL
@@ -213,6 +212,25 @@ def test_hausdorff_symmetry(sets):
 def test_hausdorff_triangle_inequality(sets):
     a, b, c = sets
     assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 2.0 * TOL
+
+
+def direction_net(dim):
+    """Unit directions to compare support functions on: both of the line,
+    128 evenly spaced angles in the plane, and above that 64 d Gaussian
+    draws of a fixed seed, normalized."""
+    if dim == 1:
+        return np.array([[1.0], [-1.0]])
+    if dim == 2:
+        theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    u = np.random.default_rng(171717).standard_normal((64 * dim, dim))
+    return u / geometry._norm(u)[:, None]
+
+
+def support_gap(a, b):
+    """Max |h_a(u) - h_b(u)| over the direction net: zero where the sets agree."""
+    u = direction_net(a.dim)
+    return float(np.max(np.abs(a._support(u) - b._support(u))))
 
 
 @settings(max_examples=60, deadline=None)

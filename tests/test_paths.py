@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
 
-from bsei.errors import AdaptednessError
 from bsei.paths import (
+    BrownianEnsemble,
     PolynomialRegression,
-    ProcessEnsemble,
     TimeGrid,
     _lp_l2,
-    conditional_expectation,
+    _philox_normals,
     from_function,
     ito_integral,
     lp_l2_norm,
     martingale_representation,
-    regress,
     simulate_brownian,
 )
+
+
+def resampled_after(bm, k_from, fresh_seed):
+    """Copy of ``bm`` with the increments of steps >= k_from redrawn under a
+    new seed: anything measurable at node k_from must not move."""
+    inc = np.array(bm.increments)
+    for k in range(k_from, bm.grid.n_steps):
+        inc[k] = np.sqrt(bm.grid.dt) * _philox_normals(fresh_seed, k, bm.n_paths)
+    return BrownianEnsemble(bm.grid, bm.n_paths, fresh_seed, inc)
 
 
 def test_grid_nodes_exact_endpoints():
@@ -67,19 +74,29 @@ def test_step_streams_independent_of_step_count():
 def test_resampled_after_prefix():
     grid = TimeGrid(1.0, 10)
     bm = simulate_brownian(grid, 50, seed=5)
-    rs = bm.resampled_after(6, fresh_seed=99)
+    rs = resampled_after(bm, 6, fresh_seed=99)
     assert np.array_equal(rs.increments[:6], bm.increments[:6])
     assert not np.array_equal(rs.increments[6:], bm.increments[6:])
 
 
 def test_process_adaptedness_resampling_invariant():
     grid = TimeGrid(1.0, 10)
-    build = lambda b: from_function(grid, b, lambda k, w: np.column_stack([w, w**2]), 2)
+    build = lambda b: from_function(b, lambda k, w: np.column_stack([w, w**2]), 2)
     bm = simulate_brownian(grid, 40, seed=2)
     x = build(bm)
-    x2 = build(bm.resampled_after(5, fresh_seed=321))
-    assert np.array_equal(x.values[:6], x2.values[:6])  # nodes 0..5 untouched
-    assert not np.array_equal(x.values[6:], x2.values[6:])
+    x2 = build(resampled_after(bm, 5, fresh_seed=321))
+    assert np.array_equal(x[:6], x2[:6])  # nodes 0..5 untouched
+    assert not np.array_equal(x[6:], x2[6:])
+
+
+def test_from_function_requires_paths_by_dim():
+    # a transposed (dim, M) result used to be reshaped into scrambled paths
+    bm = simulate_brownian(TimeGrid(1.0, 4), 5, seed=2)
+    with pytest.raises(ValueError, match=r"\(2, 5\).*\(5, 2\)"):
+        from_function(bm, lambda k, w: np.vstack([w, 2.0 * w]), 2)
+    x = from_function(bm, lambda k, w: np.column_stack([w, 2.0 * w]), 2)
+    assert x.shape == (5, 5, 2)
+    assert np.array_equal(x[2], np.column_stack([bm.levels[2], 2.0 * bm.levels[2]]))
 
 
 # ------------------------------------------------------------- ito integral
@@ -88,7 +105,7 @@ def test_ito_integral_constant_cell():
     grid = TimeGrid(1.0, 6)
     bm = simulate_brownian(grid, 1000, seed=4)
     e = np.array([2.0, -1.0])
-    phi = from_function(grid, bm, lambda k, w: np.tile(e, (1000, 1)), 2)
+    phi = from_function(bm, lambda k, w: np.tile(e, (1000, 1)), 2)
     got = ito_integral(phi, bm, 1.0)
     assert np.allclose(got, np.outer(bm.levels[-1], e))
     half = ito_integral(phi, bm, 0.5)
@@ -98,8 +115,19 @@ def test_ito_integral_constant_cell():
 def test_ito_integral_zero():
     grid = TimeGrid(1.0, 4)
     bm = simulate_brownian(grid, 10, seed=0)
-    phi = ProcessEnsemble(grid, np.zeros((5, 10, 3)))
+    phi = np.zeros((5, 10, 3))
     assert np.array_equal(ito_integral(phi, bm, 1.0), np.zeros((10, 3)))
+    assert np.array_equal(ito_integral(phi, bm, 0.0), np.zeros((10, 3)))
+
+
+def test_ito_integral_rejects_mismatched_shapes():
+    bm = simulate_brownian(TimeGrid(1.0, 4), 10, seed=0)
+    phi = np.ones((5, 10, 1))
+    with pytest.raises(ValueError, match="paths"):
+        ito_integral(phi[:, :9], bm, 1.0)
+    with pytest.raises(ValueError, match="cover"):  # nodes 0..2 reach t = 0.5
+        ito_integral(phi[:3], bm, 1.0)
+    assert np.array_equal(ito_integral(phi[:3], bm, 0.5), bm.levels[2][:, None])
 
 
 def test_ito_integral_sign_isometry():
@@ -107,7 +135,7 @@ def test_ito_integral_sign_isometry():
     m = 100_000
     bm = simulate_brownian(grid, m, seed=8)
     e = np.array([1.0, 2.0])
-    phi = from_function(grid, bm, lambda k, w: np.sign(w)[:, None] * e, 2)
+    phi = from_function(bm, lambda k, w: np.sign(w)[:, None] * e, 2)
     val = ito_integral(phi, bm, 1.0)
     second_moment = np.mean(np.sum(val**2, axis=1))
     # sign(W_0) = 0 so the first cell carries nothing; the discrete oracle is
@@ -117,33 +145,26 @@ def test_ito_integral_sign_isometry():
     assert abs(second_moment - oracle) <= 3.0 * se
 
 
-def test_ito_integral_rejects_unadapted():
-    grid = TimeGrid(1.0, 4)
-    bm = simulate_brownian(grid, 10, seed=0)
-    phi = ProcessEnsemble(grid, np.ones((5, 10, 1)), adapted=False)
-    with pytest.raises(AdaptednessError):
-        ito_integral(phi, bm, 1.0)
-
-
 # -------------------------------------------------------------------- norms
 
 def test_lp_l2_zero_and_constant():
     grid = TimeGrid(2.0, 10)
     m = 50
-    zero = ProcessEnsemble(grid, np.zeros((11, m, 2)))
-    assert lp_l2_norm(zero, 2.0) == 0.0
+    zero = np.zeros((11, m, 2))
+    assert lp_l2_norm(zero, grid.dt, 2.0) == 0.0
     e = np.array([3.0, 4.0])
-    const = ProcessEnsemble(grid, np.tile(e, (11, m, 1)))
+    const = np.tile(e, (11, m, 1))
     for p in (1.5, 2.0, 4.0):
-        assert lp_l2_norm(const, p) == pytest.approx(np.sqrt(2.0) * 5.0, rel=1e-12)
+        assert lp_l2_norm(const, grid.dt, p) == pytest.approx(np.sqrt(2.0) * 5.0,
+                                                              rel=1e-12)
 
 
 def test_lp_l2_brownian_integrand():
     grid = TimeGrid(1.0, 64)
     m = 200_000
     bm = simulate_brownian(grid, m, seed=6)
-    phi = from_function(grid, bm, lambda k, w: w[:, None], 1)
-    got = lp_l2_norm(phi, 2.0)
+    phi = from_function(bm, lambda k, w: w[:, None], 1)
+    got = lp_l2_norm(phi, grid.dt, 2.0)
     # discrete oracle: E sum_k dt W_{t_k}^2 = dt^2 sum_{k<N} k -> T^2/2
     oracle = np.sqrt(grid.dt**2 * sum(range(grid.n_steps)))
     assert got == pytest.approx(oracle, rel=0.01)
@@ -160,8 +181,7 @@ def test_lp_l2_difference_matches_textbook_formula(p, d):
     q = dt * ((x - y)[:-1] ** 2).sum(axis=(0, 2))
     textbook = np.mean(q ** (p / 2)) ** (1 / p)
     assert _lp_l2(x, y, dt, p) == pytest.approx(textbook, rel=1e-12)
-    assert lp_l2_norm(ProcessEnsemble(TimeGrid(1.0, 8), x - y), p) == pytest.approx(
-        textbook, rel=1e-12)
+    assert lp_l2_norm(x - y, dt, p) == pytest.approx(textbook, rel=1e-12)
 
 
 def test_lp_l2_single_node_is_zero():
@@ -171,10 +191,8 @@ def test_lp_l2_single_node_is_zero():
 
 
 def test_lp_l2_requires_p_above_one():
-    grid = TimeGrid(1.0, 2)
-    x = ProcessEnsemble(grid, np.zeros((3, 4, 1)))
     with pytest.raises(ValueError):
-        lp_l2_norm(x, 1.0)
+        lp_l2_norm(np.zeros((3, 4, 1)), 0.5, 1.0)
 
 
 # --------------------------------------------------------------- regression
@@ -183,7 +201,7 @@ def test_regression_martingale_coefficients():
     grid = TimeGrid(1.0, 10)
     bm = simulate_brownian(grid, 20_000, seed=11)
     w_t, w_end = bm.levels[5], bm.levels[-1]
-    fit = regress(w_end, w_t, 1)
+    fit = PolynomialRegression(w_t, 1).fit(w_end)
     # E[W_T | F_t] = W_t: coefficients (0, 1) within 3 standard errors
     assert abs(fit.coefficients[0] - 0.0) <= 3.0 * fit.coef_se[0]
     assert abs(fit.coefficients[1] - 1.0) <= 3.0 * fit.coef_se[1]
@@ -209,7 +227,7 @@ def test_regression_gaussian_moment_identity():
 def test_regression_constant_target_exact():
     rng = np.random.default_rng(13)
     feats = rng.normal(size=400)
-    got = conditional_expectation(np.full(400, -2.5), feats, 2)
+    got = PolynomialRegression(feats, 2).fit(np.full(400, -2.5)).values
     assert np.abs(got + 2.5).max() <= 1e-10
 
 
@@ -217,7 +235,7 @@ def test_regression_polynomial_targets_reproduced():
     rng = np.random.default_rng(14)
     feats = rng.normal(size=500)
     target = 1.0 - 2.0 * feats + 0.5 * feats**2
-    got = conditional_expectation(target, feats, 2)
+    got = PolynomialRegression(feats, 2).fit(target).values
     assert np.abs(got - target).max() <= 1e-8
 
 
@@ -226,9 +244,9 @@ def test_regression_tower_property():
     bm = simulate_brownian(grid, 40_000, seed=15)
     target = bm.levels[-1] ** 2
     j, k = 3, 7
-    inner = conditional_expectation(target, bm.levels[k], 2)
-    towered = conditional_expectation(inner, bm.levels[j], 2)
-    direct = conditional_expectation(target, bm.levels[j], 2)
+    inner = PolynomialRegression(bm.levels[k], 2).fit(target).values
+    towered = PolynomialRegression(bm.levels[j], 2).fit(inner).values
+    direct = PolynomialRegression(bm.levels[j], 2).fit(target).values
     gap = np.sqrt(np.mean((towered - direct) ** 2))
     se = np.std(target) * np.sqrt(3.0 / bm.n_paths)
     assert gap <= 3.0 * se
@@ -271,7 +289,7 @@ def test_regression_diagnostics_match_direct_formulas():
 
 def test_regression_constant_feature_dropped_cleanly():
     # features with zero variance (e.g. W at time zero) degrade to the mean
-    fit = regress(np.arange(40.0), np.zeros(40), 2)
+    fit = PolynomialRegression(np.zeros(40), 2).fit(np.arange(40.0))
     assert not fit.ridge_used
     assert np.allclose(fit.values, 19.5)
 
@@ -283,46 +301,53 @@ def test_representation_of_brownian_motion():
     m = 10_000
     bm = simulate_brownian(grid, m, seed=16)
     e = np.array([1.0])
-    g = from_function(grid, bm, lambda k, w: w[:, None] * e, 1)
+    g = from_function(bm, lambda k, w: w[:, None] * e, 1)
     rep = martingale_representation(g, bm, basis_degree=1)
     assert np.abs(rep.mean_part).max() <= 4.0 / np.sqrt(m)
     assert rep.residuals.max() <= 3.0 / np.sqrt(m)
     # tau ~ e throughout; check a middle entry within 3 sigma of its spread
-    tau = rep.kernel.tau(15, 7)
+    tau = rep.taus[15][7]
     assert abs(tau.mean() - 1.0) <= 3.0 * tau.std() / np.sqrt(m) + 0.01
 
 
 def test_representation_deterministic_process():
     grid = TimeGrid(1.0, 12)
     bm = simulate_brownian(grid, 500, seed=17)
-    g = from_function(grid, bm, lambda k, w: np.full((500, 2), [1.0, float(k)]), 2)
+    g = from_function(bm, lambda k, w: np.full((500, 2), [1.0, float(k)]), 2)
     rep = martingale_representation(g, bm, basis_degree=2)
     assert rep.residuals.max() <= 1e-10
     for u in range(13):
         assert np.allclose(rep.mean_part[u], [1.0, float(u)])
         if u > 0:
-            assert np.abs(rep.kernel.taus[u]).max() <= 1e-10
+            assert np.abs(rep.taus[u]).max() <= 1e-10
 
 
 def test_representation_of_squared_brownian():
     grid = TimeGrid(1.0, 16)
     m = 20_000
     bm = simulate_brownian(grid, m, seed=18)
-    g = from_function(grid, bm, lambda k, w: (w**2)[:, None], 1)
+    g = from_function(bm, lambda k, w: (w**2)[:, None], 1)
     rep = martingale_representation(g, bm, basis_degree=2)
     u, k = 12, 5
-    tau = rep.kernel.tau(u, k)[:, 0]
+    tau = rep.taus[u][k][:, 0]
     target = 2.0 * bm.levels[k]
     rms = np.sqrt(np.mean((tau - target) ** 2))
     assert rms <= 3.0 * np.sqrt(8.0 * grid.nodes[k] / m) + 0.02
 
 
+def test_representation_rejects_a_process_off_the_ensemble():
+    bm = simulate_brownian(TimeGrid(1.0, 4), 100, seed=19)
+    for shape in ((5, 99, 1), (6, 100, 1)):  # a path short, a node beyond T
+        with pytest.raises(ValueError, match="does not fit"):
+            martingale_representation(np.zeros(shape), bm, basis_degree=1)
+
+
 def test_kernel_structurally_lower_triangular():
     grid = TimeGrid(1.0, 6)
     bm = simulate_brownian(grid, 200, seed=19)
-    g = from_function(grid, bm, lambda k, w: w[:, None], 1)
+    g = from_function(bm, lambda k, w: w[:, None], 1)
     rep = martingale_representation(g, bm, basis_degree=1)
     for u in range(7):
-        assert rep.kernel.taus[u].shape[0] == u
-        with pytest.raises(ValueError):
-            rep.kernel.tau(u, u)
+        assert rep.taus[u].shape == (u, 200, 1)
+        with pytest.raises(IndexError):
+            rep.taus[u][u]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bsei.semigroup import SemigroupCache, apply, gamma_bound, matrix_exponential
+from bsei.paths import TimeGrid
+from bsei.semigroup import SemigroupCache, gamma_bound, matrix_exponential
 
 
 def expm_reference(a, order=30):
@@ -41,30 +42,35 @@ def test_matrix_exponential_symmetric_branch():
 def test_cache_invariants_and_apply():
     a = np.array([[-1.0, 0.4], [0.0, -0.5]])
     cache = SemigroupCache.build(a, 0.125, 16)
-    assert np.abs(cache.power(0) - np.eye(2)).max() <= 1e-12
+    assert np.abs(cache.powers[0] - np.eye(2)).max() <= 1e-12
+    assert cache.powers.shape == (17, 2, 2)
     x = np.array([1.0, -2.0])
-    assert np.allclose(apply(cache, 0.0, x), x)
+    assert np.allclose(cache.powers[0] @ x, x)
 
 
 def test_apply_scalar_decay():
     cache = SemigroupCache.build(-np.eye(3), 0.1, 10)
     x = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(apply(cache, 1.0, x), np.exp(-1.0) * x, rtol=1e-12)
+    assert np.allclose(cache.powers[10] @ x, np.exp(-1.0) * x, rtol=1e-12)
 
 
 def test_apply_zero_generator():
     cache = SemigroupCache.build(np.zeros((2, 2)), 0.25, 8)
     x = np.array([3.0, -1.0])
-    for t in (0.0, 0.5, 2.0):
-        assert np.array_equal(apply(cache, t, x), x)
+    for k in (0, 2, 8):
+        assert np.array_equal(cache.powers[k] @ x, x)
 
 
 def test_apply_rejects_off_grid_times():
+    # the cache holds the powers of the grid nodes alone: a time maps to a
+    # power through its node index, which refuses a time off the grid
     cache = SemigroupCache.build(np.zeros((2, 2)), 0.25, 4)
+    grid = TimeGrid(cache.step * cache.n_steps, cache.n_steps)
+    assert grid.node_index(0.75) == 3
     with pytest.raises(ValueError):
-        apply(cache, 0.3, np.zeros(2))
+        grid.node_index(0.3)
     with pytest.raises(ValueError):
-        apply(cache, 1.25, np.zeros(2))  # beyond the cached range
+        grid.node_index(1.25)  # beyond the cached range
 
 
 def test_semigroup_law_on_grid():
@@ -73,9 +79,9 @@ def test_semigroup_law_on_grid():
     a -= (max(np.linalg.eigvals(a).real) + 0.1) * np.eye(4)
     cache = SemigroupCache.build(a, 0.0625, 32)
     x = rng.normal(size=4)
-    for s, t in [(0.25, 0.5), (0.0625, 1.0), (0.875, 0.9375)]:
-        lhs = apply(cache, s, apply(cache, t, x))
-        rhs = apply(cache, s + t, x)
+    for i, j in [(4, 8), (1, 16), (14, 15)]:  # s = i dt, t = j dt
+        lhs = cache.powers[i] @ (cache.powers[j] @ x)
+        rhs = cache.powers[i + j] @ x
         assert np.abs(lhs - rhs).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
 
 
@@ -93,9 +99,9 @@ def test_apply_batched_states():
     a = np.array([[-0.3, 0.1], [0.2, -0.6]])
     cache = SemigroupCache.build(a, 0.5, 4)
     xs = np.random.default_rng(3).normal(size=(7, 2))
-    batched = apply(cache, 1.0, xs)
+    batched = xs @ cache.powers[2].T
     for i in range(7):
-        assert np.allclose(batched[i], apply(cache, 1.0, xs[i]))
+        assert np.allclose(batched[i], cache.powers[2] @ xs[i])
 
 
 def test_kalton_weis_window_bound():
@@ -111,7 +117,7 @@ def test_kalton_weis_window_bound():
     for (k1, k2) in [(0, n), (16, 48), (8, 16)]:
         total = np.zeros(2)
         for k in range(k1, k2):
-            total += dt * apply(cache, (k - k1) * dt, f[k])
+            total += dt * cache.powers[k - k1] @ f[k]
         l2_full = np.sqrt(dt * np.sum(f**2))
         bound = np.sqrt((k2 - k1) * dt) * gs * l2_full
         assert np.linalg.norm(total) <= bound * (1.0 + 1e-12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bsei.errors import NonConvergenceError
 from bsei.geometry import Ball, Polytope, SetValuedSpec, Singleton
-from bsei.paths import ProcessEnsemble, TimeGrid, simulate_brownian, step_designs
+from bsei.paths import TimeGrid, simulate_brownian, step_designs
 from bsei.semigroup import SemigroupCache, matrix_exponential
 from bsei.solver import (
     BSEIProblem,
@@ -93,34 +93,27 @@ def test_compute_schedule_uses_semigroup_bound():
 
 # --------------------------------------------------------------- selection
 
-def _ensembles(grid, m, d, g=None, y=None, z=None):
-    shape = (grid.n_steps + 1, m, d)
-    mk = lambda v: ProcessEnsemble(grid, np.zeros(shape) if v is None else v)
-    return mk(g), mk(y), mk(z)
-
-
-def _select(g, y, z, spec):
-    """select_generator on the arrays of three ensembles, as an ensemble."""
-    return ProcessEnsemble(g.grid, select_generator(g.values, y.values, z.values,
-                                                    g.grid.nodes, spec))
+def _select(grid, m, d, spec, g=None, y=None, z=None):
+    """select_generator on the whole grid, an absent g, y or z taken as zero."""
+    zero = np.zeros((grid.n_steps + 1, m, d))
+    return select_generator(*(zero if v is None else v for v in (g, y, z)),
+                            grid.nodes, spec)
 
 
 def _sweep(g, terminal, s_dt, bm, degree):
-    """solve_linear_bsee on an ensemble's array, (Y, Z) as ensembles."""
-    return tuple(ProcessEnsemble(g.grid, v) for v in solve_linear_bsee(
-        g.values, terminal, s_dt, g.grid.dt,
-        step_designs(bm, 0, g.grid.n_steps, degree)))
+    """solve_linear_bsee on the whole grid of ``bm``: (Y, Z)."""
+    return solve_linear_bsee(g, terminal, s_dt, bm.grid.dt,
+                             step_designs(bm, 0, bm.grid.n_steps, degree))
 
 
 def test_select_singleton_ignores_previous():
     grid = TimeGrid(1.0, 4)
     m, d = 8, 2
     rng = np.random.default_rng(1)
-    g, y, z = _ensembles(grid, m, d, g=rng.normal(size=(5, m, d)),
-                         y=rng.normal(size=(5, m, d)))
+    y = rng.normal(size=(5, m, d))
     spec = singleton_spec(d, a_y=0.7)
-    out = _select(g, y, z, spec)
-    assert np.allclose(out.values, 0.7 * y.values)
+    out = _select(grid, m, d, spec, g=rng.normal(size=(5, m, d)), y=y)
+    assert np.allclose(out, 0.7 * y)
 
 
 def test_select_fixed_point_inside_set():
@@ -129,9 +122,8 @@ def test_select_fixed_point_inside_set():
     g_vals = 0.05 * np.random.default_rng(2).normal(size=(4, m, d))
     spec = SetValuedSpec(base=Ball(np.zeros(d), 1.0), a_y=np.zeros((d, d)),
                          a_z=np.zeros((d, d)), lipschitz_k=0.0)
-    g, y, z = _ensembles(grid, m, d, g=g_vals)
-    out = _select(g, y, z, spec)
-    assert np.array_equal(out.values, g_vals)  # already inside: untouched
+    out = _select(grid, m, d, spec, g=g_vals)
+    assert np.array_equal(out, g_vals)  # already inside: untouched
 
 
 def test_select_ball_closed_form():
@@ -142,9 +134,8 @@ def test_select_ball_closed_form():
     g_vals = np.tile(2.0 * r * u, (3, m, 1))
     spec = SetValuedSpec(base=Ball(np.zeros(d), r), a_y=np.zeros((d, d)),
                          a_z=np.zeros((d, d)), lipschitz_k=0.0)
-    g, y, z = _ensembles(grid, m, d, g=g_vals)
-    out = _select(g, y, z, spec)
-    assert np.allclose(out.values, np.tile(r * u, (3, m, 1)), atol=1e-14)
+    out = _select(grid, m, d, spec, g=g_vals)
+    assert np.allclose(out, np.tile(r * u, (3, m, 1)), atol=1e-14)
 
 
 def test_select_polytope_shape():
@@ -155,12 +146,11 @@ def test_select_polytope_shape():
                          a_z=np.zeros((d, d)), lipschitz_k=1.0)
     rng = np.random.default_rng(3)
     y_vals = rng.normal(size=(2, m, d))
-    g, y, z = _ensembles(grid, m, d, y=y_vals)
-    out = _select(g, y, z, spec)
+    out = _select(grid, m, d, spec, y=y_vals)
     from bsei.geometry import distance_to
     for k in range(2):
         for j in range(m):
-            assert distance_to(out.values[k, j],
+            assert distance_to(out[k, j],
                                Polytope(y_vals[k, j] + off)) <= 1e-6
 
 
@@ -171,10 +161,9 @@ def test_linear_solve_constant_terminal():
     m = 2_000
     bm = simulate_brownian(grid, m, seed=4)
     s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
-    g = ProcessEnsemble(grid, np.zeros((13, m, 1)))
-    y, z = _sweep(g, np.full((m, 1), 3.0), s_dt, bm, 2)
-    assert np.abs(y.values - 3.0).max() <= 1e-10
-    assert np.abs(z.values).max() <= 1e-10
+    y, z = _sweep(np.zeros((13, m, 1)), np.full((m, 1), 3.0), s_dt, bm, 2)
+    assert np.abs(y - 3.0).max() <= 1e-10
+    assert np.abs(z).max() <= 1e-10
 
 
 def test_linear_solve_martingale_terminal():
@@ -182,14 +171,13 @@ def test_linear_solve_martingale_terminal():
     m = 20_000
     bm = simulate_brownian(grid, m, seed=5)
     s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
-    g = ProcessEnsemble(grid, np.zeros((26, m, 1)))
-    y, z = _sweep(g, bm.levels[-1][:, None], s_dt, bm, 2)
+    y, z = _sweep(np.zeros((26, m, 1)), bm.levels[-1][:, None], s_dt, bm, 2)
     for k in range(26):
-        dev = np.sqrt(np.mean((y.values[k][:, 0] - bm.levels[k]) ** 2))
+        dev = np.sqrt(np.mean((y[k][:, 0] - bm.levels[k]) ** 2))
         se = np.sqrt(3.0 * (1.0 - grid.nodes[k]) / m)  # accumulated fit noise
         assert dev <= 3.0 * se + 1e-12
     for k in range(25):
-        dev = np.sqrt(np.mean((z.values[k][:, 0] - 1.0) ** 2))
+        dev = np.sqrt(np.mean((z[k][:, 0] - 1.0) ** 2))
         assert dev <= 0.05
 
 
@@ -202,12 +190,11 @@ def test_linear_solve_fed_iteratively_matches_backward_ode():
     bm = simulate_brownian(grid, m, seed=6)
     s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
     term = np.full((m, 1), 1.0)
-    y = ProcessEnsemble(grid, np.zeros((51, m, 1)))
+    y = np.zeros((51, m, 1))
     for _ in range(12):
-        g = ProcessEnsemble(grid, a * y.values)
-        y, _ = _sweep(g, term, s_dt, bm, 2)
+        y, _ = _sweep(a * y, term, s_dt, bm, 2)
     exact = np.exp(-a * (1.0 - grid.nodes))
-    err = max(np.abs(y.values[k] - exact[k]).max() / exact[k] for k in range(51))
+    err = max(np.abs(y[k] - exact[k]).max() / exact[k] for k in range(51))
     assert err <= 0.02  # O(dt) one-step bias at dt = 0.02
 
 
@@ -217,9 +204,8 @@ def test_linear_solve_terminal_exact_bitwise():
     bm = simulate_brownian(grid, m, seed=7)
     s_dt = matrix_exponential(grid.dt * np.eye(2))
     term = np.random.default_rng(8).normal(size=(m, 2))
-    g = ProcessEnsemble(grid, np.zeros((6, m, 2)))
-    y, _ = _sweep(g, term, s_dt, bm, 1)
-    assert np.array_equal(y.values[-1], term)
+    y, _ = _sweep(np.zeros((6, m, 2)), term, s_dt, bm, 1)
+    assert np.array_equal(y[-1], term)
 
 
 # ------------------------------------------------------------ picard window
@@ -246,7 +232,7 @@ def test_picard_singleton_constant_two_iterations():
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
     sched = compute_schedule(prob, cache, 1.0)
     y, z, g, rep = picard_solve_interval(prob, 3, np.full((500, 1), 2.0),
-                                         sched, cache.power(1), bm,
+                                         sched, cache.powers[1], bm,
                                          SolverConfig(steps_per_window=4,
                                                       basis_degree=1))
     assert rep.converged
@@ -261,7 +247,7 @@ def test_picard_nonconvergence_carries_report():
     sched = compute_schedule(prob, cache, 1.0)
     with pytest.raises(NonConvergenceError) as exc:
         picard_solve_interval(prob, 3, np.ones((600, 2)), sched,
-                              cache.power(1), bm,
+                              cache.powers[1], bm,
                               SolverConfig(steps_per_window=4, basis_degree=1,
                                            tol=1e-16, n_max=3))
     assert exc.value.report is not None
@@ -279,7 +265,7 @@ def test_window_length_guard():
     for index, steps in ((0, 8), (8, 1), (-1, 1)):
         with pytest.raises(ValueError):
             picard_solve_interval(prob, index, np.ones((600, 2)), sched,
-                                  cache.power(1), bm,
+                                  cache.powers[1], bm,
                                   SolverConfig(steps_per_window=steps,
                                                basis_degree=1))
 
@@ -440,12 +426,10 @@ def test_selection_moves_by_the_pointwise_distance():
                  Polytope([[0.0, 0.0], [0.4, 0.0], [0.0, 0.4]])):
         spec = SetValuedSpec(base=base, a_y=0.5 * np.eye(d),
                              a_z=np.zeros((d, d)), lipschitz_k=0.5)
-        g, y, z = (ProcessEnsemble(grid, v) for v in
-                   (g_vals, y_vals, np.zeros((5, m, d))))
-        out = _select(g, y, z, spec)
+        out = _select(grid, m, d, spec, g=g_vals, y=y_vals)
         for k in range(5):
             for j in range(m):
-                moved = np.linalg.norm(out.values[k, j] - g_vals[k, j])
+                moved = np.linalg.norm(out[k, j] - g_vals[k, j])
                 dist = distance_to(g_vals[k, j],
                                    spec.set_at(grid.nodes[k], y_vals[k, j],
                                                np.zeros(d)))
@@ -637,7 +621,7 @@ def _rebuild_z_per_source(sol, generator, basis_degree, nodes):
         for k in range(s_src - 1, -1, -1):
             if k in out:
                 kern = KernelRegression(regs[k], bm.increments[k]).kernel(cond)
-                out[k] += weight * (kern @ cache.power(s_src - k).T)
+                out[k] += weight * (kern @ cache.powers[s_src - k].T)
             cond = regs[k].fit(cond).values
     return out
 
