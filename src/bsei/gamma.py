@@ -70,32 +70,30 @@ def _orthonormalize(op: FiniteRankOperator):
 
     Returns the transformed range vectors e~_i such that the operator equals
     sum_i q_i (x) e~_i with orthonormal q_i, plus the count of dropped
-    (numerically dependent) terms.
+    (numerically dependent) terms.  Each term is projected against all the
+    accepted q's at once, twice (classical Gram-Schmidt with one
+    reorthogonalisation), so a term costs two matrix-vector products.
     """
     w = op.cell_width
-    qs = []
-    rows = []  # rows[i][j] = <q_i, h_j>
-    dropped = 0
-    for j in range(op.h.shape[0]):
+    k = op.h.shape[0]
+    qs = np.empty_like(op.h)  # the accepted q's in their first rows
+    r = np.zeros((k, k))  # r[i, j] = <q_i, h_j>
+    n = 0
+    for j in range(k):
         v = op.h[j].copy()
-        orig = np.sqrt(w * np.sum(v * v))
-        for i, q in enumerate(qs):
-            c = w * np.sum(q * v)
-            rows[i][j] = c
-            v -= c * q
-        nrm = np.sqrt(w * np.sum(v * v))
+        orig = np.sqrt(w * (v @ v))
+        for _ in range(2):
+            c = w * (qs[:n] @ v)
+            r[:n, j] += c
+            v -= c @ qs[:n]
+        nrm = np.sqrt(w * (v @ v))
         # strict: an overflowed term (nrm = orig = inf) is kept, so the result shows it
         if nrm < _GS_DROP_REL * max(orig, 1e-300):
-            dropped += 1
             continue
-        qs.append(v / nrm)
-        row = np.zeros(op.h.shape[0])
-        row[j] = nrm
-        rows.append(row)
-    if not qs:
-        return np.zeros((0, op.e.shape[1])), dropped
-    r = np.vstack(rows)  # (k', k)
-    return r @ op.e, dropped
+        qs[n] = v / nrm
+        r[n, j] = nrm
+        n += 1
+    return r[:n] @ op.e, k - n
 
 
 def gamma_norm(op: FiniteRankOperator, n_gauss: int, seed: int) -> GammaNormEstimate:

@@ -168,15 +168,20 @@ class Ball:
         return np.maximum(_norm(centres - self.center) + (radii - self.radius), 0.0)
 
     def _nearest(self, p: np.ndarray) -> np.ndarray:
-        v = p - self.center
-        # scale by min(1, r/|v|) in place, as the solver passes whole
-        # (n, M, d) stacks; fmin keeps the point for 0/0 and a NaN norm
+        # one coordinate at a time: broadcasting the (d,) centre or a
+        # (..., 1) factor runs numpy's inner loop over d entries per point
+        v = np.empty_like(p)
+        for i, c in enumerate(self.center):
+            np.subtract(p[..., i], c, out=v[..., i])
+        # scale by min(1, r/|v|) in place; fmin keeps the point for 0/0 and
+        # a NaN norm
         scale = _norm(v)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(self.radius, scale, out=scale)
         np.fmin(scale, 1.0, out=scale)
-        v *= scale[..., None]
-        v += self.center
+        for i, c in enumerate(self.center):
+            v[..., i] *= scale
+            v[..., i] += c
         return v
 
 
@@ -392,6 +397,19 @@ def magnitude(cset: ConvexCompactSet) -> float:
     return hausdorff(cset, Singleton(np.zeros(cset.dim)))
 
 
+def _scalar_of(m: np.ndarray) -> float | None:
+    """s when m = s I (0.0 for the zero map), None for any other matrix."""
+    s = float(m[0, 0])
+    return s if np.array_equal(m, s * np.eye(len(m))) else None
+
+
+def _apply(m: np.ndarray, s: float | None, x: np.ndarray) -> np.ndarray:
+    """x @ m.T for states x (..., d), where ``s`` is ``_scalar_of(m)``.  For
+    m = s I it is one multiply, and for finite x the matmul's result bitwise
+    up to the sign of a zero: each off-diagonal term adds an exact 0."""
+    return x @ m.T if s is None else x * s
+
+
 @dataclass(frozen=True)
 class SetValuedSpec:
     """Affine-center set-valued map (t, y, z) -> base + c0(t) + Ay.y + Az.z.
@@ -399,6 +417,8 @@ class SetValuedSpec:
     The base set does not depend on (t, y, z), so the map is Lipschitz in
     Hausdorff distance with constant at most max(||Ay||, ||Az||);
     ``lipschitz_k`` records the declared bound used by the solver schedule.
+    Construction decides whether each of Ay and Az is zero, a multiple of
+    the identity or dense, so the centres cost what that structure needs.
     """
 
     base: ConvexCompactSet
@@ -406,6 +426,7 @@ class SetValuedSpec:
     a_z: np.ndarray
     lipschitz_k: float
     c0: Union[np.ndarray, Callable[[float], np.ndarray], None] = None
+    _scales: tuple = field(init=False, repr=False, compare=False)  # of a_y, a_z
 
     @property
     def dim(self) -> int:
@@ -417,6 +438,7 @@ class SetValuedSpec:
             if m.shape != (self.dim, self.dim) or not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} must be a finite {self.dim}x{self.dim} matrix")
             object.__setattr__(self, name, _frozen(m))
+        object.__setattr__(self, "_scales", (_scalar_of(self.a_y), _scalar_of(self.a_z)))
         k = float(self.lipschitz_k)
         if not np.isfinite(k) or k < 0.0:
             raise ValueError("declared Lipschitz constant must be finite and >= 0")
@@ -431,15 +453,19 @@ class SetValuedSpec:
         """Centers for state arrays of shape (..., d).
 
         ``t`` is one time for every state, or one time per node when the
-        states are an (n, M, d) stack over n grid nodes.
+        states are an (n, M, d) stack over n grid nodes.  A zero Az adds
+        nothing, so a non-finite z then leaves the centres finite.
         """
-        c = y @ self.a_y.T
+        s_y, s_z = self._scales
+        c = _apply(self.a_y, s_y, y)
         if callable(self.c0):
             c0 = np.array([as_point(self.c0(float(s)), self.dim) for s in np.ravel(t)])
-            c = (c0[:, None, :] if np.ndim(t) else c0[0]) + c
+            c += c0[:, None, :] if np.ndim(t) else c0[0]
         elif self.c0 is not None:
-            c = self.c0 + c
-        return c + z @ self.a_z.T
+            c += self.c0
+        if s_z != 0.0:
+            c += _apply(self.a_z, s_z, z)
+        return c
 
     def set_at(self, t: float, y, z) -> ConvexCompactSet:
         return self.base.translate(self.center(t, y, z))

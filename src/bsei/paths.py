@@ -70,8 +70,15 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ValueError for a seed outside [0, 2^64), the Philox key width:
+    reduced modulo 2^64, such a seed would draw another seed's numbers."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def _philox_normals(seed: int, step: int, n: int) -> np.ndarray:
-    key = np.array([seed % (1 << 64), step], dtype=np.uint64)
+    key = np.array([seed, step], dtype=np.uint64)
     return Generator(Philox(key=key)).standard_normal(n)
 
 
@@ -106,6 +113,7 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemb
     """Draw a reproducible Brownian increment ensemble on the grid."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    _check_seed(seed)
     sq = np.sqrt(grid.dt)
     inc = np.empty((grid.n_steps, n_paths))
     for k in range(grid.n_steps):

@@ -25,6 +25,7 @@ from .paths import (
     KernelRegression,
     PolynomialRegression,
     TimeGrid,
+    _check_seed,
     _lp_l2,
     _physical_memory,
     _sample_norm,
@@ -231,6 +232,9 @@ class SolverConfig:
     n_max: int = 25
     min_iter: int = 2
 
+    def __post_init__(self):
+        _check_seed(self.seed)
+
 
 def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
                      times: np.ndarray, gspec: SetValuedSpec) -> np.ndarray:
@@ -242,13 +246,21 @@ def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
     distance at each point equals the distance from the previous selection
     to the new constraint set.
     """
-    centers = gspec.center_batch(times, y_prev, z_prev)
-    # every constraint set is the translate centers + base of one base set;
-    # the result goes into the older allocation, which lowers peak RSS
-    out = g_prev - centers
-    out[...] = project(out, gspec.base)
-    out += centers
-    return out
+    single = np.ndim(times) == 0
+    if single:
+        times, g_prev, y_prev, z_prev = (np.reshape(times, 1), g_prev[None],
+                                         y_prev[None], z_prev[None])
+    out = np.empty_like(g_prev)
+    # every constraint set is the translate c + base of one base set; whole
+    # nodes of about _CHUNK_ENTRIES entries are centred, projected and
+    # re-centred while they are in cache, so no stack-sized centre is built
+    step = max(1, geometry._CHUNK_ENTRIES // max(1, g_prev[0].size))
+    for lo in range(0, len(times), step):
+        k = slice(lo, lo + step)
+        c = gspec.center_batch(times[k], y_prev[k], z_prev[k])
+        np.subtract(g_prev[k], c, out=out[k])
+        np.add(project(out[k], gspec.base), c, out=out[k])
+    return out[0] if single else out
 
 
 def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
@@ -459,7 +471,7 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
 
     def inclusion_gap(k):
         gap = g[k] - select_generator(g[k], y[k], z[k], nodes[k], gspec)
-        return np.max(np.linalg.norm(gap, axis=-1))
+        return np.max(geometry._norm(gap))  # finite for any finite gap
 
     # kept per node so that a NaN gap reaches the maximum
     inclusion = np.empty(n + 1)

@@ -65,6 +65,20 @@ def test_dependent_terms_dropped():
     assert est.exact == pytest.approx(np.sqrt(10.0), abs=1e-12)
 
 
+def test_many_terms_match_the_gram_closed_form():
+    # 300 terms, 60 of them combinations of others: the squared norm is
+    # trace(E^T G E) with G the Gram matrix of the factors, w h_i . h_j
+    rng = np.random.default_rng(8)
+    h = rng.normal(size=(240, 400))
+    h = np.vstack([h, rng.normal(size=(60, 240)) @ h])[rng.permutation(300)]
+    e = rng.normal(size=(300, 3))
+    op = FiniteRankOperator((0.0, 2.0), h, e)
+    est = gamma_norm(op, 10, seed=0)
+    gram = op.cell_width * (h @ h.T)
+    assert est.dropped_terms == 60
+    assert est.exact == pytest.approx(np.sqrt(np.trace(e.T @ gram @ e)), rel=1e-10)
+
+
 def test_norm_invariant_under_orthogonal_remix():
     rng = np.random.default_rng(7)
     h = np.linalg.qr(rng.normal(size=(16, 3)))[0].T * np.sqrt(16.0)  # orthonormal rows

@@ -463,3 +463,25 @@ def test_spec_center_batch_over_node_stack():
             want = np.array([times[k], -2.0 * times[k]]) + a_y @ y[k, m] + a_z @ z[k, m]
             assert np.abs(got[k, m] - want).max() <= 1e-14
             assert np.abs(spec.center(times[k], y[k, m], z[k, m]) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("a, scale", [
+    (np.zeros((2, 2)), 0.0),
+    (0.0 * np.eye(3), 0.0),
+    (np.array([[0.5]]), 0.5),
+    (-0.3 * np.eye(2), -0.3),
+    (np.diag([0.5, -0.3]), None),
+    (np.array([[0.5, 1e-300], [0.0, 0.5]]), None),
+    (np.array([[0.2, 0.1], [0.0, 0.4]]), None),
+])
+def test_spec_decides_each_centre_map_once(a, scale):
+    # zero, a multiple of the identity, or dense: the map's cost follows it
+    d = len(a)
+    spec = SetValuedSpec(base=Ball(np.zeros(d), 0.1), a_y=a, a_z=np.eye(d),
+                         lipschitz_k=1.0)
+    swapped = SetValuedSpec(base=Ball(np.zeros(d), 0.1), a_y=np.eye(d), a_z=a,
+                            lipschitz_k=1.0)
+    assert spec._scales == (scale, 1.0)
+    assert swapped._scales == (1.0, scale)
+    y, z = np.random.default_rng(11).normal(size=(2, 3, 4, d))
+    assert spec.center_batch(0.0, y, z).tobytes() == (y @ a.T + z).tobytes()

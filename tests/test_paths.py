@@ -13,6 +13,7 @@ from bsei.paths import (
     martingale_representation,
     simulate_brownian,
 )
+from bsei.solver import SolverConfig
 
 
 def resampled_after(bm, k_from, fresh_seed):
@@ -41,6 +42,23 @@ def test_single_draw_shape_and_reproducibility():
     assert bm.increments.shape == (1, 1)
     again = simulate_brownian(grid, 1, seed=7)
     assert np.array_equal(bm.increments, again.increments)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_philox_key_range_is_refused(seed):
+    # reduced modulo 2^64, -1 and 2^64 would draw the streams of 2^64 - 1 and 0
+    with pytest.raises(ValueError, match="seed"):
+        simulate_brownian(TimeGrid(1.0, 4), 5, seed)
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(seed=seed)
+
+
+def test_largest_seed_draws_its_own_stream():
+    grid, top = TimeGrid(1.0, 4), 2**64 - 1
+    assert SolverConfig(seed=top).seed == top
+    inc = simulate_brownian(grid, 5, top).increments
+    assert inc.tobytes() == simulate_brownian(grid, 5, top).increments.tobytes()
+    assert not np.array_equal(inc, simulate_brownian(grid, 5, 0).increments)
 
 
 def test_brownian_moments():

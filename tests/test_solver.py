@@ -154,6 +154,63 @@ def test_select_polytope_shape():
                                Polytope(y_vals[k, j] + off)) <= 1e-6
 
 
+_MAPS = ("zero", "identity", "zero identity", "negative identity", "diagonal", "dense")
+
+
+def _centre_map(kind, d, rng):
+    if kind == "zero":
+        return np.zeros((d, d))
+    if kind.endswith("identity"):
+        s = {"identity": 0.7, "zero identity": 0.0, "negative identity": -0.3}[kind]
+        return s * np.eye(d)
+    if kind == "diagonal":  # a multiple of the identity only at d = 1
+        return np.diag(np.linspace(-0.5, 0.4, d))
+    return rng.normal(size=(d, d))
+
+
+def _bases(d, rng):
+    return {"singleton": Singleton(rng.normal(size=d)),
+            "ball": Ball(rng.normal(size=d), 0.3),
+            "polytope": Polytope(rng.normal(size=(d + 2, d)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(["singleton", "ball", "polytope"]), d=st.integers(1, 3),
+       a_y=st.sampled_from(_MAPS), a_z=st.sampled_from(_MAPS),
+       c0=st.sampled_from([None, "constant", "callable"]), m=st.integers(1, 40),
+       nodes=st.integers(1, 6), per_chunk=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_chunked_selection_is_bitwise_the_stacked_formula(shape, d, a_y, a_z, c0, m,
+                                                         nodes, per_chunk, seed):
+    # an entry budget of per_chunk whole nodes: chunks of one node or of
+    # several, the last one partial when per_chunk does not divide nodes
+    from bsei import geometry
+    from bsei.geometry import project
+    rng = np.random.default_rng(seed)
+    offset = rng.normal(size=d)
+    spec = SetValuedSpec(
+        base=_bases(d, rng)[shape], a_y=_centre_map(a_y, d, rng),
+        a_z=_centre_map(a_z, d, rng), lipschitz_k=1.0,
+        c0={None: None, "constant": offset,
+            "callable": lambda t: np.sin(t + offset)}[c0])
+    times = np.linspace(0.0, 1.0, nodes)
+    g, y, z = rng.normal(size=(3, nodes, m, d))
+    # the formula before chunking: one centre stack, in this order of sums
+    c = y @ spec.a_y.T
+    if c0 == "callable":
+        c = c + np.array([spec.c0(t) for t in times])[:, None, :]
+    elif c0 == "constant":
+        c = c + spec.c0
+    c = c + z @ spec.a_z.T
+    want = c + project(g - c, spec.base)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ENTRIES", per_chunk * m * d)
+        got = select_generator(g, y, z, times, spec)
+        per_node = [select_generator(g[k], y[k], z[k], times[k], spec)
+                    for k in range(nodes)]
+    assert got.tobytes() == want.tobytes()
+    assert np.stack(per_node).tobytes() == got.tobytes()
+
+
 # ------------------------------------------------------------- linear solve
 
 def test_linear_solve_constant_terminal():
@@ -551,6 +608,17 @@ def test_inclusion_residual_node_by_node_matches_stacked_formula(shape, extra):
         got = verify_solution(moved, prob).inclusion_max
         assert got > 1.0
         assert got == _stacked_inclusion_residual(moved, prob)
+
+
+def test_inclusion_gap_far_off_its_sets_stays_finite():
+    # squared coordinates overflow from about 1.3e154: the gap is measured
+    # in its largest coordinate there, not reported as inf
+    prob = _ball_problem()
+    sol, rep = solve(prob, SolverConfig(steps_per_window=4, n_paths=200, seed=28))
+    far = Solution(y=sol.y, z=sol.z, g=sol.g + 1e200, bm=sol.bm, s_dt=sol.s_dt)
+    with np.errstate(over="ignore"):  # the equation residual does overflow
+        got = verify_solution(far, prob).inclusion_max
+    assert got == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
 
 
 def test_verify_reports_continuity_modulus():
