@@ -43,7 +43,6 @@ from .paths import (
     BrownianEnsemble,
     MartingaleRepresentation,
     PolynomialRegression,
-    RegressionFit,
     TimeGrid,
     from_function,
     ito_integral,
@@ -61,7 +60,6 @@ from .solver import (
     SolveReport,
     SolverConfig,
     TerminalSpec,
-    compute_schedule,
     picard_solve_interval,
     schedule_from_constants,
     select_generator,

@@ -76,8 +76,8 @@ def _orthonormalize(op: FiniteRankOperator):
     """
     w = op.cell_width
     k = op.h.shape[0]
-    qs = np.empty_like(op.h)  # the accepted q's in their first rows
-    r = np.zeros((k, k))  # r[i, j] = <q_i, h_j>
+    r = np.zeros((min(k, op.h.shape[1]), k))  # r[i, j] = <q_i, h_j>, i < n_cells
+    qs = np.empty((len(r), op.h.shape[1]))  # the accepted q's in their first rows
     n = 0
     for j in range(k):
         v = op.h[j].copy()

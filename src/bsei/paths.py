@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 # numpy loads numpy.random lazily; every solve draws, so load it with the package
@@ -193,43 +192,6 @@ def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-class RegressionFit:
-    """Fitted values and coefficients of one regression solve.
-
-    The diagnostics ``residual_rms`` (per-target residual standard
-    deviation) and ``coef_se`` (OLS standard errors, NaN under ridge) are
-    computed on first access, from the targets array handed to ``fit``;
-    the backward sweeps never read them.
-    """
-
-    def __init__(self, reg: PolynomialRegression, targets: np.ndarray,
-                 fitted: np.ndarray, coef: np.ndarray, squeeze: bool):
-        self._reg, self._targets, self._fitted = reg, targets, fitted
-        self._squeeze = squeeze
-        self.values = fitted[:, 0] if squeeze else fitted          # (M, k)
-        self.coefficients = coef[:, 0] if squeeze else coef        # (p, k)
-        self.ridge_used = reg.ridge_used
-
-    @cached_property
-    def _sigma(self) -> np.ndarray:
-        dof = max(self._targets.shape[0] - self._reg.rank, 1)
-        resid = self._targets - self._fitted
-        return np.sqrt(np.sum(resid**2, axis=0) / dof)
-
-    @cached_property
-    def residual_rms(self) -> np.ndarray:
-        return self._sigma[0] if self._squeeze else self._sigma
-
-    @cached_property
-    def coef_se(self) -> np.ndarray:
-        if self.ridge_used:
-            return np.full_like(self.coefficients, np.nan)
-        reg = self._reg
-        xtx_inv_diag = np.sum((reg._vt.T / reg._s) ** 2, axis=1)
-        se = np.sqrt(np.outer(xtx_inv_diag, self._sigma**2))
-        return se[:, 0] if self._squeeze else se
-
-
 class _FactoredDesign:
     """Least-squares solves against one design matrix through its thin SVD,
     factored once.
@@ -243,26 +205,19 @@ class _FactoredDesign:
         m, p = x.shape
         u, s, vt = np.linalg.svd(x, full_matrices=False)
         rcond = max(m, p) * np.finfo(float).eps * s[0]
-        self.rank = int(np.sum(s > rcond))
-        self.ridge_used = self.rank < p
+        self.ridge_used = int(np.sum(s > rcond)) < p
         if self.ridge_used:
             lam = _RIDGE_SCALE * np.sum(s * s) / p
             with np.errstate(divide="ignore"):  # s = 0 filters to 1/inf = 0
                 s = s + lam / s
         self._u, self._s, self._vt = u, s, vt  # _s: the divisors
 
-    def _as_targets(self, targets) -> tuple:
-        """Targets as an (M, k) array, and whether they came as one vector."""
-        y = np.asarray(targets, dtype=float)
-        squeeze = y.ndim == 1
-        if squeeze:
-            y = y[:, None]
-        if y.shape[0] != self._u.shape[0]:
-            raise ValueError("targets and design have different path counts")
-        return y, squeeze
-
-    def _coefficients(self, y: np.ndarray) -> np.ndarray:
-        return self._vt.T @ ((self._u.T @ y) / self._s[:, None])
+    def _coefficients(self, targets: np.ndarray) -> np.ndarray:
+        """Coefficients of the (M, k) targets, one column per target."""
+        if targets.ndim != 2 or targets.shape[0] != self._u.shape[0]:
+            raise ValueError(f"targets of shape {targets.shape} are not "
+                             f"({self._u.shape[0]}, k)")
+        return self._vt.T @ ((self._u.T @ targets) / self._s[:, None])
 
 
 class PolynomialRegression(_FactoredDesign):
@@ -285,10 +240,9 @@ class PolynomialRegression(_FactoredDesign):
         self.design = x
         self._factor(x)
 
-    def fit(self, targets) -> RegressionFit:
-        y, squeeze = self._as_targets(targets)
-        coef = self._coefficients(y)
-        return RegressionFit(self, y, self.design @ coef, coef, squeeze)
+    def fit(self, targets: np.ndarray) -> np.ndarray:
+        """Fitted values of the (M, k) targets, an (M, k) array."""
+        return self.design @ self._coefficients(targets)
 
 
 class KernelRegression(_FactoredDesign):
@@ -309,12 +263,10 @@ class KernelRegression(_FactoredDesign):
         self._p = b.shape[1]
         self._factor(np.hstack([b, b * dw[:, None]]))
 
-    def kernel(self, targets) -> np.ndarray:
-        """Fitted values of the increment-block coefficient function."""
-        y, squeeze = self._as_targets(targets)
-        coef = self._coefficients(y)
-        out = self._basis @ coef[self._p:]
-        return out[:, 0] if squeeze else out
+    def kernel(self, targets: np.ndarray) -> np.ndarray:
+        """Fitted values of the increment-block coefficient function of the
+        (M, k) targets, an (M, k) array."""
+        return self._basis @ self._coefficients(targets)[self._p:]
 
 
 def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
@@ -361,7 +313,7 @@ def martingale_representation(g: np.ndarray, bm: BrownianEnsemble,
         for k in range(u - 1, -1, -1):
             base, kern = designs[k]
             tau_u[k] = kern.kernel(cond)
-            cond = base.fit(cond).values
+            cond = base.fit(cond)
         recon = np.tile(mean_part[u], (m, 1))
         for k in range(u):
             recon += tau_u[k] * bm.increments[k][:, None]

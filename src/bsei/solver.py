@@ -22,8 +22,6 @@ from .errors import NonConvergenceError, ScheduleError
 from .geometry import SetValuedSpec, project
 from .paths import (
     BrownianEnsemble,
-    KernelRegression,
-    PolynomialRegression,
     TimeGrid,
     _check_seed,
     _lp_l2,
@@ -133,13 +131,6 @@ def schedule_from_constants(lipschitz: float, gamma_s: float, horizon: float,
         beta=beta, delta=delta, n_windows=n_windows,
         window_length=horizon / n_windows,
     )
-
-
-def compute_schedule(problem: BSEIProblem, cache: SemigroupCache,
-                     c_pe: float) -> PicardSchedule:
-    """Schedule for a problem, with gamma(S) read off the cached semigroup."""
-    return schedule_from_constants(problem.lipschitz_k, gamma_bound(cache),
-                                   problem.horizon, c_pe)
 
 
 @dataclass
@@ -291,7 +282,7 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
         base, kern = designs[k]
         propagated = y[k + 1] @ s_dt.T
         z[k] = kern.kernel(propagated)
-        y[k] = base.fit(propagated).values - dt * g[k]
+        y[k] = base.fit(propagated) - dt * g[k]
     return y, z
 
 
@@ -403,7 +394,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
         raise ScheduleError(f"no semigroup probe on [0, {horizon}]: {exc}",
                             field="problem.generator" if step > 0.0
                             else "problem.horizon") from exc
-    schedule = compute_schedule(problem, probe, config.c_pe)
+    schedule = schedule_from_constants(problem.lipschitz_k, gamma_bound(probe),
+                                       horizon, config.c_pe)
     n_win = schedule.n_windows
     n_total = n_win * config.steps_per_window
     _check_memory(n_total, config.n_paths, problem.dim)
@@ -450,6 +442,7 @@ class ResidualReport:
         return float(np.max(self.equation))
 
 
+@np.errstate(over="ignore")  # an overflowing node is redone in range
 def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     """Pure diagnostics on a completed solution, on the Brownian ensemble
     and the S(dt) that it carries.
@@ -461,24 +454,28 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     modulus of continuity of Y comes along for free; on a grid that is the
     strongest statement available about time continuity.
     """
-    grid = sol.grid
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    p = problem.exponent
-    s_dt, gspec = sol.s_dt, problem.gspec
+    n, dt, nodes = sol.grid.n_steps, sol.grid.dt, sol.grid.nodes
+    p, s_dt, gspec = problem.exponent, sol.s_dt, problem.gspec
     y, z, g, dw = sol.y, sol.z, sol.g, sol.bm.increments
 
     def inclusion_gap(k):
         gap = g[k] - select_generator(g[k], y[k], z[k], nodes[k], gspec)
         return np.max(geometry._norm(gap))  # finite for any finite gap
 
+    def node_norm(x):
+        # a finite node whose squares overflow is redone in units of the power
+        # of two 2^e near its largest |entry|: powers of two scale exactly
+        norm = _sample_norm(np.sum(x**2, axis=1), p)
+        if not np.isfinite(norm) and np.isfinite(x).all():
+            e = int(np.frexp(np.abs(x).max())[1])
+            unit = np.ldexp(x, -e)
+            norm = float(np.ldexp(_sample_norm(np.sum(unit**2, axis=1), p), e))
+        return norm
+
     # kept per node so that a NaN gap reaches the maximum
     inclusion = np.empty(n + 1)
     inclusion[n] = inclusion_gap(n)
-    xi = y[n]
-    acc = np.zeros_like(xi)
-    xi_prop = xi.copy()
+    acc, xi_prop = np.zeros_like(y[n]), y[n].copy()
     equation = np.empty(n + 1)
     equation[n] = 0.0
     y_modulus = 0.0
@@ -486,10 +483,8 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
         inclusion[k] = inclusion_gap(k)
         acc = (dt * g[k] + z[k] * dw[k][:, None]) + acc @ s_dt.T
         xi_prop = xi_prop @ s_dt.T
-        res = y[k] + acc - xi_prop
-        equation[k] = _sample_norm(np.sum(res**2, axis=1), p)
-        step = y[k + 1] - y[k]
-        y_modulus = max(y_modulus, _sample_norm(np.sum(step**2, axis=1), p))
+        equation[k] = node_norm(y[k] + acc - xi_prop)
+        y_modulus = max(y_modulus, node_norm(y[k + 1] - y[k]))
 
     return ResidualReport(inclusion_max=float(np.max(inclusion)),
                           equation=equation, y_modulus=y_modulus)
@@ -507,21 +502,13 @@ def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:
     Kernels and conditional expectations are linear in their targets and
     commute with right-multiplication by S, so the per-source tower chains
     sum to one backward sweep: R[n] = xi, R[k] = E[R[k+1] S(dt)' | F_k]
-    - dt g[k], and Z_u = kern_u(R[u+1] S(dt)').  That is one regression fit
-    per node above the lowest requested one, and one kernel design per
-    requested node.
+    - dt g[k], and Z_u = kern_u(R[u+1] S(dt)').  That is the linear sweep
+    ``solve_linear_bsee`` with the final g as its source, from the lowest
+    requested node up.
     """
-    grid, bm, s_dt = sol.grid, sol.bm, sol.s_dt
-    n, dt = grid.n_steps, grid.dt
+    n = sol.grid.n_steps
     wanted = set(int(u) for u in nodes)
-    lowest = min(wanted, default=n)
-    rebuilt = {}
-    r = sol.y[n]
-    for k in range(n - 1, lowest - 1, -1):
-        propagated = r @ s_dt.T
-        reg = PolynomialRegression(bm.levels[k], basis_degree)
-        if k in wanted:
-            rebuilt[k] = KernelRegression(reg, bm.increments[k]).kernel(propagated)
-        if k > lowest:
-            r = reg.fit(propagated).values - dt * sol.g[k]
-    return rebuilt
+    lo = min(wanted, default=n)
+    designs = step_designs(sol.bm, lo, n - lo, basis_degree)
+    _, z = solve_linear_bsee(sol.g[lo:], sol.y[n], sol.s_dt, sol.grid.dt, designs)
+    return {u: z[u - lo] for u in wanted}

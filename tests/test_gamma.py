@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,27 @@ def test_many_terms_match_the_gram_closed_form():
     est = gamma_norm(op, 10, seed=0)
     gram = op.cell_width * (h @ h.T)
     assert est.dropped_terms == 60
+    assert est.exact == pytest.approx(np.sqrt(np.trace(e.T @ gram @ e)), rel=1e-10)
+
+
+
+def test_more_terms_than_cells_keep_one_row_per_cell():
+    # at most n_cells factors are independent, so the Gram-Schmidt arrays
+    # hold that many rows: 5,000 one-cell terms trace well under 16 MiB
+    op = FiniteRankOperator((0.0, 1.0), np.ones((5000, 1)), np.ones((5000, 1)))
+    tracemalloc.start()
+    try:
+        est = gamma_norm(op, 1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert (est.exact, est.dropped_terms) == (5000.0, 4999)
+    rng = np.random.default_rng(9)
+    h, e = rng.normal(size=(50, 8)), rng.normal(size=(50, 2))
+    est = gamma_norm(FiniteRankOperator((0.0, 1.0), h, e), 10, seed=0)
+    gram = (h @ h.T) / 8
+    assert est.dropped_terms == 42
     assert est.exact == pytest.approx(np.sqrt(np.trace(e.T @ gram @ e)), rel=1e-10)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from bsei.paths import (
     BrownianEnsemble,
+    KernelRegression,
     PolynomialRegression,
     TimeGrid,
     _lp_l2,
@@ -219,10 +220,12 @@ def test_regression_martingale_coefficients():
     grid = TimeGrid(1.0, 10)
     bm = simulate_brownian(grid, 20_000, seed=11)
     w_t, w_end = bm.levels[5], bm.levels[-1]
-    fit = PolynomialRegression(w_t, 1).fit(w_end)
-    # E[W_T | F_t] = W_t: coefficients (0, 1) within 3 standard errors
-    assert abs(fit.coefficients[0] - 0.0) <= 3.0 * fit.coef_se[0]
-    assert abs(fit.coefficients[1] - 1.0) <= 3.0 * fit.coef_se[1]
+    fitted = PolynomialRegression(w_t, 1).fit(w_end[:, None])[:, 0]
+    # E[W_T | F_t] = W_t: each of the two coefficients is off by about
+    # sqrt((T - t)/M), so the fitted values within 3 of that over both
+    t = grid.nodes[5]
+    rms = np.sqrt(np.mean((fitted - w_t) ** 2))
+    assert rms <= 3.0 * np.sqrt((grid.horizon - t) * 2.0 / bm.n_paths)
 
 
 def test_regression_gaussian_moment_identity():
@@ -231,40 +234,41 @@ def test_regression_gaussian_moment_identity():
     t = grid.nodes[4]
     w_t, w_end = bm.levels[4], bm.levels[-1]
     reg = PolynomialRegression(w_t, 2)
-    fit = reg.fit(w_end**2)
+    fitted = reg.fit((w_end**2)[:, None])[:, 0]
     # E[W_T^2 | F_t] = W_t^2 + (T - t); the target is heteroskedastic in the
     # feature, so calibrate against sandwich standard errors
     x = reg.design
-    resid = w_end**2 - fit.values
+    coef = np.linalg.lstsq(x, fitted, rcond=None)[0]  # fitted = x @ coef
+    resid = w_end**2 - fitted
     xtx_inv = np.linalg.inv(x.T @ x)
     robust_se = np.sqrt(np.diag(xtx_inv @ (x.T * resid**2) @ x @ xtx_inv))
     truth = np.array([1.0 - t, 0.0, 1.0])
-    assert np.all(np.abs(fit.coefficients - truth) <= 3.0 * robust_se)
+    assert np.all(np.abs(coef - truth) <= 3.0 * robust_se)
 
 
 def test_regression_constant_target_exact():
     rng = np.random.default_rng(13)
     feats = rng.normal(size=400)
-    got = PolynomialRegression(feats, 2).fit(np.full(400, -2.5)).values
+    got = PolynomialRegression(feats, 2).fit(np.full((400, 1), -2.5))
     assert np.abs(got + 2.5).max() <= 1e-10
 
 
 def test_regression_polynomial_targets_reproduced():
     rng = np.random.default_rng(14)
     feats = rng.normal(size=500)
-    target = 1.0 - 2.0 * feats + 0.5 * feats**2
-    got = PolynomialRegression(feats, 2).fit(target).values
+    target = (1.0 - 2.0 * feats + 0.5 * feats**2)[:, None]
+    got = PolynomialRegression(feats, 2).fit(target)
     assert np.abs(got - target).max() <= 1e-8
 
 
 def test_regression_tower_property():
     grid = TimeGrid(1.0, 10)
     bm = simulate_brownian(grid, 40_000, seed=15)
-    target = bm.levels[-1] ** 2
+    target = bm.levels[-1][:, None] ** 2
     j, k = 3, 7
-    inner = PolynomialRegression(bm.levels[k], 2).fit(target).values
-    towered = PolynomialRegression(bm.levels[j], 2).fit(inner).values
-    direct = PolynomialRegression(bm.levels[j], 2).fit(target).values
+    inner = PolynomialRegression(bm.levels[k], 2).fit(target)
+    towered = PolynomialRegression(bm.levels[j], 2).fit(inner)
+    direct = PolynomialRegression(bm.levels[j], 2).fit(target)
     gap = np.sqrt(np.mean((towered - direct) ** 2))
     se = np.std(target) * np.sqrt(3.0 / bm.n_paths)
     assert gap <= 3.0 * se
@@ -280,36 +284,28 @@ def test_regression_rank_deficient_ridge_flag():
     feats = np.column_stack([np.arange(100.0), np.arange(100.0)])
     reg = PolynomialRegression(feats, 1)
     assert reg.ridge_used
-    fit = reg.fit(np.arange(100.0))
-    assert fit.ridge_used
-    assert np.abs(fit.values - np.arange(100.0)).max() <= 1e-4
-    assert np.all(np.isnan(fit.coef_se))
-
-
-def test_regression_diagnostics_match_direct_formulas():
-    # residual RMS and standard errors are computed on first access; they
-    # must equal the textbook formulas, per column and for a 1-D target
-    rng = np.random.default_rng(21)
-    feats = rng.normal(size=300)
-    targets = np.column_stack([np.sin(feats), feats**3]) + rng.normal(size=(300, 2))
-    reg = PolynomialRegression(feats, 2)
-    fit = reg.fit(targets)
-    x = reg.design
-    resid = targets - fit.values
-    sigma = np.sqrt(np.sum(resid**2, axis=0) / (300 - 3))
-    se = np.sqrt(np.outer(np.diag(np.linalg.inv(x.T @ x)), sigma**2))
-    assert np.allclose(fit.residual_rms, sigma, rtol=1e-12)
-    assert np.allclose(fit.coef_se, se, rtol=1e-10)
-    one = reg.fit(targets[:, 1])
-    assert one.values.shape == (300,) and one.coef_se.shape == (3,)
-    assert one.residual_rms == pytest.approx(sigma[1], rel=1e-12)
+    target = np.arange(100.0)[:, None]
+    assert np.abs(reg.fit(target) - target).max() <= 1e-4
 
 
 def test_regression_constant_feature_dropped_cleanly():
     # features with zero variance (e.g. W at time zero) degrade to the mean
-    fit = PolynomialRegression(np.zeros(40), 2).fit(np.arange(40.0))
-    assert not fit.ridge_used
-    assert np.allclose(fit.values, 19.5)
+    reg = PolynomialRegression(np.zeros(40), 2)
+    assert not reg.ridge_used
+    assert np.allclose(reg.fit(np.arange(40.0)[:, None]), 19.5)
+
+
+def test_fit_and_kernel_take_one_column_per_target():
+    rng = np.random.default_rng(22)
+    feats, dw = rng.normal(size=300), rng.normal(size=300)
+    reg = PolynomialRegression(feats, 2)
+    kern = KernelRegression(reg, dw)
+    targets = np.column_stack([np.sin(feats), feats * dw])
+    assert reg.fit(targets).shape == kern.kernel(targets).shape == (300, 2)
+    for solve in (reg.fit, kern.kernel):
+        for bad in (targets[:, 0], targets[:299], np.ones((300, 2, 1))):
+            with pytest.raises(ValueError):
+                solve(bad)
 
 
 # ------------------------------------------------- martingale representation

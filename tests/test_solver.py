@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from bsei.errors import NonConvergenceError
 from bsei.geometry import Ball, Polytope, SetValuedSpec, Singleton
 from bsei.paths import TimeGrid, simulate_brownian, step_designs
-from bsei.semigroup import SemigroupCache, matrix_exponential
+from bsei.semigroup import SemigroupCache, gamma_bound, matrix_exponential
 from bsei.solver import (
     BSEIProblem,
     SolverConfig,
     TerminalSpec,
     Solution,
-    compute_schedule,
     picard_solve_interval,
     schedule_from_constants,
     select_generator,
@@ -81,13 +81,13 @@ def test_schedule_rejects_constants_without_a_finite_window():
         schedule_from_constants(1e200, 1.0, 1.0, 1.0)  # beta^2 overflows: delta = 0
 
 
-def test_compute_schedule_uses_semigroup_bound():
+def test_schedule_uses_semigroup_bound():
     a = 0.5 * np.eye(2)
     cache = SemigroupCache.build(a, 1.0 / 64, 64)
     prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=2, generator=a,
                        terminal=TerminalSpec("constant", [1.0, 0.0]),
                        gspec=singleton_spec(2, a_y=1.0))
-    s = compute_schedule(prob, cache, 1.0)
+    s = schedule_from_constants(prob.lipschitz_k, gamma_bound(cache), prob.horizon, 1.0)
     assert s.gamma_s == pytest.approx(np.exp(0.5), rel=1e-9)
 
 
@@ -287,7 +287,8 @@ def test_picard_singleton_constant_two_iterations():
                                            c0=np.array([0.0])))
     cache = SemigroupCache.build(np.zeros((d, d)), 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
-    sched = compute_schedule(prob, cache, 1.0)
+    sched = schedule_from_constants(prob.lipschitz_k, gamma_bound(cache),
+                                    prob.horizon, 1.0)
     y, z, g, rep = picard_solve_interval(prob, 3, np.full((500, 1), 2.0),
                                          sched, cache.powers[1], bm,
                                          SolverConfig(steps_per_window=4,
@@ -301,7 +302,8 @@ def test_picard_nonconvergence_carries_report():
     prob = _ball_problem()
     cache = SemigroupCache.build(prob.generator, 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 600, seed=10)
-    sched = compute_schedule(prob, cache, 1.0)
+    sched = schedule_from_constants(prob.lipschitz_k, gamma_bound(cache),
+                                    prob.horizon, 1.0)
     with pytest.raises(NonConvergenceError) as exc:
         picard_solve_interval(prob, 3, np.ones((600, 2)), sched,
                               cache.powers[1], bm,
@@ -315,7 +317,8 @@ def test_window_length_guard():
     prob = _ball_problem()
     cache = SemigroupCache.build(prob.generator, 1.0 / 8, 8)
     bm = simulate_brownian(TimeGrid(1.0, 8), 600, seed=11)
-    sched = compute_schedule(prob, cache, 1.0)
+    sched = schedule_from_constants(prob.lipschitz_k, gamma_bound(cache),
+                                    prob.horizon, 1.0)
     assert sched.delta < 0.75
     # one window over the whole grid is too long; the windows of index 8
     # and -1 have a permitted length but leave the grid's 8 steps
@@ -616,9 +619,23 @@ def test_inclusion_gap_far_off_its_sets_stays_finite():
     prob = _ball_problem()
     sol, rep = solve(prob, SolverConfig(steps_per_window=4, n_paths=200, seed=28))
     far = Solution(y=sol.y, z=sol.z, g=sol.g + 1e200, bm=sol.bm, s_dt=sol.s_dt)
-    with np.errstate(over="ignore"):  # the equation residual does overflow
-        got = verify_solution(far, prob).inclusion_max
-    assert got == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
+    got = verify_solution(far, prob)
+    assert got.inclusion_max == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
+    assert math.isfinite(got.equation_max)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.0])
+def test_residuals_of_a_huge_solution_scale_with_it(exponent):
+    # Y, Z and g times 2^600 square beyond the float range: each node is
+    # redone in units of a power of two, so the norms scale exactly
+    prob = dataclasses.replace(_ball_problem(), exponent=exponent)
+    sol, _ = solve(prob, SolverConfig(steps_per_window=4, n_paths=200, seed=28))
+    huge = Solution(y=np.ldexp(sol.y, 600), z=np.ldexp(sol.z, 600),
+                    g=np.ldexp(sol.g, 600), bm=sol.bm, s_dt=sol.s_dt)
+    want, got = verify_solution(sol, prob), verify_solution(huge, prob)
+    assert want.equation_max > 0.0 and want.y_modulus > 0.0
+    assert np.allclose(got.equation, np.ldexp(want.equation, 600), rtol=1e-12, atol=0.0)
+    assert got.y_modulus == pytest.approx(math.ldexp(want.y_modulus, 600), rel=1e-12)
 
 
 def test_verify_reports_continuity_modulus():
@@ -690,7 +707,7 @@ def _rebuild_z_per_source(sol, generator, basis_degree, nodes):
             if k in out:
                 kern = KernelRegression(regs[k], bm.increments[k]).kernel(cond)
                 out[k] += weight * (kern @ cache.powers[s_src - k].T)
-            cond = regs[k].fit(cond).values
+            cond = regs[k].fit(cond)
     return out
 
 
@@ -714,6 +731,7 @@ def test_rebuild_z_one_sweep_matches_per_source_chains():
         scale = np.abs(want[u]).max()
         assert scale > 0.0
         assert np.abs(got[u] - want[u]).max() <= 1e-12 * scale
+    assert _rebuild_z(sol, 2, []) == {}
 
 
 def test_z_crosscheck_fits_at_most_once_per_step(monkeypatch):
