@@ -72,7 +72,9 @@ def _orthonormalize(op: FiniteRankOperator):
     sum_i q_i (x) e~_i with orthonormal q_i, plus the count of dropped
     (numerically dependent) terms.  Each term is projected against all the
     accepted q's at once, twice (classical Gram-Schmidt with one
-    reorthogonalisation), so a term costs two matrix-vector products.
+    reorthogonalisation), so a term costs two matrix-vector products.  Once
+    the q's span all the cells, every later term is dropped, and one matrix
+    product fills in its projections.
     """
     w = op.cell_width
     k = op.h.shape[0]
@@ -80,6 +82,9 @@ def _orthonormalize(op: FiniteRankOperator):
     qs = np.empty((len(r), op.h.shape[1]))  # the accepted q's in their first rows
     n = 0
     for j in range(k):
+        if n == len(qs):
+            r[:, j:] = w * qs @ op.h[j:].T
+            break
         v = op.h[j].copy()
         orig = np.sqrt(w * (v @ v))
         for _ in range(2):

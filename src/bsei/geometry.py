@@ -128,9 +128,11 @@ class Singleton:
         return _norm(centres - self.point) + radii
 
     def _nearest(self, p: np.ndarray) -> np.ndarray:
-        # 0 * p keeps a non-finite coordinate non-finite and is exact otherwise
+        # 0 * p keeps a non-finite coordinate non-finite and is exact otherwise;
+        # the point is added one coordinate at a time, as in Ball._nearest
         out = p * 0.0
-        out += self.point
+        for i, c in enumerate(self.point):
+            out[..., i] += c
         return out
 
 
@@ -458,11 +460,13 @@ class SetValuedSpec:
         """
         s_y, s_z = self._scales
         c = _apply(self.a_y, s_y, y)
-        if callable(self.c0):
-            c0 = np.array([as_point(self.c0(float(s)), self.dim) for s in np.ravel(t)])
-            c += c0[:, None, :] if np.ndim(t) else c0[0]
-        elif self.c0 is not None:
-            c += self.c0
+        c0 = self.c0
+        if callable(c0):
+            c0 = np.array([as_point(c0(float(s)), self.dim) for s in np.ravel(t)])
+            c0 = c0[:, None, :] if np.ndim(t) else c0[0]
+        if c0 is not None:  # one coordinate at a time, as in Ball._nearest
+            for i in range(self.dim):
+                c[..., i] += c0[..., i]
         if s_z != 0.0:
             c += _apply(self.a_z, s_z, z)
         return c

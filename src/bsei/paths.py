@@ -173,7 +173,8 @@ def _sample_norm(q: np.ndarray, p: float) -> float:
 
 
 def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:
-    """All monomials of total degree <= degree in the feature columns.
+    """All monomials of total degree <= degree in the feature columns, each
+    written as its parent monomial times one feature.
 
     Near-constant columns are dropped first so a deterministic feature
     (e.g. W at time zero) degrades gracefully to an intercept-only basis.
@@ -181,51 +182,62 @@ def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:
     f = np.asarray(features, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
-    m = f.shape[0]
     sd = f.std(axis=0)
     keep = sd > 1e-12 * (1.0 + np.abs(f.mean(axis=0)))
     f = f[:, keep]
-    cols = [np.ones(m)]
-    for deg in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(range(f.shape[1]), deg):
-            cols.append(np.prod(f[:, combo], axis=1))
-    return np.column_stack(cols)
+    combos = [c for deg in range(1, degree + 1)
+              for c in itertools.combinations_with_replacement(range(f.shape[1]), deg)]
+    column = {(): 0} | {c: j for j, c in enumerate(combos, 1)}
+    x = np.empty((f.shape[0], len(column)), order="F")  # contiguous columns
+    x[:, 0] = 1.0
+    for j, combo in enumerate(combos, 1):
+        np.multiply(x[:, column[combo[:-1]]], f[:, combo[-1]], out=x[:, j])
+    return x
+
+
+def _cholesky_qr(gram: np.ndarray):
+    """(ridge_used, S) for a design X with Gram matrix ``gram`` = X'X.
+
+    D, the powers of two that bring the Gram's diagonal into [1/4, 1),
+    equilibrates the columns; R is the Cholesky factor of D X'X D and
+    S = D R^-1, so Q = X S has orthonormal columns (Cholesky-QR) and the
+    least-squares coefficients of targets t are S Q't.  When the smallest
+    eigenvalue of D X'X D is at most lambda = 1e-10 trace/dim, the design
+    counts as rank deficient and lambda is added to the diagonal first:
+    classical ridge on the equilibrated columns.  Otherwise lambda = 0.
+    """
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("the design's Gram matrix is not finite")
+    scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.diag(gram)))[1])
+    g = gram * scale[:, None] * scale
+    lam = _RIDGE_SCALE * np.trace(g) / len(g)
+    ridge_used = bool(np.linalg.eigvalsh(g)[0] <= lam)
+    if ridge_used:
+        g[np.diag_indices_from(g)] += lam
+    r_inv = np.linalg.inv(np.linalg.cholesky(g).T)
+    return ridge_used, scale[:, None] * r_inv
 
 
 class _FactoredDesign:
-    """Least-squares solves against one design matrix through its thin SVD,
-    factored once.
-
-    A rank-deficient design raises ``ridge_used`` and applies ridge with
-    lambda = 1e-10 trace(X'X)/dim as a filter on the singular values,
-    dividing by s + lambda/s instead of s; at full rank lambda = 0.
-    """
-
-    def _factor(self, x: np.ndarray) -> None:
-        m, p = x.shape
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-        rcond = max(m, p) * np.finfo(float).eps * s[0]
-        self.ridge_used = int(np.sum(s > rcond)) < p
-        if self.ridge_used:
-            lam = _RIDGE_SCALE * np.sum(s * s) / p
-            with np.errstate(divide="ignore"):  # s = 0 filters to 1/inf = 0
-                s = s + lam / s
-        self._u, self._s, self._vt = u, s, vt  # _s: the divisors
+    """Least-squares solves through a Cholesky-QR factor Q = X S of a
+    design X (see ``_cholesky_qr``), factored once: the coefficients of
+    targets t (for a kernel, their increment block) are C Q't for a stored
+    p x p matrix C."""
 
     def _coefficients(self, targets: np.ndarray) -> np.ndarray:
         """Coefficients of the (M, k) targets, one column per target."""
-        if targets.ndim != 2 or targets.shape[0] != self._u.shape[0]:
+        if targets.ndim != 2 or targets.shape[0] != self._q.shape[0]:
             raise ValueError(f"targets of shape {targets.shape} are not "
-                             f"({self._u.shape[0]}, k)")
-        return self._vt.T @ ((self._u.T @ targets) / self._s[:, None])
+                             f"({self._q.shape[0]}, k)")
+        return self._c @ (self._q.T @ targets)
 
 
 class PolynomialRegression(_FactoredDesign):
     """Least-squares projection onto a polynomial basis of path features.
 
-    The design factorization is computed once, so repeated fits against the
-    same conditioning variables (the common case in backward recursions) are
-    cheap.
+    The design's Gram matrix and factorization are computed once, so
+    repeated fits against the same conditioning variables (the common case
+    in backward recursions) are cheap.
     """
 
     def __init__(self, features, degree: int):
@@ -238,11 +250,22 @@ class PolynomialRegression(_FactoredDesign):
                 f"need at least {_MIN_PATHS_PER_BASIS} paths per basis function "
                 f"({p} functions, {m} paths)")
         self.design = x
-        self._factor(x)
+        with np.errstate(over="ignore"):  # an overflow raises in _cholesky_qr
+            self.gram = x.T @ x
+        self.ridge_used, self._c = _cholesky_qr(self.gram)
+        self._q = x @ self._c
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
-        """Fitted values of the (M, k) targets, an (M, k) array."""
-        return self.design @ self._coefficients(targets)
+        """Fitted values of the (M, k) targets, an (M, k) array.
+
+        The coefficients take one step of iterative refinement: the
+        intercept column of Q is one repeated value, so Q't of a constant
+        target is a sum of equal terms whose rounding drifts one way (about
+        240 ulp at M = 1e4), and the backward sweep would compound it.
+        """
+        coef = self._coefficients(targets)
+        coef += self._coefficients(targets - self.design @ coef)
+        return self.design @ coef
 
 
 class KernelRegression(_FactoredDesign):
@@ -253,20 +276,32 @@ class KernelRegression(_FactoredDesign):
     evaluated; in population this recovers the basis projection of
     (1/dt) E[target dW | features], and it avoids the O(1/dt) variance of
     regressing target * dW / dt directly.
+
+    The joint Gram matrix takes the basis Gram as its top-left block, and
+    the joint design is never stored: S = D R^-1 is upper triangular, so
+    the increment block of the coefficients needs only the increment
+    columns [phi, phi * dW] S[:, p:] of Q.
     """
 
     def __init__(self, base: PolynomialRegression, dw: np.ndarray):
         b = base.design
         if dw.shape != (b.shape[0],):
             raise ValueError("increment vector must have one entry per path")
+        p = b.shape[1]
+        bdw = b * dw[:, None]
+        with np.errstate(over="ignore"):  # an overflow raises in _cholesky_qr
+            cross = b.T @ bdw
+            gram = np.block([[base.gram, cross], [cross.T, bdw.T @ bdw]])
+        self.ridge_used, s = _cholesky_qr(gram)
         self._basis = b
-        self._p = b.shape[1]
-        self._factor(np.hstack([b, b * dw[:, None]]))
+        self._q = b @ s[:p, p:]
+        self._q += bdw @ s[p:, p:]
+        self._c = s[p:, p:]
 
     def kernel(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of the increment-block coefficient function of the
         (M, k) targets, an (M, k) array."""
-        return self._basis @ self._coefficients(targets)[self._p:]
+        return self._basis @ self._coefficients(targets)
 
 
 def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
@@ -275,7 +310,11 @@ def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
     on the Brownian value W[k] and its kernel variant on the increment dW[k]."""
     out = []
     for k in range(k_lo, k_lo + n_steps):
-        base = PolynomialRegression(bm.levels[k], degree)
+        # W[k] in units of the power of two above its largest |value|, so the
+        # Gram cannot overflow however long the horizon; the Gram is
+        # equilibrated by powers of two, so the fitted values do not change
+        w = bm.levels[k]
+        base = PolynomialRegression(np.ldexp(w, -np.frexp(np.abs(w).max())[1]), degree)
         out.append((base, KernelRegression(base, bm.increments[k])))
     return out
 

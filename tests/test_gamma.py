@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bsei.gamma import (
+    _GS_DROP_REL,
     FiniteRankOperator,
+    _orthonormalize,
     gamma_norm,
     ito_isomorphism_report,
     kw_integral,
@@ -100,6 +102,41 @@ def test_more_terms_than_cells_keep_one_row_per_cell():
     gram = (h @ h.T) / 8
     assert est.dropped_terms == 42
     assert est.exact == pytest.approx(np.sqrt(np.trace(e.T @ gram @ e)), rel=1e-10)
+
+
+def _orthonormalize_term_by_term(op):
+    # the reference: classical Gram-Schmidt with one reorthogonalisation for
+    # every term, also after the accepted q's span all the cells
+    w, (k, cells) = op.cell_width, op.h.shape
+    r, qs, n = np.zeros((cells, k)), np.empty((cells, cells)), 0
+    for j in range(k):
+        v = op.h[j].copy()
+        orig = np.sqrt(w * (v @ v))
+        for _ in range(2):
+            c = w * (qs[:n] @ v)
+            r[:n, j] += c
+            v -= c @ qs[:n]
+        nrm = np.sqrt(w * (v @ v))
+        if nrm < _GS_DROP_REL * max(orig, 1e-300):
+            continue
+        qs[n], r[n, j] = v / nrm, nrm
+        n += 1
+    return r[:n] @ op.e, k - n
+
+
+@pytest.mark.parametrize("k, cells, dependent", [(2000, 1, 0), (500, 8, 0), (300, 40, 30)])
+def test_terms_after_a_full_basis_are_projected_in_one_product(k, cells, dependent):
+    # once the q's span the cells, one product projects the remaining terms:
+    # the same drops as the term-by-term loop and the same norm to 1e-12
+    rng = np.random.default_rng(k + cells)
+    h = rng.normal(size=(k - dependent, cells))
+    h = np.vstack([h, rng.normal(size=(dependent, k - dependent)) @ h])
+    op = FiniteRankOperator((0.0, 1.5), h[rng.permutation(k)], rng.normal(size=(k, 3)))
+    got, dropped = _orthonormalize(op)
+    want, want_dropped = _orthonormalize_term_by_term(op)
+    assert dropped == want_dropped == k - cells
+    exact, want_exact = np.sqrt(np.sum(got**2)), np.sqrt(np.sum(want**2))
+    assert exact == pytest.approx(want_exact, rel=1e-12)
 
 
 def test_norm_invariant_under_orthogonal_remix():

@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,11 @@ from bsei.paths import (
     lp_l2_norm,
     martingale_representation,
     simulate_brownian,
+    step_designs,
 )
 from bsei.solver import SolverConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def resampled_after(bm, k_from, fresh_seed):
@@ -306,6 +312,141 @@ def test_fit_and_kernel_take_one_column_per_target():
         for bad in (targets[:, 0], targets[:299], np.ones((300, 2, 1))):
             with pytest.raises(ValueError):
                 solve(bad)
+
+
+def _lstsq_fit_and_kernel(x, dw, targets):
+    """Fitted values and increment-block values of the targets from
+    np.linalg.lstsq on the stacked design [x, x dw]."""
+    p = x.shape[1]
+    fit = x @ np.linalg.lstsq(x, targets, rcond=None)[0]
+    joint = np.linalg.lstsq(np.hstack([x, x * dw[:, None]]), targets, rcond=None)[0]
+    return fit, x @ joint[p:]
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("degree", range(9))
+@pytest.mark.parametrize("node", [1, 20])  # t = dt and t = T
+def test_fit_and_kernel_match_lstsq_on_the_stacked_design(degree, node):
+    grid = TimeGrid(1.0, 20)
+    bm = simulate_brownian(grid, 4000, seed=23)
+    w, w_end = bm.levels[node], bm.levels[-1]
+    dw = np.sqrt(grid.dt) * _philox_normals(123, node, 4000)  # the next increment
+    targets = np.column_stack([np.cos(3.0 * w_end), w_end**3 + dw])
+    reg = PolynomialRegression(w, degree)
+    kern = KernelRegression(reg, dw)
+    fit, kernel = _lstsq_fit_and_kernel(reg.design, dw, targets)
+    assert _relative_gap(reg.fit(targets), fit) <= 1e-9
+    assert _relative_gap(kern.kernel(targets), kernel) <= 1e-9
+
+
+def test_two_feature_fit_and_kernel_match_lstsq():
+    bm = simulate_brownian(TimeGrid(1.0, 10), 3000, seed=24)
+    feats = np.column_stack([bm.levels[3], bm.levels[7]])
+    dw = bm.increments[7]
+    targets = np.column_stack([np.exp(bm.levels[-1]), bm.levels[-1] * dw])
+    reg = PolynomialRegression(feats, 3)  # 10 monomials, 20 joint columns
+    kern = KernelRegression(reg, dw)
+    fit, kernel = _lstsq_fit_and_kernel(reg.design, dw, targets)
+    assert _relative_gap(reg.fit(targets), fit) <= 1e-9
+    assert _relative_gap(kern.kernel(targets), kernel) <= 1e-9
+
+
+def test_constant_target_fit_to_the_rounding_floor():
+    # the intercept column of Q is one repeated value, so a constant
+    # target's Q't is a long sum of equal terms; the fit must not carry that
+    # sum's rounding drift, which the sweep would compound step by step
+    bm = simulate_brownian(TimeGrid(1.0, 450), 10_000, seed=25)
+    for node in (1, 225, 450):
+        reg = PolynomialRegression(bm.levels[node], 2)
+        err = reg.fit(np.full((10_000, 1), 0.7)) - 0.7
+        assert abs(err.mean()) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("e", [-830, -300, 0, 300, 996])  # max|t| 1.4e-250 .. 6.7e299
+def test_fit_and_kernel_are_power_of_two_homogeneous(e):
+    rng = np.random.default_rng(26)
+    feats, dw = rng.normal(size=(2, 2000))
+    targets = rng.normal(size=(2000, 2))
+    targets /= np.abs(targets).max()
+    reg = PolynomialRegression(feats, 3)
+    kern = KernelRegression(reg, dw)
+    for solve in (reg.fit, kern.kernel):
+        scaled = solve(np.ldexp(targets, e))
+        assert scaled.tobytes() == np.ldexp(solve(targets), e).tobytes()
+
+
+def test_duplicated_columns_set_ridge_in_both_designs():
+    feats = np.column_stack([np.arange(200.0), np.arange(200.0)])
+    dw = np.random.default_rng(27).normal(size=200)
+    reg = PolynomialRegression(feats, 2)
+    kern = KernelRegression(reg, dw)
+    assert reg.ridge_used and kern.ridge_used
+    target = (np.arange(200.0) * dw)[:, None]
+    assert np.isfinite(kern.kernel(target)).all()
+    # a full-rank design of the schema's highest degree is left alone
+    full = PolynomialRegression(np.random.default_rng(28).normal(size=2000), 8)
+    assert not full.ridge_used and not KernelRegression(full, dw.repeat(10)).ridge_used
+
+
+@pytest.mark.parametrize("config", ["configs/ball_demo.json", "configs/singleton_demo.json",
+                                    "perfbench/workloads/polytope_small.json"])
+def test_no_design_of_a_shipped_workload_needs_ridge(config, monkeypatch):
+    # the solve's own Brownian ensemble, caught as it is drawn
+    from bsei import solver
+    from bsei.cli import load_config
+
+    class Drawn(Exception):
+        pass
+
+    drawn = []
+
+    def draw(*args):
+        drawn.append(simulate_brownian(*args))
+        raise Drawn
+
+    problem, cfg, _ = load_config(str(ROOT / config))
+    monkeypatch.setattr(solver, "simulate_brownian", draw)
+    with pytest.raises(Drawn):
+        solver.solve(problem, cfg)
+    bm = drawn[0]
+    for k in range(bm.grid.n_steps):
+        ((base, kern),) = step_designs(bm, k, 1, cfg.basis_degree)
+        assert not (base.ridge_used or kern.ridge_used), f"step {k}"
+
+
+def test_step_designs_do_not_see_the_scale_of_the_brownian_values():
+    # W in units of 2^500 (a horizon of about 1e301) has monomials whose
+    # Gram overflows; step_designs regresses on W in units of a power of two
+    # near its largest |value|, so the fits are bitwise those of the
+    # unscaled ensemble
+    bm = simulate_brownian(TimeGrid(1.0, 8), 500, seed=30)
+    huge = BrownianEnsemble(bm.grid, 500, 30, np.ldexp(bm.increments, 500))
+    with pytest.raises(ValueError, match="not finite"):
+        PolynomialRegression(huge.levels[4], 2)
+    target = np.column_stack([np.cos(bm.levels[-1]), bm.levels[-1] ** 2])
+    for (base, kern), (hbase, hkern) in zip(step_designs(bm, 1, 7, 2),
+                                            step_designs(huge, 1, 7, 2)):
+        assert base.fit(target).tobytes() == hbase.fit(target).tobytes()
+        assert kern.kernel(target).tobytes() == np.ldexp(hkern.kernel(target), 500).tobytes()
+
+
+def test_step_designs_keep_three_path_arrays_per_step():
+    # each step keeps the design, Q and the increment columns of the joint Q,
+    # (M, p) arrays all: 40 steps at M = 1e4, p = 3 peaked at 28.9 MB, where
+    # the SVD factors kept four such arrays and peaked at 38.3 MB
+    m, n = 10_000, 40
+    bm = simulate_brownian(TimeGrid(1.0, n), m, seed=29)
+    tracemalloc.start()
+    try:
+        designs = step_designs(bm, 0, n, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(designs) == n
+    assert peak <= (3 * n + 3) * m * 3 * 8
 
 
 # ------------------------------------------------- martingale representation

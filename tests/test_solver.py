@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsei.errors import NonConvergenceError
 from bsei.geometry import Ball, Polytope, SetValuedSpec, Singleton
@@ -179,6 +179,17 @@ def _bases(d, rng):
        a_y=st.sampled_from(_MAPS), a_z=st.sampled_from(_MAPS),
        c0=st.sampled_from([None, "constant", "callable"]), m=st.integers(1, 40),
        nodes=st.integers(1, 6), per_chunk=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+# singletons and c0 shifts add their (d,) vectors one coordinate at a time
+@example(shape="singleton", d=2, a_y="zero", a_z="zero", c0=None, m=7, nodes=3,
+         per_chunk=2, seed=1)
+@example(shape="singleton", d=3, a_y="dense", a_z="identity", c0="constant", m=5,
+         nodes=4, per_chunk=3, seed=2)
+@example(shape="singleton", d=2, a_y="identity", a_z="zero", c0="callable", m=6,
+         nodes=5, per_chunk=2, seed=3)
+@example(shape="ball", d=3, a_y="diagonal", a_z="zero", c0="callable", m=4, nodes=1,
+         per_chunk=1, seed=4)
+@example(shape="polytope", d=2, a_y="zero", a_z="dense", c0="constant", m=3, nodes=6,
+         per_chunk=3, seed=5)
 def test_chunked_selection_is_bitwise_the_stacked_formula(shape, d, a_y, a_z, c0, m,
                                                          nodes, per_chunk, seed):
     # an entry budget of per_chunk whole nodes: chunks of one node or of
