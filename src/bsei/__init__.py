@@ -49,6 +49,7 @@ from .paths import (
     lp_l2_norm,
     martingale_representation,
     simulate_brownian,
+    solve_linear_bsee,
     step_designs,
 )
 from .semigroup import SemigroupCache, gamma_bound, matrix_exponential
@@ -64,7 +65,6 @@ from .solver import (
     schedule_from_constants,
     select_generator,
     solve,
-    solve_linear_bsee,
     verify_solution,
 )
 

@@ -94,8 +94,9 @@ class BrownianEnsemble:
         inc = np.asarray(self.increments, dtype=float)
         if inc.shape != (self.grid.n_steps, self.n_paths):
             raise ValueError("increments must have shape (n_steps, n_paths)")
-        inc = inc.copy()
-        inc.setflags(write=False)
+        if inc.flags.writeable or not inc.flags.owndata:  # the caller could change it
+            inc = inc.copy()
+            inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
         levels = np.zeros((self.grid.n_steps + 1, self.n_paths))
         np.cumsum(inc, axis=0, out=levels[1:])
@@ -117,6 +118,7 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemb
     inc = np.empty((grid.n_steps, n_paths))
     for k in range(grid.n_steps):
         inc[k] = sq * _philox_normals(seed, k, n_paths)
+    inc.setflags(write=False)  # no one else holds the draw: the ensemble keeps it
     return BrownianEnsemble(grid, n_paths, seed, inc)
 
 
@@ -153,14 +155,14 @@ def lp_l2_norm(values: np.ndarray, dt: float, p: float) -> float:
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    return _lp_l2(values, np.broadcast_to(0.0, values.shape), dt, p)
+    return _lp_l2(values[:-1], np.broadcast_to(0.0, values[:-1].shape), dt, p)
 
 
 def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
-    """Sample norm of the stack x - y; every temporary is one (M, d) node."""
+    """Sample norm of the stack x - y, dt per node; each temporary is one node."""
     sq = np.zeros(x.shape[1:])
     step = np.empty(x.shape[1:])
-    for k in range(x.shape[0] - 1):
+    for k in range(x.shape[0]):
         np.subtract(x[k], y[k], out=step)
         step *= step
         sq += step
@@ -319,6 +321,31 @@ def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
     return out
 
 
+def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
+                      s_dt: np.ndarray, dt: float, designs: list):
+    """(Y, Z), shaped like g, of one backward sweep of the linear equation
+    with frozen source g on the left endpoints of n steps of size ``dt``,
+    from the (M, d) terminal values of Y at the right end of the last one;
+    ``s_dt`` is S(dt) and ``designs`` the n steps' ``step_designs``.
+
+    Discretization: Y[k] = E[S(dt) Y[k+1] | F_k] - dt g[k] and
+    Z[k] = (1/dt) E[S(dt) Y[k+1] dW_k | F_k], both evaluated by regression;
+    the Z-expectation is read from the increment block of the joint basis
+    regression, which estimates the identical quantity at a fraction of the
+    Monte Carlo variance.
+    """
+    y_next = np.asarray(terminal_values, dtype=float)
+    if y_next.shape != g.shape[1:] or len(designs) != len(g):
+        raise ValueError("need one design per source node, one terminal per path")
+    y, z = np.empty(g.shape), np.empty(g.shape)
+    for k in range(len(g) - 1, -1, -1):
+        base, kern = designs[k]
+        propagated = y_next @ s_dt.T
+        z[k] = kern.kernel(propagated)
+        y[k] = y_next = base.fit(propagated) - dt * g[k]
+    return y, z
+
+
 @dataclass(frozen=True)
 class MartingaleRepresentation:
     mean_part: np.ndarray     # (n_nodes, d) ensemble means
@@ -334,8 +361,9 @@ def martingale_representation(g: np.ndarray, bm: BrownianEnsemble,
     through the tower chain m_k = E[m_{k+1} | F_{t_k}] (fitted backwards
     from m_u = g_u, so the per-step targets never see the accumulated
     future noise of g_u) and reads each kernel from the increment block of
-    the joint basis regression.  The kernel of node u is stored for s < u
-    only, so its support condition is structural: taus[u][u] does not exist.
+    the joint basis regression: the Z of the source-free sweep at S = I.
+    The kernel of node u is stored for s < u only, so its support condition
+    is structural: taus[u][u] does not exist.
     """
     n, m, d = g.shape
     if m != bm.n_paths or n > bm.grid.n_steps + 1:
@@ -347,12 +375,8 @@ def martingale_representation(g: np.ndarray, bm: BrownianEnsemble,
     residuals = np.empty(n)
     for u in range(n):
         gu = g[u]
-        tau_u = np.empty((u, m, d))
-        cond = gu
-        for k in range(u - 1, -1, -1):
-            base, kern = designs[k]
-            tau_u[k] = kern.kernel(cond)
-            cond = base.fit(cond)
+        _, tau_u = solve_linear_bsee(np.broadcast_to(0.0, (u, m, d)), gu, np.eye(d),
+                                     bm.grid.dt, designs[:u])
         recon = np.tile(mean_part[u], (m, 1))
         for k in range(u):
             recon += tau_u[k] * bm.increments[k][:, None]

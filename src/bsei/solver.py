@@ -28,6 +28,7 @@ from .paths import (
     _physical_memory,
     _sample_norm,
     simulate_brownian,
+    solve_linear_bsee,
     step_designs,
 )
 from .semigroup import SemigroupCache, gamma_bound, matrix_exponential
@@ -231,16 +232,11 @@ def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
                      times: np.ndarray, gspec: SetValuedSpec) -> np.ndarray:
     """Pointwise nearest-point selection g_new[k][m] in G(t_k, Y[k][m], Z[k][m]).
 
-    The three stacks are (n + 1, M, d) arrays on the nodes ``times``, or
-    (M, d) arrays at the one time ``times``.  Projection of adapted data
-    through a deterministic map, so the output is adapted; the moved
-    distance at each point equals the distance from the previous selection
-    to the new constraint set.
+    The three stacks are (n, M, d) arrays on the n nodes ``times``.
+    Projection of adapted data through a deterministic map, so the output is
+    adapted; the moved distance at each point equals the distance from the
+    previous selection to the new constraint set.
     """
-    single = np.ndim(times) == 0
-    if single:
-        times, g_prev, y_prev, z_prev = (np.reshape(times, 1), g_prev[None],
-                                         y_prev[None], z_prev[None])
     out = np.empty_like(g_prev)
     # every constraint set is the translate c + base of one base set; whole
     # nodes of about _CHUNK_ENTRIES entries are centred, projected and
@@ -251,39 +247,7 @@ def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
         c = gspec.center_batch(times[k], y_prev[k], z_prev[k])
         np.subtract(g_prev[k], c, out=out[k])
         np.add(project(out[k], gspec.base), c, out=out[k])
-    return out[0] if single else out
-
-
-def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
-                      s_dt: np.ndarray, dt: float, designs: list):
-    """One backward sweep of the linear equation with frozen source g, an
-    (n + 1, M, d) array on n + 1 consecutive nodes of a grid of step ``dt``,
-    the one-step semigroup ``s_dt`` = S(dt) of that grid, and ``designs``,
-    the n per-step (basis, kernel) pairs of ``paths.step_designs``.
-
-    Discretization: Y[k] = E[S(dt) Y[k+1] | F_k] - dt g[k] and
-    Z[k] = (1/dt) E[S(dt) Y[k+1] dW_k | F_k], both evaluated by regression;
-    the Z-expectation is read from the increment block of the joint basis
-    regression, which estimates the identical quantity at a fraction of the
-    Monte Carlo variance.  Y at the last node equals the terminal values
-    exactly.
-
-    Returns (Y, Z) arrays shaped like g; Z at the last node is set to zero
-    by convention and carries no quadrature mass.
-    """
-    n = g.shape[0] - 1
-    terminal = np.asarray(terminal_values, dtype=float)
-    if terminal.shape != g.shape[1:]:
-        raise ValueError("terminal values must be one vector per path")
-    y = np.empty_like(g)
-    z = np.zeros_like(g)
-    y[n] = terminal
-    for k in range(n - 1, -1, -1):
-        base, kern = designs[k]
-        propagated = y[k + 1] @ s_dt.T
-        z[k] = kern.kernel(propagated)
-        y[k] = base.fit(propagated) - dt * g[k]
-    return y, z
+    return out
 
 
 def picard_solve_interval(problem: BSEIProblem, index: int,
@@ -291,8 +255,8 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
                           s_dt: np.ndarray, bm: BrownianEnsemble,
                           config: SolverConfig):
     """Fixed-point iteration from the zero triple on window ``index``, the
-    grid nodes k_lo = index * ``config.steps_per_window`` to
-    k_hi = k_lo + ``config.steps_per_window``.
+    grid nodes k_lo = index * ``config.steps_per_window`` <= k < k_hi =
+    k_lo + ``config.steps_per_window``, from Y at k_hi, ``terminal_values``.
 
     Alternates generator selection and the linear solve until the summed
     difference norm dY + dZ falls below ``config.tol`` (but never before
@@ -311,9 +275,9 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
     if not 0 <= k_lo < k_hi <= bm.grid.n_steps:
         raise ValueError(f"window {index} leaves the grid of {bm.grid.n_steps} steps")
     p = problem.exponent
-    times = bm.grid.nodes[k_lo:k_hi + 1]
+    times = bm.grid.nodes[k_lo:k_hi]
     designs = step_designs(bm, k_lo, n, config.basis_degree)
-    y = np.zeros((n + 1, bm.n_paths, problem.dim))
+    y = np.zeros((n, bm.n_paths, problem.dim))
     z, g = np.zeros_like(y), np.zeros_like(y)
     # ridge fallback depends on the design alone, so count it per window
     report = WindowReport(
@@ -344,10 +308,13 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
     return y, z, final_g, report
 
 
-def _full_grid_bytes(n_steps: int, n_paths: int, dim: int) -> int:
-    """Bytes of the arrays a solve keeps on the whole grid: Y, Z and g at
-    every node, the Brownian increments per step and levels per node."""
-    return 8 * n_paths * ((3 * dim + 1) * (n_steps + 1) + n_steps)
+def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig) -> int:
+    """Bytes per path of a solve's arrays: Y, Z, g and W at every node, dW
+    per step, and a window's two (Y, Z, g) iterates and designs (three
+    arrays of basis_degree + 1 columns per step)."""
+    n = config.steps_per_window
+    return 8 * ((3 * dim + 1) * (n_steps + 1) + n_steps
+                + 6 * dim * n + 3 * n * (config.basis_degree + 1))
 
 
 def _about(n: int) -> str:
@@ -356,18 +323,18 @@ def _about(n: int) -> str:
     return digits if len(digits) <= 7 else f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
 
 
-def _check_memory(n_steps: int, n_paths: int, dim: int) -> None:
-    """Raise ScheduleError before allocating when the full-grid arrays alone
-    would exceed the machine's physical memory."""
+def _check_memory(n_steps: int, dim: int, config: SolverConfig) -> None:
+    """Raise ScheduleError before allocating when the solve's arrays would
+    exceed the machine's physical memory."""
     budget = _physical_memory()
-    need = _full_grid_bytes(n_steps, n_paths, dim)
+    per_path = _bytes_per_path(n_steps, dim, config)
+    need = per_path * config.n_paths
     if budget is not None and need > budget:
         # blame the path count only when the steps alone would fit
-        field = ("numerics.paths" if _full_grid_bytes(n_steps, 1, dim) <= budget
-                 else "problem.generator")
+        field = "numerics.paths" if per_path <= budget else "problem.generator"
         raise ScheduleError(
-            f"the schedule plans {_about(n_steps)} steps x {n_paths} paths, "
-            f"about {_about(need)} bytes of full-grid arrays, more than the "
+            f"the schedule plans {_about(n_steps)} steps x {config.n_paths} paths, "
+            f"about {_about(need)} bytes of solver arrays, more than the "
             f"{budget} bytes of physical memory", field=field)
 
 
@@ -378,8 +345,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     """Solve the inclusion over the whole horizon by backward concatenation.
 
     The horizon splits into equal windows no longer than the schedule's
-    delta; the last window takes the sampled terminal data, every earlier
-    window the computed Y at its right endpoint.  Returns the concatenated
+    delta; each solves its nodes [k_lo, k_hi) from the Y at k_hi of the
+    window after it, the last from node N, set first.  Returns the concatenated
     Solution, which carries the Brownian ensemble and S(dt) of the run,
     and a SolveReport carrying per-window iteration diagnostics
     and the one residual pass of the run.
@@ -398,7 +365,7 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
                                        horizon, config.c_pe)
     n_win = schedule.n_windows
     n_total = n_win * config.steps_per_window
-    _check_memory(n_total, config.n_paths, problem.dim)
+    _check_memory(n_total, problem.dim, config)
     grid = TimeGrid(horizon, n_total)
     bm = simulate_brownian(grid, config.n_paths, config.seed)
     # on a uniform grid every S(t_j - t_k) is a power of this one matrix
@@ -409,21 +376,22 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     g = np.zeros_like(y)
     report = SolveReport(schedule=schedule, windows=[], config=config,
                          n_steps_total=n_total)
-    terminal = problem.terminal.sample(bm)
+    # node N belongs to no window: (xi, 0) and its selection from g = 0
+    end = slice(n_total, None)
+    y[end] = problem.terminal.sample(bm)
+    g[end] = select_generator(g[end], y[end], z[end], grid.nodes[end], problem.gspec)
     for w in range(n_win - 1, -1, -1):
+        k_hi = (w + 1) * config.steps_per_window
         try:
             y_loc, z_loc, g_loc, wrep = picard_solve_interval(
-                problem, w, terminal, schedule, s_dt, bm, config)
+                problem, w, y[k_hi], schedule, s_dt, bm, config)
         except NonConvergenceError as exc:
             report.windows.insert(0, exc.report)
             report.runtime_seconds = time.perf_counter() - t0
             raise NonConvergenceError(str(exc), report=report) from exc
         report.windows.insert(0, wrep)
-        k_lo, k_hi = wrep.k_lo, wrep.k_hi
-        stop = k_hi + 1 if k_hi == n_total else k_hi
-        for full, part in ((y, y_loc), (z, z_loc), (g, g_loc)):
-            full[k_lo:stop] = part[:stop - k_lo]
-        terminal = y_loc[0]
+        window = slice(wrep.k_lo, wrep.k_hi)
+        y[window], z[window], g[window] = y_loc, z_loc, g_loc
 
     sol = Solution(y=y, z=z, g=g, bm=bm, s_dt=s_dt)
     report.residuals = verify_solution(sol, problem)
@@ -459,7 +427,8 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     y, z, g, dw = sol.y, sol.z, sol.g, sol.bm.increments
 
     def inclusion_gap(k):
-        gap = g[k] - select_generator(g[k], y[k], z[k], nodes[k], gspec)
+        node = slice(k, k + 1)
+        gap = g[k] - select_generator(g[node], y[node], z[node], nodes[node], gspec)[0]
         return np.max(geometry._norm(gap))  # finite for any finite gap
 
     def node_norm(x):
@@ -491,7 +460,7 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
 
 
 def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:
-    """Explicit Z at the requested nodes from the representation kernels.
+    """Explicit Z at the requested nodes, all below N, from the representation kernels.
 
     No run calls it: it is the tests' reference for an explicit Z, and the
     benchmark tracer (perfbench/tracer.py) binds it by name.
@@ -510,5 +479,5 @@ def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:
     wanted = set(int(u) for u in nodes)
     lo = min(wanted, default=n)
     designs = step_designs(sol.bm, lo, n - lo, basis_degree)
-    _, z = solve_linear_bsee(sol.g[lo:], sol.y[n], sol.s_dt, sol.grid.dt, designs)
+    _, z = solve_linear_bsee(sol.g[lo:n], sol.y[n], sol.s_dt, sol.grid.dt, designs)
     return {u: z[u - lo] for u in wanted}

@@ -81,6 +81,29 @@ def test_brownian_moments():
         assert abs(bm.increments[k].var() / dt - 1.0) <= 0.2
 
 
+def test_draw_is_kept_without_a_copy():
+    # the ensemble keeps simulate_brownian's read-only draw as it is: the
+    # peak is the increments and levels it keeps, not a third copy
+    grid, m = TimeGrid(1.0, 450), 10_000
+    tracemalloc.start()
+    try:
+        simulate_brownian(grid, m, 2024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * m * (2 * grid.n_steps + 1)
+
+
+def test_writeable_increments_are_copied():
+    grid = TimeGrid(1.0, 4)
+    inc = np.sqrt(grid.dt) * np.random.default_rng(4).normal(size=(4, 6))
+    bm = BrownianEnsemble(grid, 6, 0, inc)
+    kept = bm.increments.copy()
+    inc[:] = 0.0
+    assert np.array_equal(bm.increments, kept)
+    assert not bm.increments.flags.writeable
+
+
 def test_path_count_extension_keeps_prefix():
     grid = TimeGrid(1.0, 8)
     small = simulate_brownian(grid, 500, seed=3)
@@ -199,19 +222,25 @@ def test_lp_l2_brownian_integrand():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_lp_l2_difference_matches_textbook_formula(p, d):
-    # mean over paths of (dt sum_{k<n} ||x_k - y_k||^2)^(p/2), to the 1/p
+    # mean over paths of (dt sum_k ||x_k - y_k||^2)^(p/2), to the 1/p: over
+    # every node given to _lp_l2, over all but the last one for lp_l2_norm
     rng = np.random.default_rng(int(10 * p) + d)
     x, y = rng.normal(size=(2, 9, 300, d))
     dt = 0.125
-    q = dt * ((x - y)[:-1] ** 2).sum(axis=(0, 2))
-    textbook = np.mean(q ** (p / 2)) ** (1 / p)
-    assert _lp_l2(x, y, dt, p) == pytest.approx(textbook, rel=1e-12)
-    assert lp_l2_norm(x - y, dt, p) == pytest.approx(textbook, rel=1e-12)
+
+    def textbook(diff):
+        q = dt * (diff ** 2).sum(axis=(0, 2))
+        return np.mean(q ** (p / 2)) ** (1 / p)
+    assert _lp_l2(x, y, dt, p) == pytest.approx(textbook(x - y), rel=1e-12)
+    assert lp_l2_norm(x - y, dt, p) == pytest.approx(textbook((x - y)[:-1]), rel=1e-12)
 
 
 def test_lp_l2_single_node_is_zero():
+    # the last stored node carries no mass in lp_l2_norm; _lp_l2 gives every
+    # node it is given the mass dt
     x = np.ones((1, 5, 2))
-    assert _lp_l2(x, np.zeros_like(x), 0.5, 2.0) == 0.0
+    assert lp_l2_norm(x, 0.5, 2.0) == 0.0
+    assert _lp_l2(x, np.zeros_like(x), 0.5, 2.0) == 1.0
     assert _lp_l2(x[:0], x[:0], 0.5, 2.0) == 0.0
 
 

@@ -101,7 +101,8 @@ def _select(grid, m, d, spec, g=None, y=None, z=None):
 
 
 def _sweep(g, terminal, s_dt, bm, degree):
-    """solve_linear_bsee on the whole grid of ``bm``: (Y, Z)."""
+    """solve_linear_bsee on the N left-endpoint nodes of the grid of ``bm``,
+    from Y at T: (Y, Z)."""
     return solve_linear_bsee(g, terminal, s_dt, bm.grid.dt,
                              step_designs(bm, 0, bm.grid.n_steps, degree))
 
@@ -216,10 +217,10 @@ def test_chunked_selection_is_bitwise_the_stacked_formula(shape, d, a_y, a_z, c0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ENTRIES", per_chunk * m * d)
         got = select_generator(g, y, z, times, spec)
-        per_node = [select_generator(g[k], y[k], z[k], times[k], spec)
-                    for k in range(nodes)]
+        per_node = [select_generator(g[k:k + 1], y[k:k + 1], z[k:k + 1],
+                                     times[k:k + 1], spec) for k in range(nodes)]
     assert got.tobytes() == want.tobytes()
-    assert np.stack(per_node).tobytes() == got.tobytes()
+    assert np.concatenate(per_node).tobytes() == got.tobytes()
 
 
 # ------------------------------------------------------------- linear solve
@@ -229,7 +230,8 @@ def test_linear_solve_constant_terminal():
     m = 2_000
     bm = simulate_brownian(grid, m, seed=4)
     s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
-    y, z = _sweep(np.zeros((13, m, 1)), np.full((m, 1), 3.0), s_dt, bm, 2)
+    y, z = _sweep(np.zeros((12, m, 1)), np.full((m, 1), 3.0), s_dt, bm, 2)
+    assert y.shape == z.shape == (12, m, 1)
     assert np.abs(y - 3.0).max() <= 1e-10
     assert np.abs(z).max() <= 1e-10
 
@@ -239,8 +241,8 @@ def test_linear_solve_martingale_terminal():
     m = 20_000
     bm = simulate_brownian(grid, m, seed=5)
     s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
-    y, z = _sweep(np.zeros((26, m, 1)), bm.levels[-1][:, None], s_dt, bm, 2)
-    for k in range(26):
+    y, z = _sweep(np.zeros((25, m, 1)), bm.levels[-1][:, None], s_dt, bm, 2)
+    for k in range(25):
         dev = np.sqrt(np.mean((y[k][:, 0] - bm.levels[k]) ** 2))
         se = np.sqrt(3.0 * (1.0 - grid.nodes[k]) / m)  # accumulated fit noise
         assert dev <= 3.0 * se + 1e-12
@@ -258,22 +260,23 @@ def test_linear_solve_fed_iteratively_matches_backward_ode():
     bm = simulate_brownian(grid, m, seed=6)
     s_dt = matrix_exponential(grid.dt * np.zeros((1, 1)))
     term = np.full((m, 1), 1.0)
-    y = np.zeros((51, m, 1))
+    y = np.zeros((50, m, 1))
     for _ in range(12):
         y, _ = _sweep(a * y, term, s_dt, bm, 2)
     exact = np.exp(-a * (1.0 - grid.nodes))
-    err = max(np.abs(y[k] - exact[k]).max() / exact[k] for k in range(51))
+    err = max(np.abs(y[k] - exact[k]).max() / exact[k] for k in range(50))
     assert err <= 0.02  # O(dt) one-step bias at dt = 0.02
 
 
 def test_linear_solve_terminal_exact_bitwise():
-    grid = TimeGrid(1.0, 5)
-    m = 300
-    bm = simulate_brownian(grid, m, seed=7)
-    s_dt = matrix_exponential(grid.dt * np.eye(2))
-    term = np.random.default_rng(8).normal(size=(m, 2))
-    y, _ = _sweep(np.zeros((6, m, 2)), term, s_dt, bm, 1)
-    assert np.array_equal(y[-1], term)
+    # the sweep reads the terminal without storing it: solve sets Y at node
+    # N to the sampled terminal data itself
+    prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=2, generator=np.eye(2),
+                       terminal=TerminalSpec("quadratic", [0.7, -1.3]),
+                       gspec=singleton_spec(2, a_y=0.2))
+    sol, _ = solve(prob, SolverConfig(steps_per_window=5, n_paths=300, seed=7,
+                                      basis_degree=1))
+    assert sol.y[-1].tobytes() == prob.terminal.sample(sol.bm).tobytes()
 
 
 # ------------------------------------------------------------ picard window
@@ -364,9 +367,7 @@ def test_solve_single_window_matches_interval_call():
             k_lo, k_hi = wrep.k_lo, wrep.k_hi
             assert (k_lo, k_hi) == (8 * w, 8 * w + 8)
             for got, want in ((sol.y, y), (sol.z, z), (sol.g, g)):
-                assert np.array_equal(got[k_lo:k_hi], want[:-1])
-                if w == n_win - 1:
-                    assert np.array_equal(got[-1], want[-1])
+                assert np.array_equal(got[k_lo:k_hi], want)
             terminal = y[0]
 
 
@@ -427,34 +428,70 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
     y_all = np.zeros((grid.n_steps + 1, 400, 1))
     z_all = np.zeros_like(y_all)
     g_all = np.zeros_like(y_all)
-    terminal = bm.levels[-1][:, None].copy()
+    y_all[-1] = bm.levels[-1][:, None]  # node N: (xi, 0) and its selection
+    g_all[-1] = a * y_all[-1]
     for w in range(sched.n_windows - 1, -1, -1):
         k_lo, k_hi = w * n_w, (w + 1) * n_w
         n = k_hi - k_lo
         designs = step_designs(bm, k_lo, n, cfg.basis_degree)
-        y = np.zeros((n + 1, 400, 1))
+        y = np.zeros((n, 400, 1))
         z = np.zeros_like(y)
         g = np.zeros_like(y)
         for it in range(1, cfg.n_max + 1):
             g_new = a * y  # direct evaluation of the singleton center map
-            y_new, z_new = solve_linear_bsee(g_new, terminal, s_dt, grid.dt,
+            y_new, z_new = solve_linear_bsee(g_new, y_all[k_hi], s_dt, grid.dt,
                                              designs)
-            dy = np.sqrt(np.mean(grid.dt * np.sum((y_new - y)[:-1] ** 2,
-                                                  axis=(0, 2))))
-            dz = np.sqrt(np.mean(grid.dt * np.sum((z_new - z)[:-1] ** 2,
-                                                  axis=(0, 2))))
+            dy = np.sqrt(np.mean(grid.dt * np.sum((y_new - y) ** 2, axis=(0, 2))))
+            dz = np.sqrt(np.mean(grid.dt * np.sum((z_new - z) ** 2, axis=(0, 2))))
             y, z, g = y_new, z_new, g_new
             if it >= 2 and dy + dz <= cfg.tol:
                 break
         g = a * y  # trailing selection
-        stop = k_hi + 1 if w == sched.n_windows - 1 else k_hi
-        y_all[k_lo:stop] = y[:stop - k_lo]
-        z_all[k_lo:stop] = z[:stop - k_lo]
-        g_all[k_lo:stop] = g[:stop - k_lo]
-        terminal = y[0]
+        y_all[k_lo:k_hi], z_all[k_lo:k_hi], g_all[k_lo:k_hi] = y, z, g
     assert np.abs(sol.y - y_all).max() <= 1e-12
     assert np.abs(sol.z - z_all).max() <= 1e-12
     assert np.abs(sol.g - g_all).max() <= 1e-12
+
+
+def test_no_window_touches_its_right_end(monkeypatch):
+    # every sweep of a window runs on its steps_per_window left-endpoint
+    # nodes; node N is set once, before the windows: (xi, 0) and the one
+    # selection there from g = 0
+    import bsei.solver
+    sweep, seen = bsei.solver.solve_linear_bsee, []
+
+    def spy(g, terminal, s_dt, dt, designs):
+        seen.append((len(g), len(designs)))
+        return sweep(g, terminal, s_dt, dt, designs)
+    monkeypatch.setattr(bsei.solver, "solve_linear_bsee", spy)
+    prob = _ball_problem()
+    cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
+    sol, rep = solve(prob, cfg)
+    assert rep.schedule.n_windows >= 3
+    assert len(seen) == sum(len(w.iterations) for w in rep.windows)
+    assert set(seen) == {(4, 4)}
+    n, m = sol.grid.n_steps, cfg.n_paths
+    xi = prob.terminal.sample(sol.bm)
+    assert np.array_equal(sol.z[n], np.zeros((m, 2)))
+    zero = np.zeros((1, m, 2))
+    want = select_generator(zero, xi[None], zero, sol.grid.nodes[n:], prob.gspec)
+    assert np.abs(want).max() > 0.0
+    assert sol.g[n].tobytes() == want[0].tobytes()
+
+
+def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
+    # per path: 8 (7 * 17 + 16) = 1080 bytes of full-grid arrays at N = 16,
+    # d = 2, and 8 (6 * 2 * 4 + 3 * 4 * 3) = 672 more for a window's two
+    # iterates and its designs; 700 kB holds 500 paths of the first alone
+    import bsei.solver
+    from bsei.errors import ScheduleError
+    cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 700_000)
+    with pytest.raises(ScheduleError) as exc:
+        solve(_ball_problem(), cfg)
+    assert exc.value.field == "numerics.paths"
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 876_000)
+    assert solve(_ball_problem(), cfg)[1].converged
 
 
 # ------------------------------------------------------------------ verify
