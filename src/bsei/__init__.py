@@ -34,8 +34,6 @@ from .geometry import (
     Singleton,
     distance_to,
     hausdorff,
-    magnitude,
-    probe_lipschitz,
     project,
     support,
 )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, ScheduleError
 from .gamma import FiniteRankOperator, gamma_norm
-from .geometry import Ball, Polytope, SetValuedSpec, Singleton
+from .geometry import CLOSED_FORM_TOL, Ball, Polytope, SetValuedSpec, Singleton
 from .solver import BSEIProblem, SolverConfig, TerminalSpec
 from .suites import SUITE_NAMES, run_suite
 
@@ -209,11 +209,16 @@ def load_config(path: str):
     base = _base_set(gsch, dim)
     a_y = gsch.take("a_y", _matrix(dim))
     a_z = gsch.take("a_z", _matrix(dim))
-    lip = gsch.take("lipschitz_k", _number(lo=0))
+    declared = gsch.take_present({"lipschitz_k": _number(lo=0)})
     c0 = gsch.take_present({"c0": _vector(dim)})
     gsch.finish()
-    gspec = _build("problem.g", SetValuedSpec, base=base, a_y=a_y, a_z=a_z,
-                   lipschitz_k=lip, **c0)
+    gspec = _build("problem.g", SetValuedSpec, base=base, a_y=a_y, a_z=a_z, **c0)
+    lip = gspec.lipschitz_k
+    # the schedule reads the computed constant; a declared one is only checked
+    if declared.get("lipschitz_k", lip) < (1.0 - CLOSED_FORM_TOL) * lip:
+        raise ConfigError(f"declared {declared['lipschitz_k']} is below G's "
+                          f"Lipschitz constant max(||a_y||, ||a_z||) = {lip}",
+                          field="problem.g.lipschitz_k")
     prob.finish()
     problem = _build("problem", BSEIProblem, horizon=horizon, exponent=p, dim=dim,
                      generator=generator, terminal=terminal, gspec=gspec)

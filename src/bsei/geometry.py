@@ -5,10 +5,10 @@ every geometric question about itself for a whole (..., d) stack through one
 code path, so a point's result does not depend on the stack it came in:
 its nearest points, its support function, its description as the convex
 hull of a few balls, and the excess of each of a list of balls over it.  On
-top of those this module provides the Hausdorff distance, the set magnitude
-sup-norm, and a sampling probe for the Lipschitz constant of affine
-set-valued maps, none of which asks a set for its shape.  Every Euclidean
-norm goes through ``_norm``, which does not overflow or underflow.
+top of those this module provides the Hausdorff distance, which asks no set
+for its shape, and the affine set-valued maps ``SetValuedSpec``, whose
+Hausdorff-Lipschitz constant is a formula in their two linear maps.  Every
+Euclidean norm goes through ``_norm``, which does not overflow or underflow.
 """
 
 from __future__ import annotations
@@ -394,11 +394,6 @@ def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet) -> float:
     return float(max(b._excess(*a._balls).max(), a._excess(*b._balls).max()))
 
 
-def magnitude(cset: ConvexCompactSet) -> float:
-    """Magnitude sup_{x in set} ||x||, i.e. the Hausdorff distance to {0}."""
-    return hausdorff(cset, Singleton(np.zeros(cset.dim)))
-
-
 def _scalar_of(m: np.ndarray) -> float | None:
     """s when m = s I (0.0 for the zero map), None for any other matrix."""
     s = float(m[0, 0])
@@ -416,19 +411,22 @@ def _apply(m: np.ndarray, s: float | None, x: np.ndarray) -> np.ndarray:
 class SetValuedSpec:
     """Affine-center set-valued map (t, y, z) -> base + c0(t) + Ay.y + Az.z.
 
-    The base set does not depend on (t, y, z), so the map is Lipschitz in
-    Hausdorff distance with constant at most max(||Ay||, ||Az||);
-    ``lipschitz_k`` records the declared bound used by the solver schedule.
-    Construction decides whether each of Ay and Az is zero, a multiple of
-    the identity or dense, so the centres cost what that structure needs.
+    Every value is a translate of the base set, and the Hausdorff distance
+    between two translates of one set is the length of the shift.  So the
+    map's Hausdorff-Lipschitz constant in ||dy|| + ||dz|| is exactly
+    ``lipschitz_k`` = max(||Ay||_2, ||Az||_2), attained by moving y alone or
+    z alone along a top singular vector; it is computed at construction.
+    Construction also decides whether each of Ay and Az is zero, a multiple
+    of the identity or dense, so the centres cost what that structure needs.
     """
 
     base: ConvexCompactSet
     a_y: np.ndarray
     a_z: np.ndarray
-    lipschitz_k: float
     c0: Union[np.ndarray, Callable[[float], np.ndarray], None] = None
+    lipschitz_k: float = field(init=False)
     _scales: tuple = field(init=False, repr=False, compare=False)  # of a_y, a_z
+    _norms: tuple = field(init=False, repr=False, compare=False)  # of a_y, a_z
 
     @property
     def dim(self) -> int:
@@ -440,16 +438,14 @@ class SetValuedSpec:
             if m.shape != (self.dim, self.dim) or not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} must be a finite {self.dim}x{self.dim} matrix")
             object.__setattr__(self, name, _frozen(m))
-        object.__setattr__(self, "_scales", (_scalar_of(self.a_y), _scalar_of(self.a_z)))
-        k = float(self.lipschitz_k)
-        if not np.isfinite(k) or k < 0.0:
-            raise ValueError("declared Lipschitz constant must be finite and >= 0")
-        object.__setattr__(self, "lipschitz_k", k)
+        scales = (_scalar_of(self.a_y), _scalar_of(self.a_z))
+        norms = tuple(float(np.linalg.norm(m, 2)) if s is None else abs(s)
+                      for m, s in zip((self.a_y, self.a_z), scales))
+        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "lipschitz_k", max(norms))
         if self.c0 is not None and not callable(self.c0):
             object.__setattr__(self, "c0", _frozen(as_point(self.c0, self.dim)))
-
-    def center(self, t: float, y, z) -> np.ndarray:
-        return self.center_batch(t, as_point(y, self.dim), as_point(z, self.dim))
 
     def center_batch(self, t, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Centers for state arrays of shape (..., d).
@@ -470,44 +466,3 @@ class SetValuedSpec:
         if s_z != 0.0:
             c += _apply(self.a_z, s_z, z)
         return c
-
-    def set_at(self, t: float, y, z) -> ConvexCompactSet:
-        return self.base.translate(self.center(t, y, z))
-
-
-def probe_lipschitz(spec: SetValuedSpec, n_samples: int, seed: int,
-                    t_range: tuple[float, float] = (0.0, 1.0),
-                    scale: float = 1.0) -> float:
-    """Empirical lower estimate of the Hausdorff-Lipschitz constant of the map.
-
-    Draws stratified random argument pairs (vary y only, vary z only, move
-    both by a common offset) and returns the largest observed ratio
-    hausdorff(G(t,y,z), G(t,y',z')) / (||y-y'|| + ||z-z'||).  The result
-    validates a declared constant; it cannot certify it.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    d = spec.dim
-    worst = 0.0
-    for i in range(n_samples):
-        for _ in range(100):
-            t = rng.uniform(*t_range)
-            y = scale * rng.standard_normal(d)
-            z = scale * rng.standard_normal(d)
-            mode = i % 3
-            if mode == 0:
-                y2, z2 = y + scale * rng.standard_normal(d), z
-            elif mode == 1:
-                y2, z2 = y, z + scale * rng.standard_normal(d)
-            else:
-                h = scale * rng.standard_normal(d)
-                y2, z2 = y + h, z + h
-            denom = float(_norm(y - y2) + _norm(z - z2))
-            if denom > 1e-12:
-                break
-        else:
-            continue  # hopeless degenerate stream; skip this sample
-        num = hausdorff(spec.set_at(t, y, z), spec.set_at(t, y2, z2))
-        worst = max(worst, num / denom)
-    return worst

@@ -112,8 +112,21 @@ class PicardSchedule:
         return (self.beta * math.sqrt(self.delta) / 2.0) ** n
 
 
+def _beta_field(lipschitz: float, gamma_s: float, horizon: float, c_pe: float,
+                lipschitz_field: str) -> str:
+    """The config entry behind the largest factor of beta: c_pe, L (from
+    ``lipschitz_field``) or gamma (1 + sqrt(T) (1 + gamma)), from A."""
+    factors = ((c_pe, "numerics.c_pe"), (lipschitz, lipschitz_field),
+               (gamma_s * (1.0 + math.sqrt(horizon) * (1.0 + gamma_s)),
+                "problem.generator"))
+    return max(factors, key=lambda f: f[0])[1]
+
+
 def schedule_from_constants(lipschitz: float, gamma_s: float, horizon: float,
-                            c_pe: float) -> PicardSchedule:
+                            c_pe: float,
+                            lipschitz_field: str = "problem.g.a_y") -> PicardSchedule:
+    """The schedule of the constants; a beta that leaves no finite window
+    count raises ``ScheduleError`` naming the entry behind its largest factor."""
     if c_pe <= 0.0 or lipschitz < 0.0 or gamma_s < 1.0 or horizon <= 0.0:
         raise ValueError("need c_pe > 0, lipschitz >= 0, gamma_s >= 1, horizon > 0")
     beta = c_pe * lipschitz * gamma_s * (1.0 + math.sqrt(horizon) * (1.0 + gamma_s))
@@ -124,8 +137,10 @@ def schedule_from_constants(lipschitz: float, gamma_s: float, horizon: float,
         while beta * math.sqrt(delta) > 0.5:  # absorb rounding at the margin
             delta = math.nextafter(delta, 0.0)
     if not delta > 0.0 or math.isinf(horizon / delta):  # beta non-finite or huge
-        raise ScheduleError(f"beta = {beta} (gamma(S) = {gamma_s}) leaves no "
-                            "finite window count")
+        raise ScheduleError(f"beta = {beta} (c_pe = {c_pe}, L = {lipschitz}, "
+                            f"gamma(S) = {gamma_s}) leaves no finite window count",
+                            field=_beta_field(lipschitz, gamma_s, horizon, c_pe,
+                                              lipschitz_field))
     n_windows = max(1, math.ceil(horizon / delta - 1e-12))
     return PicardSchedule(
         gamma_s=gamma_s, c_pe=c_pe, lipschitz=lipschitz, horizon=horizon,
@@ -152,17 +167,6 @@ class WindowReport:
     iterations: list
     converged: bool
     ridge_events: int  # ridge fallbacks of the window's designs
-
-    def geometric_ratio(self, first: int = 2, last: int = 8) -> float:
-        """Least-squares geometric decay rate of dY + dZ over an iteration range."""
-        pts = [(r.iteration, r.dy + r.dz) for r in self.iterations
-               if first <= r.iteration <= last and (r.dy + r.dz) > 0.0]
-        if len(pts) < 2:
-            return 0.0
-        ns = np.array([p[0] for p in pts], dtype=float)
-        logs = np.log([p[1] for p in pts])
-        slope = np.polyfit(ns, logs, 1)[0]
-        return float(np.exp(slope))
 
 
 @dataclass
@@ -323,7 +327,8 @@ def _about(n: int) -> str:
     return digits if len(digits) <= 7 else f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
 
 
-def _check_memory(n_steps: int, dim: int, config: SolverConfig) -> None:
+def _check_memory(n_steps: int, dim: int, config: SolverConfig,
+                  steps_field: str) -> None:
     """Raise ScheduleError before allocating when the solve's arrays would
     exceed the machine's physical memory."""
     budget = _physical_memory()
@@ -331,7 +336,7 @@ def _check_memory(n_steps: int, dim: int, config: SolverConfig) -> None:
     need = per_path * config.n_paths
     if budget is not None and need > budget:
         # blame the path count only when the steps alone would fit
-        field = "numerics.paths" if per_path <= budget else "problem.generator"
+        field = "numerics.paths" if per_path <= budget else steps_field
         raise ScheduleError(
             f"the schedule plans {_about(n_steps)} steps x {config.n_paths} paths, "
             f"about {_about(need)} bytes of solver arrays, more than the "
@@ -361,11 +366,13 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
         raise ScheduleError(f"no semigroup probe on [0, {horizon}]: {exc}",
                             field="problem.generator" if step > 0.0
                             else "problem.horizon") from exc
-    schedule = schedule_from_constants(problem.lipschitz_k, gamma_bound(probe),
-                                       horizon, config.c_pe)
+    norms = problem.gspec._norms
+    constants = (problem.lipschitz_k, gamma_bound(probe), horizon, config.c_pe,
+                 "problem.g.a_z" if norms[1] > norms[0] else "problem.g.a_y")
+    schedule = schedule_from_constants(*constants)
     n_win = schedule.n_windows
     n_total = n_win * config.steps_per_window
-    _check_memory(n_total, problem.dim, config)
+    _check_memory(n_total, problem.dim, config, _beta_field(*constants))
     grid = TimeGrid(horizon, n_total)
     bm = simulate_brownian(grid, config.n_paths, config.seed)
     # on a uniform grid every S(t_j - t_k) is a power of this one matrix

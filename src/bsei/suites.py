@@ -11,7 +11,7 @@ import numpy as np
 
 from . import geometry
 from .gamma import FiniteRankOperator, gamma_norm, ito_isomorphism_report, kw_integral
-from .geometry import Ball, Polytope, SetValuedSpec, Singleton
+from .geometry import Ball, Polytope, Singleton
 from .paths import TimeGrid, from_function, martingale_representation, simulate_brownian
 
 
@@ -73,11 +73,15 @@ def geometry_suite(seed: int = 2024, n_pairs: int = 200) -> dict:
     _check(checks, "projection idempotence gap", idem_gap, geometry.CLOSED_FORM_TOL)
     _check(checks, "projection optimality gap", opt_gap, geometry.CLOSED_FORM_TOL)
 
-    spec = SetValuedSpec(base=Ball(np.zeros(2), 0.3), a_y=0.6 * np.eye(2),
-                         a_z=np.zeros((2, 2)), lipschitz_k=0.6)
-    probe = geometry.probe_lipschitz(spec, 200, seed)
-    _check(checks, "lipschitz probe vs operator norm", probe,
-           0.6 + geometry.CLOSED_FORM_TOL)
+    # every value of an affine G is a translate of one set, so this identity
+    # makes max(||a_y||, ||a_z||) its exact Lipschitz constant
+    shift_gap = 0.0
+    for _ in range(n_pairs):
+        s = _random_set(rng, 2)
+        c1, c2 = rng.normal(size=(2, 2))
+        got = geometry.hausdorff(s.translate(c1), s.translate(c2))
+        shift_gap = max(shift_gap, abs(got - np.linalg.norm(c1 - c2)))
+    _check(checks, "translate distance vs shift length gap", shift_gap, tol)
     return _finish("geometry", checks)
 
 

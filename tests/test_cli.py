@@ -334,14 +334,14 @@ def test_solve_non_finite_iterates_exit_three(tmp_path, problem):
 def test_solve_overflowing_centres_exit_three(tmp_path):
     # Y stays finite, but the centres a_y Y of the second iteration overflow:
     # the selection hands on non-finite points and the iteration's own
-    # finiteness check ends the run, with no numpy warning (the declared
-    # lipschitz_k stays the demo's, so the schedule plans four windows)
+    # finiteness check ends the run in the first window solved, with no
+    # numpy warning (L = 20 plans 14,400 windows)
     import os
     from pathlib import Path
 
     cfg = ball_demo_config(tmp_path, paths=100, steps_per_window=4)
     cfg["problem"]["terminal"] = {"kind": "constant", "coeff": [1e307, 1e307]}
-    cfg["problem"]["g"]["a_y"] = [[20.0, 0.0], [0.0, 20.0]]
+    cfg["problem"]["g"].update(a_y=[[20.0, 0.0], [0.0, 20.0]], lipschitz_k=20.0)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -358,28 +358,80 @@ def test_solve_overflowing_centres_exit_three(tmp_path):
     assert [r.split(",")[1] for r in rows[1:]] == ["1", "2"]
 
 
-def test_solve_overflowing_trailing_selection_exits_three(tmp_path, capsys):
-    # one iteration meets tol = 1e308, so the trailing selection of each
-    # window is the first to see centres a_y Y that overflow: g is not
-    # finite, and the residual gates say so in one line (was a traceback);
-    # stdout and the report stay strict JSON, with null for the residual
-    import warnings
-
-    def no_constant(token):
-        raise ValueError(f"{token} is not JSON")
-
+def test_solve_overflowing_trailing_selection_is_refused(tmp_path, capsys):
+    # centres a_y Y that overflow from a Y the first iteration leaves finite
+    # need L above about 1e154, and such an L leaves no finite schedule: a
+    # declared 0.3 is refused as below L, and an honest 1e160 as a beta
+    # whose square overflows, both before any solve
     cfg = ball_demo_config(tmp_path, paths=100, steps_per_window=4, tol=1e308,
                            min_iter=1)
     cfg["problem"]["terminal"] = {"kind": "constant", "coeff": [1e150, 1e150]}
     cfg["problem"]["g"]["a_y"] = [[1e160, 0.0], [0.0, 1e160]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["solve", write(tmp_path, cfg)]) == 3
-    out = capsys.readouterr()
-    err = out.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("residuals above threshold"), err
-    for text in (out.out, (tmp_path / "report.json").read_text()):
-        assert json.loads(text, parse_constant=no_constant)["inclusion_residual"] is None
+    for declared, named in ((0.3, "problem.g.lipschitz_k"), (1e160, "problem.g.a_y")):
+        cfg["problem"]["g"]["lipschitz_k"] = declared
+        assert main(["solve", write(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error [{named}]"), err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("numerics.c_pe", 1e200),
+    ("problem.g.a_y", [[1e160]]),
+    ("problem.g.a_z", [[1e160]]),
+    ("problem.generator", [[300.0]]),
+])
+def test_schedule_overflow_names_the_largest_factor_of_beta(tmp_path, capsys, field,
+                                                            value):
+    # beta = c_pe L gamma (1 + sqrt(T) (1 + gamma)) squares past the float
+    # range; the entry behind its largest factor is the one to change
+    cfg = demo_config(tmp_path, **{field: value, "problem.g.lipschitz_k": 1e300})
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error [{field}]"), err
+    assert "leaves no finite window count" in err[0]
+
+
+def test_declared_lipschitz_below_the_computed_one_exits_two(tmp_path, capsys):
+    # a_y = -2 I moves G by exactly 2 |dy|: a declared 0 once planned the
+    # 4 windows of beta = 0; without a declaration the schedule reads L = 2
+    from bsei.cli import load_config
+
+    cfg = ball_demo_config(tmp_path, paths=200, steps_per_window=4)
+    cfg["problem"]["g"].update(a_y=[[-2.0, 0.0], [0.0, -2.0]], lipschitz_k=0)
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [problem.g.lipschitz_k]")
+    assert "= 2.0" in err[0]
+    assert not (tmp_path / "report.json").exists()
+    # within a relative CLOSED_FORM_TOL below L is rounding, not a false claim
+    cfg["problem"]["g"]["lipschitz_k"] = 2.0 * (1.0 - 1e-12)
+    assert load_config(write(tmp_path, cfg))[0].lipschitz_k == 2.0
+
+    del cfg["problem"]["g"]["lipschitz_k"]
+    # every window converges; at 200 paths the absolute equation gate fails
+    assert main(["solve", write(tmp_path, cfg)]) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    schedule = report["schedule"]
+    assert (schedule["lipschitz"], schedule["beta"], schedule["n_windows"]) == (
+        2.0, 6.0, 144)
+    assert report["steps_total"] == 576 and report["converged"] is True
+
+
+def test_declared_lipschitz_above_the_computed_one_changes_nothing(tmp_path):
+    reports = []
+    for declared in (None, 0.5, 1e200):
+        cfg = demo_config(tmp_path)
+        if declared is None:
+            del cfg["problem"]["g"]["lipschitz_k"]
+        else:
+            cfg["problem"]["g"]["lipschitz_k"] = declared
+        assert main(["solve", write(tmp_path, cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        report.pop("runtime_seconds")
+        reports.append(report)
+    assert reports[0]["schedule"]["lipschitz"] == 0.5
+    assert reports[0] == reports[1] == reports[2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -589,6 +641,16 @@ def test_solve_over_memory_budget_exits_two(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_over_memory_budget_names_the_largest_factor_of_beta(tmp_path, capsys):
+    # L = 1e10 plans about 1e22 steps: a_y, not the generator, sets them
+    cfg = ball_demo_config(tmp_path, paths=100, steps_per_window=4)
+    cfg["problem"]["g"].update(a_y=[[1e10, 0.0], [0.0, 1e10]], lipschitz_k=1e10)
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [problem.g.a_y]"), err
+    assert "steps x 100 paths" in err[0]
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported only where a non-symmetric generator needs expm
     import os
@@ -653,10 +715,12 @@ _MUTATION_BASES = _mutation_bases()
 
 # Values that the schema rejects, plus a band of accepted ones, for every
 # field that sizes the run: with at most 400 paths, 8 steps per window, 30
-# iterations, |A_ij| <= 0.1 (gamma(S) <= 1.4), horizon <= 1.5, declared
-# Lipschitz constant <= 0.5 and c_pe <= 1, no run plans more than about 41
+# iterations, |A_ij| <= 0.1 (gamma(S) <= 1.4), horizon <= 1.5, c_pe <= 1 and
+# entries of a_y and a_z in +-0.25 beside the bases' own (so that
+# L = max(||a_y||_2, ||a_z||_2) <= 0.55), no run plans more than about 50
 # windows or allocates more than a few MB.  Huge values either fail the
-# schema or make the schedule constants overflow, which exits 2 at once.
+# schema or make the schedule constants overflow or exceed physical memory,
+# which exits 2 at once; a declared lipschitz_k is only checked against L.
 _REJECTED_OR_OVERFLOWING = {
     "numerics.paths": [-1, 0, 99, 10_000_001, 150.5, 1e308],
     "numerics.steps_per_window": [-4, 0, 3, 10_001, 4.5, 1e308],
@@ -686,6 +750,8 @@ _ACCEPTED = {
     "problem.p": st.floats(1.01, 8.0),
     "problem.dim": st.just(1),
     "problem.g.lipschitz_k": st.floats(0.0, 0.5),
+    "problem.g.a_y": st.floats(-0.25, 0.25),
+    "problem.g.a_z": st.floats(-0.25, 0.25),
     "problem.generator": st.floats(-0.1, 0.1),
     "schema": st.just(1),
 }

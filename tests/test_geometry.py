@@ -10,8 +10,6 @@ from bsei.geometry import (
     Singleton,
     distance_to,
     hausdorff,
-    magnitude,
-    probe_lipschitz,
     project,
     support,
 )
@@ -158,21 +156,28 @@ def test_hausdorff_mixed_matches_sampled_oracle():
         assert got >= oracle - 1e-12  # exact value dominates any sampling
 
 
+def _magnitude(cset):
+    """sup_{x in set} ||x||, the Hausdorff distance to {0}."""
+    return hausdorff(cset, Singleton(np.zeros(cset.dim)))
+
+
 def test_magnitude_examples():
-    assert magnitude(Singleton([0.0, 0.0])) == 0.0
-    assert magnitude(Ball([0.0, 0.0], 2.5)) == pytest.approx(2.5)
+    assert _magnitude(Singleton([0.0, 0.0])) == 0.0
+    assert _magnitude(Ball([0.0, 0.0], 2.5)) == pytest.approx(2.5)
     c, r = np.array([3.0, 4.0]), 2.0
     oracle = max(np.linalg.norm(x) for x in ball_boundary(c, r, 4000))
-    got = magnitude(Ball(c, r))
+    got = _magnitude(Ball(c, r))
     assert got == pytest.approx(np.linalg.norm(c) + r, abs=1e-12)
     assert got == pytest.approx(oracle, abs=1e-4)
 
 
 def test_magnitude_is_hausdorff_to_origin():
+    # the norm is convex, so a polytope's largest point is a vertex
     rng = np.random.default_rng(1)
     for _ in range(20):
         s = Polytope(rng.normal(size=(4, 3)))
-        assert magnitude(s) == hausdorff(s, Singleton(np.zeros(3)))
+        assert _magnitude(s) == pytest.approx(
+            np.linalg.norm(s.vertices, axis=1).max(), rel=1e-15)
 
 
 # ------------------------------------------------- hypothesis property tests
@@ -348,7 +353,8 @@ def test_far_points_project_and_measure_without_overflow(d, magnitude):
             assert distance_to(x, cset) == pytest.approx(dist, rel=1e-12)
             assert distance_to(x[None], cset)[0] == distance_to(x, cset)
         # far sets measure through the same norms as far points
-        assert geometry.magnitude(Singleton(x)) == pytest.approx(length, rel=1e-12)
+        assert hausdorff(Singleton(x), Singleton(origin)) == pytest.approx(length,
+                                                                rel=1e-12)
         assert hausdorff(Ball(x, r), Singleton(origin)) == pytest.approx(
             length + r, rel=1e-12)
         assert support(Ball(origin, 1.0), x) == pytest.approx(length, rel=1e-12)
@@ -397,53 +403,62 @@ def test_polytope_rejects_too_many_vertex_subsets():
 
 # ------------------------------------------------------------ set-valued map
 
-def test_probe_singleton_scaling_map():
-    a = -0.8
-    spec = SetValuedSpec(base=Singleton(np.zeros(2)), a_y=a * np.eye(2),
-                         a_z=np.zeros((2, 2)), lipschitz_k=abs(a))
-    est = probe_lipschitz(spec, 300, seed=0)
-    assert est == pytest.approx(abs(a), rel=0.01)
+def test_lipschitz_of_singleton_scaling_map():
+    spec = SetValuedSpec(base=Singleton(np.zeros(2)), a_y=-0.8 * np.eye(2),
+                         a_z=np.zeros((2, 2)))
+    assert spec.lipschitz_k == 0.8
 
 
-def test_probe_constant_ball_is_zero():
+def test_lipschitz_of_constant_ball_is_zero():
     spec = SetValuedSpec(base=Ball(np.zeros(2), 0.7), a_y=np.zeros((2, 2)),
-                         a_z=np.zeros((2, 2)), lipschitz_k=0.0,
-                         c0=np.array([1.0, -1.0]))
-    assert probe_lipschitz(spec, 100, seed=1) == 0.0
+                         a_z=np.zeros((2, 2)), c0=np.array([1.0, -1.0]))
+    assert spec.lipschitz_k == 0.0
 
 
-def test_probe_average_map_saturates_at_half():
-    # hausdorff of translated balls equals the center distance, so the ratio
-    # ||(dy+dz)/2|| / (||dy|| + ||dz||) has supremum 1/2 (attained at dy = dz)
+def test_lipschitz_of_average_map_is_half():
+    # moving y and z together by h shifts the centre by ||h||, at a cost of
+    # 2 ||h||: the ratio 1/2 is attained by moving either one alone too
     spec = SetValuedSpec(base=Ball(np.zeros(2), 0.3), a_y=0.5 * np.eye(2),
-                         a_z=0.5 * np.eye(2), lipschitz_k=0.5)
-    est = probe_lipschitz(spec, 300, seed=2)
-    assert 0.49 <= est <= 0.5 + geometry.CLOSED_FORM_TOL
+                         a_z=0.5 * np.eye(2))
+    assert spec.lipschitz_k == 0.5
 
 
-def test_probe_bounded_by_operator_norms():
+def test_lipschitz_is_the_larger_spectral_norm_and_attained():
     rng = np.random.default_rng(4)
-    a_y, a_z = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-    bound = max(np.linalg.norm(a_y, 2), np.linalg.norm(a_z, 2))
-    spec = SetValuedSpec(base=Ball(np.zeros(2), 0.2), a_y=a_y, a_z=a_z,
-                         lipschitz_k=bound)
-    assert probe_lipschitz(spec, 200, seed=3) <= bound + geometry.CLOSED_FORM_TOL
+    for _ in range(20):
+        a_y, a_z = rng.normal(size=(2, 3, 3))
+        spec = SetValuedSpec(base=Polytope(rng.normal(size=(4, 3))), a_y=a_y,
+                             a_z=a_z, c0=rng.normal(size=3))
+        norm_y, norm_z = np.linalg.norm(a_y, 2), np.linalg.norm(a_z, 2)
+        assert spec.lipschitz_k == max(norm_y, norm_z)
+        # a unit step of y along its top right singular vector moves
+        # G(t, y, z) by ||a_y||_2 in the Hausdorff metric
+        u = np.linalg.svd(a_y)[2][0]
+        y, z = rng.normal(size=(2, 3))
+        here, there = (spec.base.translate(spec.center_batch(0.0, p, z))
+                       for p in (y, y + u))
+        assert abs(hausdorff(here, there) - norm_y) <= TOL
 
 
 def test_spec_validation():
     # a base set's own fields are checked where the configuration is read
     # (test_cli.py::test_solve_rejects_fields_of_another_shape)
     with pytest.raises(ValueError):
+        SetValuedSpec(base=Ball(np.zeros(2), 0.1), a_y=np.full((2, 2), np.nan),
+                      a_z=np.eye(2))
+    with pytest.raises(ValueError):
+        SetValuedSpec(base=Ball(np.zeros(2), 0.1), a_y=np.eye(2), a_z=np.eye(3))
+    with pytest.raises(TypeError):  # computed, never declared
         SetValuedSpec(base=Ball(np.zeros(2), 0.1), a_y=np.eye(2), a_z=np.eye(2),
-                      lipschitz_k=-1.0)
+                      lipschitz_k=1.0)
 
 
 def test_spec_set_at_variants():
+    # the value of G at (t, y, z) is the base translated by the centre
     off = np.array([[0.0, 0.0], [1.0, 0.0]])
-    spec = SetValuedSpec(base=Polytope(off), a_y=np.eye(2),
-                         a_z=np.zeros((2, 2)), lipschitz_k=1.0,
+    spec = SetValuedSpec(base=Polytope(off), a_y=np.eye(2), a_z=np.zeros((2, 2)),
                          c0=lambda t: np.array([t, 0.0]))
-    got = spec.set_at(0.5, [1.0, 1.0], [0.0, 0.0])
+    got = spec.base.translate(spec.center_batch(0.5, np.ones(2), np.zeros(2)))
     assert isinstance(got, Polytope)
     assert np.allclose(got.vertices, [[1.5, 1.0], [2.5, 1.0]])
 
@@ -453,7 +468,7 @@ def test_spec_center_batch_over_node_stack():
     a_y = np.array([[0.5, 0.1], [0.0, -0.3]])
     a_z = np.array([[0.2, 0.0], [0.1, 0.4]])
     spec = SetValuedSpec(base=Ball(np.zeros(2), 0.1), a_y=a_y, a_z=a_z,
-                         lipschitz_k=1.0, c0=lambda t: np.array([t, -2.0 * t]))
+                         c0=lambda t: np.array([t, -2.0 * t]))
     rng = np.random.default_rng(5)
     times = np.array([0.0, 0.25, 0.5])
     y, z = rng.normal(size=(2, 3, 4, 2))
@@ -462,7 +477,6 @@ def test_spec_center_batch_over_node_stack():
         for m in range(4):
             want = np.array([times[k], -2.0 * times[k]]) + a_y @ y[k, m] + a_z @ z[k, m]
             assert np.abs(got[k, m] - want).max() <= 1e-14
-            assert np.abs(spec.center(times[k], y[k, m], z[k, m]) - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("a, scale", [
@@ -477,10 +491,8 @@ def test_spec_center_batch_over_node_stack():
 def test_spec_decides_each_centre_map_once(a, scale):
     # zero, a multiple of the identity, or dense: the map's cost follows it
     d = len(a)
-    spec = SetValuedSpec(base=Ball(np.zeros(d), 0.1), a_y=a, a_z=np.eye(d),
-                         lipschitz_k=1.0)
-    swapped = SetValuedSpec(base=Ball(np.zeros(d), 0.1), a_y=np.eye(d), a_z=a,
-                            lipschitz_k=1.0)
+    spec = SetValuedSpec(base=Ball(np.zeros(d), 0.1), a_y=a, a_z=np.eye(d))
+    swapped = SetValuedSpec(base=Ball(np.zeros(d), 0.1), a_y=np.eye(d), a_z=a)
     assert spec._scales == (scale, 1.0)
     assert swapped._scales == (1.0, scale)
     y, z = np.random.default_rng(11).normal(size=(2, 3, 4, d))

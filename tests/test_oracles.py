@@ -67,8 +67,7 @@ def test_deterministic_problem_matches_pathwise_reference(shape, extra,
     problem = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=2, generator=A,
         terminal=TerminalSpec("constant", [1.0, -0.5]),
-        gspec=SetValuedSpec(a_y=A_Y, a_z=np.zeros((2, 2)), lipschitz_k=0.4,
-                            c0=C0, **extra))
+        gspec=SetValuedSpec(a_y=A_Y, a_z=np.zeros((2, 2)), c0=C0, **extra))
     sol, report = solve(problem, SolverConfig(steps_per_window=steps_per_window,
                                               n_paths=200, seed=5))
     assert report.converged and len(report.windows) > 1
@@ -83,7 +82,7 @@ def test_deterministic_problem_matches_pathwise_reference(shape, extra,
     assert np.abs(sol.z).max() <= 1e-12 * max(1.0, np.abs(y_ref).max())
 
 
-# (a_z, lipschitz_k = max(|a_y|, |a_z|), steps of the schedule at 20 a window)
+# (a_z, the computed max(||a_y||, ||a_z||), steps of the schedule at 20 a window)
 _A_Z_CASES = pytest.mark.parametrize("a_z, lipschitz_k, n_steps", [
     (np.zeros((2, 2)), 0.3, 80),
     (np.diag([0.5, -0.4]), 0.5, 180),
@@ -102,8 +101,8 @@ def test_commuting_singleton_problem_matches_closed_form(a_z, lipschitz_k, n_ste
     problem = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=2, generator=a,
         terminal=TerminalSpec("linear", c),
-        gspec=SetValuedSpec(base=Singleton(np.zeros(2)), a_y=a_y,
-                            a_z=a_z, lipschitz_k=lipschitz_k))
+        gspec=SetValuedSpec(base=Singleton(np.zeros(2)), a_y=a_y, a_z=a_z))
+    assert problem.gspec.lipschitz_k == lipschitz_k
     m = 10_000
     sol, report = solve(problem, SolverConfig(steps_per_window=20, n_paths=m,
                                               seed=0))
@@ -139,8 +138,8 @@ def test_commuting_singleton_quadratic_terminal_matches_closed_form(a_z, lipschi
     problem = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=2, generator=a,
         terminal=TerminalSpec("quadratic", c),
-        gspec=SetValuedSpec(base=Singleton(np.zeros(2)), a_y=a_y,
-                            a_z=a_z, lipschitz_k=lipschitz_k))
+        gspec=SetValuedSpec(base=Singleton(np.zeros(2)), a_y=a_y, a_z=a_z))
+    assert problem.gspec.lipschitz_k == lipschitz_k
     m = 10_000
     sol, report = solve(problem, SolverConfig(steps_per_window=20, n_paths=m,
                                               seed=0))

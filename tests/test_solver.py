@@ -23,10 +23,9 @@ from bsei.solver import (
 )
 
 
-def singleton_spec(dim, a_y=0.0, a_z=0.0, k=None):
+def singleton_spec(dim, a_y=0.0, a_z=0.0):
     return SetValuedSpec(base=Singleton(np.zeros(dim)), a_y=a_y * np.eye(dim),
-                         a_z=a_z * np.eye(dim),
-                         lipschitz_k=abs(a_y) + abs(a_z) if k is None else k)
+                         a_z=a_z * np.eye(dim))
 
 
 # ----------------------------------------------------------------- schedule
@@ -122,7 +121,7 @@ def test_select_fixed_point_inside_set():
     m, d = 5, 2
     g_vals = 0.05 * np.random.default_rng(2).normal(size=(4, m, d))
     spec = SetValuedSpec(base=Ball(np.zeros(d), 1.0), a_y=np.zeros((d, d)),
-                         a_z=np.zeros((d, d)), lipschitz_k=0.0)
+                         a_z=np.zeros((d, d)))
     out = _select(grid, m, d, spec, g=g_vals)
     assert np.array_equal(out, g_vals)  # already inside: untouched
 
@@ -134,7 +133,7 @@ def test_select_ball_closed_form():
     u = np.array([0.6, 0.8])
     g_vals = np.tile(2.0 * r * u, (3, m, 1))
     spec = SetValuedSpec(base=Ball(np.zeros(d), r), a_y=np.zeros((d, d)),
-                         a_z=np.zeros((d, d)), lipschitz_k=0.0)
+                         a_z=np.zeros((d, d)))
     out = _select(grid, m, d, spec, g=g_vals)
     assert np.allclose(out, np.tile(r * u, (3, m, 1)), atol=1e-14)
 
@@ -144,7 +143,7 @@ def test_select_polytope_shape():
     m, d = 4, 2
     off = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     spec = SetValuedSpec(base=Polytope(off), a_y=np.eye(d),
-                         a_z=np.zeros((d, d)), lipschitz_k=1.0)
+                         a_z=np.zeros((d, d)))
     rng = np.random.default_rng(3)
     y_vals = rng.normal(size=(2, m, d))
     out = _select(grid, m, d, spec, y=y_vals)
@@ -201,7 +200,7 @@ def test_chunked_selection_is_bitwise_the_stacked_formula(shape, d, a_y, a_z, c0
     offset = rng.normal(size=d)
     spec = SetValuedSpec(
         base=_bases(d, rng)[shape], a_y=_centre_map(a_y, d, rng),
-        a_z=_centre_map(a_z, d, rng), lipschitz_k=1.0,
+        a_z=_centre_map(a_z, d, rng),
         c0={None: None, "constant": offset,
             "callable": lambda t: np.sin(t + offset)}[c0])
     times = np.linspace(0.0, 1.0, nodes)
@@ -286,7 +285,7 @@ def _ball_problem(d=2, radius=0.2, pull=-0.3):
         horizon=1.0, exponent=2.0, dim=d, generator=np.diag([-1.0, -0.5]),
         terminal=TerminalSpec("linear", np.ones(d)),
         gspec=SetValuedSpec(base=Ball(np.zeros(d), radius), a_y=pull * np.eye(d),
-                            a_z=np.zeros((d, d)), lipschitz_k=abs(pull)))
+                            a_z=np.zeros((d, d))))
 
 
 def test_picard_singleton_constant_two_iterations():
@@ -297,7 +296,6 @@ def test_picard_singleton_constant_two_iterations():
                        gspec=SetValuedSpec(base=Singleton(np.zeros(d)),
                                            a_y=np.zeros((d, d)),
                                            a_z=np.zeros((d, d)),
-                                           lipschitz_k=0.0,
                                            c0=np.array([0.0])))
     cache = SemigroupCache.build(np.zeros((d, d)), 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
@@ -393,7 +391,7 @@ def test_solve_ball_radius_zero_equals_singleton():
         horizon=1.0, exponent=2.0, dim=1, generator=np.zeros((1, 1)),
         terminal=TerminalSpec("linear", [1.0]),
         gspec=SetValuedSpec(base=base, a_y=-0.4 * np.eye(1),
-                            a_z=np.zeros((1, 1)), lipschitz_k=0.4))
+                            a_z=np.zeros((1, 1))))
     cfg = SolverConfig(steps_per_window=8, n_paths=500, seed=14)
     s1, _ = solve(mk(Singleton(np.zeros(1))), cfg)
     s2, _ = solve(mk(Ball(np.zeros(1), 0.0)), cfg)
@@ -533,14 +531,13 @@ def test_selection_moves_by_the_pointwise_distance():
     for base in (Ball(np.zeros(d), 0.3),
                  Polytope([[0.0, 0.0], [0.4, 0.0], [0.0, 0.4]])):
         spec = SetValuedSpec(base=base, a_y=0.5 * np.eye(d),
-                             a_z=np.zeros((d, d)), lipschitz_k=0.5)
+                             a_z=np.zeros((d, d)))
         out = _select(grid, m, d, spec, g=g_vals, y=y_vals)
         for k in range(5):
             for j in range(m):
                 moved = np.linalg.norm(out[k, j] - g_vals[k, j])
-                dist = distance_to(g_vals[k, j],
-                                   spec.set_at(grid.nodes[k], y_vals[k, j],
-                                               np.zeros(d)))
+                centre = spec.center_batch(grid.nodes[k], y_vals[k, j], np.zeros(d))
+                dist = distance_to(g_vals[k, j], spec.base.translate(centre))
                 assert abs(moved - dist) <= 1e-6
 
 
@@ -643,8 +640,7 @@ def test_inclusion_residual_node_by_node_matches_stacked_formula(shape, extra):
     prob = BSEIProblem(
         horizon=1.0, exponent=2.0, dim=d, generator=np.diag([-1.0, -0.5]),
         terminal=TerminalSpec("linear", [0.3, 0.3]),
-        gspec=SetValuedSpec(a_y=-0.3 * np.eye(d),
-                            a_z=np.zeros((d, d)), lipschitz_k=0.3,
+        gspec=SetValuedSpec(a_y=-0.3 * np.eye(d), a_z=np.zeros((d, d)),
                             c0=lambda t: np.array([0.1 * t, -0.05]), **extra))
     sol, rep = solve(prob, SolverConfig(steps_per_window=4, n_paths=400, seed=26))
     assert rep.inclusion_residual == _stacked_inclusion_residual(sol, prob)
@@ -767,7 +763,7 @@ def test_rebuild_z_one_sweep_matches_per_source_chains():
         terminal=TerminalSpec("quadratic", [1.0, 0.5]),
         gspec=SetValuedSpec(base=Ball(np.zeros(2), 0.1),
                             a_y=np.array([[-0.3, 0.1], [0.0, 0.2]]),
-                            a_z=np.zeros((2, 2)), lipschitz_k=0.4))
+                            a_z=np.zeros((2, 2))))
     sol, _ = solve(prob, SolverConfig(steps_per_window=4, n_paths=600, seed=23))
     n = sol.grid.n_steps
     assert np.abs(sol.g).max() > 0.1
