@@ -290,7 +290,10 @@ class KernelRegression(_FactoredDesign):
         if dw.shape != (b.shape[0],):
             raise ValueError("increment vector must have one entry per path")
         p = b.shape[1]
-        bdw = b * dw[:, None]
+        # dW in units of the power of two 2^e above its largest |value|, as for
+        # W in step_designs, so its Gram cannot underflow; C is back in dW units
+        e = np.frexp(np.abs(dw).max())[1]
+        bdw = b * np.ldexp(dw, -e)[:, None]
         with np.errstate(over="ignore"):  # an overflow raises in _cholesky_qr
             cross = b.T @ bdw
             gram = np.block([[base.gram, cross], [cross.T, bdw.T @ bdw]])
@@ -298,7 +301,7 @@ class KernelRegression(_FactoredDesign):
         self._basis = b
         self._q = b @ s[:p, p:]
         self._q += bdw @ s[p:, p:]
-        self._c = s[p:, p:]
+        self._c = np.ldexp(s[p:, p:], -e)
 
     def kernel(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of the increment-block coefficient function of the

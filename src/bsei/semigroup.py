@@ -1,9 +1,9 @@
-"""Matrix semigroup S(t) = exp(t A) on a uniform time grid.
+"""Matrix semigroup S(t) = exp(t A) and its uniform bound on [0, T].
 
-The generator is a plain d x d matrix; the cache precomputes exp(k dt A)
-for every grid node k, as ``powers[k]``, and exposes the uniform
-operator-norm bound that plays the role of the gamma-bound of the family
-in the Euclidean setting.
+The generator is a plain d x d matrix.  ``gamma_bound`` is the closed-form
+bound on sup_{t <= T} ||exp(t A)||_2 that plays the role of the gamma-bound
+of the family in the Euclidean setting; ``SemigroupCache`` precomputes
+exp(k dt A) for every node k of a uniform grid, as ``powers[k]``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class SemigroupCache:
             raise ValueError("need step > 0 and n_steps >= 1")
         d = a.shape[0]
         powers = np.empty((n_steps + 1, d, d))
-        # overflow leaves inf entries, which gamma_bound reports as inf
+        # an overflowing power is left as inf entries
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps + 1):
                 powers[k] = matrix_exponential(k * step * a)
@@ -76,14 +76,12 @@ class SemigroupCache:
         return self.powers.shape[0] - 1
 
 
-def gamma_bound(cache: SemigroupCache) -> float:
-    """Uniform spectral-norm bound max_k ||exp(k dt A)||_2 over the grid.
-
-    Always >= 1 because the grid contains t = 0.  In the Euclidean setting
-    this uniform bound is the gamma-boundedness constant of the family;
-    it is infinite when some cached power overflowed.
-    """
-    if not np.all(np.isfinite(cache.powers)):
-        return float("inf")
-    return float(max(np.linalg.norm(cache.powers[k], 2)
-                     for k in range(cache.n_steps + 1)))
+def gamma_bound(generator, horizon: float) -> float:
+    """max(1, e^{T mu}), mu = lambda_max((A + A^T)/2) the logarithmic 2-norm of
+    A: a bound on sup_{t <= T} ||exp(t A)||_2, the gamma-bound of the family in
+    the Euclidean setting (Soderlind, BIT 46, 2006), exact for a normal A and
+    infinite when e^{T mu} overflows."""
+    a = np.asarray(generator, dtype=float)
+    mu = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)[-1]  # halved first: no overflow
+    with np.errstate(over="ignore"):
+        return float(max(1.0, np.exp(horizon * mu)))

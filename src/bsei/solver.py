@@ -31,9 +31,7 @@ from .paths import (
     solve_linear_bsee,
     step_designs,
 )
-from .semigroup import SemigroupCache, gamma_bound, matrix_exponential
-
-_SCHEDULE_PROBE_STEPS = 256
+from .semigroup import gamma_bound, matrix_exponential
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,10 @@ class BSEIProblem:
 class PicardSchedule:
     """Contraction constants governing the window length.
 
-    beta = c L gamma (1 + sqrt(T) (1 + gamma)) and the window length
-    delta = min(1/beta^2, T)/4 force beta sqrt(delta) <= 1/2, which is the
-    margin behind the geometric decay of the iteration differences; the
-    slack sequence eps(n) = (beta sqrt(delta)/2)^n is kept for reporting.
+    beta = c L gamma (1 + sqrt(T) (1 + gamma)), gamma = ``gamma_bound(A, T)``,
+    and delta = min(1/beta^2, T)/4 force beta sqrt(delta) <= 1/2, the margin
+    behind the geometric decay of the iteration differences; the slack
+    sequence eps(n) = (beta sqrt(delta)/2)^n is kept for reporting.
     """
 
     gamma_s: float
@@ -125,10 +123,14 @@ def _beta_field(lipschitz: float, gamma_s: float, horizon: float, c_pe: float,
 def schedule_from_constants(lipschitz: float, gamma_s: float, horizon: float,
                             c_pe: float,
                             lipschitz_field: str = "problem.g.a_y") -> PicardSchedule:
-    """The schedule of the constants; a beta that leaves no finite window
-    count raises ``ScheduleError`` naming the entry behind its largest factor."""
+    """The schedule of the constants; a horizon whose quarter underflows, or
+    a beta that leaves no finite window count, raises ``ScheduleError``
+    naming the horizon or the entry behind beta's largest factor."""
     if c_pe <= 0.0 or lipschitz < 0.0 or gamma_s < 1.0 or horizon <= 0.0:
         raise ValueError("need c_pe > 0, lipschitz >= 0, gamma_s >= 1, horizon > 0")
+    if horizon / 4.0 == 0.0:
+        raise ScheduleError(f"horizon {horizon} leaves no window length above 0",
+                            field="problem.horizon")
     beta = c_pe * lipschitz * gamma_s * (1.0 + math.sqrt(horizon) * (1.0 + gamma_s))
     if beta * beta == 0.0:  # includes subnormal beta whose square underflows
         delta = horizon / 4.0
@@ -359,15 +361,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     t0 = time.perf_counter()
     a = problem.generator
     horizon = problem.horizon
-    step = horizon / _SCHEDULE_PROBE_STEPS
-    try:
-        probe = SemigroupCache.build(a, step, _SCHEDULE_PROBE_STEPS)
-    except ValueError as exc:  # a zero step, or the law fails in floating point
-        raise ScheduleError(f"no semigroup probe on [0, {horizon}]: {exc}",
-                            field="problem.generator" if step > 0.0
-                            else "problem.horizon") from exc
     norms = problem.gspec._norms
-    constants = (problem.lipschitz_k, gamma_bound(probe), horizon, config.c_pe,
+    constants = (problem.lipschitz_k, gamma_bound(a, horizon), horizon, config.c_pe,
                  "problem.g.a_z" if norms[1] > norms[0] else "problem.g.a_y")
     schedule = schedule_from_constants(*constants)
     n_win = schedule.n_windows

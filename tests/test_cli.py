@@ -260,8 +260,8 @@ def test_console_entry_point(tmp_path):
 
 
 def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
-    # one Brownian ensemble, one semigroup cache (the schedule probe; the
-    # solve reads S(dt) alone) and one residual pass per run
+    # one Brownian ensemble and one residual pass per run, and no semigroup
+    # cache: gamma(S) is closed-form and the solve reads S(dt) alone
     import collections
 
     import bsei.paths
@@ -285,7 +285,7 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
                         counted("verify", bsei.solver.verify_solution))
     path = write(tmp_path, demo_config(tmp_path))
     assert main(["solve", path]) == 0
-    assert counts == {"draw": 1, "build": 1, "verify": 1}
+    assert (counts["draw"], counts["build"], counts["verify"]) == (1, 0, 1)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["y_continuity_modulus"] > 0.0
 
@@ -626,6 +626,36 @@ def test_solve_non_finite_semigroup_bound_exits_two(tmp_path, capsys):
     assert main(["solve", write(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert "problem.generator" in err and len(err.strip().splitlines()) == 1
+
+
+def test_solve_generator_near_the_float_range_exits_two(tmp_path, capsys):
+    # (A + A^T)/2 = 1e308 is finite, its exponential is not: gamma(S) and
+    # beta are infinite
+    cfg = demo_config(tmp_path, **{"problem.generator": [[1e308]],
+                                   "numerics.paths": 100})
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [problem.generator]"), err
+
+
+@pytest.mark.parametrize("horizon", [5e-324, 1e-323])
+def test_solve_horizon_whose_quarter_underflows_exits_two(tmp_path, capsys, horizon):
+    # delta = T/4 rounds to 0: the horizon, not beta's largest factor, is
+    # the entry to change
+    cfg = ball_demo_config(tmp_path, paths=200, steps_per_window=4)
+    cfg["problem"]["horizon"] = horizon
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [problem.horizon]"), err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_solve_subnormal_horizon_exits_zero(tmp_path):
+    # Brownian increments near 1e-161 square below the normal range; the
+    # kernel regresses them in power-of-two units, so the Gram stays definite
+    cfg = ball_demo_config(tmp_path, paths=200, steps_per_window=4)
+    cfg["problem"]["horizon"] = 1e-321
+    assert main(["solve", write(tmp_path, cfg)]) == 0
 
 
 def test_solve_over_memory_budget_exits_two(tmp_path, capsys):

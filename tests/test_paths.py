@@ -462,6 +462,18 @@ def test_step_designs_do_not_see_the_scale_of_the_brownian_values():
         assert kern.kernel(target).tobytes() == np.ldexp(hkern.kernel(target), 500).tobytes()
 
 
+def test_kernel_does_not_see_the_scale_of_the_increments():
+    # dW in units of 2^-600 has a Gram block below the normal range; the
+    # kernel regresses dW in units of a power of two near its largest
+    # |value|, so its values are bitwise 2^600 those of the unscaled dW
+    bm = simulate_brownian(TimeGrid(1.0, 8), 500, seed=31)
+    base = PolynomialRegression(bm.levels[4], 2)
+    dw = bm.increments[4]
+    target = np.column_stack([np.cos(bm.levels[-1]), bm.levels[-1] ** 2])
+    tiny = KernelRegression(base, np.ldexp(dw, -600)).kernel(target)
+    assert tiny.tobytes() == np.ldexp(KernelRegression(base, dw).kernel(target), 600).tobytes()
+
+
 def test_step_designs_keep_three_path_arrays_per_step():
     # each step keeps the design, Q and the increment columns of the joint Q,
     # (M, p) arrays all: 40 steps at M = 1e4, p = 3 peaked at 28.9 MB, where

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsei.paths import TimeGrid
 from bsei.semigroup import SemigroupCache, gamma_bound, matrix_exponential
@@ -86,13 +89,41 @@ def test_semigroup_law_on_grid():
 
 
 def test_gamma_bound_examples():
-    assert gamma_bound(SemigroupCache.build(np.zeros((2, 2)), 0.25, 4)) == 1.0
-    # monotone decay: the maximum sits at t = 0
-    assert gamma_bound(SemigroupCache.build(-np.eye(2), 0.1, 10)) == pytest.approx(1.0)
-    # growth: the maximum sits at t = T
-    a = 0.7
-    cache = SemigroupCache.build(a * np.eye(1), 0.1, 10)
-    assert gamma_bound(cache) == pytest.approx(np.exp(a), rel=1e-10)
+    assert gamma_bound(np.zeros((2, 2)), 1.0) == 1.0
+    # monotone decay: the supremum sits at t = 0
+    assert gamma_bound(-np.eye(2), 1.0) == 1.0
+    # growth: the supremum sits at t = T
+    assert gamma_bound(0.7 * np.eye(1), 1.0) == pytest.approx(np.exp(0.7), rel=1e-15)
+    # a rotation is an isometry for every t: mu = 0 exactly
+    assert gamma_bound(np.array([[0.0, 1.0], [-1.0, 0.0]]), 5.0) == 1.0
+
+
+def test_gamma_bound_overflow_is_infinite():
+    assert gamma_bound(np.array([[800.0]]), 1.0) == math.inf
+    # entries near the float range: (A + A^T)/2 is formed without overflow,
+    # where a sum first would leave inf and an eigenvalue of nan
+    assert gamma_bound(np.diag([-1.7e308, 1.0]), 1.0) == pytest.approx(math.e, rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), horizon=st.floats(0.1, 2.0))
+def test_gamma_bound_dominates_the_sampled_semigroup_norm(data, d, horizon):
+    # the certificate: no node of a fine grid on [0, T] sees a larger norm
+    a = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d * d,
+                                    max_size=d * d))).reshape(d, d)
+    sampled = max(np.linalg.norm(matrix_exponential(t * a), 2)
+                  for t in np.linspace(0.0, horizon, 513))
+    assert gamma_bound(a, horizon) >= (1.0 - 1e-12) * sampled
+
+
+def test_gamma_bound_is_exact_for_symmetric_generators():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            m = rng.uniform(-2.0, 2.0, size=(d, d))
+            a, horizon = 0.5 * (m + m.T), rng.uniform(0.1, 2.0)
+            norm = max(1.0, np.linalg.norm(matrix_exponential(horizon * a), 2))
+            assert gamma_bound(a, horizon) == pytest.approx(norm, rel=1e-12)
 
 
 def test_apply_batched_states():
@@ -111,13 +142,13 @@ def test_kalton_weis_window_bound():
     a = np.array([[-1.0, 0.5], [0.0, -0.25]])
     n = 64
     dt = 1.0 / n
-    cache = SemigroupCache.build(a, dt, n)
-    gs = gamma_bound(cache)
+    powers = [matrix_exponential(k * dt * a) for k in range(n)]
+    gs = gamma_bound(a, 1.0)
     f = rng.normal(size=(n, 2))
     for (k1, k2) in [(0, n), (16, 48), (8, 16)]:
         total = np.zeros(2)
         for k in range(k1, k2):
-            total += dt * cache.powers[k - k1] @ f[k]
+            total += dt * powers[k - k1] @ f[k]
         l2_full = np.sqrt(dt * np.sum(f**2))
         bound = np.sqrt((k2 - k1) * dt) * gs * l2_full
         assert np.linalg.norm(total) <= bound * (1.0 + 1e-12)

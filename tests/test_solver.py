@@ -82,12 +82,12 @@ def test_schedule_rejects_constants_without_a_finite_window():
 
 def test_schedule_uses_semigroup_bound():
     a = 0.5 * np.eye(2)
-    cache = SemigroupCache.build(a, 1.0 / 64, 64)
     prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=2, generator=a,
                        terminal=TerminalSpec("constant", [1.0, 0.0]),
                        gspec=singleton_spec(2, a_y=1.0))
-    s = schedule_from_constants(prob.lipschitz_k, gamma_bound(cache), prob.horizon, 1.0)
-    assert s.gamma_s == pytest.approx(np.exp(0.5), rel=1e-9)
+    s = schedule_from_constants(prob.lipschitz_k, gamma_bound(a, prob.horizon),
+                                prob.horizon, 1.0)
+    assert s.gamma_s == pytest.approx(np.exp(0.5), rel=1e-15)
 
 
 # --------------------------------------------------------------- selection
@@ -297,12 +297,13 @@ def test_picard_singleton_constant_two_iterations():
                                            a_y=np.zeros((d, d)),
                                            a_z=np.zeros((d, d)),
                                            c0=np.array([0.0])))
-    cache = SemigroupCache.build(np.zeros((d, d)), 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
-    sched = schedule_from_constants(prob.lipschitz_k, gamma_bound(cache),
+    sched = schedule_from_constants(prob.lipschitz_k,
+                                    gamma_bound(prob.generator, prob.horizon),
                                     prob.horizon, 1.0)
+    s_dt = matrix_exponential(bm.grid.dt * prob.generator)
     y, z, g, rep = picard_solve_interval(prob, 3, np.full((500, 1), 2.0),
-                                         sched, cache.powers[1], bm,
+                                         sched, s_dt, bm,
                                          SolverConfig(steps_per_window=4,
                                                       basis_degree=1))
     assert rep.converged
@@ -312,13 +313,13 @@ def test_picard_singleton_constant_two_iterations():
 
 def test_picard_nonconvergence_carries_report():
     prob = _ball_problem()
-    cache = SemigroupCache.build(prob.generator, 1.0 / 16, 16)
     bm = simulate_brownian(TimeGrid(1.0, 16), 600, seed=10)
-    sched = schedule_from_constants(prob.lipschitz_k, gamma_bound(cache),
+    sched = schedule_from_constants(prob.lipschitz_k,
+                                    gamma_bound(prob.generator, prob.horizon),
                                     prob.horizon, 1.0)
     with pytest.raises(NonConvergenceError) as exc:
         picard_solve_interval(prob, 3, np.ones((600, 2)), sched,
-                              cache.powers[1], bm,
+                              matrix_exponential(bm.grid.dt * prob.generator), bm,
                               SolverConfig(steps_per_window=4, basis_degree=1,
                                            tol=1e-16, n_max=3))
     assert exc.value.report is not None
@@ -327,17 +328,18 @@ def test_picard_nonconvergence_carries_report():
 
 def test_window_length_guard():
     prob = _ball_problem()
-    cache = SemigroupCache.build(prob.generator, 1.0 / 8, 8)
     bm = simulate_brownian(TimeGrid(1.0, 8), 600, seed=11)
-    sched = schedule_from_constants(prob.lipschitz_k, gamma_bound(cache),
+    sched = schedule_from_constants(prob.lipschitz_k,
+                                    gamma_bound(prob.generator, prob.horizon),
                                     prob.horizon, 1.0)
+    s_dt = matrix_exponential(bm.grid.dt * prob.generator)
     assert sched.delta < 0.75
     # one window over the whole grid is too long; the windows of index 8
     # and -1 have a permitted length but leave the grid's 8 steps
     for index, steps in ((0, 8), (8, 1), (-1, 1)):
         with pytest.raises(ValueError):
             picard_solve_interval(prob, index, np.ones((600, 2)), sched,
-                                  cache.powers[1], bm,
+                                  s_dt, bm,
                                   SolverConfig(steps_per_window=steps,
                                                basis_degree=1))
 
