@@ -24,12 +24,14 @@ import numpy as np
 # Geometric tolerance: every evaluation here is exact up to rounding.
 CLOSED_FORM_TOL = 1e-9
 
-# A polytope projection evaluates every vertex subset of size <= d + 1 on
-# every point, so larger vertex sets are rejected rather than slowed down.
+# A polytope's face table holds its vertex subsets of size <= d + 1, and a
+# projection scores the ones on a facet (all of them for a polytope without
+# interior) on every point outside it, so larger vertex sets are rejected
+# rather than slowed down.
 MAX_FACE_SUBSETS = 4096
 
-# Point x face x vertex x coordinate entries evaluated at once; bounds the
-# temporaries of a polytope projection over a large stack.
+# Point x face x coordinate entries, or point x facet heights, evaluated at
+# once; bounds the temporaries of a polytope projection over a large stack.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -201,11 +203,12 @@ def _binary_exponent(scale):
 
 def _face_table(vertices: np.ndarray) -> tuple:
     """Per subset size k, the affinely independent vertex subsets as
-    (first, weights, proj): for subset f with first vertex v0 and edge matrix
-    E (rows v_i - v0), weights[f] = [pinv(E^T); minus the sum of its rows]
-    (k x d) maps p - v0 to the barycentric weights of v_1..v_{k-1} and, less
-    1, of v0, and proj[f] (d x d) projects onto span(E).  Neither moves with
-    the polytope, so translates share the table."""
+    (idx, weights, proj): for subset f with vertex indices idx[f], first
+    vertex v0 and edge matrix E (rows v_i - v0), weights[f] = [pinv(E^T);
+    minus the sum of its rows] (k x d) maps p - v0 to the barycentric
+    weights of v_1..v_{k-1} and, less 1, of v0, and proj[f] (d x d) projects
+    onto span(E).  Neither moves with the polytope, so translates share the
+    table."""
     n, d = vertices.shape
     sizes = range(1, min(n, d + 1) + 1)
     count = sum(math.comb(n, k) for k in sizes)
@@ -226,20 +229,52 @@ def _face_table(vertices: np.ndarray) -> tuple:
         u, s, vt = u[keep], s[keep], vt[keep]
         pinv = (u / s[:, None, :]) @ vt
         weights = np.concatenate([pinv, -pinv.sum(axis=1, keepdims=True)], axis=1)
-        groups.append((idx[keep, 0], weights, vt.transpose(0, 2, 1) @ vt))
+        groups.append((idx[keep], weights, vt.transpose(0, 2, 1) @ vt))
     return tuple(groups)
+
+
+def _hull(vertices: np.ndarray, faces: tuple) -> tuple:
+    """Outward unit normals (F, d) of the facets, and the face table cut to
+    the faces that lie on a facet.
+
+    A d-subset of the table spans a facet when every vertex lies on one side
+    of its hyperplane, and a face lies on a facet when all its vertices do,
+    both up to ``CLOSED_FORM_TOL`` times the polytope's extent.  The
+    tolerance can only add hyperplanes that nearly touch the polytope, and
+    faces on them: their halfspaces still hold every vertex, and their faces
+    are points of the polytope.  A facet with more than d vertices is listed
+    once per d-subset of them.  Without an affinely independent (d + 1)-subset
+    the polytope has no interior and no facets, and its whole table is
+    boundary.  Neither part moves with the polytope, so translates share it."""
+    d = vertices.shape[1]
+    if len(faces) <= d or not len(faces[d][0]):
+        return np.zeros((0, d)), faces
+    idx = faces[d - 1][0]
+    base = vertices[idx[:, 0]]
+    # the last right singular vector of the d - 1 edges is their normal
+    normals = np.linalg.svd(vertices[idx[:, 1:]] - base[:, None])[2][:, -1]
+    side = np.einsum("fvi,fi->fv", vertices - base[:, None], normals)
+    tol = CLOSED_FORM_TOL * np.ptp(vertices, axis=0).max()
+    below, above = side.max(axis=1) <= tol, side.min(axis=1) >= -tol
+    on = np.abs(np.concatenate([side[below], side[above]])) <= tol
+    boundary = tuple((i[m], w[m], p[m]) for i, w, p in faces[:d]
+                     for m in [np.any(np.all(on[:, i], axis=2), axis=0)])
+    return np.concatenate([normals[below], -normals[above]]), boundary
 
 
 @dataclass(frozen=True)
 class Polytope:
     """Convex hull of a nonempty list of vertices, one per row.
 
-    Construction builds the face table of the projection once; at most
-    ``MAX_FACE_SUBSETS`` vertex subsets of size <= d + 1 are accepted.
+    Construction builds the face table of the projection once, and from it
+    the facets and the faces that lie on them; at most ``MAX_FACE_SUBSETS``
+    vertex subsets of size <= d + 1 are accepted.
     """
 
     vertices: np.ndarray
-    _faces: tuple = field(default=(), repr=False, compare=False)  # set by translate
+    # both set by translate
+    _faces: tuple = field(default=(), repr=False, compare=False)
+    _hull: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -249,6 +284,7 @@ class Polytope:
             raise ValueError("polytope vertices must be finite")
         object.__setattr__(self, "vertices", _frozen(v))
         object.__setattr__(self, "_faces", self._faces or _face_table(self.vertices))
+        object.__setattr__(self, "_hull", self._hull or _hull(self.vertices, self._faces))
 
     @property
     def dim(self) -> int:
@@ -256,7 +292,7 @@ class Polytope:
 
     def translate(self, shift) -> Polytope:
         """The set moved by ``shift``, sharing this polytope's face table."""
-        return Polytope(self.vertices + as_point(shift, self.dim), self._faces)
+        return Polytope(self.vertices + as_point(shift, self.dim), self._faces, self._hull)
 
     @property
     def _balls(self) -> tuple:
@@ -265,41 +301,55 @@ class Polytope:
     def _support(self, u: np.ndarray) -> np.ndarray:
         return _dots(self.vertices, u).max(axis=-1)
 
+    def _heights(self, p: np.ndarray) -> np.ndarray:
+        """n.(p - v0) for each facet normal n and each point of an (m, d)
+        array, v0 the first vertex: (F, m), a point's values never depending
+        on the array it is in."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _dot_last(self._hull[0][:, None, :], p - self.vertices[0])
+
+    @cached_property
+    def _facets(self) -> tuple:
+        """Outward unit normals (F, d) and offsets (F,), with the polytope
+        the set of x where n.(x - v0) <= b for every pair.  An offset is the
+        largest height of a vertex, computed as a point's is, so every vertex
+        meets every inequality."""
+        return self._hull[0], self._heights(self.vertices).max(axis=1)
+
     def _excess(self, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """A ball B(c, r) centred outside or on the boundary reaches r + d(c, P)
         from the polytope; one centred at depth h > 0 inside, h the distance
         from c to the nearest facet hyperplane, reaches max(0, r - h)."""
         out = _norm(centres - self._nearest(centres)) + radii
-        if radii.any():  # the facets are built only for a ball with room inside
-            normals, offsets = self._facets
-            depth = np.min(offsets - _dots(normals, centres), axis=-1)
+        normals, offsets = self._facets
+        if radii.any() and len(normals):
+            depth = np.min(offsets[:, None] - self._heights(centres), axis=0)
             out = np.where(depth > 0.0, np.maximum(radii - depth, 0.0), out)
         return out
 
-    @cached_property
-    def _facets(self) -> tuple:
-        """Unit normals (F, d) and offsets (F,) with the polytope the set of
-        x where n.x <= b for every pair; a polytope without interior has the
-        one pair (0, 0) instead, depth 0 everywhere."""
-        v, d = self.vertices, self.dim
-        if d == 1:
-            return np.array([[-1.0], [1.0]]), np.array([-v.min(), v.max()])
-        if len(v) > d and np.linalg.matrix_rank(v - v.mean(axis=0)) == d:
-            # imported here alone, so that importing the package loads no scipy
-            from scipy.spatial import ConvexHull, QhullError
-
-            # qhull in units of a power of two near max |v|: exact, and it
-            # loses precision far from 1
-            e = np.frexp(np.abs(v).max())[1]
-            try:
-                eq = ConvexHull(np.ldexp(v, -e)).equations  # n.x + b <= 0 inside
-                return eq[:, :-1], -np.ldexp(eq[:, -1], e)
-            except QhullError:
-                pass
-        return np.zeros((1, d)), np.zeros(1)
-
     def _nearest(self, p: np.ndarray) -> np.ndarray:
-        """Nearest points by enumeration of the face table.
+        """Nearest points: a point that meets every facet inequality is its
+        own, bitwise; the others are enumerated over the faces on a facet,
+        where by Caratheodory the nearest point of an outside point lies.  A
+        polytope without interior enumerates its whole face table."""
+        flat = p.reshape(-1, self.dim)
+        normals, offsets = self._facets
+        if not len(normals):
+            return self._enumerate(flat, self._faces).reshape(p.shape)
+        # NaN heights, of non-finite or overflowing points, fail the test
+        inside = np.empty(len(flat), dtype=bool)
+        step = max(1, _CHUNK_ENTRIES // len(normals))
+        for lo in range(0, len(flat), step):
+            heights = self._heights(flat[lo:lo + step])
+            inside[lo:lo + step] = np.all(heights <= offsets[:, None], axis=0)
+        out = flat.copy()
+        out[~inside] = self._enumerate(flat[~inside], self._hull[1])
+        return out.reshape(p.shape)
+
+    def _enumerate(self, flat: np.ndarray, faces: tuple) -> np.ndarray:
+        """Nearest points of the points ``flat`` (m, d) by enumeration of the
+        face table ``faces``; with the whole table it is exact for every
+        point.
 
         A candidate projects p onto the affine hull of one vertex subset and
         is admissible when its barycentric weights are >= 0 (it lies in the
@@ -316,7 +366,6 @@ class Polytope:
         so in-range points keep their bits."""
         d = self.dim
         verts = self.vertices
-        flat = p.reshape(-1, d)
         out = np.empty_like(flat)
         extent = np.ptp(verts, axis=0).max()
         e_vert = _binary_exponent(extent)
@@ -325,29 +374,30 @@ class Polytope:
         scaled = e_vert != 0 or not reach.max(initial=0.0) <= _FACTOR_RANGE[1]
         if scaled:
             e_point = _binary_exponent(np.maximum(reach.max(axis=-1), extent))[:, None, None]
-        n_faces = sum(first.size for first, _, _ in self._faces)
-        step = max(1, _CHUNK_ENTRIES // (n_faces * len(verts) * d))
+        n_faces = sum(len(idx) for idx, _, _ in faces)
+        step = max(1, _CHUNK_ENTRIES // (n_faces * d))
         for lo in range(0, len(flat), step):
             q = flat[lo:lo + step, None, :]
             cands, scores = [], []
-            for first, weights, proj in self._faces:
-                v0 = verts[first]
+            for idx, weights, proj in faces:
+                v0 = verts[idx[:, 0]]
                 r = q - v0
                 x = v0 + _dot_last(proj, r[..., None, :])
                 with np.errstate(over="ignore", invalid="ignore"):
                     lam = _dot_last(weights, r[..., None, :])
                     lam[..., -1] += 1.0
                     ok = np.all(lam >= 0.0, axis=-1)
-                    if scaled:
-                        kkt = _dot_last(np.ldexp(verts - x[..., None, :], -e_vert),
-                                        np.ldexp(q - x, -e_point[lo:lo + step])[..., None, :])
-                    else:
-                        kkt = _dot_last(verts - x[..., None, :], (q - x)[..., None, :])
+                    # the largest <v - x, q - x>, one vertex v at a time
+                    w = np.ldexp(q - x, -e_point[lo:lo + step]) if scaled else q - x
+                    kkt = np.full(ok.shape, -np.inf)
+                    for v in verts:
+                        u = np.ldexp(v - x, -e_vert) if scaled else v - x
+                        np.maximum(kkt, _dot_last(u, w), out=kkt)
                 cands.append(x)
-                scores.append(np.where(ok, kkt.max(axis=-1), np.inf))
+                scores.append(np.where(ok, kkt, np.inf))
             best = np.argmin(np.concatenate(scores, axis=1), axis=1)
             out[lo:lo + step] = np.concatenate(cands, axis=1)[np.arange(len(best)), best]
-        return out.reshape(p.shape)
+        return out
 
 
 ConvexCompactSet = Union[Singleton, Ball, Polytope]

@@ -697,6 +697,28 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_polytope_solve_and_geometry_suite_load_no_scipy(tmp_path):
+    # a polytope's facets come from its face table, not from qhull, whose
+    # import alone costs about twice a small polytope solve; the geometry
+    # suite measures polytopes through the same facets
+    import os
+    from pathlib import Path
+
+    cfg = json.loads(json.dumps(_MUTATION_BASES["polytope"]))
+    cfg["outputs"] = demo_config(tmp_path)["outputs"]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import bsei.cli, sys\n"
+            "rc = bsei.cli.main(['solve', sys.argv[1]])\n"
+            "rc = rc or bsei.cli.main(['validate', 'geometry'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, write(tmp_path, cfg)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the thread count from /proc")
 def test_bsei_threads_pins_blas_before_numpy_loads():

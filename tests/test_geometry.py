@@ -200,8 +200,8 @@ def convex_sets(draw, dim=2):
 
 
 def same_dim_sets(n):
-    """n convex sets of one dimension d in {1, 2, 3}: d = 1 measures depth
-    between the end points, d >= 2 through qhull's facets or a flat hull."""
+    """n convex sets of one dimension d in {1, 2, 3}: depth inside a polytope
+    is measured through its face table's facets, or is 0 in a flat hull."""
     return st.integers(1, 3).flatmap(lambda d: st.tuples(*[convex_sets(d)] * n))
 
 
@@ -290,6 +290,95 @@ def test_polytope_projection_kkt_and_idempotent(case):
         scale = max(np.abs(v).max(), np.abs(p).max())
         assert np.max((v - x) @ (p - x)) <= 1e-12 * scale**2
         assert np.linalg.norm(project(x, poly) - x) <= 1e-14 * scale
+
+
+@st.composite
+def polytopes_with_probes(draw):
+    """A polytope of ``polytopes_with_points`` and its points, with points
+    drawn inside it (between the vertex centroid and a vertex), on its
+    vertices, between two vertices (on its edges among them) and just
+    outside (a vertex moved away from the centroid); the inside points come
+    first."""
+    poly, pts = draw(polytopes_with_points())
+    v = poly.vertices
+    n = len(v)
+    centroid = v.mean(axis=0)
+    pick = st.integers(0, n - 1)
+    inside = [centroid + t * (v[k] - centroid)
+              for k, t in draw(st.lists(st.tuples(pick, st.floats(0.0, 0.9)),
+                                        min_size=1, max_size=3))]
+    edges = [v[i] + t * (v[j] - v[i])
+             for i, j, t in draw(st.lists(st.tuples(pick, pick, st.floats(0.0, 1.0)),
+                                          max_size=3))]
+    near = [v[k] + s * (v[k] - centroid)
+            for k, s in draw(st.lists(st.tuples(pick, st.sampled_from([1e-12, 1e-9, 1e-6])),
+                                      max_size=3))]
+    probes = np.array(inside + list(v) + edges + near).reshape(-1, poly.dim)
+    return poly, np.concatenate([probes, pts]), len(inside)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polytopes_with_probes())
+def test_polytope_projection_matches_full_table_enumeration(case):
+    # the interior test and the faces on the facets give what the whole
+    # face table gives, within the KKT tolerance; points inside a polytope
+    # with interior come back bitwise
+    poly, pts, n_inside = case
+    v = poly.vertices
+    got = project(pts, poly)
+    want = poly._enumerate(pts, poly._faces)
+    for p, x, ref in zip(pts, got, want):
+        scale = max(np.abs(v).max(), np.abs(p).max())
+        assert np.max((v - x) @ (p - x)) <= 1e-12 * scale**2
+        assert np.sum((x - ref) ** 2) <= 1e-12 * scale**2
+    if len(poly._facets[0]):
+        assert got[:n_inside].tobytes() == pts[:n_inside].tobytes()
+
+
+def _cube_and_pyramid():
+    cube = np.array(np.meshgrid([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])).reshape(3, -1).T
+    pyramid = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [1.0, 1.0, 0.0], [0.5, 0.5, 0.8]])
+    return Polytope(cube), Polytope(pyramid)
+
+
+def test_non_simplicial_facets_project_as_the_full_table():
+    # a square facet has four triangles of vertices: every one of them is on
+    # the boundary, no diagonal through the interior is
+    cube, pyramid = _cube_and_pyramid()
+    # out: the cube's 4 space diagonals, the pyramid's 2 triangles of apex
+    # and base diagonal
+    assert [len(idx) for idx, _, _ in cube._hull[1]] == [8, 24, 24]
+    assert [len(idx) for idx, _, _ in pyramid._hull[1]] == [5, 10, 8]
+    grid = np.linspace(-0.5, 1.5, 9)
+    pts = np.array(np.meshgrid(grid, grid, grid)).reshape(3, -1).T
+    for poly in (cube, pyramid):
+        got = project(pts, poly)
+        want = poly._enumerate(pts, poly._faces)
+        assert np.abs(got - want).max() <= 1e-15
+        inside = np.all(poly._heights(pts) <= poly._facets[1][:, None], axis=0)
+        assert got[inside].tobytes() == pts[inside].tobytes()
+        if poly is cube:  # the 125 grid points of the closed cube, faces included
+            assert np.array_equal(inside, np.all((0.0 <= pts) & (pts <= 1.0), axis=1))
+
+
+def test_table_facets_are_the_convex_hull_facets():
+    # the facets read off the face table are qhull's, up to order and
+    # duplicates (a facet with more than d vertices is listed once per
+    # d-subset of them by the table and per simplex by qhull)
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(12)
+    polys = list(_cube_and_pyramid())
+    polys += [Polytope(rng.normal(size=(n, d))) for d in (2, 3) for n in range(d + 1, 9)]
+    for poly in polys:
+        normals, offsets = poly._facets
+        ours = np.column_stack([normals, offsets + normals @ poly.vertices[0]])
+        eq = ConvexHull(poly.vertices).equations  # n.x + c <= 0 inside
+        theirs = np.column_stack([eq[:, :-1], -eq[:, -1]])
+        gap = np.abs(ours[:, None, :] - theirs[None, :, :]).max(axis=-1)
+        assert gap.min(axis=1).max() <= 1e-12
+        assert gap.min(axis=0).max() <= 1e-12
 
 
 # far enough that a sum of squared coordinates overflows, or small enough
