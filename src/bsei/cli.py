@@ -8,9 +8,10 @@ Subcommands:
   gamma-norm <op.json>    Gaussian-sum norm of a finite-rank operator
 
 Exit codes: 0 success, 1 validation-suite failure, 2 input error (an
-unwritable output included), 3 numerical non-convergence, a non-finite
-iterate or residuals above threshold.  Set BSEI_THREADS to pin the BLAS
-thread count; the package applies it on import, before numpy loads.
+unwritable output, and two outputs on one file, included), 3 numerical
+non-convergence, a non-finite iterate or residuals above threshold.  Set
+BSEI_THREADS to pin the BLAS thread count; the package applies it on
+import, before numpy loads.
 """
 
 from __future__ import annotations
@@ -247,6 +248,12 @@ def load_config(path: str):
     }
     out.finish()
     top.finish()
+    # one file written over another would leave a single output standing
+    taken = [outputs["report_path"]] + (
+        [outputs["report_path"] + ".plot.csv"] if outputs["emit_plot_data"] else [])
+    if os.path.realpath(outputs["convergence_csv_path"]) in map(os.path.realpath, taken):
+        raise ConfigError("the convergence CSV would overwrite the report or its "
+                          "plot CSV", field="outputs.convergence_csv_path")
     return problem, config, outputs
 
 

@@ -178,9 +178,9 @@ class Ball:
         for i, c in enumerate(self.center):
             np.subtract(p[..., i], c, out=v[..., i])
         # scale by min(1, r/|v|) in place; fmin keeps the point for 0/0 and
-        # a NaN norm
+        # a NaN norm, and r over a subnormal |v| overflows to inf: kept too
         scale = _norm(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(self.radius, scale, out=scale)
         np.fmin(scale, 1.0, out=scale)
         for i, c in enumerate(self.center):

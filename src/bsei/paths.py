@@ -158,20 +158,31 @@ def lp_l2_norm(values: np.ndarray, dt: float, p: float) -> float:
     return _lp_l2(values[:-1], np.broadcast_to(0.0, values[:-1].shape), dt, p)
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
-    """Sample norm of the stack x - y, dt per node; each temporary is one node."""
-    sq = np.zeros(x.shape[1:])
+    """The package's one sample L^p(Omega; L^2) norm, of x - y with mass dt per
+    node, a node at a time.  A result outside [2^-min(64, 960/p), 2^16], where
+    under- or overflow or the rounded root 1/p may cost digits, is redone once
+    in units 2^e above the largest |entry|, x and y scaled before subtracting."""
     step = np.empty(x.shape[1:])
-    for k in range(x.shape[0]):
-        np.subtract(x[k], y[k], out=step)
-        step *= step
-        sq += step
-    return _sample_norm(dt * sq.sum(axis=1), p)
-
-
-def _sample_norm(q: np.ndarray, p: float) -> float:
-    """Sample L^p(Omega) norm (mean_m q[m]^{p/2})^{1/p} of squared norms q."""
-    return float(np.mean(q ** (p / 2.0)) ** (1.0 / p))
+    e, mass = None, dt  # the stacks as they are; the retry sets e
+    while True:
+        sq = np.zeros(x.shape[1:])
+        for xk, yk in zip(x, y):
+            if e is not None:
+                xk, yk = np.ldexp(xk, -e, out=step), np.ldexp(yk, -e)
+            np.subtract(xk, yk, out=step)
+            step *= step
+            sq += step
+        norm = float(np.mean((mass * sq.sum(axis=1)) ** (p / 2.0)) ** (1.0 / p))
+        if e is not None:
+            return float(np.ldexp(np.sqrt(dt) * norm, e))
+        if 2.0 ** -min(64.0, 960.0 / p) <= norm <= 2.0 ** 16:
+            return norm
+        largest = max([np.abs(s, out=step).max() for s in itertools.chain(x, y)] + [0.0])
+        if not 0.0 < largest < np.inf:  # zero, or a non-finite entry
+            return norm
+        e, mass = np.frexp(largest)[1], 1.0
 
 
 def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:
@@ -384,5 +395,5 @@ def martingale_representation(g: np.ndarray, bm: BrownianEnsemble,
         for k in range(u):
             recon += tau_u[k] * bm.increments[k][:, None]
         taus.append(tau_u)
-        residuals[u] = np.sqrt(np.mean(np.sum((gu - recon) ** 2, axis=1)))
+        residuals[u] = _lp_l2(gu[None], recon[None], 1.0, 2.0)
     return MartingaleRepresentation(mean_part, tuple(taus), residuals)

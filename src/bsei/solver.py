@@ -26,7 +26,6 @@ from .paths import (
     _check_seed,
     _lp_l2,
     _physical_memory,
-    _sample_norm,
     simulate_brownian,
     solve_linear_bsee,
     step_designs,
@@ -270,8 +269,8 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
     Ends with one extra selection against the final pair so the inclusion
     holds at the reported iterates.  Returns (Y, Z, g, window report).
     Raises NonConvergenceError with the partial report attached when an
-    iterate is not finite, or when ``config.n_max`` iterations end above
-    tolerance.
+    iterate or its difference norm is not finite, or when ``config.n_max``
+    iterations end above tolerance.
     """
     n = config.steps_per_window
     k_lo, k_hi = index * n, (index + 1) * n
@@ -298,9 +297,9 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
         ratio = (dy + dz) / prev_sum if (it >= 2 and prev_sum) else None
         report.iterations.append(IterationRecord(it, dy, dz, dg, ratio,
                                                  schedule.eps(it)))
-        if not all(np.isfinite(v).all() for v in (y_new, z_new, g_new)):
+        if not all(map(math.isfinite, (dy, dz, dg))):  # y, z, g are finite
             raise NonConvergenceError(f"window [{k_lo}, {k_hi}] iteration {it}: "
-                                      "non-finite iterate", report=report)
+                                      "non-finite iterate or norm", report=report)
         y, z, g = y_new, z_new, g_new
         prev_sum = dy + dz
         if it >= config.min_iter and dy + dz <= config.tol:
@@ -345,7 +344,7 @@ def _check_memory(n_steps: int, dim: int, config: SolverConfig,
             f"{budget} bytes of physical memory", field=field)
 
 
-# a non-finite iterate ends the run at its window's finiteness check and an
+# a non-finite iterate ends the run at its window's difference norms and an
 # overflowing residual is reported as inf: numpy's warnings would repeat them
 @np.errstate(over="ignore", invalid="ignore")
 def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
@@ -412,7 +411,7 @@ class ResidualReport:
         return float(np.max(self.equation))
 
 
-@np.errstate(over="ignore")  # an overflowing node is redone in range
+@np.errstate(over="ignore")  # an overflowing residual is reported as inf
 def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     """Pure diagnostics on a completed solution, on the Brownian ensemble
     and the S(dt) that it carries.
@@ -433,29 +432,18 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
         gap = g[k] - select_generator(g[node], y[node], z[node], nodes[node], gspec)[0]
         return np.max(geometry._norm(gap))  # finite for any finite gap
 
-    def node_norm(x):
-        # a finite node whose squares overflow is redone in units of the power
-        # of two 2^e near its largest |entry|: powers of two scale exactly
-        norm = _sample_norm(np.sum(x**2, axis=1), p)
-        if not np.isfinite(norm) and np.isfinite(x).all():
-            e = int(np.frexp(np.abs(x).max())[1])
-            unit = np.ldexp(x, -e)
-            norm = float(np.ldexp(_sample_norm(np.sum(unit**2, axis=1), p), e))
-        return norm
-
     # kept per node so that a NaN gap reaches the maximum
     inclusion = np.empty(n + 1)
     inclusion[n] = inclusion_gap(n)
-    acc, xi_prop = np.zeros_like(y[n]), y[n].copy()
+    u = y[n]  # S(T - t_k) xi less the sums, one matmul per node
     equation = np.empty(n + 1)
     equation[n] = 0.0
     y_modulus = 0.0
     for k in range(n - 1, -1, -1):
         inclusion[k] = inclusion_gap(k)
-        acc = (dt * g[k] + z[k] * dw[k][:, None]) + acc @ s_dt.T
-        xi_prop = xi_prop @ s_dt.T
-        equation[k] = node_norm(y[k] + acc - xi_prop)
-        y_modulus = max(y_modulus, node_norm(y[k + 1] - y[k]))
+        u = u @ s_dt.T - (dt * g[k] + z[k] * dw[k][:, None])
+        equation[k] = _lp_l2(y[k:k + 1], u[None], 1.0, p)
+        y_modulus = max(y_modulus, _lp_l2(y[k + 1:k + 2], y[k:k + 1], 1.0, p))
 
     return ResidualReport(inclusion_max=float(np.max(inclusion)),
                           equation=equation, y_modulus=y_modulus)

@@ -12,7 +12,8 @@ import numpy as np
 from . import geometry
 from .gamma import FiniteRankOperator, gamma_norm, ito_isomorphism_report, kw_integral
 from .geometry import Ball, Polytope, Singleton
-from .paths import TimeGrid, from_function, martingale_representation, simulate_brownian
+from .paths import (TimeGrid, from_function, lp_l2_norm, martingale_representation,
+                    simulate_brownian)
 
 
 def _check(report: list, name: str, value: float, bound: float,
@@ -183,7 +184,7 @@ def representation_suite(seed: int = 2024, n_paths: int = 10_000) -> dict:
     dt = grid.dt
     tau_sq = sum(dt * dt * float(np.mean(np.sum(t**2, axis=(0, 2))))
                  for t in rep.taus if t.size)
-    g_norm = float(np.sqrt(np.mean(dt * np.sum(g[:-1] ** 2, axis=(0, 2)))))
+    g_norm = lp_l2_norm(g, dt, 2.0)
     checks.append({"name": "kernel/source norm ratio (reported)",
                    "value": float(np.sqrt(tau_sq) / g_norm), "bound": None,
                    "passed": True})

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -329,6 +330,37 @@ def test_solve_non_finite_iterates_exit_three(tmp_path, problem):
     assert report["converged"] is False and report["iterations_per_window"] == [1]
     rows = (tmp_path / "conv.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].split(",")[1] == "1"
+
+
+def test_solve_huge_terminal_data_keeps_its_difference_norms_finite(tmp_path, capsys):
+    # xi x 1e160: the Picard differences square beyond the float range and
+    # are measured in units of a power of two; the run still fails the
+    # equation gate, whose threshold is absolute
+    cfg = ball_demo_config(tmp_path, paths=200, steps_per_window=4)
+    cfg["problem"]["terminal"]["coeff"] = [1e160, 1e160]
+    assert main(["solve", write(tmp_path, cfg)]) == 3
+    assert "residuals above threshold" in capsys.readouterr().err
+    rows = (tmp_path / "conv.csv").read_text().splitlines()
+    assert rows[0].split(",")[2:4] == ["dY_norm", "dZ_norm"]
+    norms = [float(v) for r in rows[1:] for v in r.split(",")[2:4]]
+    assert len(norms) > 2 and all(map(math.isfinite, norms))
+
+
+@pytest.mark.parametrize("plot, suffix", [(False, ""), (True, ".plot.csv")])
+def test_solve_refuses_outputs_on_one_file(tmp_path, capsys, plot, suffix):
+    # the same file under another spelling; the plot CSV is report + .plot.csv
+    cfg = demo_config(tmp_path, **{"outputs.emit_plot_data": plot})
+    cfg["outputs"]["convergence_csv_path"] = (str(tmp_path) + "/./report.json"
+                                              + suffix)
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    assert "[outputs.convergence_csv_path]" in capsys.readouterr().err
+    assert not any(tmp_path.glob("report.json*"))
+    # without the plot CSV the name report + .plot.csv is free
+    if plot:
+        cfg["outputs"]["emit_plot_data"] = False
+        assert main(["solve", write(tmp_path, cfg)]) == 0
+        assert sorted(f.name for f in tmp_path.glob("report.json*")) == [
+            "report.json", "report.json.plot.csv"]
 
 
 def test_solve_overflowing_centres_exit_three(tmp_path):

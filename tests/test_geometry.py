@@ -404,6 +404,19 @@ def test_stacked_calls_match_per_point_calls_bitwise(case):
         assert np.float64(distance_to(p, cset)).tobytes() == dists[i].tobytes()
 
 
+def test_points_at_a_subnormal_distance_from_a_ball_centre_stay_put():
+    # r / |p - c| overflows to inf there: no warning, and the points come
+    # back bitwise, one at a time and as a stack
+    import warnings
+    ball = Ball([0.0, 0.0], 1.0)
+    pts = np.array([[1e-310, 0.0], [0.0, -5e-324], [3e-320, 2e-315], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert project(pts, ball).tobytes() == pts.tobytes()
+        for p in pts:
+            assert project(p, ball).tobytes() == p.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("magnitude", [1e-300, 1e-250, 1e-200, 1e-170, 1e-160,
                                        1e200, 1e250, 1e300, 1e307])

@@ -1,8 +1,11 @@
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bsei.paths import (
     BrownianEnsemble,
@@ -242,6 +245,36 @@ def test_lp_l2_single_node_is_zero():
     assert lp_l2_norm(x, 0.5, 2.0) == 0.0
     assert _lp_l2(x, np.zeros_like(x), 0.5, 2.0) == 1.0
     assert _lp_l2(x[:0], x[:0], 0.5, 2.0) == 0.0
+
+
+# entries of magnitude 2^-10 to 2^10, or zero, stay normal numbers under any
+# shift by 2^s, |s| <= 1000, so the shifted stacks are exact; their squares
+# and p/2-th powers leave the float range from |s| of about 500 / p on
+_entry = st.one_of(st.just(0.0), st.floats(2.0**-10, 2.0**10),
+                   st.floats(-(2.0**10), -(2.0**-10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.floats(1.0, 8.0, exclude_min=True),
+       s=st.integers(-1000, 1000), dt=st.sampled_from([1.0, 0.125, 1e-3]))
+def test_lp_l2_scales_exactly_with_powers_of_two(data, p, s, dt):
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 3)))
+    x, y = (data.draw(arrays(float, shape, elements=_entry)) for _ in range(2))
+    want = math.ldexp(_lp_l2(x, y, dt, p), s)
+    assume(want == 0.0 or want >= np.finfo(float).tiny)  # normal: full precision
+    got = _lp_l2(np.ldexp(x, s), np.ldexp(y, s), dt, p)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_lp_l2_of_a_non_finite_entry_is_not_finite(bad, scale):
+    # with finite entries of 1e300, whose squares overflow, too
+    x, y = scale * np.random.default_rng(7).normal(size=(2, 3, 20, 2))
+    for a, b in ((x, y), (y, x)):
+        a = a.copy()
+        a[1, 7, 0] = bad
+        assert not math.isfinite(_lp_l2(a, b, 0.5, 2.0))
 
 
 def test_lp_l2_requires_p_above_one():
