@@ -243,15 +243,16 @@ def load_config(path: str):
     outputs = {
         "report_path": out.take("report_path", _output_path),
         "convergence_csv_path": out.take("convergence_csv_path", _output_path),
-        "emit_plot_data": False,
-        **out.take_present({"emit_plot_data": _boolean}),
     }
+    # the plot CSV, if emit_plot_data asks for one, sits next to the report
+    plot = out.take_present({"emit_plot_data": _boolean}).get("emit_plot_data", False)
+    outputs["plot_csv_path"] = outputs["report_path"] + ".plot.csv" if plot else None
     out.finish()
     top.finish()
     # one file written over another would leave a single output standing
-    taken = [outputs["report_path"]] + (
-        [outputs["report_path"] + ".plot.csv"] if outputs["emit_plot_data"] else [])
-    if os.path.realpath(outputs["convergence_csv_path"]) in map(os.path.realpath, taken):
+    taken = [os.path.realpath(path) for path in (outputs["report_path"],
+                                                  outputs["plot_csv_path"]) if path]
+    if os.path.realpath(outputs["convergence_csv_path"]) in taken:
         raise ConfigError("the convergence CSV would overwrite the report or its "
                           "plot CSV", field="outputs.convergence_csv_path")
     return problem, config, outputs
@@ -327,9 +328,8 @@ def _write_outputs(outputs: dict, report, solution=None) -> None:
         with open(outputs["report_path"], "w", encoding="utf-8") as fh:
             json.dump(_summary(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
-        if solution is not None and outputs["emit_plot_data"]:
-            _write_plot_csv(outputs["report_path"] + ".plot.csv", solution,
-                            report.residuals)
+        if solution is not None and outputs["plot_csv_path"] is not None:
+            _write_plot_csv(outputs["plot_csv_path"], solution, report.residuals)
     except OSError as exc:
         raise ConfigError(f"cannot write: {exc}", field="outputs") from exc
 

@@ -160,29 +160,29 @@ def lp_l2_norm(values: np.ndarray, dt: float, p: float) -> float:
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
-    """The package's one sample L^p(Omega; L^2) norm, of x - y with mass dt per
-    node, a node at a time.  A result outside [2^-min(64, 960/p), 2^16], where
-    under- or overflow or the rounded root 1/p may cost digits, is redone once
-    in units 2^e above the largest |entry|, x and y scaled before subtracting."""
+    """The package's one sample L^p(Omega; L^2) norm of x - y, dt per node, a node at
+    a time.  A result outside [2^-min(64, 960/p), 2^16] (powers may under- or overflow,
+    the rounded 1/p costs |ln norm| 2^-53) is redone in units 2^e above max |x - y|."""
+    sq = np.zeros(x.shape[1:])
     step = np.empty(x.shape[1:])
-    e, mass = None, dt  # the stacks as they are; the retry sets e
-    while True:
-        sq = np.zeros(x.shape[1:])
-        for xk, yk in zip(x, y):
-            if e is not None:
-                xk, yk = np.ldexp(xk, -e, out=step), np.ldexp(yk, -e)
-            np.subtract(xk, yk, out=step)
-            step *= step
-            sq += step
-        norm = float(np.mean((mass * sq.sum(axis=1)) ** (p / 2.0)) ** (1.0 / p))
-        if e is not None:
-            return float(np.ldexp(np.sqrt(dt) * norm, e))
-        if 2.0 ** -min(64.0, 960.0 / p) <= norm <= 2.0 ** 16:
-            return norm
-        largest = max([np.abs(s, out=step).max() for s in itertools.chain(x, y)] + [0.0])
-        if not 0.0 < largest < np.inf:  # zero, or a non-finite entry
-            return norm
-        e, mass = np.frexp(largest)[1], 1.0
+    for k in range(x.shape[0]):
+        np.subtract(x[k], y[k], out=step)
+        step *= step
+        sq += step
+    norm = float(np.mean((dt * sq.sum(axis=1)) ** (p / 2.0)) ** (1.0 / p))
+    if np.isnan(norm) or 2.0 ** -min(64.0, 960.0 / p) <= norm <= 2.0 ** 16:
+        return norm
+    top = sq.max()  # from 1 to n_nodes times the largest (x - y)^2
+    largest = np.sqrt(top) if np.finfo(float).tiny <= top < np.inf else max(
+        (np.abs(np.subtract(xk, yk, out=step)).max() for xk, yk in zip(x, y)), default=0.0)
+    if largest == 0.0:
+        return 0.0
+    e = np.frexp(largest)[1] if largest < np.inf else 1025  # |x - y| < 2^1025
+    sq[...] = 0.0
+    for xk, yk in zip(x, y):  # where e > 0 the stacks are scaled before subtracting
+        np.subtract(np.ldexp(xk, -max(e, 0), out=step), np.ldexp(yk, -max(e, 0)), out=step)
+        sq += np.square(np.ldexp(step, -min(e, 0), out=step), out=step)
+    return float(np.ldexp(np.sqrt(dt) * np.mean(sq.sum(axis=1) ** (p / 2.0)) ** (1.0 / p), e))
 
 
 def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 from pathlib import Path
@@ -264,6 +265,51 @@ def test_lp_l2_scales_exactly_with_powers_of_two(data, p, s, dt):
     assume(want == 0.0 or want >= np.finfo(float).tiny)  # normal: full precision
     got = _lp_l2(np.ldexp(x, s), np.ldexp(y, s), dt, p)
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _exact_lp_l2(x, y, dt, p):
+    """The norm of x - y in 60-digit decimal arithmetic, rounded once."""
+    d = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        q = [d(dt) * sum((d(a) - d(b)) ** 2 for a, b in zip(xm.ravel(), ym.ravel()))
+             for xm, ym in zip(x.swapaxes(0, 1), y.swapaxes(0, 1))]
+        mean = sum(v ** (d(p) / 2) for v in q) / len(q)
+        return float(mean ** (1 / d(p))) if mean else 0.0
+
+
+# entries of any exponent from -1000 to 1000, and y = x + delta, so that a
+# difference may lie far below the entries it is taken of, or be zero
+_wide = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 1000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.floats(1.0, 8.0, exclude_min=True),
+       dt=st.sampled_from([1.0, 0.125, 1e-3]))
+def test_lp_l2_matches_exact_arithmetic_across_the_float_range(data, p, dt):
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 3)))
+    x = data.draw(arrays(float, shape, elements=_wide))
+    y = x + data.draw(arrays(float, shape, elements=st.one_of(st.just(0.0), _wide)))
+    want = _exact_lp_l2(x, y, dt, p)
+    assume(want == 0.0 or np.finfo(float).tiny <= want <= np.finfo(float).max)
+    assert _lp_l2(x, y, dt, p) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("x, y, p, want", [
+    # one path's difference far below the other path's entries, so the plain
+    # result is finite but outside the window, or underflows at p = 8
+    ([1e300, 1e5], [1e300, 0.0], 2.0, 1e5 / math.sqrt(2.0)),
+    ([1e200, 1e-30], [1e200, 0.0], 2.0, 1e-30 / math.sqrt(2.0)),
+    ([1e45, 1e5], [1e45, 0.0], 8.0, 1e5 * 2.0**-0.125),
+    ([1e45, 1e-60], [1e45, 0.0], 8.0, 1e-60 * 2.0**-0.125),
+    # x - y overflows, the norm does not
+    ([1e308, 0.0], [-1e308, 0.0], 2.0, math.sqrt(2.0) * 1e308),
+    # the 10th power of the square, 2^-1048, is subnormal, the norm is not
+    ([3 * 2.0**-54], [0.0], 20.0, 3 * 2.0**-54),
+])
+def test_lp_l2_of_differences_at_the_ends_of_the_float_range(x, y, p, want):
+    x, y = (np.array(v)[None, :, None] for v in (x, y))
+    assert _lp_l2(x, y, 1.0, p) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
