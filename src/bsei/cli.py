@@ -8,10 +8,10 @@ Subcommands:
   gamma-norm <op.json>    Gaussian-sum norm of a finite-rank operator
 
 Exit codes: 0 success, 1 validation-suite failure, 2 input error (an
-unwritable output, and two outputs on one file, included), 3 numerical
-non-convergence, a non-finite iterate or residuals above threshold.  Set
-BSEI_THREADS to pin the BLAS thread count; the package applies it on
-import, before numpy loads.
+unwritable output, two outputs on one file and an output on the config
+file included), 3 numerical non-convergence, a non-finite iterate or
+residuals above threshold.  Set BSEI_THREADS to pin the BLAS thread
+count; the package applies it on import, before numpy loads.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _output_path(v):
     path = _string(nonempty=True)(v)
     folder = os.path.dirname(path) or "."
     if "\0" in path or os.path.isdir(path) or not os.path.isdir(folder):
-        raise ValueError("not a file name in an existing directory")
+        raise ValueError(f"{path!r} is not a file name in an existing directory")
     return path
 
 
@@ -246,15 +246,22 @@ def load_config(path: str):
     }
     # the plot CSV, if emit_plot_data asks for one, sits next to the report
     plot = out.take_present({"emit_plot_data": _boolean}).get("emit_plot_data", False)
-    outputs["plot_csv_path"] = outputs["report_path"] + ".plot.csv" if plot else None
+    outputs["plot_csv_path"] = _build("outputs.emit_plot_data", _output_path,
+                                      outputs["report_path"] + ".plot.csv") if plot else None
     out.finish()
     top.finish()
-    # one file written over another would leave a single output standing
-    taken = [os.path.realpath(path) for path in (outputs["report_path"],
-                                                  outputs["plot_csv_path"]) if path]
-    if os.path.realpath(outputs["convergence_csv_path"]) in taken:
-        raise ConfigError("the convergence CSV would overwrite the report or its "
-                          "plot CSV", field="outputs.convergence_csv_path")
+    # an output written over the config or over another output would leave one
+    # file standing where there were two
+    taken = {os.path.realpath(path): "the config"}
+    for key, field in (("report_path", "outputs.report_path"),
+                       ("plot_csv_path", "outputs.emit_plot_data"),
+                       ("convergence_csv_path", "outputs.convergence_csv_path")):
+        if outputs[key] is not None:
+            real = os.path.realpath(outputs[key])
+            if real in taken:
+                raise ConfigError(f"{outputs[key]!r} would overwrite {taken[real]}",
+                                  field=field)
+            taken[real] = f"the file of {field}"
     return problem, config, outputs
 
 

@@ -175,6 +175,10 @@ def ito_isomorphism_report(phi: np.ndarray, bm: BrownianEnsemble,
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
+    # phi in units of the power of two 2^e above its largest |value|, so no
+    # square or p-th power leaves the float range; the norms are scaled back
+    e = np.frexp(np.abs(phi).max())[1]
+    phi = np.ldexp(phi, -e)
     integral = ito_integral(phi, bm, bm.grid.horizon)
     a = np.sum(integral**2, axis=1) ** (p / 2.0)          # ||I_m||^p
     q = bm.grid.dt * np.sum(phi[:-1] ** 2, axis=(0, 2))
@@ -182,11 +186,12 @@ def ito_isomorphism_report(phi: np.ndarray, bm: BrownianEnsemble,
     denominator = lp_l2_norm(phi, bm.grid.dt, p)
     numerator = float(np.mean(a) ** (1.0 / p))
     if denominator == 0.0:
-        return IsomorphismReport(1.0, numerator, 0.0, 0.0, True)
+        return IsomorphismReport(1.0, float(np.ldexp(numerator, e)), 0.0, 0.0, True)
     ratio = numerator / denominator
     # delta-method error of (A/B)^{1/p} from the correlated sample means
     m = a.size
     rr = float(np.mean(a) / np.mean(b))
     var_ratio = float(np.mean((a - rr * b) ** 2) / (np.mean(b) ** 2 * m))
     se = ratio * np.sqrt(max(var_ratio, 0.0)) / (p * rr) if rr > 0 else 0.0
-    return IsomorphismReport(ratio, numerator, denominator, float(se), False)
+    return IsomorphismReport(ratio, float(np.ldexp(numerator, e)),
+                             float(np.ldexp(denominator, e)), float(se), False)

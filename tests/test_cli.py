@@ -363,6 +363,46 @@ def test_solve_refuses_outputs_on_one_file(tmp_path, capsys, plot, suffix):
             "report.json", "report.json.plot.csv"]
 
 
+@pytest.mark.parametrize("key, plot", [("report_path", False),
+                                       ("convergence_csv_path", False),
+                                       ("report_path", True)])
+def test_solve_refuses_an_output_on_the_config_file(tmp_path, monkeypatch, capsys,
+                                                    key, plot):
+    # an output on the config's own file, under another spelling, would replace
+    # the config, so that the run could not be repeated from it
+    monkeypatch.chdir(tmp_path)
+    cfg = demo_config(tmp_path, **{"numerics.paths": 100,
+                                   "outputs.emit_plot_data": plot,
+                                   f"outputs.{key}": "./config.json"})
+    config = write(tmp_path, cfg)
+    before = (tmp_path / "config.json").read_bytes()
+    assert main(["solve", config]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error [outputs.{key}]"), err
+    assert (tmp_path / "config.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_solve_write_that_fails_after_the_checks_is_one_line(tmp_path, monkeypatch,
+                                                            capsys):
+    # a directory that appears where the plot CSV goes while the solve runs:
+    # the outputs written before it stay, and the run exits 2 with one line
+    import bsei.solver
+    solve = bsei.solver.solve
+
+    def solve_then_block_the_plot(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        (tmp_path / "report.json.plot.csv").mkdir()
+        return out
+    monkeypatch.setattr(bsei.solver, "solve", solve_then_block_the_plot)
+    cfg = demo_config(tmp_path, **{"numerics.paths": 100, "outputs.emit_plot_data": True})
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [outputs]: cannot write"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "conv.csv", "report.json", "report.json.plot.csv"]
+
+
 def test_solve_overflowing_centres_exit_three(tmp_path):
     # Y stays finite, but the centres a_y Y of the second iteration overflow:
     # the selection hands on non-finite points and the iteration's own
@@ -575,13 +615,12 @@ def test_solve_rejects_fields_of_another_shape(tmp_path, monkeypatch, capsys, g,
     ({"report_path": "."}, "outputs.report_path"),
     ({"convergence_csv_path": "out"}, "outputs.convergence_csv_path"),
     ({"report_path": "nul\0.json"}, "outputs.report_path"),
-    # a directory where the plot CSV goes is found only when writing
-    ({"report_path": "out/report.json", "emit_plot_data": True}, "outputs"),
+    # a directory where the plot CSV goes is found before the solve too
+    ({"report_path": "out/report.json", "emit_plot_data": True}, "outputs.emit_plot_data"),
 ])
 def test_solve_output_paths_fail_in_one_line(tmp_path, monkeypatch, capsys,
                                              outputs, named):
-    # a bad path is refused before the solve and nothing is written; a
-    # write that fails anyway exits 2 with one line, not a traceback
+    # a bad path is refused before the solve, in one line, and nothing is written
     monkeypatch.chdir(tmp_path)
     (tmp_path / "out" / "report.json.plot.csv").mkdir(parents=True)
     cfg = demo_config(tmp_path, **{"numerics.paths": 100})
@@ -592,10 +631,7 @@ def test_solve_output_paths_fail_in_one_line(tmp_path, monkeypatch, capsys,
     assert main(["solve", "config.json"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error [{named}]"), err
-    late = outputs.get("emit_plot_data", False)
-    assert ("cannot write" in err[0]) == late
-    written = ["config.json", "conv.csv", "out"] if late else ["config.json", "out"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1, None, False, True])

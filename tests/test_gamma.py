@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,25 @@ def test_isomorphism_degenerate_integrand_flagged():
     phi = np.zeros((9, 100, 2))
     rep = ito_isomorphism_report(phi, bm, 2.0)
     assert rep.degenerate and rep.ratio == 1.0
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 1e200, 1e-200],
+                         ids=["2^600", "2^-600", "1e200", "1e-200"])
+def test_isomorphism_report_is_scale_invariant(scale):
+    # phi is taken in units of the power of two above max |phi|, so no square
+    # or p-th power leaves the float range at any of these scales
+    grid = TimeGrid(1.0, 32)
+    bm = simulate_brownian(grid, 20_000, seed=3)
+    phi = from_function(bm, lambda k, w: np.column_stack([w, 0.5 * w]), 2)
+    base = ito_isomorphism_report(phi, bm, 2.0)
+    rep = ito_isomorphism_report(scale * phi, bm, 2.0)
+    assert rep.ratio == pytest.approx(base.ratio, rel=1e-14)
+    assert rep.standard_error == pytest.approx(base.standard_error, rel=1e-12)
+    assert rep.numerator == pytest.approx(scale * base.numerator, rel=1e-14)
+    assert rep.denominator == pytest.approx(scale * base.denominator, rel=1e-14)
+    if math.log2(scale).is_integer():  # an exact shift of every value
+        assert (rep.ratio, rep.standard_error) == (base.ratio, base.standard_error)
+        assert rep.denominator == math.ldexp(base.denominator, round(math.log2(scale)))
 
 
 def test_isomorphism_other_exponents_stable_across_seeds():

@@ -267,6 +267,18 @@ def test_lp_l2_scales_exactly_with_powers_of_two(data, p, s, dt):
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("s", [100, -100, 500, -500])
+@pytest.mark.parametrize("dt", [1.0, 0.125])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+def test_lp_l2_scales_bitwise_with_powers_of_two(p, dt, s):
+    # the power mean runs in units 4^u of the largest path sum, and a shift by
+    # 2^s moves u by s, whether or not the shifted sums leave [2^-970, 2^970]
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 50, 2))
+    y = x + 1e-3 * rng.normal(size=x.shape)
+    assert _lp_l2(np.ldexp(x, s), np.ldexp(y, s), dt, p) == math.ldexp(_lp_l2(x, y, dt, p), s)
+
+
 def _exact_lp_l2(x, y, dt, p):
     """The norm of x - y in 60-digit decimal arithmetic, rounded once."""
     d = decimal.Decimal
