@@ -77,22 +77,38 @@ def _dot_last(a: np.ndarray, b) -> np.ndarray:
     return out
 
 
+def _abs_max_last(a: np.ndarray) -> np.ndarray:
+    """max_i |a[..., i]| in index order, as ``_dot_last``; NaN in a NaN row."""
+    out = np.zeros(a.shape[:-1])
+    for i in range(a.shape[-1]):
+        np.maximum(out, np.abs(a[..., i]), out=out)
+    return out
+
+
+def _unit_exponent(vertices: np.ndarray):
+    """The e with the extent in [2^(e - 1), 2^e): the unit of a polytope's
+    face table, normals and scores, so a scaling by 2^s scales them exactly."""
+    return np.frexp(np.ptp(vertices, axis=0).max())[1]
+
+
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # smaller norms lost bits to underflow
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis; a finite nonzero vector whose
-    squares over- or underflow is measured in its largest |coordinate|."""
+    squares over- or underflow is measured in the power-of-two unit of its
+    largest |coordinate|, which gives the bits of the in-range formula."""
     with np.errstate(over="ignore"):
         sq = _dot_last(v, v)
         np.sqrt(sq, out=sq)
         # two reductions when every norm is in range, three for all zeros
         if (not _SQRT_TINY <= sq.min(initial=np.inf) <= sq.max(initial=0.0) < np.inf
                 and v.any()):
-            unit = np.abs(v).max(axis=-1, initial=0.0)  # NaN in a NaN row
+            unit = _abs_max_last(v)
             off = (0.0 < unit) & (unit < np.inf) & ~((_SQRT_TINY <= sq) & (sq < np.inf))
-            w = v[off] / unit[off, None]
-            sq[off] = unit[off] * np.sqrt(_dot_last(w, w))
+            e = np.frexp(unit[off])[1]
+            w = np.ldexp(v[off], -e[:, None])
+            sq[off] = np.ldexp(np.sqrt(_dot_last(w, w)), e)
     return sq
 
 
@@ -189,18 +205,6 @@ class Ball:
         return v
 
 
-# Score factors with entries inside this range multiply and sum in full
-# precision, without under- or overflow.
-_FACTOR_RANGE = (2.0 ** -450, 2.0 ** 450)
-
-
-def _binary_exponent(scale):
-    """For each scale outside ``_FACTOR_RANGE``, the power of two that brings
-    it into [0.5, 1); 0 inside the range, at 0 and for a non-finite scale."""
-    lo, hi = _FACTOR_RANGE
-    return np.where((scale > hi) | ((0.0 < scale) & (scale < lo)), np.frexp(scale)[1], 0)
-
-
 def _face_table(vertices: np.ndarray) -> tuple:
     """Per subset size k, the affinely independent vertex subsets as
     (idx, weights, proj): for subset f with vertex indices idx[f], first
@@ -216,20 +220,21 @@ def _face_table(vertices: np.ndarray) -> tuple:
         raise ValueError(
             f"polytope with {n} vertices in dimension {d} has {count} vertex "
             f"subsets of size <= {d + 1}; at most {MAX_FACE_SUBSETS} are supported")
+    e = _unit_exponent(vertices)
     groups = []
     for k in sizes:
         idx = np.array(list(combinations(range(n), k)))
-        edges = vertices[idx[:, 1:]] - vertices[idx[:, :1]]
+        edges = np.ldexp(vertices[idx[:, 1:]] - vertices[idx[:, :1]], -e)
         u, s, vt = np.linalg.svd(edges, full_matrices=False)
-        # rank k - 1 by numpy's matrix_rank rule; the floor d * tiny keeps
-        # every entry of the pseudo-inverse (at most d / s_min) finite
+        # rank k - 1 by numpy's matrix_rank rule; the floor d * tiny, in the
+        # vertices' units, keeps every entry of the pseudo-inverse finite
         tol = np.maximum(s[:, :1] * (max(k - 1, d) * np.finfo(float).eps),
-                         d * np.finfo(float).tiny)
+                         np.ldexp(d * np.finfo(float).tiny, -e))
         keep = np.all(s > tol, axis=1)
         u, s, vt = u[keep], s[keep], vt[keep]
         pinv = (u / s[:, None, :]) @ vt
         weights = np.concatenate([pinv, -pinv.sum(axis=1, keepdims=True)], axis=1)
-        groups.append((idx[keep], weights, vt.transpose(0, 2, 1) @ vt))
+        groups.append((idx[keep], np.ldexp(weights, -e), vt.transpose(0, 2, 1) @ vt))
     return tuple(groups)
 
 
@@ -252,7 +257,8 @@ def _hull(vertices: np.ndarray, faces: tuple) -> tuple:
     idx = faces[d - 1][0]
     base = vertices[idx[:, 0]]
     # the last right singular vector of the d - 1 edges is their normal
-    normals = np.linalg.svd(vertices[idx[:, 1:]] - base[:, None])[2][:, -1]
+    edges = np.ldexp(vertices[idx[:, 1:]] - base[:, None], -_unit_exponent(vertices))
+    normals = np.linalg.svd(edges)[2][:, -1]
     side = np.einsum("fvi,fi->fv", vertices - base[:, None], normals)
     tol = CLOSED_FORM_TOL * np.ptp(vertices, axis=0).max()
     below, above = side.max(axis=1) <= tol, side.min(axis=1) >= -tol
@@ -361,19 +367,14 @@ class Polytope:
 
         The two factors of a score are within a small multiple of the
         polytope's extent and of a point's reach (its largest coordinate
-        distance from vertex 0, or the extent); where their products would
-        under- or overflow they are scaled by powers of two, which is exact,
-        so in-range points keep their bits."""
+        distance from vertex 0, or the extent); a score in units of both
+        neither under- nor overflows, and moves by an exact power of two."""
         d = self.dim
         verts = self.vertices
         out = np.empty_like(flat)
         extent = np.ptp(verts, axis=0).max()
-        e_vert = _binary_exponent(extent)
-        reach = np.abs(flat - verts[0])
-        # one reduction at ordinary scales, where no factor leaves the range
-        scaled = e_vert != 0 or not reach.max(initial=0.0) <= _FACTOR_RANGE[1]
-        if scaled:
-            e_point = _binary_exponent(np.maximum(reach.max(axis=-1), extent))[:, None, None]
+        reach = np.maximum(_abs_max_last(flat - verts[0]), extent)
+        shift = -(np.frexp(extent)[1] + np.frexp(reach)[1])[:, None, None]
         n_faces = sum(len(idx) for idx, _, _ in faces)
         step = max(1, _CHUNK_ENTRIES // (n_faces * d))
         for lo in range(0, len(flat), step):
@@ -388,11 +389,10 @@ class Polytope:
                     lam[..., -1] += 1.0
                     ok = np.all(lam >= 0.0, axis=-1)
                     # the largest <v - x, q - x>, one vertex v at a time
-                    w = np.ldexp(q - x, -e_point[lo:lo + step]) if scaled else q - x
+                    w = np.ldexp(q - x, shift[lo:lo + step])
                     kkt = np.full(ok.shape, -np.inf)
                     for v in verts:
-                        u = np.ldexp(v - x, -e_vert) if scaled else v - x
-                        np.maximum(kkt, _dot_last(u, w), out=kkt)
+                        np.maximum(kkt, _dot_last(v - x, w), out=kkt)
                 cands.append(x)
                 scores.append(np.where(ok, kkt, np.inf))
             best = np.argmin(np.concatenate(scores, axis=1), axis=1)

@@ -467,6 +467,33 @@ def test_far_points_project_and_measure_without_overflow(d, magnitude):
             0.5 * magnitude, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [-900, -520, 520, 900])
+def test_norm_scales_bitwise_under_powers_of_two(s):
+    # squares of 2^s times a normal stack under- or overflow: the rescue
+    # measures in powers of two and gives the bits of the in-range formula
+    v = np.random.default_rng(13).normal(size=(2000, 3))
+    got = geometry._norm(np.ldexp(v, s))
+    assert got.tobytes() == np.ldexp(geometry._norm(v), s).tobytes()
+
+
+@pytest.mark.parametrize("s", [-900, -600, -460, 460, 600, 900])
+def test_polytope_table_and_facets_scale_bitwise_under_powers_of_two(s):
+    # in the polytope's unit, 2^s times the vertices give the same subsets,
+    # projectors and normals, weights times 2^-s and offsets times 2^s
+    rng = np.random.default_rng(14)
+    for verts in (rng.normal(size=(6, 3)), rng.normal(size=(5, 2)),
+                  np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [3.0, -1.0, 0.0]])):
+        poly, scaled = Polytope(verts), Polytope(np.ldexp(verts, s))
+        assert len(poly._faces) == len(scaled._faces)
+        for (idx, w, proj), (idx_s, w_s, proj_s) in zip(poly._faces, scaled._faces):
+            assert np.array_equal(idx, idx_s)
+            assert np.ldexp(w, -s).tobytes() == w_s.tobytes()
+            assert proj.tobytes() == proj_s.tobytes()
+        (normals, offsets), (normals_s, offsets_s) = poly._facets, scaled._facets
+        assert normals.tobytes() == normals_s.tobytes()
+        assert np.ldexp(offsets, s).tobytes() == offsets_s.tobytes()
+
+
 @pytest.mark.parametrize("cset", [
     Singleton([1.0, 2.0]), Ball([0.5, -0.5], 0.3),
     Polytope([[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25], [-0.15, 0.15]]),

@@ -684,6 +684,41 @@ def test_residuals_of_a_huge_solution_scale_with_it(exponent):
     assert got.y_modulus == pytest.approx(math.ldexp(want.y_modulus, 600), rel=1e-12)
 
 
+def _scaled_problem(shape, s):
+    """ball_demo's problem with a_z = diag(0.5, -0.4) and a constant c0,
+    with xi, the base set and c0 at 2^s times their values."""
+    unit = math.ldexp(1.0, s)
+    base = {"singleton": Singleton([0.25 * unit, -0.5 * unit]),
+            "ball": Ball([0.0, 0.0], 0.2 * unit),
+            "polytope": Polytope(unit * np.array([[-0.2, -0.2], [0.2, -0.1],
+                                                  [0.0, 0.25], [-0.15, 0.15]]))}[shape]
+    return BSEIProblem(
+        horizon=1.0, exponent=2.0, dim=2, generator=np.diag([-1.0, -0.5]),
+        terminal=TerminalSpec("linear", [unit, unit]),
+        gspec=SetValuedSpec(base=base, a_y=-0.3 * np.eye(2), a_z=np.diag([0.5, -0.4]),
+                            c0=unit * np.array([0.1, -0.05])))
+
+
+@pytest.mark.parametrize("shape", ["singleton", "ball", "polytope"])
+def test_solve_scales_bitwise_under_powers_of_two(shape):
+    # every step is positively homogeneous: 2^s times the data gives 2^s
+    # times Y, Z, g and each residual, bit for bit; tol is absolute, so the
+    # iteration count is fixed
+    cfg = SolverConfig(steps_per_window=8, n_paths=500, seed=3, tol=1e308,
+                       min_iter=6, n_max=6)
+    sol, rep = solve(_scaled_problem(shape, 0), cfg)
+    want = rep.residuals
+    for s in (-900, -460, -100, 100, 460, 900):
+        got_sol, got_rep = solve(_scaled_problem(shape, s), cfg)
+        got = got_rep.residuals
+        for name in ("y", "z", "g"):
+            assert (getattr(got_sol, name).tobytes()
+                    == np.ldexp(getattr(sol, name), s).tobytes()), (s, name)
+        assert got.equation.tobytes() == np.ldexp(want.equation, s).tobytes(), s
+        assert got.y_modulus == math.ldexp(want.y_modulus, s), s
+        assert got.inclusion_max == math.ldexp(want.inclusion_max, s), s
+
+
 def test_verify_reports_continuity_modulus():
     prob = _ball_problem()
     cfg = SolverConfig(steps_per_window=10, n_paths=2_000, seed=22)
