@@ -313,9 +313,11 @@ def _summary(report) -> dict:
 
 def _write_plot_csv(path: str, sol, residuals) -> None:
     nodes = sol.grid.nodes
-    y_mean = sol.y.mean(axis=1)
-    z_mean = sol.z.mean(axis=1)
-    d = y_mean.shape[1]
+    d = sol.y.shape[2]
+    # a coordinate at a time: numpy's mean over paths of an (N + 1, M, d)
+    # stack would run its inner loop over the d coordinates
+    y_mean, z_mean = (np.stack([x[..., i].mean(axis=1) for i in range(d)], axis=1)
+                      for x in (sol.y, sol.z))
     header = (["t"] + [f"y_mean_{i}" for i in range(d)]
               + [f"z_mean_{i}" for i in range(d)] + ["equation_residual"])
     lines = [",".join(header)]

@@ -67,11 +67,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _dot_last(a: np.ndarray, b) -> np.ndarray:
+def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_i a[..., i] * b[..., i] in index order, which numpy's reductions
     may change with the array layout; a point's result then never depends
     on the stack it is evaluated in, and no full product array is built."""
-    out = np.zeros(np.broadcast_shapes(a.shape, np.shape(b))[:-1])
+    out = np.zeros(np.broadcast(a[..., 0], b[..., 0]).shape)
     for i in range(a.shape[-1]):
         out += a[..., i] * b[..., i]
     return out

@@ -14,6 +14,7 @@ number of paths or steps requested elsewhere.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -159,41 +160,62 @@ def lp_l2_norm(values: np.ndarray, dt: float, p: float) -> float:
 
 
 def _sum_columns(a: np.ndarray) -> np.ndarray:
-    """a[:, 0] + a[:, 1] + ... in index order, as ``geometry._dot_last`` sums;
+    """a[..., 0] + a[..., 1] + ... in index order, as ``geometry._dot_last`` sums;
     numpy's sum over a short last axis is about 15 times slower."""
-    out = a[:, 0].copy()
-    for i in range(1, a.shape[1]):
-        out += a[:, i]
+    out = a[..., 0].copy()
+    for i in range(1, a.shape[-1]):
+        out += a[..., i]
     return out
+
+
+def _path_sums(x: np.ndarray, y: np.ndarray):
+    """Rows of path sums of |x - y|^2 over nodes and coordinates for (n, R, M, d)
+    stacks, n nodes of R rows, a node at a time: the (R, M) sums s and each row's
+    unit exponent e.  e = 0 where the row's max(s) is NaN or lies in
+    [2^-970, 2^970], 2^52 inside the normal range at both ends; any other row is
+    redone in units 2^e above its max |x - y| (an all-zero row stays zero).
+    Callers ignore over- and underflow and invalid operations."""
+    sq = np.zeros(x.shape[1:])
+    step = np.empty_like(sq)
+    for xk, yk in zip(x, y):
+        np.subtract(xk, yk, out=step)
+        step *= step
+        sq += step
+    s = _sum_columns(sq)
+    e = [0] * len(s)
+    for r, top in enumerate(s.max(axis=1).tolist()):
+        if not (top < 2.0 ** -970 or top > 2.0 ** 970):  # in the window, or NaN
+            continue
+        xr, yr, sqr, buf = x[:, r], y[:, r], sq[r], step[r]
+        largest = max(
+            (np.abs(np.subtract(xk, yk, out=buf)).max() for xk, yk in zip(xr, yr)), default=0.0)
+        if largest == 0.0:
+            continue
+        e[r] = er = np.frexp(largest)[1] if largest < np.inf else 1025  # |x - y| < 2^1025
+        sqr[...] = 0.0
+        for xk, yk in zip(xr, yr):  # where e > 0 the stacks are scaled before subtracting
+            np.subtract(np.ldexp(xk, -max(er, 0), out=buf), np.ldexp(yk, -max(er, 0)), out=buf)
+            sqr += np.square(np.ldexp(buf, -min(er, 0), out=buf), out=buf)
+        s[r] = _sum_columns(sqr)
+    return s, e
+
+
+def _power_mean(s: np.ndarray, e: list, dt: float, p: float) -> np.ndarray:
+    """Per row of ``_path_sums``: the power mean ((1/M) sum_m (s dt)^{p/2})^{1/p}
+    2^e, taken in units 4^u above max(s) dt, so its largest term lies in [1/8, 1)."""
+    u = (np.frexp(s.max(axis=1))[1] + math.frexp(dt)[1] + 1) // 2
+    means = np.mean((s * np.ldexp(dt, -2 * u)[:, None]) ** (p / 2.0), axis=1)
+    # the root a row at a time: numpy's array power may take SIMD loops whose
+    # last bit differs from the scalar power's
+    return np.array([np.ldexp(mean ** (1.0 / p), k + ek)
+                     for mean, k, ek in zip(means, u.tolist(), e)])
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
-    """The package's one sample L^p(Omega; L^2) norm of x - y, dt per node, a node at
-    a time: the power mean of the path sums s dt in units 4^u above max(s) dt, where a
-    max(s) outside [2^-970, 2^970] is first redone in units 2^e above max |x - y|."""
-    sq = np.zeros(x.shape[1:])
-    step = np.empty(x.shape[1:])
-    for k in range(x.shape[0]):
-        np.subtract(x[k], y[k], out=step)
-        step *= step
-        sq += step
-    s = _sum_columns(sq)
-    top, e = s.max(), 0
-    if not (np.isnan(top) or 2.0 ** -970 <= top <= 2.0 ** 970):  # 2^52 inside the normal range
-        largest = max(
-            (np.abs(np.subtract(xk, yk, out=step)).max() for xk, yk in zip(x, y)), default=0.0)
-        if largest == 0.0:
-            return 0.0
-        e = np.frexp(largest)[1] if largest < np.inf else 1025  # |x - y| < 2^1025
-        sq[...] = 0.0
-        for xk, yk in zip(x, y):  # where e > 0 the stacks are scaled before subtracting
-            np.subtract(np.ldexp(xk, -max(e, 0), out=step), np.ldexp(yk, -max(e, 0)), out=step)
-            sq += np.square(np.ldexp(step, -min(e, 0), out=step), out=step)
-        s = _sum_columns(sq)
-        top = s.max()
-    u = (np.frexp(top)[1] + np.frexp(dt)[1] + 1) // 2  # top dt 4^-u in [1/8, 1)
-    return float(np.ldexp(np.mean((s * np.ldexp(dt, -2 * u)) ** (p / 2.0)) ** (1.0 / p), u + e))
+    """The package's one sample L^p(Omega; L^2) norm of x - y, dt per node: the
+    one-row case of ``_path_sums`` and ``_power_mean``."""
+    return float(_power_mean(*_path_sums(x[:, None], y[:, None]), dt, p)[0])
 
 
 def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:
@@ -318,7 +340,9 @@ class KernelRegression(_FactoredDesign):
         bdw = b * np.ldexp(dw, -e)[:, None]
         with np.errstate(over="ignore"):  # an overflow raises in _cholesky_qr
             cross = b.T @ bdw
-            gram = np.block([[base.gram, cross], [cross.T, bdw.T @ bdw]])
+            gram = np.empty((2 * p, 2 * p))
+            gram[:p, :p], gram[:p, p:] = base.gram, cross
+            gram[p:, :p], gram[p:, p:] = cross.T, bdw.T @ bdw
         self.ridge_used, s = _cholesky_qr(gram)
         self._basis = b
         self._q = b @ s[:p, p:]

@@ -25,7 +25,9 @@ from .paths import (
     TimeGrid,
     _check_seed,
     _lp_l2,
+    _path_sums,
     _physical_memory,
+    _power_mean,
     simulate_brownian,
     solve_linear_bsee,
     step_designs,
@@ -411,7 +413,9 @@ class ResidualReport:
         return float(np.max(self.equation))
 
 
-@np.errstate(over="ignore")  # an overflowing residual is reported as inf
+# an overflowing residual is reported as inf; a row of the sample norm whose
+# squares leave the float range is redone in power-of-two units
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     """Pure diagnostics on a completed solution, on the Brownian ensemble
     and the S(dt) that it carries.
@@ -419,31 +423,47 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     Reports (a) the worst pointwise distance of g to its constraint set and
     (b) the per-node sample norm of the discrete backward-equation residual
     Y[k] + sum_j dt S(t_j - t_k) g[j] + sum_j S(t_j - t_k) Z[j] dW_j
-    - S(T - t_k) xi, both node by node in one backward pass.  The discrete
-    modulus of continuity of Y comes along for free; on a grid that is the
-    strongest statement available about time continuity.
+    - S(T - t_k) xi, in one backward pass over blocks of whole nodes, as many
+    as ``select_generator`` puts in a chunk: one selection, one gap norm and
+    one sample-norm pass per block, each node's value the bits of its own
+    single-node call.  The discrete modulus of continuity of Y comes along
+    for free; on a grid that is the strongest statement available about time
+    continuity.
     """
     n, dt, nodes = sol.grid.n_steps, sol.grid.dt, sol.grid.nodes
     p, s_dt, gspec = problem.exponent, sol.s_dt, problem.gspec
     y, z, g, dw = sol.y, sol.z, sol.g, sol.bm.increments
+    m, d = y.shape[1:]
+    block = max(1, geometry._CHUNK_ENTRIES // max(1, m * d))
+    u = np.empty((min(block, n + 1), m, d))  # S(T - t_k) xi less the sums
+    z_dw = np.empty((m, d))
 
-    def inclusion_gap(k):
-        node = slice(k, k + 1)
-        gap = g[k] - select_generator(g[node], y[node], z[node], nodes[node], gspec)[0]
-        return np.max(geometry._norm(gap))  # finite for any finite gap
+    def rows(a, b):  # the sample norm of a[j] - b[j] for each node j, dt = 1
+        return _power_mean(*_path_sums(a[None], b[None]), 1.0, p)
 
     # kept per node so that a NaN gap reaches the maximum
     inclusion = np.empty(n + 1)
-    inclusion[n] = inclusion_gap(n)
-    u = y[n]  # S(T - t_k) xi less the sums, one matmul per node
     equation = np.empty(n + 1)
     equation[n] = 0.0
     y_modulus = 0.0
-    for k in range(n - 1, -1, -1):
-        inclusion[k] = inclusion_gap(k)
-        u = u @ s_dt.T - (dt * g[k] + z[k] * dw[k][:, None])
-        equation[k] = _lp_l2(y[k:k + 1], u[None], 1.0, p)
-        y_modulus = max(y_modulus, _lp_l2(y[k + 1:k + 2], y[k:k + 1], 1.0, p))
+    for hi in range(n + 1, 0, -block):
+        lo = max(0, hi - block)
+        blk = slice(lo, hi)
+        gap = g[blk] - select_generator(g[blk], y[blk], z[blk], nodes[blk], gspec)
+        inclusion[blk] = geometry._norm(gap).max(axis=1)  # finite for any finite gap
+        # u_k = u_{k+1} S(dt)' - (dt g_k + Z_k dW_k), one matmul per node
+        for k in range(hi - 1, lo - 1, -1):
+            if k == n:
+                u[k - lo] = y[n]
+                continue
+            for i in range(d):  # Z_k dW_k a coordinate at a time, not over d
+                np.multiply(z[k][:, i], dw[k], out=z_dw[:, i])
+            u_next = u[k + 1 - lo] if k + 1 < hi else u[0]  # the block above's lowest
+            np.subtract(u_next @ s_dt.T, dt * g[k] + z_dw, out=u[k - lo])
+        top = min(hi, n)
+        if top > lo:
+            equation[lo:top] = rows(y[lo:top], u[:top - lo])
+            y_modulus = max(y_modulus, *rows(y[lo + 1:top + 1], y[lo:top]).tolist())
 
     return ResidualReport(inclusion_max=float(np.max(inclusion)),
                           equation=equation, y_modulus=y_modulus)

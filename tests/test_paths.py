@@ -14,7 +14,9 @@ from bsei.paths import (
     PolynomialRegression,
     TimeGrid,
     _lp_l2,
+    _path_sums,
     _philox_normals,
+    _power_mean,
     from_function,
     ito_integral,
     lp_l2_norm,
@@ -333,6 +335,25 @@ def test_lp_l2_of_a_non_finite_entry_is_not_finite(bad, scale):
         a = a.copy()
         a[1, 7, 0] = bad
         assert not math.isfinite(_lp_l2(a, b, 0.5, 2.0))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dt", [1.0, 0.125])
+def test_power_mean_rows_are_bitwise_the_one_row_norm(p, dt):
+    # rows in range, rescued at 2^+-600, all zero, NaN and inf side by side in
+    # one call: each row takes its own unit and gives _lp_l2's bits
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(2, 7, 3, 40, 2))
+    for r, s in ((1, 600), (2, -600)):
+        x[r], y[r] = np.ldexp(x[r], s), np.ldexp(y[r], s)
+    y[3] = x[3]
+    x[4, 1, 5, 0], x[5, 2, 9, 1] = np.nan, np.inf
+    y[6] = x[6] + np.ldexp(rng.normal(size=x[6].shape), -700)  # tiny differences
+    with np.errstate(over="ignore", invalid="ignore"):  # as _lp_l2 runs them
+        got = _power_mean(*_path_sums(x.swapaxes(0, 1), y.swapaxes(0, 1)), dt, p)
+    want = [_lp_l2(x[r], y[r], dt, p) for r in range(len(x))]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got[3] == 0.0 and np.isnan(got[4]) and got[5] == np.inf
 
 
 def test_lp_l2_requires_p_above_one():

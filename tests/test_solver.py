@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bsei.errors import NonConvergenceError
 from bsei.geometry import Ball, Polytope, SetValuedSpec, Singleton
-from bsei.paths import TimeGrid, simulate_brownian, step_designs
+from bsei.paths import TimeGrid, _lp_l2, simulate_brownian, step_designs
 from bsei.semigroup import SemigroupCache, gamma_bound, matrix_exponential
 from bsei.solver import (
     BSEIProblem,
@@ -682,6 +682,117 @@ def test_residuals_of_a_huge_solution_scale_with_it(exponent):
     assert want.equation_max > 0.0 and want.y_modulus > 0.0
     assert np.allclose(got.equation, np.ldexp(want.equation, 600), rtol=1e-12, atol=0.0)
     assert got.y_modulus == pytest.approx(math.ldexp(want.y_modulus, 600), rel=1e-12)
+
+
+def _verify_node_by_node(sol, problem):
+    """verify_solution as a loop over single nodes: the reference of the
+    blocked pass, which must give its bits."""
+    from bsei import geometry
+    n, dt, nodes = sol.grid.n_steps, sol.grid.dt, sol.grid.nodes
+    p, s_dt, gspec = problem.exponent, sol.s_dt, problem.gspec
+    y, z, g, dw = sol.y, sol.z, sol.g, sol.bm.increments
+
+    def inclusion_gap(k):
+        node = slice(k, k + 1)
+        gap = g[k] - select_generator(g[node], y[node], z[node], nodes[node], gspec)[0]
+        return np.max(geometry._norm(gap))
+
+    inclusion = np.empty(n + 1)
+    inclusion[n] = inclusion_gap(n)
+    u = y[n]
+    equation = np.empty(n + 1)
+    equation[n] = 0.0
+    y_modulus = 0.0
+    for k in range(n - 1, -1, -1):
+        inclusion[k] = inclusion_gap(k)
+        u = u @ s_dt.T - (dt * g[k] + z[k] * dw[k][:, None])
+        equation[k] = _lp_l2(y[k:k + 1], u[None], 1.0, p)
+        y_modulus = max(y_modulus, _lp_l2(y[k + 1:k + 2], y[k:k + 1], 1.0, p))
+    return float(np.max(inclusion)), equation, y_modulus
+
+
+def _random_solution(shape, d, p, m, n_steps, seed):
+    """Random (Y, Z, g) on an n_steps grid with a random constraint map."""
+    rng = np.random.default_rng(seed)
+    spec = SetValuedSpec(base=_bases(d, rng)[shape], a_y=_centre_map("dense", d, rng),
+                         a_z=_centre_map("diagonal", d, rng))
+    a = -np.eye(d) + 0.3 * rng.normal(size=(d, d))
+    prob = BSEIProblem(horizon=1.0, exponent=p, dim=d, generator=a,
+                       terminal=TerminalSpec("linear", np.ones(d)), gspec=spec)
+    bm = simulate_brownian(TimeGrid(1.0, n_steps), m, seed)
+    y, z, g = rng.normal(size=(3, n_steps + 1, m, d))
+    return Solution(y=y, z=z, g=g, bm=bm, s_dt=matrix_exponential(bm.grid.dt * a)), prob
+
+
+_SPECIALS = ("nan", "inf", "-inf", "up", "down")
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(["singleton", "ball", "polytope"]), d=st.integers(1, 3),
+       p=st.sampled_from([1.5, 2.0, 3.0]), m=st.integers(1, 30), n_steps=st.integers(1, 8),
+       per_block=st.integers(1, 3), scale=st.sampled_from([0, 0, -600, 600]),
+       specials=st.lists(st.tuples(st.sampled_from("yzg"), st.integers(0, 8),
+                                   st.sampled_from(_SPECIALS)), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+# a non-finite entry, a node at 2^+-600 among nodes in range, a whole
+# solution whose squares over- or underflow
+@example(shape="ball", d=2, p=2.0, m=5, n_steps=4, per_block=2, scale=0,
+         specials=[("y", 1, "nan"), ("z", 3, "inf"), ("g", 0, "-inf")], seed=1)
+@example(shape="polytope", d=3, p=3.0, m=4, n_steps=5, per_block=3, scale=0,
+         specials=[("y", 2, "up"), ("y", 4, "down")], seed=2)
+@example(shape="singleton", d=1, p=1.5, m=6, n_steps=6, per_block=1, scale=-600,
+         specials=[], seed=3)
+@example(shape="ball", d=3, p=2.0, m=3, n_steps=7, per_block=3, scale=600,
+         specials=[("g", 7, "up")], seed=4)
+def test_blocked_verification_is_bitwise_the_node_by_node_pass(
+        shape, d, p, m, n_steps, per_block, scale, specials, seed):
+    # blocks of per_block whole nodes, the last one partial when per_block
+    # does not divide N + 1
+    from bsei import geometry
+    sol, prob = _random_solution(shape, d, p, m, n_steps, seed)
+    y, z, g = (np.ldexp(a, scale) for a in (sol.y, sol.z, sol.g))
+    rng = np.random.default_rng(seed)
+    for name, node, kind in specials:
+        a = {"y": y, "z": z, "g": g}[name][node % (n_steps + 1)]
+        if kind in ("up", "down"):
+            with np.errstate(over="ignore"):  # an "up" node of a 2^600 solution is inf
+                np.ldexp(a, 600 if kind == "up" else -600, out=a)
+        else:
+            a[rng.integers(m), rng.integers(d)] = float(kind)
+    sol = Solution(y=y, z=z, g=g, bm=sol.bm, s_dt=sol.s_dt)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(geometry, "_CHUNK_ENTRIES", per_block * m * d)
+        got = verify_solution(sol, prob)
+        inclusion, equation, y_modulus = _verify_node_by_node(sol, prob)
+    assert np.float64(got.inclusion_max).tobytes() == np.float64(inclusion).tobytes()
+    assert got.equation.tobytes() == equation.tobytes()
+    assert np.float64(got.y_modulus).tobytes() == np.float64(y_modulus).tobytes()
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3, 9, 20])
+def test_verification_selects_once_per_block(per_block, monkeypatch):
+    # N + 1 = 9 nodes in blocks of per_block: one selection per block, and
+    # no single-node sample norm
+    import collections
+
+    import bsei.solver
+    from bsei import geometry
+
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    sol, prob = _random_solution("polytope", 2, 2.0, 6, 8, 5)
+    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", per_block * 6 * 2)
+    for name in ("select_generator", "_lp_l2"):
+        monkeypatch.setattr(bsei.solver, name, counted(name, getattr(bsei.solver, name)))
+    verify_solution(sol, prob)
+    assert counts["select_generator"] == math.ceil(9 / per_block)
+    assert counts["_lp_l2"] == 0
 
 
 def _scaled_problem(shape, s):
