@@ -100,7 +100,8 @@ class BrownianEnsemble:
             inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
         levels = np.zeros((self.grid.n_steps + 1, self.n_paths))
-        np.cumsum(inc, axis=0, out=levels[1:])
+        for k, dw in enumerate(inc):  # row by row: cumsum down axis 0 is strided
+            np.add(levels[k], dw, out=levels[k + 1])
         levels.setflags(write=False)
         object.__setattr__(self, "_levels", levels)
 
@@ -391,7 +392,7 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
         base, kern = designs[k]
         propagated = y_next @ s_dt.T
         z[k] = kern.kernel(propagated)
-        y[k] = y_next = base.fit(propagated) - dt * g[k]
+        y_next = np.subtract(base.fit(propagated), dt * g[k], out=y[k])
     return y, z
 
 

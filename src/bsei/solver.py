@@ -284,8 +284,7 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
     p = problem.exponent
     times = bm.grid.nodes[k_lo:k_hi]
     designs = step_designs(bm, k_lo, n, config.basis_degree)
-    y = np.zeros((n, bm.n_paths, problem.dim))
-    z, g = np.zeros_like(y), np.zeros_like(y)
+    y = z = g = np.broadcast_to(0.0, (n, bm.n_paths, problem.dim))  # only read
     # ridge fallback depends on the design alone, so count it per window
     report = WindowReport(
         index=index, k_lo=k_lo, k_hi=k_hi, iterations=[], converged=False,
@@ -311,17 +310,16 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
         raise NonConvergenceError(
             f"window [{k_lo}, {k_hi}] still above tol after {config.n_max} "
             f"iterations (last dY+dZ = {prev_sum:.3e})", report=report)
-    final_g = select_generator(g, y, z, times, problem.gspec)
-    return y, z, final_g, report
+    return y, z, select_generator(g, y, z, times, problem.gspec), report
 
 
 def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig) -> int:
-    """Bytes per path of a solve's arrays: Y, Z, g and W at every node, dW
-    per step, and a window's two (Y, Z, g) iterates and designs (three
-    arrays of basis_degree + 1 columns per step)."""
+    """Bytes per path of a solve's arrays: Y, Z, g and W at every node, dW per
+    step, a window's designs (three arrays of basis_degree + 1 columns per step),
+    its two (Y, Z, g) iterates and the last window's, which ``solve`` still holds."""
     n = config.steps_per_window
     return 8 * ((3 * dim + 1) * (n_steps + 1) + n_steps
-                + 6 * dim * n + 3 * n * (config.basis_degree + 1))
+                + 9 * dim * n + 3 * n * (config.basis_degree + 1))
 
 
 def _about(n: int) -> str:
@@ -374,9 +372,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     # on a uniform grid every S(t_j - t_k) is a power of this one matrix
     s_dt = matrix_exponential(grid.dt * a)
 
-    y = np.zeros((n_total + 1, config.n_paths, problem.dim))
-    z = np.zeros_like(y)
-    g = np.zeros_like(y)
+    # fresh zero pages, not a fill: the windows write every node below N
+    y, z, g = (np.zeros((n_total + 1, config.n_paths, problem.dim)) for _ in range(3))
     report = SolveReport(schedule=schedule, windows=[], config=config,
                          n_steps_total=n_total)
     # node N belongs to no window: (xi, 0) and its selection from g = 0
@@ -394,6 +391,8 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
             raise NonConvergenceError(str(exc), report=report) from exc
         report.windows.insert(0, wrep)
         window = slice(wrep.k_lo, wrep.k_hi)
+        # held until the next window returns, as _bytes_per_path counts: freed sooner,
+        # glibc trims the heap between windows (singleton_demo: 2.6x minor faults)
         y[window], z[window], g[window] = y_loc, z_loc, g_loc
 
     sol = Solution(y=y, z=z, g=g, bm=bm, s_dt=s_dt)
@@ -441,15 +440,15 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     def rows(a, b):  # the sample norm of a[j] - b[j] for each node j, dt = 1
         return _power_mean(*_path_sums(a[None], b[None]), 1.0, p)
 
-    # kept per node so that a NaN gap reaches the maximum
+    # kept per node so that a NaN gap or step reaches the maximum
     inclusion = np.empty(n + 1)
-    equation = np.empty(n + 1)
-    equation[n] = 0.0
-    y_modulus = 0.0
+    equation = np.zeros(n + 1)  # exact at node N
+    modulus = np.empty(n)  # the Y step from node k to k + 1
     for hi in range(n + 1, 0, -block):
         lo = max(0, hi - block)
         blk = slice(lo, hi)
-        gap = g[blk] - select_generator(g[blk], y[blk], z[blk], nodes[blk], gspec)
+        gap = select_generator(g[blk], y[blk], z[blk], nodes[blk], gspec)
+        np.subtract(g[blk], gap, out=gap)
         inclusion[blk] = geometry._norm(gap).max(axis=1)  # finite for any finite gap
         # u_k = u_{k+1} S(dt)' - (dt g_k + Z_k dW_k), one matmul per node
         for k in range(hi - 1, lo - 1, -1):
@@ -463,10 +462,10 @@ def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
         top = min(hi, n)
         if top > lo:
             equation[lo:top] = rows(y[lo:top], u[:top - lo])
-            y_modulus = max(y_modulus, *rows(y[lo + 1:top + 1], y[lo:top]).tolist())
+            modulus[lo:top] = rows(y[lo + 1:top + 1], y[lo:top])
 
     return ResidualReport(inclusion_max=float(np.max(inclusion)),
-                          equation=equation, y_modulus=y_modulus)
+                          equation=equation, y_modulus=float(np.max(modulus)))
 
 
 def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:

@@ -100,6 +100,14 @@ def test_draw_is_kept_without_a_copy():
     assert peak <= 1.05 * 8 * m * (2 * grid.n_steps + 1)
 
 
+@pytest.mark.parametrize("n, m", [(1, 7), (5, 3), (450, 1000)])
+def test_levels_are_the_cumulative_sum_of_the_draw(n, m):
+    # written row by row, the levels keep numpy's cumsum bits
+    bm = simulate_brownian(TimeGrid(1.0, n), m, 31)
+    want = np.vstack([np.zeros((1, m)), np.cumsum(bm.increments, axis=0)])
+    assert bm.levels.tobytes() == want.tobytes()
+
+
 def test_writeable_increments_are_copied():
     grid = TimeGrid(1.0, 4)
     inc = np.sqrt(grid.dt) * np.random.default_rng(4).normal(size=(4, 6))

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,8 +484,9 @@ def test_no_window_touches_its_right_end(monkeypatch):
 
 def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
     # per path: 8 (7 * 17 + 16) = 1080 bytes of full-grid arrays at N = 16,
-    # d = 2, and 8 (6 * 2 * 4 + 3 * 4 * 3) = 672 more for a window's two
-    # iterates and its designs; 700 kB holds 500 paths of the first alone
+    # d = 2, and 8 (9 * 2 * 4 + 3 * 4 * 3) = 864 more for a window's two
+    # iterates, the previous window's result and the window's designs;
+    # 700 kB holds 500 paths of the first alone
     import bsei.solver
     from bsei.errors import ScheduleError
     cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
@@ -490,8 +494,29 @@ def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
     with pytest.raises(ScheduleError) as exc:
         solve(_ball_problem(), cfg)
     assert exc.value.field == "numerics.paths"
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 876_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 972_000)
     assert solve(_ball_problem(), cfg)[1].converged
+
+
+@pytest.mark.parametrize("config", ["ball_demo", "singleton_demo"])
+def test_traced_peak_stays_within_the_memory_budget(config):
+    # the budget counts every array a solve holds at once, so the traced
+    # peak per path may exceed it only by what is fixed, not per path;
+    # polytope_small is left out, its projection temporaries are bounded
+    # by geometry._CHUNK_ENTRIES and so are fixed
+    from bsei.cli import load_config
+    from bsei.solver import _bytes_per_path
+    root = Path(__file__).resolve().parent.parent
+    problem, cfg, _ = load_config(str(root / "configs" / f"{config}.json"))
+    cfg = dataclasses.replace(cfg, n_paths=4_000, steps_per_window=10)
+    tracemalloc.start()
+    try:
+        _, rep = solve(problem, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = _bytes_per_path(rep.n_steps_total, problem.dim, cfg) * cfg.n_paths
+    assert peak <= 1.05 * budget
 
 
 # ------------------------------------------------------------------ verify
@@ -509,6 +534,23 @@ def test_verify_residuals_and_corruption_detector():
     res2 = verify_solution(doubled, prob)
     # residual grows by about the scale of the stochastic convolution term
     assert res2.equation_max >= res.equation_max + 0.3
+
+
+def test_nan_y_step_reaches_the_continuity_modulus():
+    # one NaN entry of Y at node 2 makes the steps into and out of it NaN:
+    # the modulus, a maximum over every step, is NaN as the other residuals
+    # are, and the CLI report writes it as null
+    from bsei.cli import _summary
+    prob = _ball_problem()
+    sol, rep = solve(prob, SolverConfig(steps_per_window=4, n_paths=200, seed=28))
+    assert math.isfinite(rep.residuals.y_modulus)
+    sol.y[2, 0, 0] = np.nan
+    rep.residuals = verify_solution(sol, prob)
+    assert math.isnan(rep.residuals.equation_max)
+    assert math.isnan(rep.residuals.inclusion_max)
+    assert math.isnan(rep.residuals.y_modulus)
+    report = json.dumps(_summary(rep), allow_nan=False)  # as the CLI writes it
+    assert json.loads(report)["y_continuity_modulus"] is None
 
 
 def test_solve_scheme_consistency_under_refinement():
@@ -702,13 +744,13 @@ def _verify_node_by_node(sol, problem):
     u = y[n]
     equation = np.empty(n + 1)
     equation[n] = 0.0
-    y_modulus = 0.0
+    modulus = np.empty(n)
     for k in range(n - 1, -1, -1):
         inclusion[k] = inclusion_gap(k)
         u = u @ s_dt.T - (dt * g[k] + z[k] * dw[k][:, None])
         equation[k] = _lp_l2(y[k:k + 1], u[None], 1.0, p)
-        y_modulus = max(y_modulus, _lp_l2(y[k + 1:k + 2], y[k:k + 1], 1.0, p))
-    return float(np.max(inclusion)), equation, y_modulus
+        modulus[k] = _lp_l2(y[k + 1:k + 2], y[k:k + 1], 1.0, p)
+    return float(np.max(inclusion)), equation, float(np.max(modulus))
 
 
 def _random_solution(shape, d, p, m, n_steps, seed):
