@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, NonConvergenceError, ScheduleError
 from .gamma import FiniteRankOperator, gamma_norm
 from .geometry import CLOSED_FORM_TOL, Ball, Polytope, SetValuedSpec, Singleton
+from .paths import TimeGrid
 from .solver import BSEIProblem, SolverConfig, TerminalSpec
 from .suites import SUITE_NAMES, run_suite
 
@@ -311,25 +312,22 @@ def _summary(report) -> dict:
     return out
 
 
-def _write_plot_csv(path: str, sol, residuals) -> None:
-    nodes = sol.grid.nodes
-    d = sol.y.shape[2]
-    # a coordinate at a time: numpy's mean over paths of an (N + 1, M, d)
-    # stack would run its inner loop over the d coordinates
-    y_mean, z_mean = (np.stack([x[..., i].mean(axis=1) for i in range(d)], axis=1)
-                      for x in (sol.y, sol.z))
+def _write_plot_csv(path: str, report) -> None:
+    res = report.residuals
+    nodes = TimeGrid(report.schedule.horizon, report.n_steps_total).nodes
+    d = res.y_mean.shape[1]
     header = (["t"] + [f"y_mean_{i}" for i in range(d)]
               + [f"z_mean_{i}" for i in range(d)] + ["equation_residual"])
     lines = [",".join(header)]
     for k in range(len(nodes)):
-        row = ([_fmt(nodes[k])] + [_fmt(v) for v in y_mean[k]]
-               + [_fmt(v) for v in z_mean[k]] + [_fmt(residuals.equation[k])])
+        row = ([_fmt(nodes[k])] + [_fmt(v) for v in res.y_mean[k]]
+               + [_fmt(v) for v in res.z_mean[k]] + [_fmt(res.equation[k])])
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_outputs(outputs: dict, report, solution=None) -> None:
+def _write_outputs(outputs: dict, report) -> None:
     """The convergence CSV and the JSON report of a full or partial run, and
     with ``emit_plot_data`` the plot CSV of a full one."""
     try:
@@ -337,8 +335,8 @@ def _write_outputs(outputs: dict, report, solution=None) -> None:
         with open(outputs["report_path"], "w", encoding="utf-8") as fh:
             json.dump(_summary(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
-        if solution is not None and outputs["plot_csv_path"] is not None:
-            _write_plot_csv(outputs["plot_csv_path"], solution, report.residuals)
+        if report.residuals is not None and outputs["plot_csv_path"] is not None:
+            _write_plot_csv(outputs["plot_csv_path"], report)
     except OSError as exc:
         raise ConfigError(f"cannot write: {exc}", field="outputs") from exc
 
@@ -353,13 +351,14 @@ def cmd_solve(config_path: str) -> int:
 
     problem, config, outputs = load_config(config_path)
     try:
-        solution, report = solve(problem, config)
+        # verified window by window: the report carries all that is written
+        _, report = solve(problem, config, keep_paths=False)
     except NonConvergenceError as exc:
         _write_outputs(outputs, exc.report)
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
 
-    _write_outputs(outputs, report, solution)
+    _write_outputs(outputs, report)
 
     ok = (report.converged
           and report.inclusion_residual <= _INCLUSION_THRESHOLD

@@ -204,7 +204,9 @@ class Solution:
     ``bm``, the Brownian ensemble it is adapted to; Y at the last node is
     the terminal data exactly, and g is the last projection onto the
     constraint sets evaluated at the final (Y, Z).  ``s_dt`` is S(dt), whose
-    powers are every S(t_j - t_k) on the grid, so the checks read it."""
+    powers are every S(t_j - t_k) on the grid, so the checks read it.
+    ``solve`` builds one only when asked to keep the paths, as it is by
+    default: the CLI asks for none and reads the report alone."""
 
     y: np.ndarray
     z: np.ndarray
@@ -313,12 +315,15 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
     return y, z, select_generator(g, y, z, times, problem.gspec), report
 
 
-def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig) -> int:
-    """Bytes per path of a solve's arrays: Y, Z, g and W at every node, dW per
-    step, a window's designs (three arrays of basis_degree + 1 columns per step),
-    its two (Y, Z, g) iterates and the last window's, which ``solve`` still holds."""
+def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig,
+                    keep_paths: bool = True) -> int:
+    """Bytes per path of a solve's arrays: W at every node and dW per step, a
+    window's designs (three arrays of basis_degree + 1 columns per step), its
+    two (Y, Z, g) iterates and the last window's, which ``solve`` holds until
+    the next window returns, and with ``keep_paths`` Y, Z and g at every node."""
     n = config.steps_per_window
-    return 8 * ((3 * dim + 1) * (n_steps + 1) + n_steps
+    grids = 3 * dim * (n_steps + 1) if keep_paths else 0
+    return 8 * (grids + (n_steps + 1) + n_steps
                 + 9 * dim * n + 3 * n * (config.basis_degree + 1))
 
 
@@ -329,11 +334,11 @@ def _about(n: int) -> str:
 
 
 def _check_memory(n_steps: int, dim: int, config: SolverConfig,
-                  steps_field: str) -> None:
+                  steps_field: str, keep_paths: bool) -> None:
     """Raise ScheduleError before allocating when the solve's arrays would
     exceed the machine's physical memory."""
     budget = _physical_memory()
-    per_path = _bytes_per_path(n_steps, dim, config)
+    per_path = _bytes_per_path(n_steps, dim, config, keep_paths)
     need = per_path * config.n_paths
     if budget is not None and need > budget:
         # blame the path count only when the steps alone would fit
@@ -347,15 +352,19 @@ def _check_memory(n_steps: int, dim: int, config: SolverConfig,
 # a non-finite iterate ends the run at its window's difference norms and an
 # overflowing residual is reported as inf: numpy's warnings would repeat them
 @np.errstate(over="ignore", invalid="ignore")
-def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
+def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig(), *,
+          keep_paths: bool = True):
     """Solve the inclusion over the whole horizon by backward concatenation.
 
     The horizon splits into equal windows no longer than the schedule's
     delta; each solves its nodes [k_lo, k_hi) from the Y at k_hi of the
-    window after it, the last from node N, set first.  Returns the concatenated
-    Solution, which carries the Brownian ensemble and S(dt) of the run,
-    and a SolveReport carrying per-window iteration diagnostics
-    and the one residual pass of the run.
+    window after it, the last from node N, set first.  Each window is
+    verified as it lands, node N first, so the SolveReport carries
+    per-window iteration diagnostics and the one residual pass of the run,
+    with the per-node path means of Y and Z.  Returns (Solution, report):
+    the concatenated Solution, which carries the Brownian ensemble and
+    S(dt) of the run, or None with ``keep_paths=False``, in which case no
+    (N + 1) x M x d array is allocated and the memory budget counts none.
     """
     t0 = time.perf_counter()
     a = problem.generator
@@ -366,38 +375,46 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig()):
     schedule = schedule_from_constants(*constants)
     n_win = schedule.n_windows
     n_total = n_win * config.steps_per_window
-    _check_memory(n_total, problem.dim, config, _beta_field(*constants))
+    _check_memory(n_total, problem.dim, config, _beta_field(*constants), keep_paths)
     grid = TimeGrid(horizon, n_total)
     bm = simulate_brownian(grid, config.n_paths, config.seed)
     # on a uniform grid every S(t_j - t_k) is a power of this one matrix
     s_dt = matrix_exponential(grid.dt * a)
 
-    # fresh zero pages, not a fill: the windows write every node below N
-    y, z, g = (np.zeros((n_total + 1, config.n_paths, problem.dim)) for _ in range(3))
     report = SolveReport(schedule=schedule, windows=[], config=config,
                          n_steps_total=n_total)
+    check = _Verification(problem, bm, s_dt)
+    # every node is written: node N below, the windows [0, N)
+    grids = [np.empty((n_total + 1, config.n_paths, problem.dim))
+             for _ in range(3)] if keep_paths else ()
+
+    def land(k_lo, *triple):  # the nodes from k_lo up, verified and kept
+        check.feed(*triple)
+        for full, part in zip(grids, triple):
+            full[k_lo:k_lo + len(part)] = part
+
     # node N belongs to no window: (xi, 0) and its selection from g = 0
-    end = slice(n_total, None)
-    y[end] = problem.terminal.sample(bm)
-    g[end] = select_generator(g[end], y[end], z[end], grid.nodes[end], problem.gspec)
+    y_loc = problem.terminal.sample(bm)[None]
+    z_loc = np.zeros_like(y_loc)
+    g_loc = select_generator(z_loc, y_loc, z_loc, grid.nodes[n_total:], problem.gspec)
+    land(n_total, y_loc, z_loc, g_loc)
     for w in range(n_win - 1, -1, -1):
-        k_hi = (w + 1) * config.steps_per_window
+        # the window above is held until this one returns, as _bytes_per_path
+        # counts: freed sooner, glibc trims the heap between windows
+        # (singleton_demo: 2.6x minor faults)
         try:
             y_loc, z_loc, g_loc, wrep = picard_solve_interval(
-                problem, w, y[k_hi], schedule, s_dt, bm, config)
+                problem, w, y_loc[0], schedule, s_dt, bm, config)
         except NonConvergenceError as exc:
             report.windows.insert(0, exc.report)
             report.runtime_seconds = time.perf_counter() - t0
             raise NonConvergenceError(str(exc), report=report) from exc
         report.windows.insert(0, wrep)
-        window = slice(wrep.k_lo, wrep.k_hi)
-        # held until the next window returns, as _bytes_per_path counts: freed sooner,
-        # glibc trims the heap between windows (singleton_demo: 2.6x minor faults)
-        y[window], z[window], g[window] = y_loc, z_loc, g_loc
+        land(wrep.k_lo, y_loc, z_loc, g_loc)
 
-    sol = Solution(y=y, z=z, g=g, bm=bm, s_dt=s_dt)
-    report.residuals = verify_solution(sol, problem)
+    report.residuals = check.report()
     report.runtime_seconds = time.perf_counter() - t0
+    sol = Solution(*grids, bm=bm, s_dt=s_dt) if keep_paths else None
     return sol, report
 
 
@@ -406,66 +423,111 @@ class ResidualReport:
     inclusion_max: float
     equation: np.ndarray  # (N + 1,) per-node sample norms
     y_modulus: float = 0.0  # max one-step increment of Y in sample L^p
+    y_mean: np.ndarray | None = None  # (N + 1, d) per-node path means of Y
+    z_mean: np.ndarray | None = None  # and of Z
 
     @property
     def equation_max(self) -> float:
         return float(np.max(self.equation))
 
 
-# an overflowing residual is reported as inf; a row of the sample norm whose
-# squares leave the float range is redone in power-of-two units
-@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _rows(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """The sample norm of a[j] - b[j] for each node j, with dt = 1."""
+    return _power_mean(*_path_sums(a[None], b[None]), 1.0, p)
+
+
+class _Verification:
+    """The residual pass as a backward accumulator, fed node ranges from the
+    top: node N first, then each range directly below the last.
+
+    Each range is verified in blocks of whole nodes, as many as
+    ``select_generator`` puts in a chunk, counted from the range's top, so no
+    block straddles two ranges: one selection, one gap norm and one
+    sample-norm pass per block, each node's value the bits of its own
+    single-node call.  Between ranges it carries u, the recursion below, and
+    Y at the lowest node fed; its block buffers live only while a range is
+    verified, so a solve does not hold them while its windows iterate.
+    """
+
+    def __init__(self, problem: BSEIProblem, bm: BrownianEnsemble, s_dt: np.ndarray):
+        n, d = bm.grid.n_steps, problem.dim
+        self.problem, self.bm, self.s_dt = problem, bm, s_dt
+        self.block = max(1, geometry._CHUNK_ENTRIES // max(1, bm.n_paths * d))
+        self.lo = n + 1  # the lowest node fed
+        self.u_lo = self.y_lo = None  # u and Y there
+        # kept per node so that a NaN gap or step reaches the maximum
+        self.inclusion = np.empty(n + 1)
+        self.equation = np.zeros(n + 1)  # exact at node N
+        self.modulus = np.empty(n)  # the Y step from node k to k + 1
+        self.y_mean, self.z_mean = np.empty((n + 1, d)), np.empty((n + 1, d))
+
+    # an overflowing residual is reported as inf; a row of the sample norm
+    # whose squares leave the float range is redone in power-of-two units
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
+    def feed(self, y: np.ndarray, z: np.ndarray, g: np.ndarray) -> None:
+        """Verify (Y, Z, g), (n, M, d) stacks on the n nodes below those fed."""
+        grid, dw, s_dt = self.bm.grid, self.bm.increments, self.s_dt
+        n, dt, p = grid.n_steps, grid.dt, self.problem.exponent
+        d = y.shape[2]
+        u = np.empty((min(self.block, len(y)),) + y.shape[1:])  # S(T - t_k) xi less the sums
+        z_dw = np.empty(y.shape[1:])
+        u_above = self.u_lo
+        off = self.lo - len(y)  # node of y[0]
+        nodes = grid.nodes[off:self.lo]
+        for i in range(d):  # a coordinate at a time, as over a whole grid
+            self.y_mean[off:self.lo, i] = y[..., i].mean(axis=1)
+            self.z_mean[off:self.lo, i] = z[..., i].mean(axis=1)
+        if self.lo <= n:  # the step from this range's top into the range above
+            self.modulus[self.lo - 1] = _rows(self.y_lo[None], y[-1:], p)[0]
+        # blocks in range-local indices; node N's u and residual are exact
+        below_n = min(len(y), n - off)
+        for hi in range(len(y), 0, -self.block):
+            lo = max(0, hi - self.block)
+            blk = slice(lo, hi)
+            gap = select_generator(g[blk], y[blk], z[blk], nodes[blk], self.problem.gspec)
+            np.subtract(g[blk], gap, out=gap)
+            # finite for any finite gap
+            self.inclusion[off + lo:off + hi] = geometry._norm(gap).max(axis=1)
+            # u_k = u_{k+1} S(dt)' - (dt g_k + Z_k dW_k), one matmul per node
+            for j in range(hi - 1, lo - 1, -1):
+                if off + j == n:
+                    u[j - lo] = y[j]
+                    continue
+                for i in range(d):  # Z_k dW_k a coordinate at a time, not over d
+                    np.multiply(z[j][:, i], dw[off + j], out=z_dw[:, i])
+                u_next = u[j + 1 - lo] if j + 1 < hi else u_above
+                np.subtract(u_next @ s_dt.T, dt * g[j] + z_dw, out=u[j - lo])
+            u_above = u[0]  # the block's lowest node
+            top = min(hi, below_n)
+            if top > lo:
+                self.equation[off + lo:off + top] = _rows(y[lo:top], u[:top - lo], p)
+            top = min(hi, len(y) - 1)  # steps whose upper node is in this range
+            if top > lo:
+                self.modulus[off + lo:off + top] = _rows(y[lo + 1:top + 1], y[lo:top], p)
+        self.lo, self.u_lo, self.y_lo = off, u_above.copy(), y[0]
+
+    def report(self) -> ResidualReport:
+        return ResidualReport(inclusion_max=float(np.max(self.inclusion)),
+                              equation=self.equation, y_modulus=float(np.max(self.modulus)),
+                              y_mean=self.y_mean, z_mean=self.z_mean)
+
+
 def verify_solution(sol: Solution, problem: BSEIProblem) -> ResidualReport:
     """Pure diagnostics on a completed solution, on the Brownian ensemble
-    and the S(dt) that it carries.
+    and the S(dt) that it carries: the pass ``solve`` makes window by
+    window, fed the whole grid at once.
 
     Reports (a) the worst pointwise distance of g to its constraint set and
     (b) the per-node sample norm of the discrete backward-equation residual
     Y[k] + sum_j dt S(t_j - t_k) g[j] + sum_j S(t_j - t_k) Z[j] dW_j
-    - S(T - t_k) xi, in one backward pass over blocks of whole nodes, as many
-    as ``select_generator`` puts in a chunk: one selection, one gap norm and
-    one sample-norm pass per block, each node's value the bits of its own
-    single-node call.  The discrete modulus of continuity of Y comes along
-    for free; on a grid that is the strongest statement available about time
-    continuity.
+    - S(T - t_k) xi, in one backward pass over blocks of whole nodes (see
+    ``_Verification``), and the per-node path means of Y and Z.  The
+    discrete modulus of continuity of Y comes along for free; on a grid that
+    is the strongest statement available about time continuity.
     """
-    n, dt, nodes = sol.grid.n_steps, sol.grid.dt, sol.grid.nodes
-    p, s_dt, gspec = problem.exponent, sol.s_dt, problem.gspec
-    y, z, g, dw = sol.y, sol.z, sol.g, sol.bm.increments
-    m, d = y.shape[1:]
-    block = max(1, geometry._CHUNK_ENTRIES // max(1, m * d))
-    u = np.empty((min(block, n + 1), m, d))  # S(T - t_k) xi less the sums
-    z_dw = np.empty((m, d))
-
-    def rows(a, b):  # the sample norm of a[j] - b[j] for each node j, dt = 1
-        return _power_mean(*_path_sums(a[None], b[None]), 1.0, p)
-
-    # kept per node so that a NaN gap or step reaches the maximum
-    inclusion = np.empty(n + 1)
-    equation = np.zeros(n + 1)  # exact at node N
-    modulus = np.empty(n)  # the Y step from node k to k + 1
-    for hi in range(n + 1, 0, -block):
-        lo = max(0, hi - block)
-        blk = slice(lo, hi)
-        gap = select_generator(g[blk], y[blk], z[blk], nodes[blk], gspec)
-        np.subtract(g[blk], gap, out=gap)
-        inclusion[blk] = geometry._norm(gap).max(axis=1)  # finite for any finite gap
-        # u_k = u_{k+1} S(dt)' - (dt g_k + Z_k dW_k), one matmul per node
-        for k in range(hi - 1, lo - 1, -1):
-            if k == n:
-                u[k - lo] = y[n]
-                continue
-            for i in range(d):  # Z_k dW_k a coordinate at a time, not over d
-                np.multiply(z[k][:, i], dw[k], out=z_dw[:, i])
-            u_next = u[k + 1 - lo] if k + 1 < hi else u[0]  # the block above's lowest
-            np.subtract(u_next @ s_dt.T, dt * g[k] + z_dw, out=u[k - lo])
-        top = min(hi, n)
-        if top > lo:
-            equation[lo:top] = rows(y[lo:top], u[:top - lo])
-            modulus[lo:top] = rows(y[lo + 1:top + 1], y[lo:top])
-
-    return ResidualReport(inclusion_max=float(np.max(inclusion)),
-                          equation=equation, y_modulus=float(np.max(modulus)))
+    check = _Verification(problem, sol.bm, sol.s_dt)
+    check.feed(sol.y, sol.z, sol.g)
+    return check.report()
 
 
 def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:

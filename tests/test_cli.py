@@ -262,11 +262,15 @@ def test_console_entry_point(tmp_path):
 
 def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
     # one Brownian ensemble and one residual pass per run, and no semigroup
-    # cache: gamma(S) is closed-form and the solve reads S(dt) alone
+    # cache: gamma(S) is closed-form and the solve reads S(dt) alone; the
+    # residual pass runs window by window, so "once" means that its
+    # selections, in blocks of 3 nodes here, cover every node 0..N exactly
+    # once, node N alone and no block across two windows of 8 nodes
     import collections
 
     import bsei.paths
     import bsei.solver
+    from bsei import geometry
     from bsei.semigroup import SemigroupCache
 
     counts = collections.Counter()
@@ -282,13 +286,35 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
     monkeypatch.setattr(bsei.solver, "simulate_brownian", draw)
     monkeypatch.setattr(SemigroupCache, "build", classmethod(
         counted("build", SemigroupCache.build.__func__)))
-    monkeypatch.setattr(bsei.solver, "verify_solution",
-                        counted("verify", bsei.solver.verify_solution))
+    verifying, blocks = [], []
+    feed, select = bsei.solver._Verification.feed, bsei.solver.select_generator
+
+    def feeding(*args):
+        verifying.append(True)
+        try:
+            return feed(*args)
+        finally:
+            verifying.pop()
+
+    def selecting(g, y, z, times, gspec):
+        if verifying:
+            blocks.append(times.tolist())
+        return select(g, y, z, times, gspec)
+
+    monkeypatch.setattr(bsei.solver._Verification, "feed", feeding)
+    monkeypatch.setattr(bsei.solver, "select_generator", selecting)
+    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", 3 * 1000)  # M = 1000, d = 1
     path = write(tmp_path, demo_config(tmp_path))
     assert main(["solve", path]) == 0
-    assert (counts["draw"], counts["build"], counts["verify"]) == (1, 0, 1)
+    assert (counts["draw"], counts["build"]) == (1, 0)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["y_continuity_modulus"] > 0.0
+    n = report["steps_total"]  # horizon 1: node k at time k / n
+    assert n == 8 * len(report["iterations_per_window"])
+    blocks = [[round(t * n) for t in b] for b in blocks]
+    assert sorted(k for b in blocks for k in b) == list(range(n + 1))
+    assert blocks[0] == [n]
+    assert all(len(b) <= 3 and len({k // 8 for k in b}) == 1 for b in blocks[1:])
 
 
 def ball_demo_config(tmp_path, **numerics):

@@ -486,20 +486,30 @@ def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
     # per path: 8 (7 * 17 + 16) = 1080 bytes of full-grid arrays at N = 16,
     # d = 2, and 8 (9 * 2 * 4 + 3 * 4 * 3) = 864 more for a window's two
     # iterates, the previous window's result and the window's designs;
-    # 700 kB holds 500 paths of the first alone
+    # 700 kB holds 500 paths of the first alone.  Streamed, the full-grid
+    # arrays are W and dW alone, 8 (17 + 16) = 264 bytes per path, so
+    # 564 kB holds 500 paths streamed, but not with Y, Z and g kept
     import bsei.solver
     from bsei.errors import ScheduleError
     cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 700_000)
-    with pytest.raises(ScheduleError) as exc:
-        solve(_ball_problem(), cfg)
-    assert exc.value.field == "numerics.paths"
+    for budget, keep_paths in ((700_000, True), (563_999, False)):
+        monkeypatch.setattr(bsei.solver, "_physical_memory", lambda b=budget: b)
+        with pytest.raises(ScheduleError) as exc:
+            solve(_ball_problem(), cfg, keep_paths=keep_paths)
+        assert exc.value.field == "numerics.paths"
     monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 972_000)
     assert solve(_ball_problem(), cfg)[1].converged
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 564_000)
+    sol, rep = solve(_ball_problem(), cfg, keep_paths=False)
+    assert sol is None and rep.converged
+    with pytest.raises(ScheduleError):
+        solve(_ball_problem(), cfg)
 
 
-@pytest.mark.parametrize("config", ["ball_demo", "singleton_demo"])
-def test_traced_peak_stays_within_the_memory_budget(config):
+@pytest.mark.parametrize("config, keep_paths", [
+    pytest.param(config, keep, id=config + ("" if keep else "-streamed"))
+    for keep in (True, False) for config in ("ball_demo", "singleton_demo")])
+def test_traced_peak_stays_within_the_memory_budget(config, keep_paths):
     # the budget counts every array a solve holds at once, so the traced
     # peak per path may exceed it only by what is fixed, not per path;
     # polytope_small is left out, its projection temporaries are bounded
@@ -511,11 +521,11 @@ def test_traced_peak_stays_within_the_memory_budget(config):
     cfg = dataclasses.replace(cfg, n_paths=4_000, steps_per_window=10)
     tracemalloc.start()
     try:
-        _, rep = solve(problem, cfg)
+        _, rep = solve(problem, cfg, keep_paths=keep_paths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    budget = _bytes_per_path(rep.n_steps_total, problem.dim, cfg) * cfg.n_paths
+    budget = _bytes_per_path(rep.n_steps_total, problem.dim, cfg, keep_paths) * cfg.n_paths
     assert peak <= 1.05 * budget
 
 
@@ -809,6 +819,70 @@ def test_blocked_verification_is_bitwise_the_node_by_node_pass(
     assert np.float64(got.inclusion_max).tobytes() == np.float64(inclusion).tobytes()
     assert got.equation.tobytes() == equation.tobytes()
     assert np.float64(got.y_modulus).tobytes() == np.float64(y_modulus).tobytes()
+
+
+def _grid_means(a):
+    """Per-node path means of an (N + 1, M, d) grid, a coordinate at a time."""
+    return np.stack([a[..., i].mean(axis=1) for i in range(a.shape[2])], axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(["singleton", "ball", "polytope"]), d=st.integers(1, 3),
+       p=st.sampled_from([1.5, 2.0, 3.0]), m=st.integers(1, 300), windows=st.integers(1, 4),
+       steps=st.integers(1, 4), per_block=st.integers(1, 3),
+       specials=st.lists(st.tuples(st.sampled_from("yzg"), st.integers(0, 16),
+                                   st.sampled_from(["nan", "inf", "-inf"])), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape="ball", d=2, p=2.0, m=5, windows=3, steps=2, per_block=3,
+         specials=[("y", 2, "nan"), ("z", 4, "inf"), ("g", 6, "-inf")], seed=1)
+@example(shape="polytope", d=3, p=3.0, m=200, windows=4, steps=4, per_block=3,
+         specials=[("y", 12, "inf")], seed=2)
+def test_streamed_verification_is_bitwise_verify_solution(
+        shape, d, p, m, windows, steps, per_block, specials, seed):
+    # node N, then windows of `steps` nodes from the top, each a separate
+    # array as a solve hands them on, in blocks of per_block nodes that stop
+    # at the window's lowest node
+    from bsei import geometry
+    from bsei.solver import _Verification
+    n = windows * steps
+    sol, prob = _random_solution(shape, d, p, m, n, seed)
+    rng = np.random.default_rng(seed)
+    for name, node, kind in specials:
+        getattr(sol, name)[node % (n + 1), rng.integers(m), rng.integers(d)] = float(kind)
+    ranges = [(n, n + 1)] + [(w * steps, (w + 1) * steps) for w in reversed(range(windows))]
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(geometry, "_CHUNK_ENTRIES", per_block * m * d)
+        want = verify_solution(sol, prob)
+        check = _Verification(prob, sol.bm, sol.s_dt)
+        for lo, hi in ranges:
+            check.feed(*(a[lo:hi].copy() for a in (sol.y, sol.z, sol.g)))
+        got = check.report()
+        means = _grid_means(sol.y), _grid_means(sol.z)
+    for res in (got, want):
+        assert res.y_mean.tobytes() == means[0].tobytes()
+        assert res.z_mean.tobytes() == means[1].tobytes()
+    assert np.float64(got.inclusion_max).tobytes() == np.float64(want.inclusion_max).tobytes()
+    assert got.equation.tobytes() == want.equation.tobytes()
+    assert np.float64(got.y_modulus).tobytes() == np.float64(want.y_modulus).tobytes()
+
+
+def test_streamed_solve_reports_the_kept_solve_bitwise(monkeypatch):
+    # the same run with and without its grids: the report verified window by
+    # window is that of verify_solution on the kept paths, means included
+    from bsei import geometry
+    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", 3 * 500 * 2)  # blocks of 3 nodes
+    prob = _ball_problem()
+    cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
+    sol, kept = solve(prob, cfg)
+    none, streamed = solve(prob, cfg, keep_paths=False)
+    assert none is None and kept.schedule.n_windows >= 3
+    want = verify_solution(sol, prob)
+    for res in (kept.residuals, streamed.residuals):
+        for name in ("equation", "y_mean", "z_mean"):
+            assert getattr(res, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (res.inclusion_max, res.y_modulus) == (want.inclusion_max, want.y_modulus)
+    assert want.y_mean.tobytes() == _grid_means(sol.y).tobytes()
+    assert [w.iterations for w in streamed.windows] == [w.iterations for w in kept.windows]
 
 
 @pytest.mark.parametrize("per_block", [1, 2, 3, 9, 20])
