@@ -243,48 +243,34 @@ def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _cholesky_qr(gram: np.ndarray):
-    """(ridge_used, S) for a design X with Gram matrix ``gram`` = X'X.
-
-    D, the powers of two that bring the Gram's diagonal into [1/4, 1),
-    equilibrates the columns; R is the Cholesky factor of D X'X D and
-    S = D R^-1, so Q = X S has orthonormal columns (Cholesky-QR) and the
-    least-squares coefficients of targets t are S Q't.  When the smallest
-    eigenvalue of D X'X D is at most lambda = 1e-10 trace/dim, the design
-    counts as rank deficient and lambda is added to the diagonal first:
-    classical ridge on the equilibrated columns.  Otherwise lambda = 0.
+    """(ridge_used, D, R^-1) for a design X with Gram matrix ``gram`` = X'X,
+    equilibrated in place to D X'X D by the powers of two D that bring its
+    diagonal into [1/4, 1); R is its Cholesky factor, and the least-squares
+    coefficients of t on X D are R^-1 R^-T (X D)'t (Cholesky-QR; Q = X D R^-1
+    is never formed).  If an eigenvalue of D X'X D is at most lambda = 1e-10
+    trace/dim, R factors D X'X D + lambda I: ridge on the equilibrated columns.
     """
     if not np.all(np.isfinite(gram)):
         raise ValueError("the design's Gram matrix is not finite")
     scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.diag(gram)))[1])
-    g = gram * scale[:, None] * scale
-    lam = _RIDGE_SCALE * np.trace(g) / len(g)
-    ridge_used = bool(np.linalg.eigvalsh(g)[0] <= lam)
-    if ridge_used:
-        g[np.diag_indices_from(g)] += lam
-    r_inv = np.linalg.inv(np.linalg.cholesky(g).T)
-    return ridge_used, scale[:, None] * r_inv
+    gram[...] = gram * scale[:, None] * scale
+    lam = _RIDGE_SCALE * np.trace(gram) / len(gram)
+    ridge_used = bool(np.linalg.eigvalsh(gram)[0] <= lam)
+    g = gram + lam * np.eye(len(gram)) if ridge_used else gram
+    return ridge_used, scale, np.linalg.inv(np.linalg.cholesky(g).T)
 
 
-class _FactoredDesign:
-    """Least-squares solves through a Cholesky-QR factor Q = X S of a
-    design X (see ``_cholesky_qr``), factored once: the coefficients of
-    targets t (for a kernel, their increment block) are C Q't for a stored
-    p x p matrix C."""
-
-    def _coefficients(self, targets: np.ndarray) -> np.ndarray:
-        """Coefficients of the (M, k) targets, one column per target."""
-        if targets.ndim != 2 or targets.shape[0] != self._q.shape[0]:
-            raise ValueError(f"targets of shape {targets.shape} are not "
-                             f"({self._q.shape[0]}, k)")
-        return self._c @ (self._q.T @ targets)
+def _check_targets(targets: np.ndarray, n_paths: int) -> None:
+    if targets.ndim != 2 or targets.shape[0] != n_paths:
+        raise ValueError(f"targets of shape {targets.shape} are not ({n_paths}, k)")
 
 
-class PolynomialRegression(_FactoredDesign):
+class PolynomialRegression:
     """Least-squares projection onto a polynomial basis of path features.
 
-    The design's Gram matrix and factorization are computed once, so
-    repeated fits against the same conditioning variables (the common case
-    in backward recursions) are cheap.
+    The design is equilibrated and factored once, so repeated fits against
+    the same conditioning variables (the common case in backward
+    recursions) are cheap: it keeps E = X D of ``_cholesky_qr``, not X, and R^-1.
     """
 
     def __init__(self, features, degree: int):
@@ -296,26 +282,34 @@ class PolynomialRegression(_FactoredDesign):
             raise ValueError(
                 f"need at least {_MIN_PATHS_PER_BASIS} paths per basis function "
                 f"({p} functions, {m} paths)")
-        self.design = x
-        with np.errstate(over="ignore"):  # an overflow raises in _cholesky_qr
-            self.gram = x.T @ x
-        self.ridge_used, self._c = _cholesky_qr(self.gram)
-        self._q = x @ self._c
+        # gemm on a copy: numpy sends x.T @ x to syrk, 3x slower; overflow raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._gram = x.T @ x.copy(order="K")
+        self.ridge_used, self._scale, self._r_inv = _cholesky_qr(self._gram)
+        self._design = np.multiply(x, self._scale, out=x)  # exact: powers of two
+
+    @property
+    def design(self) -> np.ndarray:
+        """The unscaled design X, a new (M, p) array."""
+        return self._design / self._scale
+
+    def _coefficients(self, targets: np.ndarray) -> np.ndarray:
+        return self._r_inv @ (self._r_inv.T @ (self._design.T @ targets))
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of the (M, k) targets, an (M, k) array.
 
-        The coefficients take one step of iterative refinement: the
-        intercept column of Q is one repeated value, so Q't of a constant
-        target is a sum of equal terms whose rounding drifts one way (about
-        240 ulp at M = 1e4), and the backward sweep would compound it.
+        The coefficients take one step of iterative refinement: E's intercept
+        column is one power of two, so E't of a constant target sums equal terms
+        whose rounding drifts one way (240 ulp at M = 1e4), which the sweep compounds.
         """
+        _check_targets(targets, len(self._design))
         coef = self._coefficients(targets)
-        coef += self._coefficients(targets - self.design @ coef)
-        return self.design @ coef
+        coef += self._coefficients(targets - self._design @ coef)
+        return self._design @ coef
 
 
-class KernelRegression(_FactoredDesign):
+class KernelRegression:
     """Joint projection onto the polynomial basis and its increment multiples.
 
     For a basis phi_j of the conditioning features and a Brownian increment
@@ -324,36 +318,40 @@ class KernelRegression(_FactoredDesign):
     (1/dt) E[target dW | features], and it avoids the O(1/dt) variance of
     regressing target * dW / dt directly.
 
-    The joint Gram matrix takes the basis Gram as its top-left block, and
-    the joint design is never stored: S = D R^-1 is upper triangular, so
-    the increment block of the coefficients needs only the increment
-    columns [phi, phi * dW] S[:, p:] of Q.
+    The joint design [E, E dW~] is never formed: E is the base's design and
+    dW~ = dW 2^-e, dW read where it lies in units of the power of two above
+    its largest |value|, so the Gram, whose top-left block is the base's,
+    cannot underflow.  The joint factor S = D R^-1 is upper triangular, so
+    the kernel is E 2^-e S[p:, p:] Q_k't, Q_k = E S[:p, p:] + (E dW~) S[p:, p:].
     """
 
     def __init__(self, base: PolynomialRegression, dw: np.ndarray):
-        b = base.design
-        if dw.shape != (b.shape[0],):
+        b, p = base._design, base._design.shape[1]
+        if dw.shape != (len(b),):
             raise ValueError("increment vector must have one entry per path")
-        p = b.shape[1]
-        # dW in units of the power of two 2^e above its largest |value|, as for
-        # W in step_designs, so its Gram cannot underflow; C is back in dW units
-        e = np.frexp(np.abs(dw).max())[1]
-        bdw = b * np.ldexp(dw, -e)[:, None]
-        with np.errstate(over="ignore"):  # an overflow raises in _cholesky_qr
-            cross = b.T @ bdw
-            gram = np.empty((2 * p, 2 * p))
-            gram[:p, :p], gram[:p, p:] = base.gram, cross
-            gram[p:, :p], gram[p:, p:] = cross.T, bdw.T @ bdw
-        self.ridge_used, s = _cholesky_qr(gram)
-        self._basis = b
-        self._q = b @ s[:p, p:]
-        self._q += bdw @ s[p:, p:]
-        self._c = np.ldexp(s[p:, p:], -e)
+        self._e = e = np.frexp(np.abs(dw).max())[1]
+        dw_unit = np.ldexp(dw, -e)[:, None]
+        weighted = b * dw_unit  # E' dW~ E, then E' dW~^2 E, both by gemm
+        gram = np.empty((2 * p, 2 * p))
+        gram[:p, :p], gram[:p, p:] = base._gram, b.T @ weighted
+        gram[p:, :p] = gram[:p, p:].T
+        gram[p:, p:] = b.T @ np.multiply(weighted, dw_unit, out=weighted)
+        self.ridge_used, scale, r_inv = _cholesky_qr(gram)
+        # dW is kept by reference when read-only (the ensemble's rows), else copied
+        self._design, self._dw = b, dw if not dw.flags.writeable else dw.copy()
+        self._s = scale[:, None] * r_inv[:, p:]
+        self._c = np.ldexp(self._s[p:], -e)
 
     def kernel(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of the increment-block coefficient function of the
         (M, k) targets, an (M, k) array."""
-        return self._basis @ self._coefficients(targets)
+        _check_targets(targets, len(self._design))
+        e_t, w = self._design.T, np.ldexp(self._dw, -self._e)[:, None]
+        # t less its first row, a constant the kernel maps to zero, so Q_k't's terms
+        # carry no mean to cancel; E't, then E'(dW~ t) by columns: (M, 2) rows are slow
+        t = np.subtract(targets, targets[:1], order="F")
+        q_t = self._s.T @ np.concatenate([e_t @ t, e_t @ np.multiply(t, w, out=t)])
+        return self._design @ (self._c @ q_t)
 
 
 def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,

@@ -318,13 +318,13 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
 def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig,
                     keep_paths: bool = True) -> int:
     """Bytes per path of a solve's arrays: W at every node and dW per step, a
-    window's designs (three arrays of basis_degree + 1 columns per step), its
+    window's designs (one array of basis_degree + 1 columns per step), its
     two (Y, Z, g) iterates and the last window's, which ``solve`` holds until
     the next window returns, and with ``keep_paths`` Y, Z and g at every node."""
     n = config.steps_per_window
     grids = 3 * dim * (n_steps + 1) if keep_paths else 0
     return 8 * (grids + (n_steps + 1) + n_steps
-                + 9 * dim * n + 3 * n * (config.basis_degree + 1))
+                + 9 * dim * n + n * (config.basis_degree + 1))
 
 
 def _about(n: int) -> str:

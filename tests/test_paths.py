@@ -504,9 +504,10 @@ def test_two_feature_fit_and_kernel_match_lstsq():
 
 
 def test_constant_target_fit_to_the_rounding_floor():
-    # the intercept column of Q is one repeated value, so a constant
-    # target's Q't is a long sum of equal terms; the fit must not carry that
-    # sum's rounding drift, which the sweep would compound step by step
+    # the intercept column of the equilibrated design E is one repeated
+    # value, so a constant target's E't is a long sum of equal terms; the fit
+    # must not carry that sum's rounding drift, which the sweep would
+    # compound step by step
     bm = simulate_brownian(TimeGrid(1.0, 450), 10_000, seed=25)
     for node in (1, 225, 450):
         reg = PolynomialRegression(bm.levels[node], 2)
@@ -525,6 +526,49 @@ def test_fit_and_kernel_are_power_of_two_homogeneous(e):
     for solve in (reg.fit, kern.kernel):
         scaled = solve(np.ldexp(targets, e))
         assert scaled.tobytes() == np.ldexp(solve(targets), e).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(0, 8), per_basis=st.integers(10, 40), seed=st.integers(0, 2**32 - 1),
+       normal=st.booleans(), a=st.integers(-20, 20), b=st.integers(-300, 300),
+       s=st.integers(-600, 600))
+def test_fit_and_kernel_properties(degree, per_basis, seed, normal, a, b, s):
+    # features, increments and targets in units 2^a, 2^b and 2^s, with no
+    # entry leaving the normal range: the design is equilibrated by powers of
+    # two, so fit and kernel are bitwise those of the unscaled data, times 2^s
+    # and 2^(s - b).  The fit takes a refinement step, so its error stays
+    # near eps cond(X); the kernel takes none and solves the joint normal
+    # equations, so its error may reach eps cond([X, X dW])^2.  A constant has
+    # no increment block: the kernel takes it to exact zeros at any width
+    p = degree + 1
+    m = per_basis * p
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=m) if normal else rng.uniform(-1.0, 1.0, size=m)
+    dw = rng.normal(size=m)
+    targets = rng.normal(size=(m, 2))
+    reg = PolynomialRegression(feats, degree)
+    kern = KernelRegression(reg, dw)
+    assert not (reg.ridge_used or kern.ridge_used)
+    reg_s = PolynomialRegression(np.ldexp(feats, a), degree)
+    kern_s = KernelRegression(reg_s, np.ldexp(dw, b))
+    scaled = np.ldexp(targets, s)
+    assert reg_s.fit(scaled).tobytes() == np.ldexp(reg.fit(targets), s).tobytes()
+    assert kern_s.kernel(scaled).tobytes() == np.ldexp(kern.kernel(targets), s - b).tobytes()
+
+    x = reg.design / np.linalg.norm(reg.design, axis=0)  # lstsq truncates by column size
+    joint = np.hstack([x, x * dw[:, None]])
+    eps = np.finfo(float).eps
+    fit_tol = 256 * eps * np.linalg.cond(x)
+    kernel_tol = 256 * eps * np.linalg.cond(joint / np.linalg.norm(joint, axis=0)) ** 2
+    c = rng.normal(size=(2 * p, 2))
+    span = x @ c[:p]
+    assert _relative_gap(reg.fit(span), span) <= fit_tol
+    assert _relative_gap(kern.kernel(joint @ c), x @ c[p:]) <= kernel_tol
+    fit, kernel = _lstsq_fit_and_kernel(x, dw, targets)
+    assert _relative_gap(reg.fit(targets), fit) <= fit_tol
+    assert _relative_gap(kern.kernel(targets), kernel) <= kernel_tol
+    for width in (1, p + 1):
+        assert not kern_s.kernel(np.full((m, width), np.ldexp(0.7, s))).any()
 
 
 def test_duplicated_columns_set_ridge_in_both_designs():
@@ -594,10 +638,23 @@ def test_kernel_does_not_see_the_scale_of_the_increments():
     assert tiny.tobytes() == np.ldexp(KernelRegression(base, dw).kernel(target), 600).tobytes()
 
 
-def test_step_designs_keep_three_path_arrays_per_step():
-    # each step keeps the design, Q and the increment columns of the joint Q,
-    # (M, p) arrays all: 40 steps at M = 1e4, p = 3 peaked at 28.9 MB, where
-    # the SVD factors kept four such arrays and peaked at 38.3 MB
+def test_kernel_does_not_see_later_writes_to_its_increments():
+    # the kernel reads dW at every call: a read-only dW (an ensemble row) is
+    # kept by reference, a writable one is copied when the kernel is built
+    bm = simulate_brownian(TimeGrid(1.0, 8), 500, seed=31)
+    base = PolynomialRegression(bm.levels[4], 2)
+    target = np.column_stack([np.cos(bm.levels[-1]), bm.levels[-1] ** 2])
+    expected = KernelRegression(base, bm.increments[4]).kernel(target)
+    dw = bm.increments[4].copy()
+    kern = KernelRegression(base, dw)
+    dw *= 3.0
+    assert kern.kernel(target).tobytes() == expected.tobytes()
+
+
+def test_step_designs_keep_one_path_array_per_step():
+    # each step keeps its equilibrated design, one (M, p) array that the
+    # kernel shares, and p x p factors: 40 steps at M = 1e4, p = 3 peak at
+    # 9.8 MB, 41 such arrays, where the stored Q factors took 28.9 MB
     m, n = 10_000, 40
     bm = simulate_brownian(TimeGrid(1.0, n), m, seed=29)
     tracemalloc.start()
@@ -607,7 +664,7 @@ def test_step_designs_keep_three_path_arrays_per_step():
     finally:
         tracemalloc.stop()
     assert len(designs) == n
-    assert peak <= (3 * n + 3) * m * 3 * 8
+    assert peak <= (n + 3) * m * 3 * 8
 
 
 # ------------------------------------------------- martingale representation

@@ -484,22 +484,22 @@ def test_no_window_touches_its_right_end(monkeypatch):
 
 def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
     # per path: 8 (7 * 17 + 16) = 1080 bytes of full-grid arrays at N = 16,
-    # d = 2, and 8 (9 * 2 * 4 + 3 * 4 * 3) = 864 more for a window's two
+    # d = 2, and 8 (9 * 2 * 4 + 4 * 3) = 672 more for a window's two
     # iterates, the previous window's result and the window's designs;
     # 700 kB holds 500 paths of the first alone.  Streamed, the full-grid
     # arrays are W and dW alone, 8 (17 + 16) = 264 bytes per path, so
-    # 564 kB holds 500 paths streamed, but not with Y, Z and g kept
+    # 468 kB holds 500 paths streamed, but not with Y, Z and g kept
     import bsei.solver
     from bsei.errors import ScheduleError
     cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
-    for budget, keep_paths in ((700_000, True), (563_999, False)):
+    for budget, keep_paths in ((700_000, True), (467_999, False)):
         monkeypatch.setattr(bsei.solver, "_physical_memory", lambda b=budget: b)
         with pytest.raises(ScheduleError) as exc:
             solve(_ball_problem(), cfg, keep_paths=keep_paths)
         assert exc.value.field == "numerics.paths"
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 972_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 876_000)
     assert solve(_ball_problem(), cfg)[1].converged
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 564_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 468_000)
     sol, rep = solve(_ball_problem(), cfg, keep_paths=False)
     assert sol is None and rep.converged
     with pytest.raises(ScheduleError):
