@@ -1,11 +1,13 @@
 """Backward solver for set-valued stochastic evolution equations.
 
-The driver partitions the horizon into windows short enough for the
-contraction schedule, then alternates two moves inside each window until
-the iterates stall: project the previous generator selection pointwise
-onto the current constraint sets, and solve the resulting linear backward
-equation by regression-based conditional expectations on a fixed path
-ensemble.  Windows are solved from the terminal time backwards, each one
+The solution computed is the one whose generator is the minimal-norm
+selection g = m(G(t, Y, Z)), m(G) = P_G(0), at every node: each G here is a
+translate c0(t) + a_y Y + a_z Z + B of one convex compact B, and m(c + B) =
+c + P_B(-c) is 1-Lipschitz in c, so (Y, Z) -> g keeps the schedule's L and
+the solution is unique.  In windows short enough for that schedule the
+driver alternates selecting m(G) at the current (Y, Z) and solving the
+resulting linear backward equation by regression on a fixed path ensemble,
+until (Y, Z) stall.  Windows run from the terminal time backwards, each
 handing its left-endpoint values to the next as terminal data.
 """
 
@@ -154,10 +156,10 @@ def schedule_from_constants(lipschitz: float, gamma_s: float, horizon: float,
 
 @dataclass
 class IterationRecord:
+    """One iteration's dY and dZ, their sum's ratio to the last sum, eps(n)."""
     iteration: int
     dy: float
     dz: float
-    dg: float
     ratio: float | None
     eps: float
 
@@ -202,8 +204,8 @@ class SolveReport:
 class Solution:
     """Adapted triple (Y, Z, g) as (N + 1, M, d) arrays on the grid of
     ``bm``, the Brownian ensemble it is adapted to; Y at the last node is
-    the terminal data exactly, and g is the last projection onto the
-    constraint sets evaluated at the final (Y, Z).  ``s_dt`` is S(dt), whose
+    the terminal data exactly, and g is the minimal-norm point of each
+    constraint set at the final (Y, Z).  ``s_dt`` is S(dt), whose
     powers are every S(t_j - t_k) on the grid, so the checks read it.
     ``solve`` builds one only when asked to keep the paths, as it is by
     default: the CLI asks for none and reads the report alone."""
@@ -243,8 +245,8 @@ def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
 
     The three stacks are (n, M, d) arrays on the n nodes ``times``.
     Projection of adapted data through a deterministic map, so the output is
-    adapted; the moved distance at each point equals the distance from the
-    previous selection to the new constraint set.
+    adapted.  From a zero stack it is the minimal-norm selection m(G) that a
+    solve reports; from any g, g less it is g's gap to its constraint set.
     """
     out = np.empty_like(g_prev)
     # every constraint set is the translate c + base of one base set; whole
@@ -263,18 +265,18 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
                           terminal_values: np.ndarray, schedule: PicardSchedule,
                           s_dt: np.ndarray, bm: BrownianEnsemble,
                           config: SolverConfig):
-    """Fixed-point iteration from the zero triple on window ``index``, the
+    """Fixed-point iteration of (Y, Z) from zero on window ``index``, the
     grid nodes k_lo = index * ``config.steps_per_window`` <= k < k_hi =
     k_lo + ``config.steps_per_window``, from Y at k_hi, ``terminal_values``.
 
-    Alternates generator selection and the linear solve until the summed
-    difference norm dY + dZ falls below ``config.tol`` (but never before
-    ``config.min_iter`` iterations, so contraction diagnostics have data).
-    Ends with one extra selection against the final pair so the inclusion
-    holds at the reported iterates.  Returns (Y, Z, g, window report).
-    Raises NonConvergenceError with the partial report attached when an
-    iterate or its difference norm is not finite, or when ``config.n_max``
-    iterations end above tolerance.
+    Each iteration selects g = m(G(t, Y, Z)) (``select_generator`` from a
+    zero stack) and solves the linear equation with it for the next (Y, Z),
+    until dY + dZ falls below ``config.tol`` (never before
+    ``config.min_iter`` iterations, so contraction diagnostics have data);
+    the g returned is m(G) at the final pair.  Returns (Y, Z, g, window
+    report).  Raises NonConvergenceError with the partial report attached
+    when dY or dZ is not finite, or when ``config.n_max`` iterations end
+    above tolerance.
     """
     n = config.steps_per_window
     k_lo, k_hi = index * n, (index + 1) * n
@@ -286,25 +288,24 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
     p = problem.exponent
     times = bm.grid.nodes[k_lo:k_hi]
     designs = step_designs(bm, k_lo, n, config.basis_degree)
-    y = z = g = np.broadcast_to(0.0, (n, bm.n_paths, problem.dim))  # only read
+    zero = y = z = np.broadcast_to(0.0, (n, bm.n_paths, problem.dim))  # only read
     # ridge fallback depends on the design alone, so count it per window
     report = WindowReport(
         index=index, k_lo=k_lo, k_hi=k_hi, iterations=[], converged=False,
         ridge_events=sum(int(b.ridge_used) + int(k.ridge_used) for b, k in designs))
     prev_sum = None
     for it in range(1, config.n_max + 1):
-        g_new = select_generator(g, y, z, times, problem.gspec)
-        y_new, z_new = solve_linear_bsee(g_new, terminal_values, s_dt, dt, designs)
-        dy, dz, dg = (_lp_l2(y_new, y, dt, p), _lp_l2(z_new, z, dt, p),
-                      _lp_l2(g_new, g, dt, p))
+        # g = m(G(t, Y, Z)) lives for the sweep alone, so no g is carried
+        y_new, z_new = solve_linear_bsee(
+            select_generator(zero, y, z, times, problem.gspec),
+            terminal_values, s_dt, dt, designs)
+        dy, dz = _lp_l2(y_new, y, dt, p), _lp_l2(z_new, z, dt, p)
         ratio = (dy + dz) / prev_sum if (it >= 2 and prev_sum) else None
-        report.iterations.append(IterationRecord(it, dy, dz, dg, ratio,
-                                                 schedule.eps(it)))
-        if not all(map(math.isfinite, (dy, dz, dg))):  # y, z, g are finite
+        report.iterations.append(IterationRecord(it, dy, dz, ratio, schedule.eps(it)))
+        if not (math.isfinite(dy) and math.isfinite(dz)):  # y and z are finite
             raise NonConvergenceError(f"window [{k_lo}, {k_hi}] iteration {it}: "
                                       "non-finite iterate or norm", report=report)
-        y, z, g = y_new, z_new, g_new
-        prev_sum = dy + dz
+        y, z, prev_sum = y_new, z_new, dy + dz
         if it >= config.min_iter and dy + dz <= config.tol:
             report.converged = True
             break
@@ -312,19 +313,19 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
         raise NonConvergenceError(
             f"window [{k_lo}, {k_hi}] still above tol after {config.n_max} "
             f"iterations (last dY+dZ = {prev_sum:.3e})", report=report)
-    return y, z, select_generator(g, y, z, times, problem.gspec), report
+    return y, z, select_generator(zero, y, z, times, problem.gspec), report
 
 
 def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig,
                     keep_paths: bool = True) -> int:
-    """Bytes per path of a solve's arrays: W at every node and dW per step, a
-    window's designs (one array of basis_degree + 1 columns per step), its
-    two (Y, Z, g) iterates and the last window's, which ``solve`` holds until
-    the next window returns, and with ``keep_paths`` Y, Z and g at every node."""
+    """Bytes per path of a solve's arrays: W at every node, dW per step, a
+    window's designs (basis_degree + 1 columns a step), its two (Y, Z)
+    iterates and their g, the last window's (Y, Z, g), held until the next
+    window returns, and with ``keep_paths`` Y, Z and g at every node."""
     n = config.steps_per_window
     grids = 3 * dim * (n_steps + 1) if keep_paths else 0
     return 8 * (grids + (n_steps + 1) + n_steps
-                + 9 * dim * n + n * (config.basis_degree + 1))
+                + 8 * dim * n + n * (config.basis_degree + 1))
 
 
 def _about(n: int) -> str:

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +45,19 @@ def write(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
-def test_solve_demo_exit_zero_and_outputs(tmp_path):
+def _benchmark_csv_header(monkeypatch):
+    """``CSV_HEADER`` of perfbench/run.py, which rejects every solve whose
+    convergence CSV starts otherwise."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its tracer
+    spec = importlib.util.spec_from_file_location("_perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    return run.CSV_HEADER
+
+
+def test_solve_demo_exit_zero_and_outputs(tmp_path, monkeypatch):
     path = write(tmp_path, demo_config(tmp_path))
     assert main(["solve", path]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -52,7 +66,9 @@ def test_solve_demo_exit_zero_and_outputs(tmp_path):
     assert report["equation_residual_max"] <= 0.05
     assert report["schedule"]["beta"] > 0.0
     lines = (tmp_path / "conv.csv").read_text().splitlines()
-    assert lines[0] == "window_index,iteration,dY_norm,dZ_norm,dg_norm,ratio,eps_n"
+    # the header the benchmark checks; no iteration measures a g difference
+    assert lines[0] == _benchmark_csv_header(monkeypatch)
+    assert {line.split(",")[4] for line in lines[1:]} == {"nan"}
     # singleton problem: at most three iterations per window
     assert all(n <= 3 for n in report["iterations_per_window"])
 
@@ -105,6 +121,24 @@ def test_solve_reproducible_byte_identical(tmp_path):
     baseline.pop("runtime_seconds")
     second.pop("runtime_seconds")
     assert second == baseline
+
+
+def test_report_carries_mean_y0_of_the_kept_solve(tmp_path):
+    # the streamed CLI solve reports mean Y_0 per coordinate: the path mean
+    # at node 0 of the same solve with its paths kept
+    from bsei.cli import load_config
+    from bsei.solver import solve
+    cfg = demo_config(tmp_path, **{
+        "problem.dim": 2, "problem.generator": [[-1.0, 0.0], [0.0, -0.5]],
+        "problem.terminal": {"kind": "linear", "coeff": [1.0, 0.5]},
+        "problem.g": {"shape": "ball", "a_y": [[-0.3, 0.0], [0.0, -0.3]],
+                      "a_z": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.2}})
+    path = write(tmp_path, cfg)
+    assert main(["solve", path]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    problem, config, _ = load_config(path)
+    sol, _ = solve(problem, config)
+    assert report["y0_mean"] == [float(sol.y[0][:, i].mean()) for i in range(2)]
 
 
 def test_plot_data_emitted(tmp_path):

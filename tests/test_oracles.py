@@ -26,29 +26,30 @@ C0 = np.array([0.1, -0.05])
 def _deterministic_reference(problem, report, s_dt, dt):
     """Y and g per node of the scheme with identity conditional
     expectations: per window, as many iterations as the report records of
-    g <- nearest point of G(t, y, 0) to g, then y[k] = S(dt) y[k+1] - dt g[k]
-    from the window's terminal value; then the final selection.  Windows run
-    backwards, each handing y at its left node to the next as terminal, and
-    a window's right node belongs to the window after it."""
+    g <- the minimal-norm point of G(t, y, 0), the nearest one to zero, then
+    y[k] = S(dt) y[k+1] - dt g[k] from the window's terminal value; then the
+    final selection.  Windows run backwards, each handing y at its left node
+    to the next as terminal, and a window's right node belongs to the window
+    after it."""
     base = problem.gspec.base
 
-    def select(g, y):
+    def select(y):
         centers = C0 + y @ A_Y.T
-        return project(g - centers, base) + centers
+        return project(np.zeros_like(y) - centers, base) + centers
 
     y_all = np.zeros((report.n_steps_total + 1, problem.dim))
     g_all = np.zeros_like(y_all)
     terminal = problem.terminal.coeff
     for w in reversed(report.windows):
         n = w.k_hi - w.k_lo
-        y, g = np.zeros((n + 1, problem.dim)), np.zeros((n + 1, problem.dim))
+        y = np.zeros((n + 1, problem.dim))
         for _ in w.iterations:
-            g = select(g, y)
+            g = select(y)
             y = np.empty_like(g)
             y[n] = terminal
             for k in range(n - 1, -1, -1):
                 y[k] = s_dt @ y[k + 1] - dt * g[k]
-        g = select(g, y)
+        g = select(y)
         stop = n + 1 if w is report.windows[-1] else n
         y_all[w.k_lo:w.k_lo + stop] = y[:stop]
         g_all[w.k_lo:w.k_lo + stop] = g[:stop]

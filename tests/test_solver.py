@@ -225,6 +225,31 @@ def test_chunked_selection_is_bitwise_the_stacked_formula(shape, d, a_y, a_z, c0
     assert np.concatenate(per_node).tobytes() == got.tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(["singleton", "ball", "polytope"]), d=st.integers(1, 3),
+       m=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_zero_stack_selection_is_the_minimal_norm_point(shape, d, m, seed):
+    # m = P_{c + B}(0) iff m lies in c + B and <m, x - m> >= 0 for every x in
+    # c + B, whose least <m, x> is <m, c> - sigma_B(-m), the batched support.
+    # Every term is a sum of d products of numbers at most `reach` in size,
+    # and projection and sums round each to a few ulps of reach^2, so
+    # 1e-12 reach^2 (1e-12 reach for the distance) leaves room for rounding
+    # alone, while the nearest point of c + B to another g misses by O(1)
+    from bsei.geometry import _dot_last, distance_to
+    rng = np.random.default_rng(seed)
+    spec = SetValuedSpec(base=_bases(d, rng)[shape], a_y=rng.normal(size=(d, d)),
+                         a_z=rng.normal(size=(d, d)), c0=rng.normal(size=d))
+    times = np.linspace(0.0, 1.0, 3)
+    y, z = rng.normal(size=(2, 3, m, d))
+    sel = select_generator(np.broadcast_to(0.0, y.shape), y, z, times, spec)
+    c = spec.center_batch(times, y, z)
+    centres, radii = spec.base._balls
+    reach = 1.0 + np.abs(c).max() + np.abs(centres).max() + radii.max()
+    assert distance_to(sel - c, spec.base).max() <= 1e-12 * reach
+    least = _dot_last(sel, c) - spec.base._support(-sel)
+    assert np.all(least >= _dot_last(sel, sel) - 1e-12 * reach**2)
+
+
 # ------------------------------------------------------------- linear solve
 
 def test_linear_solve_constant_terminal():
@@ -482,24 +507,37 @@ def test_no_window_touches_its_right_end(monkeypatch):
     assert sol.g[n].tobytes() == want[0].tobytes()
 
 
+@pytest.mark.parametrize("shape", ["singleton", "ball", "polytope"])
+def test_solve_reports_the_minimal_norm_selection(shape):
+    # the inclusion has many solutions; the one reported has g = m(G(t, Y, Z)),
+    # the point of each constraint set nearest to zero, at every node, so it
+    # does not depend on where the Picard loop starts
+    prob = _scaled_problem(shape, 0)  # c0 and a_z both nonzero
+    sol, rep = solve(prob, SolverConfig(steps_per_window=4, n_paths=300, seed=31))
+    assert rep.converged and len(rep.windows) > 1
+    want = select_generator(np.zeros_like(sol.g), sol.y, sol.z, sol.grid.nodes,
+                            prob.gspec)
+    assert sol.g.tobytes() == want.tobytes()
+
+
 def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
     # per path: 8 (7 * 17 + 16) = 1080 bytes of full-grid arrays at N = 16,
-    # d = 2, and 8 (9 * 2 * 4 + 4 * 3) = 672 more for a window's two
-    # iterates, the previous window's result and the window's designs;
-    # 700 kB holds 500 paths of the first alone.  Streamed, the full-grid
-    # arrays are W and dW alone, 8 (17 + 16) = 264 bytes per path, so
-    # 468 kB holds 500 paths streamed, but not with Y, Z and g kept
+    # d = 2, and 8 (8 * 2 * 4 + 4 * 3) = 608 more for a window's two (Y, Z)
+    # iterates and their g, the previous window's result and the window's
+    # designs; 700 kB holds 500 paths of the first alone.  Streamed, the
+    # full-grid arrays are W and dW alone, 8 (17 + 16) = 264 bytes per path,
+    # so 436 kB holds 500 paths streamed, but not with Y, Z and g kept
     import bsei.solver
     from bsei.errors import ScheduleError
     cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
-    for budget, keep_paths in ((700_000, True), (467_999, False)):
+    for budget, keep_paths in ((700_000, True), (435_999, False)):
         monkeypatch.setattr(bsei.solver, "_physical_memory", lambda b=budget: b)
         with pytest.raises(ScheduleError) as exc:
             solve(_ball_problem(), cfg, keep_paths=keep_paths)
         assert exc.value.field == "numerics.paths"
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 876_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 844_000)
     assert solve(_ball_problem(), cfg)[1].converged
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 468_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 436_000)
     sol, rep = solve(_ball_problem(), cfg, keep_paths=False)
     assert sol is None and rep.converged
     with pytest.raises(ScheduleError):
@@ -561,6 +599,12 @@ def test_nan_y_step_reaches_the_continuity_modulus():
     assert math.isnan(rep.residuals.y_modulus)
     report = json.dumps(_summary(rep), allow_nan=False)  # as the CLI writes it
     assert json.loads(report)["y_continuity_modulus"] is None
+    # mean Y_0 is null only in the coordinate that an inf reaches
+    assert all(map(math.isfinite, json.loads(report)["y0_mean"]))
+    sol.y[0, 0, 1] = np.inf
+    rep.residuals = verify_solution(sol, prob)
+    y0 = json.loads(json.dumps(_summary(rep), allow_nan=False))["y0_mean"]
+    assert math.isfinite(y0[0]) and y0[1] is None
 
 
 def test_solve_scheme_consistency_under_refinement():
