@@ -13,7 +13,6 @@ number of paths or steps requested elsewhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -219,26 +218,24 @@ def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
     return float(_power_mean(*_path_sums(x[:, None], y[:, None]), dt, p)[0])
 
 
-def _monomial_design(features: np.ndarray, degree: int) -> np.ndarray:
-    """All monomials of total degree <= degree in the feature columns, each
-    written as its parent monomial times one feature.
-
-    Near-constant columns are dropped first so a deterministic feature
-    (e.g. W at time zero) degrades gracefully to an intercept-only basis.
-    """
-    f = np.asarray(features, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    sd = f.std(axis=0)
-    keep = sd > 1e-12 * (1.0 + np.abs(f.mean(axis=0)))
-    f = f[:, keep]
-    combos = [c for deg in range(1, degree + 1)
-              for c in itertools.combinations_with_replacement(range(f.shape[1]), deg)]
-    column = {(): 0} | {c: j for j, c in enumerate(combos, 1)}
-    x = np.empty((f.shape[0], len(column)), order="F")  # contiguous columns
+def _monomial_design(feature: np.ndarray, degree: int) -> np.ndarray:
+    """The powers 1, u, ..., u^degree of one feature f, u = f 2^-e in units
+    of the power of two above max |f|, as contiguous columns, each the one
+    before times u.  A feature whose range is at most 1e-12 of max |f| (W at
+    time zero) gives the intercept column alone; a non-finite one raises."""
+    f = np.asarray(feature, dtype=float)
+    if f.ndim != 1:
+        raise ValueError(f"the feature must be one vector, got shape {f.shape}")
+    lo, hi = f.min(), f.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("the feature is not finite")
+    p = 1 if hi - lo <= 1e-12 * max(-lo, hi) else degree + 1
+    x = np.empty((len(f), p), order="F")
     x[:, 0] = 1.0
-    for j, combo in enumerate(combos, 1):
-        np.multiply(x[:, column[combo[:-1]]], f[:, combo[-1]], out=x[:, j])
+    if p > 1:
+        np.ldexp(f, -np.frexp(max(-lo, hi))[1], out=x[:, 1])
+    for j in range(2, p):
+        np.multiply(x[:, j - 1], x[:, 1], out=x[:, j])
     return x
 
 
@@ -266,32 +263,27 @@ def _check_targets(targets: np.ndarray, n_paths: int) -> None:
 
 
 class PolynomialRegression:
-    """Least-squares projection onto a polynomial basis of path features.
+    """Least-squares projection onto ``_monomial_design``'s powers of one path
+    feature, a vector with one entry per path (W[k] in a solve).
 
     The design is equilibrated and factored once, so repeated fits against
-    the same conditioning variables (the common case in backward
-    recursions) are cheap: it keeps E = X D of ``_cholesky_qr``, not X, and R^-1.
+    the same conditioning variable (the common case in backward recursions)
+    are cheap: it keeps E = X D of ``_cholesky_qr``, not X, and R^-1.
     """
 
-    def __init__(self, features, degree: int):
+    def __init__(self, feature, degree: int):
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        x = _monomial_design(features, degree)
+        x = _monomial_design(feature, degree)
         m, p = x.shape
         if m < _MIN_PATHS_PER_BASIS * p:
             raise ValueError(
                 f"need at least {_MIN_PATHS_PER_BASIS} paths per basis function "
                 f"({p} functions, {m} paths)")
-        # gemm on a copy: numpy sends x.T @ x to syrk, 3x slower; overflow raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._gram = x.T @ x.copy(order="K")
-        self.ridge_used, self._scale, self._r_inv = _cholesky_qr(self._gram)
-        self._design = np.multiply(x, self._scale, out=x)  # exact: powers of two
-
-    @property
-    def design(self) -> np.ndarray:
-        """The unscaled design X, a new (M, p) array."""
-        return self._design / self._scale
+        # gemm on a copy: numpy sends x.T @ x to syrk, 3x slower
+        self._gram = x.T @ x.copy(order="K")
+        self.ridge_used, scale, self._r_inv = _cholesky_qr(self._gram)
+        self._design = np.multiply(x, scale, out=x)  # exact: powers of two
 
     def _coefficients(self, targets: np.ndarray) -> np.ndarray:
         return self._r_inv @ (self._r_inv.T @ (self._design.T @ targets))
@@ -312,10 +304,10 @@ class PolynomialRegression:
 class KernelRegression:
     """Joint projection onto the polynomial basis and its increment multiples.
 
-    For a basis phi_j of the conditioning features and a Brownian increment
+    For a basis phi_j of the conditioning feature and a Brownian increment
     dW, the design [phi, phi * dW] is fitted jointly and the increment block
     evaluated; in population this recovers the basis projection of
-    (1/dt) E[target dW | features], and it avoids the O(1/dt) variance of
+    (1/dt) E[target dW | feature], and it avoids the O(1/dt) variance of
     regressing target * dW / dt directly.
 
     The joint design [E, E dW~] is never formed: E is the base's design and
@@ -357,14 +349,11 @@ class KernelRegression:
 def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
                  degree: int) -> list:
     """Per step k_lo, ..., k_lo + n_steps - 1: the factored basis projection
-    on the Brownian value W[k] and its kernel variant on the increment dW[k]."""
+    on the Brownian value W[k], as it is (the basis takes its own unit), and
+    its kernel variant on the increment dW[k]."""
     out = []
     for k in range(k_lo, k_lo + n_steps):
-        # W[k] in units of the power of two above its largest |value|, so the
-        # Gram cannot overflow however long the horizon; the Gram is
-        # equilibrated by powers of two, so the fitted values do not change
-        w = bm.levels[k]
-        base = PolynomialRegression(np.ldexp(w, -np.frexp(np.abs(w).max())[1]), degree)
+        base = PolynomialRegression(bm.levels[k], degree)
         out.append((base, KernelRegression(base, bm.increments[k])))
     return out
 

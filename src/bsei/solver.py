@@ -116,10 +116,11 @@ class PicardSchedule:
 def _beta_field(lipschitz: float, gamma_s: float, horizon: float, c_pe: float,
                 lipschitz_field: str) -> str:
     """The config entry behind the largest factor of beta: c_pe, L (from
-    ``lipschitz_field``) or gamma (1 + sqrt(T) (1 + gamma)), from A."""
+    ``lipschitz_field``), gamma (1 + gamma) from A, or 1 + sqrt(T) from the
+    horizon; the last two bound gamma (1 + sqrt(T) (1 + gamma)) by their product."""
     factors = ((c_pe, "numerics.c_pe"), (lipschitz, lipschitz_field),
-               (gamma_s * (1.0 + math.sqrt(horizon) * (1.0 + gamma_s)),
-                "problem.generator"))
+               (gamma_s * (1.0 + gamma_s), "problem.generator"),
+               (1.0 + math.sqrt(horizon), "problem.horizon"))
     return max(factors, key=lambda f: f[0])[1]
 
 
@@ -239,24 +240,24 @@ class SolverConfig:
         _check_seed(self.seed)
 
 
-def select_generator(g_prev: np.ndarray, y_prev: np.ndarray, z_prev: np.ndarray,
+def select_generator(g: np.ndarray, y: np.ndarray, z: np.ndarray,
                      times: np.ndarray, gspec: SetValuedSpec) -> np.ndarray:
-    """Pointwise nearest-point selection g_new[k][m] in G(t_k, Y[k][m], Z[k][m]).
+    """Pointwise nearest-point selection of g[k][m] in G(t_k, Y[k][m], Z[k][m]).
 
     The three stacks are (n, M, d) arrays on the n nodes ``times``.
     Projection of adapted data through a deterministic map, so the output is
     adapted.  From a zero stack it is the minimal-norm selection m(G) that a
     solve reports; from any g, g less it is g's gap to its constraint set.
     """
-    out = np.empty_like(g_prev)
+    out = np.empty_like(g)
     # every constraint set is the translate c + base of one base set; whole
     # nodes of about _CHUNK_ENTRIES entries are centred, projected and
     # re-centred while they are in cache, so no stack-sized centre is built
-    step = max(1, geometry._CHUNK_ENTRIES // max(1, g_prev[0].size))
+    step = max(1, geometry._CHUNK_ENTRIES // max(1, g[0].size))
     for lo in range(0, len(times), step):
         k = slice(lo, lo + step)
-        c = gspec.center_batch(times[k], y_prev[k], z_prev[k])
-        np.subtract(g_prev[k], c, out=out[k])
+        c = gspec.center_batch(times[k], y[k], z[k])
+        np.subtract(g[k], c, out=out[k])
         np.add(project(out[k], gspec.base), c, out=out[k])
     return out
 

@@ -512,11 +512,13 @@ def test_solve_overflowing_trailing_selection_is_refused(tmp_path, capsys):
     ("problem.g.a_y", [[1e160]]),
     ("problem.g.a_z", [[1e160]]),
     ("problem.generator", [[300.0]]),
+    ("problem.horizon", 1e300),
 ])
 def test_schedule_overflow_names_the_largest_factor_of_beta(tmp_path, capsys, field,
                                                             value):
     # beta = c_pe L gamma (1 + sqrt(T) (1 + gamma)) squares past the float
-    # range; the entry behind its largest factor is the one to change
+    # range, or T / delta does; the entry behind its largest factor, of
+    # c_pe, L, gamma (1 + gamma) and 1 + sqrt(T), is the one to change
     cfg = demo_config(tmp_path, **{field: value, "problem.g.lipschitz_k": 1e300})
     assert main(["solve", write(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -807,6 +809,18 @@ def test_over_memory_budget_names_the_largest_factor_of_beta(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error [problem.g.a_y]"), err
     assert "steps x 100 paths" in err[0]
+
+
+def test_over_memory_budget_of_a_long_horizon_names_the_horizon(tmp_path, capsys):
+    # T = 1e6 with gamma(S) = 1 plans about 6e12 steps: 1 + sqrt(T), not
+    # gamma (1 + gamma) = 2, is the largest factor of beta
+    cfg = ball_demo_config(tmp_path, paths=100, steps_per_window=4)
+    cfg["problem"]["horizon"] = 1e6
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error [problem.horizon]"), err
+    assert "steps x 100 paths" in err[0]
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_import_loads_no_scipy():

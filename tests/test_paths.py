@@ -14,6 +14,7 @@ from bsei.paths import (
     PolynomialRegression,
     TimeGrid,
     _lp_l2,
+    _monomial_design,
     _path_sums,
     _philox_normals,
     _power_mean,
@@ -391,8 +392,8 @@ def test_regression_gaussian_moment_identity():
     reg = PolynomialRegression(w_t, 2)
     fitted = reg.fit((w_end**2)[:, None])[:, 0]
     # E[W_T^2 | F_t] = W_t^2 + (T - t); the target is heteroskedastic in the
-    # feature, so calibrate against sandwich standard errors
-    x = reg.design
+    # feature, so calibrate against sandwich standard errors in the basis 1, W, W^2
+    x = np.vander(w_t, 3, increasing=True)
     coef = np.linalg.lstsq(x, fitted, rcond=None)[0]  # fitted = x @ coef
     resid = w_end**2 - fitted
     xtx_inv = np.linalg.inv(x.T @ x)
@@ -435,12 +436,20 @@ def test_regression_needs_enough_paths():
 
 
 def test_regression_rank_deficient_ridge_flag():
-    # duplicated feature column forces a singular design
-    feats = np.column_stack([np.arange(100.0), np.arange(100.0)])
-    reg = PolynomialRegression(feats, 1)
+    # a feature of two distinct values makes 1, f and f^2 dependent
+    feats = np.tile([1.0, 3.0], 50)
+    reg = PolynomialRegression(feats, 2)
     assert reg.ridge_used
-    target = np.arange(100.0)[:, None]
+    target = (feats**2 + 1.0)[:, None]
     assert np.abs(reg.fit(target) - target).max() <= 1e-4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_regression_refuses_a_non_finite_feature(bad):
+    feats = np.random.default_rng(21).normal(size=100)
+    feats[37] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        PolynomialRegression(feats, 2)
 
 
 def test_regression_constant_feature_dropped_cleanly():
@@ -486,21 +495,17 @@ def test_fit_and_kernel_match_lstsq_on_the_stacked_design(degree, node):
     targets = np.column_stack([np.cos(3.0 * w_end), w_end**3 + dw])
     reg = PolynomialRegression(w, degree)
     kern = KernelRegression(reg, dw)
-    fit, kernel = _lstsq_fit_and_kernel(reg.design, dw, targets)
+    fit, kernel = _lstsq_fit_and_kernel(_monomial_design(w, degree), dw, targets)
     assert _relative_gap(reg.fit(targets), fit) <= 1e-9
     assert _relative_gap(kern.kernel(targets), kernel) <= 1e-9
 
 
-def test_two_feature_fit_and_kernel_match_lstsq():
+def test_two_column_feature_raises():
+    # the basis is built from one feature, the Brownian value of a step
     bm = simulate_brownian(TimeGrid(1.0, 10), 3000, seed=24)
     feats = np.column_stack([bm.levels[3], bm.levels[7]])
-    dw = bm.increments[7]
-    targets = np.column_stack([np.exp(bm.levels[-1]), bm.levels[-1] * dw])
-    reg = PolynomialRegression(feats, 3)  # 10 monomials, 20 joint columns
-    kern = KernelRegression(reg, dw)
-    fit, kernel = _lstsq_fit_and_kernel(reg.design, dw, targets)
-    assert _relative_gap(reg.fit(targets), fit) <= 1e-9
-    assert _relative_gap(kern.kernel(targets), kernel) <= 1e-9
+    with pytest.raises(ValueError, match="one vector"):
+        PolynomialRegression(feats, 3)
 
 
 def test_constant_target_fit_to_the_rounding_floor():
@@ -555,7 +560,8 @@ def test_fit_and_kernel_properties(degree, per_basis, seed, normal, a, b, s):
     assert reg_s.fit(scaled).tobytes() == np.ldexp(reg.fit(targets), s).tobytes()
     assert kern_s.kernel(scaled).tobytes() == np.ldexp(kern.kernel(targets), s - b).tobytes()
 
-    x = reg.design / np.linalg.norm(reg.design, axis=0)  # lstsq truncates by column size
+    x = _monomial_design(feats, degree)
+    x /= np.linalg.norm(x, axis=0)  # lstsq truncates by column size
     joint = np.hstack([x, x * dw[:, None]])
     eps = np.finfo(float).eps
     fit_tol = 256 * eps * np.linalg.cond(x)
@@ -572,12 +578,13 @@ def test_fit_and_kernel_properties(degree, per_basis, seed, normal, a, b, s):
 
 
 def test_duplicated_columns_set_ridge_in_both_designs():
-    feats = np.column_stack([np.arange(200.0), np.arange(200.0)])
+    # a feature of two distinct values: 1, f and f^2 are dependent columns
+    feats = np.tile([-2.0, 5.0], 100)
     dw = np.random.default_rng(27).normal(size=200)
     reg = PolynomialRegression(feats, 2)
     kern = KernelRegression(reg, dw)
     assert reg.ridge_used and kern.ridge_used
-    target = (np.arange(200.0) * dw)[:, None]
+    target = (feats * dw)[:, None]
     assert np.isfinite(kern.kernel(target)).all()
     # a full-rank design of the schema's highest degree is left alone
     full = PolynomialRegression(np.random.default_rng(28).normal(size=2000), 8)
@@ -612,18 +619,38 @@ def test_no_design_of_a_shipped_workload_needs_ridge(config, monkeypatch):
 
 def test_step_designs_do_not_see_the_scale_of_the_brownian_values():
     # W in units of 2^500 (a horizon of about 1e301) has monomials whose
-    # Gram overflows; step_designs regresses on W in units of a power of two
-    # near its largest |value|, so the fits are bitwise those of the
+    # Gram would overflow; the basis is built from W in units of a power of
+    # two near its largest |value|, so the fits are bitwise those of the
     # unscaled ensemble
     bm = simulate_brownian(TimeGrid(1.0, 8), 500, seed=30)
     huge = BrownianEnsemble(bm.grid, 500, 30, np.ldexp(bm.increments, 500))
-    with pytest.raises(ValueError, match="not finite"):
-        PolynomialRegression(huge.levels[4], 2)
     target = np.column_stack([np.cos(bm.levels[-1]), bm.levels[-1] ** 2])
+    direct = PolynomialRegression(huge.levels[4], 2).fit(target)
+    assert direct.tobytes() == PolynomialRegression(bm.levels[4], 2).fit(target).tobytes()
     for (base, kern), (hbase, hkern) in zip(step_designs(bm, 1, 7, 2),
                                             step_designs(huge, 1, 7, 2)):
         assert base.fit(target).tobytes() == hbase.fit(target).tobytes()
         assert kern.kernel(target).tobytes() == np.ldexp(hkern.kernel(target), 500).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(0, 8), seed=st.integers(0, 2**32 - 1), normal=st.booleans(),
+       s=st.integers(-1000, 1000))
+def test_fit_does_not_see_the_power_of_two_scale_of_the_feature(degree, seed, normal, s):
+    # the basis is built from the feature in units of the power of two above
+    # its largest |value|, so a feature scaled exactly by 2^s gives the same
+    # design; a constant feature gives the intercept alone at any scale
+    m = 20 * (degree + 1)
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=m) if normal else rng.uniform(-1.0, 1.0, size=m)
+    scaled = np.ldexp(feats, s)
+    assume(np.array_equal(np.ldexp(scaled, -s), feats))
+    targets = rng.normal(size=(m, 2))
+    want = PolynomialRegression(feats, degree).fit(targets)
+    assert PolynomialRegression(scaled, degree).fit(targets).tobytes() == want.tobytes()
+    constant = PolynomialRegression(np.full(m, np.ldexp(feats[0], s)), degree)
+    assert constant._design.shape == (m, 1)
+    assert np.allclose(constant.fit(targets), targets.mean(axis=0))
 
 
 def test_kernel_does_not_see_the_scale_of_the_increments():
