@@ -240,21 +240,50 @@ def _monomial_design(feature: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _cholesky_qr(gram: np.ndarray):
-    """(ridge_used, D, R^-1) for a design X with Gram matrix ``gram`` = X'X,
-    equilibrated in place to D X'X D by the powers of two D that bring its
-    diagonal into [1/4, 1); R is its Cholesky factor, and the least-squares
-    coefficients of t on X D are R^-1 R^-T (X D)'t (Cholesky-QR; Q = X D R^-1
-    is never formed).  If an eigenvalue of D X'X D is at most lambda = 1e-10
-    trace/dim, R factors D X'X D + lambda I: ridge on the equilibrated columns.
+    """(ridge_used, D, R^-1) for each design X of an (n, q, q) stack of Gram
+    matrices ``gram`` = X'X, as an (n,) flag vector and (n, q) and (n, q, q)
+    stacks; each Gram is equilibrated in place to D X'X D by the powers of two
+    D that bring its diagonal into [1/4, 1); R is its Cholesky factor, and the
+    least-squares coefficients of t on X D are R^-1 R^-T (X D)'t (Cholesky-QR;
+    Q = X D R^-1 is never formed).  If an eigenvalue of D X'X D is at most
+    lambda = 1e-10 trace/q, R factors D X'X D + lambda I: ridge on the
+    equilibrated columns.  numpy's linalg runs LAPACK once per matrix of a
+    stack, so each result is the bits of that matrix's call on its own.
     """
     if not np.all(np.isfinite(gram)):
         raise ValueError("the design's Gram matrix is not finite")
-    scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.diag(gram)))[1])
-    gram[...] = gram * scale[:, None] * scale
-    lam = _RIDGE_SCALE * np.trace(gram) / len(gram)
-    ridge_used = bool(np.linalg.eigvalsh(gram)[0] <= lam)
-    g = gram + lam * np.eye(len(gram)) if ridge_used else gram
-    return ridge_used, scale, np.linalg.inv(np.linalg.cholesky(g).T)
+    q = gram.shape[-1]
+    scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.diagonal(gram, axis1=1, axis2=2)))[1])
+    gram[...] = gram * scale[:, :, None] * scale[:, None, :]
+    lam = (_RIDGE_SCALE * np.trace(gram, axis1=1, axis2=2) / q)[:, None, None]
+    ridge_used = np.linalg.eigvalsh(gram)[:, :1, None] <= lam
+    g = np.where(ridge_used, gram + lam * np.eye(q), gram)
+    return ridge_used[:, 0, 0], scale, np.linalg.inv(np.swapaxes(np.linalg.cholesky(g), 1, 2))
+
+
+def _factor(regs: list) -> None:
+    """Factor the Grams that the regressions ``regs`` formed, one
+    ``_cholesky_qr`` call per Gram size: each keeps its equilibrated Gram and
+    ridge flag and takes its D and R^-1 in ``_factored``."""
+    by_size = {}
+    for reg in regs:
+        by_size.setdefault(len(reg._gram), []).append(reg)
+    for group in by_size.values():
+        grams = np.stack([reg._gram for reg in group])
+        ridge_used, scales, r_invs = _cholesky_qr(grams)
+        for reg, ridge, gram, scale, r_inv in zip(group, ridge_used.tolist(), grams,
+                                                  scales, r_invs):
+            reg.ridge_used, reg._gram = ridge, gram
+            reg._factored(scale, r_inv)
+
+
+def _batch(cls, args: list) -> list:
+    """``cls(*a)`` for each tuple a of ``args``, their Grams factored together."""
+    regs = [cls.__new__(cls) for _ in args]
+    for reg, a in zip(regs, args):
+        reg._form(*a)
+    _factor(regs)
+    return regs
 
 
 def _check_targets(targets: np.ndarray, n_paths: int) -> None:
@@ -268,10 +297,15 @@ class PolynomialRegression:
 
     The design is equilibrated and factored once, so repeated fits against
     the same conditioning variable (the common case in backward recursions)
-    are cheap: it keeps E = X D of ``_cholesky_qr``, not X, and R^-1.
+    are cheap: it keeps E = X D of ``_cholesky_qr``, not X, and R^-1.  A
+    regression built on its own is the one-member batch of ``step_designs``.
     """
 
     def __init__(self, feature, degree: int):
+        self._form(feature, degree)
+        _factor([self])
+
+    def _form(self, feature, degree: int) -> None:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         x = _monomial_design(feature, degree)
@@ -281,9 +315,11 @@ class PolynomialRegression:
                 f"need at least {_MIN_PATHS_PER_BASIS} paths per basis function "
                 f"({p} functions, {m} paths)")
         # gemm on a copy: numpy sends x.T @ x to syrk, 3x slower
-        self._gram = x.T @ x.copy(order="K")
-        self.ridge_used, scale, self._r_inv = _cholesky_qr(self._gram)
-        self._design = np.multiply(x, scale, out=x)  # exact: powers of two
+        self._design, self._gram = x, x.T @ x.copy(order="K")
+
+    def _factored(self, scale: np.ndarray, r_inv: np.ndarray) -> None:
+        self._r_inv = r_inv
+        np.multiply(self._design, scale, out=self._design)  # exact: powers of two
 
     def _coefficients(self, targets: np.ndarray) -> np.ndarray:
         return self._r_inv @ (self._r_inv.T @ (self._design.T @ targets))
@@ -318,21 +354,27 @@ class KernelRegression:
     """
 
     def __init__(self, base: PolynomialRegression, dw: np.ndarray):
+        self._form(base, dw)
+        _factor([self])
+
+    def _form(self, base: PolynomialRegression, dw: np.ndarray) -> None:
         b, p = base._design, base._design.shape[1]
         if dw.shape != (len(b),):
             raise ValueError("increment vector must have one entry per path")
         self._e = e = np.frexp(np.abs(dw).max())[1]
         dw_unit = np.ldexp(dw, -e)[:, None]
         weighted = b * dw_unit  # E' dW~ E, then E' dW~^2 E, both by gemm
-        gram = np.empty((2 * p, 2 * p))
+        self._gram = gram = np.empty((2 * p, 2 * p))
         gram[:p, :p], gram[:p, p:] = base._gram, b.T @ weighted
         gram[p:, :p] = gram[:p, p:].T
         gram[p:, p:] = b.T @ np.multiply(weighted, dw_unit, out=weighted)
-        self.ridge_used, scale, r_inv = _cholesky_qr(gram)
         # dW is kept by reference when read-only (the ensemble's rows), else copied
         self._design, self._dw = b, dw if not dw.flags.writeable else dw.copy()
+
+    def _factored(self, scale: np.ndarray, r_inv: np.ndarray) -> None:
+        p = self._design.shape[1]
         self._s = scale[:, None] * r_inv[:, p:]
-        self._c = np.ldexp(self._s[p:], -e)
+        self._c = np.ldexp(self._s[p:], -self._e)
 
     def kernel(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of the increment-block coefficient function of the
@@ -350,12 +392,13 @@ def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
                  degree: int) -> list:
     """Per step k_lo, ..., k_lo + n_steps - 1: the factored basis projection
     on the Brownian value W[k], as it is (the basis takes its own unit), and
-    its kernel variant on the increment dW[k]."""
-    out = []
-    for k in range(k_lo, k_lo + n_steps):
-        base = PolynomialRegression(bm.levels[k], degree)
-        out.append((base, KernelRegression(base, bm.increments[k])))
-    return out
+    its kernel variant on the increment dW[k].  The steps' base Grams are
+    factored in one batch and then their joint Grams in another, a
+    ``_cholesky_qr`` call per Gram size (W at time zero has one column)."""
+    steps = range(k_lo, k_lo + n_steps)
+    bases = _batch(PolynomialRegression, [(bm.levels[k], degree) for k in steps])
+    kernels = _batch(KernelRegression, [(b, bm.increments[k]) for b, k in zip(bases, steps)])
+    return list(zip(bases, kernels))
 
 
 def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
@@ -375,9 +418,10 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
     if y_next.shape != g.shape[1:] or len(designs) != len(g):
         raise ValueError("need one design per source node, one terminal per path")
     y, z = np.empty(g.shape), np.empty(g.shape)
+    s_t = np.ascontiguousarray(s_dt.T)  # np.dot on it is numpy's fast path
     for k in range(len(g) - 1, -1, -1):
         base, kern = designs[k]
-        propagated = y_next @ s_dt.T
+        propagated = np.dot(y_next, s_t)
         z[k] = kern.kernel(propagated)
         y_next = np.subtract(base.fit(propagated), dt * g[k], out=y[k])
     return y, z

@@ -7,8 +7,11 @@ c + P_B(-c) is 1-Lipschitz in c, so (Y, Z) -> g keeps the schedule's L and
 the solution is unique.  In windows short enough for that schedule the
 driver alternates selecting m(G) at the current (Y, Z) and solving the
 resulting linear backward equation by regression on a fixed path ensemble,
-until (Y, Z) stall.  Windows run from the terminal time backwards, each
-handing its left-endpoint values to the next as terminal data.
+until (Y, Z) stall, from Y equal to the path mean of the window's terminal
+data and Z = 0: a deterministic start, so every iterate is adapted and the
+fixed point does not depend on it.  Windows run from the terminal time
+backwards, each handing its left-endpoint values to the next as terminal
+data.
 """
 
 from __future__ import annotations
@@ -266,15 +269,18 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
                           terminal_values: np.ndarray, schedule: PicardSchedule,
                           s_dt: np.ndarray, bm: BrownianEnsemble,
                           config: SolverConfig):
-    """Fixed-point iteration of (Y, Z) from zero on window ``index``, the
-    grid nodes k_lo = index * ``config.steps_per_window`` <= k < k_hi =
-    k_lo + ``config.steps_per_window``, from Y at k_hi, ``terminal_values``.
+    """Fixed-point iteration of (Y, Z) on window ``index``, the grid nodes
+    k_lo = index * ``config.steps_per_window`` <= k < k_hi = k_lo +
+    ``config.steps_per_window``, from Y at k_hi, ``terminal_values``.
 
-    Each iteration selects g = m(G(t, Y, Z)) (``select_generator`` from a
-    zero stack) and solves the linear equation with it for the next (Y, Z),
-    until dY + dZ falls below ``config.tol`` (never before
-    ``config.min_iter`` iterations, so contraction diagnostics have data);
-    the g returned is m(G) at the final pair.  Returns (Y, Z, g, window
+    The iteration starts from Y = the path mean of ``terminal_values`` at
+    every node and Z = 0, so a window whose Y stays at its terminal mean
+    (constant terminal data) skips the sweep that a zero start spends
+    rebuilding it.  Each iteration selects g = m(G(t, Y, Z))
+    (``select_generator`` from a zero stack) and solves the linear equation
+    with it for the next (Y, Z), until dY + dZ falls below ``config.tol``
+    (never before ``config.min_iter`` iterations, so contraction
+    diagnostics have data); the g returned is m(G) at the final pair.  Returns (Y, Z, g, window
     report).  Raises NonConvergenceError with the partial report attached
     when dY or dZ is not finite, or when ``config.n_max`` iterations end
     above tolerance.
@@ -289,7 +295,12 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
     p = problem.exponent
     times = bm.grid.nodes[k_lo:k_hi]
     designs = step_designs(bm, k_lo, n, config.basis_degree)
-    zero = y = z = np.broadcast_to(0.0, (n, bm.n_paths, problem.dim))  # only read
+    zero = z = np.broadcast_to(0.0, (n, bm.n_paths, problem.dim))  # only read
+    # Y starts from the path mean of its terminal data at every node, a
+    # deterministic start, so every iterate is adapted; the mean is tiled over
+    # the paths once, since a (d,) vector broadcast over them would send the
+    # centres and the norms through numpy's length-d inner loop
+    y = np.broadcast_to(np.tile(terminal_values.mean(axis=0), (bm.n_paths, 1)), z.shape)
     # ridge fallback depends on the design alone, so count it per window
     report = WindowReport(
         index=index, k_lo=k_lo, k_hi=k_hi, iterations=[], converged=False,
@@ -322,11 +333,12 @@ def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig,
     """Bytes per path of a solve's arrays: W at every node, dW per step, a
     window's designs (basis_degree + 1 columns a step), its two (Y, Z)
     iterates and their g, the last window's (Y, Z, g), held until the next
-    window returns, and with ``keep_paths`` Y, Z and g at every node."""
+    window returns, the (M, d) tile its Y starts from, and with
+    ``keep_paths`` Y, Z and g at every node."""
     n = config.steps_per_window
     grids = 3 * dim * (n_steps + 1) if keep_paths else 0
     return 8 * (grids + (n_steps + 1) + n_steps
-                + 8 * dim * n + n * (config.basis_degree + 1))
+                + 8 * dim * n + dim + n * (config.basis_degree + 1))
 
 
 def _about(n: int) -> str:
@@ -468,7 +480,8 @@ class _Verification:
     @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def feed(self, y: np.ndarray, z: np.ndarray, g: np.ndarray) -> None:
         """Verify (Y, Z, g), (n, M, d) stacks on the n nodes below those fed."""
-        grid, dw, s_dt = self.bm.grid, self.bm.increments, self.s_dt
+        grid, dw = self.bm.grid, self.bm.increments
+        s_t = np.ascontiguousarray(self.s_dt.T)  # np.dot on it is numpy's fast path
         n, dt, p = grid.n_steps, grid.dt, self.problem.exponent
         d = y.shape[2]
         u = np.empty((min(self.block, len(y)),) + y.shape[1:])  # S(T - t_k) xi less the sums
@@ -490,7 +503,7 @@ class _Verification:
             np.subtract(g[blk], gap, out=gap)
             # finite for any finite gap
             self.inclusion[off + lo:off + hi] = geometry._norm(gap).max(axis=1)
-            # u_k = u_{k+1} S(dt)' - (dt g_k + Z_k dW_k), one matmul per node
+            # u_k = u_{k+1} S(dt)' - (dt g_k + Z_k dW_k), one product per node
             for j in range(hi - 1, lo - 1, -1):
                 if off + j == n:
                     u[j - lo] = y[j]
@@ -498,7 +511,7 @@ class _Verification:
                 for i in range(d):  # Z_k dW_k a coordinate at a time, not over d
                     np.multiply(z[j][:, i], dw[off + j], out=z_dw[:, i])
                 u_next = u[j + 1 - lo] if j + 1 < hi else u_above
-                np.subtract(u_next @ s_dt.T, dt * g[j] + z_dw, out=u[j - lo])
+                np.subtract(np.dot(u_next, s_t), dt * g[j] + z_dw, out=u[j - lo])
             u_above = u[0]  # the block's lowest node
             top = min(hi, below_n)
             if top > lo:

@@ -464,10 +464,11 @@ def test_solve_write_that_fails_after_the_checks_is_one_line(tmp_path, monkeypat
 
 
 def test_solve_overflowing_centres_exit_three(tmp_path):
-    # Y stays finite, but the centres a_y Y of the second iteration overflow:
-    # the selection hands on non-finite points and the iteration's own
-    # finiteness check ends the run in the first window solved, with no
-    # numpy warning (L = 20 plans 14,400 windows)
+    # Y stays finite, but the centres a_y Y overflow in the first iteration,
+    # whose Y starts at the terminal mean xi: the selection hands on
+    # non-finite points and the iteration's own finiteness check ends the run
+    # in the first window solved, with no numpy warning (L = 20 plans 14,400
+    # windows)
     import os
     from pathlib import Path
 
@@ -483,11 +484,11 @@ def test_solve_overflowing_centres_exit_three(tmp_path):
     assert proc.returncode == 3
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1
-    assert "window [" in err[0] and "iteration 2: non-finite iterate" in err[0]
+    assert "window [" in err[0] and "iteration 1: non-finite iterate" in err[0]
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["converged"] is False and report["iterations_per_window"] == [2]
+    assert report["converged"] is False and report["iterations_per_window"] == [1]
     rows = (tmp_path / "conv.csv").read_text().splitlines()
-    assert [r.split(",")[1] for r in rows[1:]] == ["1", "2"]
+    assert [r.split(",")[1] for r in rows[1:]] == ["1"]
 
 
 def test_solve_overflowing_trailing_selection_is_refused(tmp_path, capsys):

@@ -25,10 +25,11 @@ C0 = np.array([0.1, -0.05])
 
 def _deterministic_reference(problem, report, s_dt, dt):
     """Y and g per node of the scheme with identity conditional
-    expectations: per window, as many iterations as the report records of
-    g <- the minimal-norm point of G(t, y, 0), the nearest one to zero, then
-    y[k] = S(dt) y[k+1] - dt g[k] from the window's terminal value; then the
-    final selection.  Windows run backwards, each handing y at its left node
+    expectations: per window, from y = the window's terminal value at every
+    node (the path mean of terminal data that is the same on every path), as
+    many iterations as the report records of g <- the minimal-norm point of
+    G(t, y, 0), the nearest one to zero, then y[k] = S(dt) y[k+1] - dt g[k]
+    from the window's terminal value; then the final selection.  Windows run backwards, each handing y at its left node
     to the next as terminal, and a window's right node belongs to the window
     after it."""
     base = problem.gspec.base
@@ -42,7 +43,7 @@ def _deterministic_reference(problem, report, s_dt, dt):
     terminal = problem.terminal.coeff
     for w in reversed(report.windows):
         n = w.k_hi - w.k_lo
-        y = np.zeros((n + 1, problem.dim))
+        y = np.tile(terminal, (n + 1, 1))
         for _ in w.iterations:
             g = select(y)
             y = np.empty_like(g)

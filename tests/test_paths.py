@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bsei.paths import (
@@ -13,6 +13,7 @@ from bsei.paths import (
     KernelRegression,
     PolynomialRegression,
     TimeGrid,
+    _cholesky_qr,
     _lp_l2,
     _monomial_design,
     _path_sums,
@@ -23,6 +24,7 @@ from bsei.paths import (
     lp_l2_norm,
     martingale_representation,
     simulate_brownian,
+    solve_linear_bsee,
     step_designs,
 )
 from bsei.solver import SolverConfig
@@ -589,6 +591,67 @@ def test_duplicated_columns_set_ridge_in_both_designs():
     # a full-rank design of the schema's highest degree is left alone
     full = PolynomialRegression(np.random.default_rng(28).normal(size=2000), 8)
     assert not full.ridge_used and not KernelRegression(full, dw.repeat(10)).ridge_used
+
+
+def _cholesky_qr_of_one(gram):
+    """_cholesky_qr written for one matrix, as it was before it took stacks:
+    the reference of the stacked call."""
+    scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.diag(gram)))[1])
+    gram = gram * scale[:, None] * scale
+    lam = 1e-10 * np.trace(gram) / len(gram)
+    ridge_used = bool(np.linalg.eigvalsh(gram)[0] <= lam)
+    g = gram + lam * np.eye(len(gram)) if ridge_used else gram
+    return ridge_used, gram, scale, np.linalg.inv(np.linalg.cholesky(g).T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.integers(1, 18), members=st.lists(st.booleans(), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(q=3, members=[False, True, False], seed=1)
+@example(q=18, members=[True, False], seed=2)
+def test_stacked_cholesky_qr_is_bitwise_the_call_per_matrix(q, members, seed):
+    # numpy's linalg runs LAPACK once per matrix of a stack, so a window's
+    # Grams factored in one call give each the bits of its own call; a member
+    # flagged True repeats a column, so its Gram is singular and takes ridge
+    rng = np.random.default_rng(seed)
+    grams = []
+    for deficient in members:
+        x = np.ldexp(rng.normal(size=(12 * q, q)), rng.integers(-30, 30, size=q))
+        if deficient:
+            x[:, -1] = x[:, 0]
+        grams.append(x.T @ x)
+    stack = np.array(grams)
+    ridge_used, scales, r_invs = _cholesky_qr(stack)
+    for i, gram in enumerate(grams):
+        ridge, equilibrated, scale, r_inv = _cholesky_qr_of_one(gram)
+        assert ridge == ridge_used[i] and (ridge or not members[i] or q == 1)
+        for got, want in ((stack[i], equilibrated), (scales[i], scale), (r_invs[i], r_inv)):
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), per_basis=st.integers(10, 40), degree=st.integers(0, 2),
+       k_lo=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@example(d=2, per_basis=3334, degree=2, k_lo=0, seed=3)
+def test_sweep_is_bitwise_the_per_step_reference(d, per_basis, degree, k_lo, seed):
+    # the sweep applies a dense S(dt) by np.dot on a contiguous copy of S(dt)',
+    # which is bitwise x @ S(dt)' for M >= 2 paths, and reads designs factored a
+    # window at a time, bitwise each step's own; W at t = 0 has one column
+    m = per_basis * (degree + 1)
+    rng = np.random.default_rng(seed)
+    bm = simulate_brownian(TimeGrid(1.0, 6), m, seed % 1000)
+    s_dt = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+    g, terminal = rng.normal(size=(4, m, d)), rng.normal(size=(m, d))
+    y, z = solve_linear_bsee(g, terminal, s_dt, bm.grid.dt,
+                             step_designs(bm, k_lo, 4, degree))
+    y_next = terminal
+    for k in range(3, -1, -1):
+        base = PolynomialRegression(bm.levels[k_lo + k], degree)
+        kern = KernelRegression(base, bm.increments[k_lo + k])
+        propagated = y_next @ s_dt.T
+        assert z[k].tobytes() == kern.kernel(propagated).tobytes()
+        y_next = base.fit(propagated) - bm.grid.dt * g[k]
+        assert y[k].tobytes() == y_next.tobytes()
 
 
 @pytest.mark.parametrize("config", ["configs/ball_demo.json", "configs/singleton_demo.json",

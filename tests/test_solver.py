@@ -462,7 +462,7 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
         k_lo, k_hi = w * n_w, (w + 1) * n_w
         n = k_hi - k_lo
         designs = step_designs(bm, k_lo, n, cfg.basis_degree)
-        y = np.zeros((n, 400, 1))
+        y = np.tile(y_all[k_hi].mean(axis=0), (n, 400, 1))  # the terminal mean
         z = np.zeros_like(y)
         g = np.zeros_like(y)
         for it in range(1, cfg.n_max + 1):
@@ -479,6 +479,45 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
     assert np.abs(sol.y - y_all).max() <= 1e-12
     assert np.abs(sol.z - z_all).max() <= 1e-12
     assert np.abs(sol.g - g_all).max() <= 1e-12
+
+
+def test_constant_terminal_saves_the_sweep_a_zero_start_spends():
+    # xi = 1 with a singleton G: a zero start's first sweep, with g = 0, gives
+    # back each window's terminal mean at every node, where the solve's loop
+    # starts, so that loop needs one iteration fewer to reach the same
+    # (Y, Z, g); a zero-start loop written here is the reference
+    a = 0.5
+    prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=1,
+                       generator=np.zeros((1, 1)),
+                       terminal=TerminalSpec("constant", [1.0]),
+                       gspec=singleton_spec(1, a_y=a))
+    cfg = SolverConfig(steps_per_window=6, n_paths=400, seed=16)
+    sol, rep = solve(prob, cfg)
+    assert [len(w.iterations) for w in rep.windows] == [2] * rep.schedule.n_windows
+
+    grid, n, m = sol.grid, cfg.steps_per_window, cfg.n_paths
+    y_all, z_all, g_all = (np.empty_like(sol.y) for _ in range(3))
+    y_all[-1], z_all[-1], g_all[-1] = sol.y[-1], sol.z[-1], sol.g[-1]
+    zero = np.zeros((n, m, 1))
+    iterations = []
+    for w in range(rep.schedule.n_windows - 1, -1, -1):
+        k_lo, k_hi = w * n, (w + 1) * n
+        times = grid.nodes[k_lo:k_hi]
+        designs = step_designs(sol.bm, k_lo, n, cfg.basis_degree)
+        y = z = zero
+        for it in range(1, cfg.n_max + 1):
+            g = select_generator(zero, y, z, times, prob.gspec)
+            y_new, z_new = solve_linear_bsee(g, y_all[k_hi], sol.s_dt, grid.dt, designs)
+            dy, dz = _lp_l2(y_new, y, grid.dt, 2.0), _lp_l2(z_new, z, grid.dt, 2.0)
+            y, z = y_new, z_new
+            if it >= cfg.min_iter and dy + dz <= cfg.tol:
+                break
+        iterations.insert(0, it)
+        y_all[k_lo:k_hi], z_all[k_lo:k_hi] = y, z
+        g_all[k_lo:k_hi] = select_generator(zero, y, z, times, prob.gspec)
+    assert iterations == [3] * rep.schedule.n_windows
+    for got, want in ((sol.y, y_all), (sol.z, z_all), (sol.g, g_all)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_no_window_touches_its_right_end(monkeypatch):
@@ -522,22 +561,23 @@ def test_solve_reports_the_minimal_norm_selection(shape):
 
 def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
     # per path: 8 (7 * 17 + 16) = 1080 bytes of full-grid arrays at N = 16,
-    # d = 2, and 8 (8 * 2 * 4 + 4 * 3) = 608 more for a window's two (Y, Z)
-    # iterates and their g, the previous window's result and the window's
-    # designs; 700 kB holds 500 paths of the first alone.  Streamed, the
-    # full-grid arrays are W and dW alone, 8 (17 + 16) = 264 bytes per path,
-    # so 436 kB holds 500 paths streamed, but not with Y, Z and g kept
+    # d = 2, and 8 (8 * 2 * 4 + 2 + 4 * 3) = 624 more for a window's two
+    # (Y, Z) iterates and their g, the previous window's result, the tile Y
+    # starts from and the window's designs; 700 kB holds 500 paths of the
+    # first alone.  Streamed, the full-grid arrays are W and dW alone,
+    # 8 (17 + 16) = 264 bytes per path, so 444 kB holds 500 paths streamed,
+    # but not with Y, Z and g kept
     import bsei.solver
     from bsei.errors import ScheduleError
     cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
-    for budget, keep_paths in ((700_000, True), (435_999, False)):
+    for budget, keep_paths in ((700_000, True), (443_999, False)):
         monkeypatch.setattr(bsei.solver, "_physical_memory", lambda b=budget: b)
         with pytest.raises(ScheduleError) as exc:
             solve(_ball_problem(), cfg, keep_paths=keep_paths)
         assert exc.value.field == "numerics.paths"
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 844_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 852_000)
     assert solve(_ball_problem(), cfg)[1].converged
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 436_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 444_000)
     sol, rep = solve(_ball_problem(), cfg, keep_paths=False)
     assert sol is None and rep.converged
     with pytest.raises(ScheduleError):
@@ -785,7 +825,8 @@ def _verify_node_by_node(sol, problem):
     blocked pass, which must give its bits."""
     from bsei import geometry
     n, dt, nodes = sol.grid.n_steps, sol.grid.dt, sol.grid.nodes
-    p, s_dt, gspec = problem.exponent, sol.s_dt, problem.gspec
+    p, gspec = problem.exponent, problem.gspec
+    s_t = np.ascontiguousarray(sol.s_dt.T)  # S(dt) applied as _Verification does
     y, z, g, dw = sol.y, sol.z, sol.g, sol.bm.increments
 
     def inclusion_gap(k):
@@ -801,7 +842,7 @@ def _verify_node_by_node(sol, problem):
     modulus = np.empty(n)
     for k in range(n - 1, -1, -1):
         inclusion[k] = inclusion_gap(k)
-        u = u @ s_dt.T - (dt * g[k] + z[k] * dw[k][:, None])
+        u = np.dot(u, s_t) - (dt * g[k] + z[k] * dw[k][:, None])
         equation[k] = _lp_l2(y[k:k + 1], u[None], 1.0, p)
         modulus[k] = _lp_l2(y[k + 1:k + 2], y[k:k + 1], 1.0, p)
     return float(np.max(inclusion)), equation, float(np.max(modulus))
@@ -840,6 +881,9 @@ _SPECIALS = ("nan", "inf", "-inf", "up", "down")
          specials=[], seed=3)
 @example(shape="ball", d=3, p=2.0, m=3, n_steps=7, per_block=3, scale=600,
          specials=[("g", 7, "up")], seed=4)
+# one path: x @ S(dt)' and np.dot(x, S(dt)') differ in the last bit there
+@example(shape="polytope", d=3, p=2.0, m=1, n_steps=6, per_block=2, scale=0,
+         specials=[], seed=5)
 def test_blocked_verification_is_bitwise_the_node_by_node_pass(
         shape, d, p, m, n_steps, per_block, scale, specials, seed):
     # blocks of per_block whole nodes, the last one partial when per_block
