@@ -1,8 +1,9 @@
 """Convex-compact set calculus in Euclidean state space.
 
-Sets come in three shapes (``Singleton``, ``Ball``, ``Polytope``).  Each answers
-every geometric question about itself for a whole (..., d) stack through one
-code path, so a point's result does not depend on the stack it came in:
+Sets come in two shapes, ``Ball`` and ``Polytope``; a ``Singleton`` is the
+ball of radius 0, with nearest points of its own.  Each shape answers every
+geometric question about itself for a whole (..., d) stack through one code
+path, so a point's result does not depend on the stack it came in:
 its nearest points, its support function, its description as the convex
 hull of a few balls, and the excess of each of a list of balls over it.  On
 top of those this module provides the Hausdorff distance, which asks no set
@@ -120,41 +121,6 @@ def _dots(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Singleton:
-    """One-point set {point}."""
-
-    point: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", _frozen(as_point(self.point)))
-
-    @property
-    def dim(self) -> int:
-        return self.point.size
-
-    def translate(self, shift) -> Singleton:
-        return Singleton(self.point + as_point(shift, self.dim))
-
-    @property
-    def _balls(self) -> tuple:
-        return self.point[None], np.zeros(1)
-
-    def _support(self, u: np.ndarray) -> np.ndarray:
-        return _dots(self.point, u)
-
-    def _excess(self, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        return _norm(centres - self.point) + radii
-
-    def _nearest(self, p: np.ndarray) -> np.ndarray:
-        # 0 * p keeps a non-finite coordinate non-finite and is exact otherwise;
-        # the point is added one coordinate at a time, as in Ball._nearest
-        out = p * 0.0
-        for i, c in enumerate(self.point):
-            out[..., i] += c
-        return out
-
-
-@dataclass(frozen=True)
 class Ball:
     """Closed Euclidean ball B(center, radius)."""
 
@@ -203,6 +169,27 @@ class Ball:
             v[..., i] *= scale
             v[..., i] += c
         return v
+
+
+class Singleton(Ball):
+    """One-point set {point}: the ball of radius 0 about it, with nearest
+    points of its own.  They skip the ball's norm and scale, and beside a NaN
+    coordinate of p they keep the point's coordinates, where the ball's
+    formula keeps p's."""
+
+    def __init__(self, point):
+        Ball.__init__(self, point, 0.0)
+
+    def translate(self, shift) -> Singleton:
+        return Singleton(self.center + as_point(shift, self.dim))
+
+    def _nearest(self, p: np.ndarray) -> np.ndarray:
+        # 0 * p keeps a non-finite coordinate non-finite and is exact otherwise;
+        # the point is added one coordinate at a time, as in Ball._nearest
+        out = p * 0.0
+        for i, c in enumerate(self.center):
+            out[..., i] += c
+        return out
 
 
 def _face_table(vertices: np.ndarray) -> tuple:
@@ -400,7 +387,7 @@ class Polytope:
         return out
 
 
-ConvexCompactSet = Union[Singleton, Ball, Polytope]
+ConvexCompactSet = Union[Ball, Polytope]
 
 
 def _check_dims(a, b) -> None:

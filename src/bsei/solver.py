@@ -42,13 +42,14 @@ from .semigroup import gamma_bound, matrix_exponential
 
 @dataclass(frozen=True)
 class TerminalSpec:
-    """Terminal data: a constant vector, or that vector times W_T or W_T^2."""
+    """Terminal data xi = coeff W_T^k, k the index of ``kind`` in ``_KINDS``."""
 
-    kind: str  # "constant" | "linear" | "quadratic"
+    _KINDS = ("constant", "linear", "quadratic")  # not a field: no annotation
+    kind: str
     coeff: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("constant", "linear", "quadratic"):
+        if self.kind not in self._KINDS:  # by equality, so a list is refused too
             raise ValueError(f"unknown terminal kind {self.kind!r}")
         object.__setattr__(self, "coeff", geometry.as_point(self.coeff))
 
@@ -57,12 +58,7 @@ class TerminalSpec:
         return self.coeff.size
 
     def sample(self, bm: BrownianEnsemble) -> np.ndarray:
-        w_t = bm.levels[-1]
-        if self.kind == "constant":
-            return np.tile(self.coeff, (bm.n_paths, 1))
-        if self.kind == "linear":
-            return np.outer(w_t, self.coeff)
-        return np.outer(w_t**2, self.coeff)
+        return np.outer(bm.levels[-1] ** self._KINDS.index(self.kind), self.coeff)
 
 
 @dataclass(frozen=True)
@@ -243,6 +239,11 @@ class SolverConfig:
         _check_seed(self.seed)
 
 
+def _nodes_per_chunk(node: np.ndarray) -> int:
+    """Whole (M, d) nodes like ``node`` in about ``geometry._CHUNK_ENTRIES`` entries."""
+    return max(1, geometry._CHUNK_ENTRIES // max(1, node.size))
+
+
 def select_generator(g: np.ndarray, y: np.ndarray, z: np.ndarray,
                      times: np.ndarray, gspec: SetValuedSpec) -> np.ndarray:
     """Pointwise nearest-point selection of g[k][m] in G(t_k, Y[k][m], Z[k][m]).
@@ -253,10 +254,10 @@ def select_generator(g: np.ndarray, y: np.ndarray, z: np.ndarray,
     solve reports; from any g, g less it is g's gap to its constraint set.
     """
     out = np.empty_like(g)
-    # every constraint set is the translate c + base of one base set; whole
-    # nodes of about _CHUNK_ENTRIES entries are centred, projected and
-    # re-centred while they are in cache, so no stack-sized centre is built
-    step = max(1, geometry._CHUNK_ENTRIES // max(1, g[0].size))
+    # every constraint set is the translate c + base of one base set; chunks
+    # of whole nodes are centred, projected and re-centred while they are in
+    # cache, so no stack-sized centre is built
+    step = _nodes_per_chunk(g[0])
     for lo in range(0, len(times), step):
         k = slice(lo, lo + step)
         c = gspec.center_batch(times[k], y[k], z[k])
@@ -454,20 +455,19 @@ class _Verification:
     """The residual pass as a backward accumulator, fed node ranges from the
     top: node N first, then each range directly below the last.
 
-    Each range is verified in blocks of whole nodes, as many as
-    ``select_generator`` puts in a chunk, counted from the range's top, so no
-    block straddles two ranges: one selection, one gap norm and one
-    sample-norm pass per block, each node's value the bits of its own
-    single-node call.  Between ranges it carries u, the recursion below, and
-    Y at the lowest node fed; its block buffers live only while a range is
-    verified, so a solve does not hold them while its windows iterate.
+    Each range is verified in blocks of whole nodes, ``_nodes_per_chunk`` as
+    in ``select_generator``, counted from the range's top, so no block
+    straddles two ranges: one selection, one gap norm and one sample-norm
+    pass per block, each node's value the bits of its own single-node call.
+    It carries u, the recursion below, and Y at the lowest node verified;
+    a block's buffers live only while it is verified.
     """
 
     def __init__(self, problem: BSEIProblem, bm: BrownianEnsemble, s_dt: np.ndarray):
         n, d = bm.grid.n_steps, problem.dim
-        self.problem, self.bm, self.s_dt = problem, bm, s_dt
-        self.block = max(1, geometry._CHUNK_ENTRIES // max(1, bm.n_paths * d))
-        self.lo = n + 1  # the lowest node fed
+        self.problem, self.bm = problem, bm
+        self.s_t = np.ascontiguousarray(s_dt.T)  # np.dot on it is numpy's fast path
+        self.lo = n + 1  # the lowest node verified
         self.u_lo = self.y_lo = None  # u and Y there
         # kept per node so that a NaN gap or step reaches the maximum
         self.inclusion = np.empty(n + 1)
@@ -480,46 +480,41 @@ class _Verification:
     @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def feed(self, y: np.ndarray, z: np.ndarray, g: np.ndarray) -> None:
         """Verify (Y, Z, g), (n, M, d) stacks on the n nodes below those fed."""
-        grid, dw = self.bm.grid, self.bm.increments
-        s_t = np.ascontiguousarray(self.s_dt.T)  # np.dot on it is numpy's fast path
-        n, dt, p = grid.n_steps, grid.dt, self.problem.exponent
-        d = y.shape[2]
-        u = np.empty((min(self.block, len(y)),) + y.shape[1:])  # S(T - t_k) xi less the sums
-        z_dw = np.empty(y.shape[1:])
-        u_above = self.u_lo
-        off = self.lo - len(y)  # node of y[0]
-        nodes = grid.nodes[off:self.lo]
-        for i in range(d):  # a coordinate at a time, as over a whole grid
+        off = self.lo - len(y)
+        for i in range(y.shape[2]):  # a coordinate at a time, as over a whole grid
             self.y_mean[off:self.lo, i] = y[..., i].mean(axis=1)
             self.z_mean[off:self.lo, i] = z[..., i].mean(axis=1)
-        if self.lo <= n:  # the step from this range's top into the range above
-            self.modulus[self.lo - 1] = _rows(self.y_lo[None], y[-1:], p)[0]
-        # blocks in range-local indices; node N's u and residual are exact
-        below_n = min(len(y), n - off)
-        for hi in range(len(y), 0, -self.block):
-            lo = max(0, hi - self.block)
-            blk = slice(lo, hi)
-            gap = select_generator(g[blk], y[blk], z[blk], nodes[blk], self.problem.gspec)
-            np.subtract(g[blk], gap, out=gap)
-            # finite for any finite gap
-            self.inclusion[off + lo:off + hi] = geometry._norm(gap).max(axis=1)
-            # u_k = u_{k+1} S(dt)' - (dt g_k + Z_k dW_k), one product per node
-            for j in range(hi - 1, lo - 1, -1):
-                if off + j == n:
-                    u[j - lo] = y[j]
-                    continue
-                for i in range(d):  # Z_k dW_k a coordinate at a time, not over d
+        if self.y_lo is not None:  # the step from this range's top into the range above
+            self.modulus[self.lo - 1] = _rows(self.y_lo[None], y[-1:], self.problem.exponent)[0]
+        step = _nodes_per_chunk(y[0])
+        for hi in range(len(y), 0, -step):
+            lo = max(0, hi - step)
+            self._block(y[lo:hi], z[lo:hi], g[lo:hi], y[lo + 1:hi + 1])
+        self.y_lo = y[0]
+
+    def _block(self, y: np.ndarray, z: np.ndarray, g: np.ndarray, y_up: np.ndarray) -> None:
+        """Verify a block's nodes as the range below those verified; ``y_up``
+        is Y one node above each, as far as the caller's range goes."""
+        grid, dw, p = self.bm.grid, self.bm.increments, self.problem.exponent
+        n, off = grid.n_steps, self.lo - len(y)
+        u = select_generator(g, y, z, grid.nodes[off:self.lo], self.problem.gspec)
+        np.subtract(g, u, out=u)
+        self.inclusion[off:self.lo] = geometry._norm(u).max(axis=1)  # finite for any finite gap
+        # the gaps are normed, so their buffer takes u_k = u_{k+1} S(dt)' - (dt g_k
+        # + Z_k dW_k), S(T - t_k) xi less the sums, one product per node
+        z_dw, u_next = np.empty(y.shape[1:]), self.u_lo
+        for j in range(len(y) - 1, -1, -1):
+            if off + j == n:  # node N's u and residual are exact
+                u[j] = y[j]
+            else:
+                for i in range(y.shape[2]):  # Z_k dW_k a coordinate at a time, not over d
                     np.multiply(z[j][:, i], dw[off + j], out=z_dw[:, i])
-                u_next = u[j + 1 - lo] if j + 1 < hi else u_above
-                np.subtract(np.dot(u_next, s_t), dt * g[j] + z_dw, out=u[j - lo])
-            u_above = u[0]  # the block's lowest node
-            top = min(hi, below_n)
-            if top > lo:
-                self.equation[off + lo:off + top] = _rows(y[lo:top], u[:top - lo], p)
-            top = min(hi, len(y) - 1)  # steps whose upper node is in this range
-            if top > lo:
-                self.modulus[off + lo:off + top] = _rows(y[lo + 1:top + 1], y[lo:top], p)
-        self.lo, self.u_lo, self.y_lo = off, u_above.copy(), y[0]
+                np.subtract(np.dot(u_next, self.s_t), grid.dt * g[j] + z_dw, out=u[j])
+            u_next = u[j]
+        top = min(len(y), n - off)  # the nodes below N; _rows of none is empty
+        self.equation[off:off + top] = _rows(y[:top], u[:top], p)
+        self.modulus[off:off + len(y_up)] = _rows(y_up, y[:len(y_up)], p)
+        self.lo, self.u_lo = off, u[0].copy()
 
     def report(self) -> ResidualReport:
         return ResidualReport(inclusion_max=float(np.max(self.inclusion)),

@@ -494,6 +494,43 @@ def test_polytope_table_and_facets_scale_bitwise_under_powers_of_two(s):
         assert np.ldexp(offsets, s).tobytes() == offsets_s.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_singleton_is_the_radius_zero_ball(d):
+    # every answer but the nearest points is the ball's own code; those are
+    # the ball's bits on finite points, and beside a NaN coordinate they keep
+    # the singleton's coordinates where the ball formula keeps the point's
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=d)
+    one, ball = Singleton(x), Ball(x, 0.0)
+    assert isinstance(one, Ball) and one.radius == 0.0
+    assert one.center.tobytes() == ball.center.tobytes()
+    for got, want in zip(one._balls, ball._balls):
+        assert got.tobytes() == want.tobytes()
+    u = direction_net(d)
+    assert one._support(u).tobytes() == ball._support(u).tobytes()
+    assert support(one, u[0]) == support(ball, u[0])
+    others = [Singleton(rng.normal(size=d)), Ball(rng.normal(size=d), 0.7),
+              Polytope(rng.normal(size=(d + 2, d)))]
+    for other in others:
+        for a, b in ((one, other), (other, one)):
+            want = hausdorff(ball, b) if a is one else hausdorff(a, ball)
+            assert np.float64(hausdorff(a, b)).tobytes() == np.float64(want).tobytes()
+    shift = rng.normal(size=d)
+    moved = one.translate(shift)
+    assert type(moved) is Singleton
+    assert moved.center.tobytes() == ball.translate(shift).center.tobytes()
+    for s in (0, 1000, -1000):
+        big, pts = Singleton(np.ldexp(x, s)), np.ldexp(rng.normal(size=(50, d)), s)
+        pts[0] = big.center  # a point at the centre: 0/0 in the ball's scale
+        assert project(pts, big).tobytes() == project(pts, Ball(big.center, 0.0)).tobytes()
+    if d >= 2:
+        p = np.full(d, 5.0)
+        p[0] = np.nan
+        got, kept = project(p, one), project(p, ball)
+        assert np.isnan(got[0]) and got[1:].tobytes() == x[1:].tobytes()
+        assert np.isnan(kept[0]) and kept[1:].tobytes() == p[1:].tobytes()
+
+
 @pytest.mark.parametrize("cset", [
     Singleton([1.0, 2.0]), Ball([0.5, -0.5], 0.3),
     Polytope([[-0.2, -0.2], [0.2, -0.1], [0.0, 0.25], [-0.15, 0.15]]),

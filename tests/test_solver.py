@@ -306,6 +306,21 @@ def test_linear_solve_terminal_exact_bitwise():
     assert sol.y[-1].tobytes() == prob.terminal.sample(sol.bm).tobytes()
 
 
+@pytest.mark.parametrize("coeff", [[1e-300, -0.0], [-0.0, 1e300], [1e300, 1e-300]])
+def test_terminal_sample_is_coeff_times_a_power_of_w_t(coeff):
+    # kind picks the power of W_T: the bits of the tiled constant, of
+    # outer(W_T, c) and of outer(W_T^2, c)
+    bm = simulate_brownian(TimeGrid(1.0, 3), 50, 4)
+    w, c = bm.levels[-1], np.array(coeff)
+    want = {"constant": np.tile(c, (50, 1)), "linear": np.outer(w, c),
+            "quadratic": np.outer(w**2, c)}
+    for kind, xi in want.items():
+        assert TerminalSpec(kind, coeff).sample(bm).tobytes() == xi.tobytes()
+    for kind in ("cubic", "", ["linear"], None):
+        with pytest.raises(ValueError, match="unknown terminal kind"):
+            TerminalSpec(kind, coeff)
+
+
 # ------------------------------------------------------------ picard window
 
 def _ball_problem(d=2, radius=0.2, pull=-0.3):
@@ -920,16 +935,21 @@ def _grid_means(a):
        steps=st.integers(1, 4), per_block=st.integers(1, 3),
        specials=st.lists(st.tuples(st.sampled_from("yzg"), st.integers(0, 16),
                                    st.sampled_from(["nan", "inf", "-inf"])), max_size=3),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), cuts=st.none() | st.sets(st.integers(1, 16)))
 @example(shape="ball", d=2, p=2.0, m=5, windows=3, steps=2, per_block=3,
-         specials=[("y", 2, "nan"), ("z", 4, "inf"), ("g", 6, "-inf")], seed=1)
+         specials=[("y", 2, "nan"), ("z", 4, "inf"), ("g", 6, "-inf")], seed=1, cuts=None)
 @example(shape="polytope", d=3, p=3.0, m=200, windows=4, steps=4, per_block=3,
-         specials=[("y", 12, "inf")], seed=2)
+         specials=[("y", 12, "inf")], seed=2, cuts=None)
+# ranges of 3, 1, 2 and 4 nodes under blocks of 3: block and range edges
+# meet at every offset, and node N shares its range with nodes below it
+@example(shape="singleton", d=1, p=2.0, m=7, windows=3, steps=3, per_block=3,
+         specials=[], seed=3, cuts={2, 3, 6, 7})
 def test_streamed_verification_is_bitwise_verify_solution(
-        shape, d, p, m, windows, steps, per_block, specials, seed):
+        shape, d, p, m, windows, steps, per_block, specials, seed, cuts):
     # node N, then windows of `steps` nodes from the top, each a separate
     # array as a solve hands them on, in blocks of per_block nodes that stop
-    # at the window's lowest node
+    # at the window's lowest node; with `cuts`, the grid is cut at those
+    # nodes instead, wherever they fall
     from bsei import geometry
     from bsei.solver import _Verification
     n = windows * steps
@@ -938,6 +958,9 @@ def test_streamed_verification_is_bitwise_verify_solution(
     for name, node, kind in specials:
         getattr(sol, name)[node % (n + 1), rng.integers(m), rng.integers(d)] = float(kind)
     ranges = [(n, n + 1)] + [(w * steps, (w + 1) * steps) for w in reversed(range(windows))]
+    if cuts is not None:
+        edges = sorted({0, n + 1} | {c for c in cuts if c <= n})
+        ranges = list(zip(edges[:-1], edges[1:]))[::-1]
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(geometry, "_CHUNK_ENTRIES", per_block * m * d)
         want = verify_solution(sol, prob)
