@@ -24,12 +24,12 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergenceError, ScheduleError
+from .errors import ConfigError, NonConvergenceError
 from .gamma import FiniteRankOperator, gamma_norm
 from .geometry import CLOSED_FORM_TOL, Ball, Polytope, SetValuedSpec, Singleton
 from .paths import TimeGrid
 from .solver import BSEIProblem, SolverConfig, TerminalSpec
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITES
 
 _INCLUSION_THRESHOLD = 1e-8
 _EQUATION_THRESHOLD = 0.05
@@ -226,7 +226,10 @@ def load_config(path: str):
                      generator=generator, terminal=terminal, gspec=gspec)
 
     num = _Schema(top.take("numerics"), "numerics")
-    config = SolverConfig(
+    # a min_iter above n_max is named where the config sets it
+    bound = "numerics.min_iter" if "min_iter" in num.data else "numerics.n_max"
+    config = _build(
+        bound, SolverConfig,
         steps_per_window=num.take("steps_per_window", _number(4, 10_000, integer=True)),
         n_paths=num.take("paths", _number(100, 10_000_000, integer=True)),
         seed=num.take("seed", _seed),
@@ -378,10 +381,10 @@ def cmd_solve(config_path: str) -> int:
 
 
 def cmd_validate(suite: str, seed: int) -> int:
-    if suite not in SUITE_NAMES:
+    if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from "
-                          f"{', '.join(SUITE_NAMES)}", field="suite")
-    result = run_suite(suite, seed=_build("seed", _seed, seed))
+                          f"{', '.join(SUITES)}", field="suite")
+    result = SUITES[suite](_build("seed", _seed, seed))
     print(json.dumps(result, indent=2))
     return 0 if result["passed"] else 1
 
@@ -404,7 +407,7 @@ def cmd_gamma_norm(path: str) -> int:
     window = top.take("window", _vector(2))
     h, e = top.take("terms", _terms)
     sampling = {"n_gauss": 100_000, "seed": 0, **top.take_present({
-        "n_gauss": _number(1, 10_000_000, integer=True), "seed": _seed})}
+        "n_gauss": _number(2, 10_000_000, integer=True), "seed": _seed})}
     top.finish()
     # the terms are checked: the operator can refuse only the window
     est = gamma_norm(_build("window", FiniteRankOperator, window, h, e), **sampling)
@@ -437,7 +440,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args.suite, seed=args.seed)
         return cmd_gamma_norm(args.operator)
-    except (ConfigError, ScheduleError) as exc:
+    except ConfigError as exc:
         print(f"config error [{exc.field}]: {exc}", file=sys.stderr)
         return 2
 

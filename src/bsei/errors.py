@@ -7,14 +7,18 @@ class BseiError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ScheduleError(BseiError, ValueError):
-    """The contraction constants admit no finite window length or count, or
-    plan more grid than the machine can hold; ``field`` names the config
-    entry to change."""
+class ConfigError(BseiError, ValueError):
+    """Invalid run configuration; ``field`` names the offending entry."""
 
-    def __init__(self, message: str, field: str = "problem.generator"):
+    def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+class ScheduleError(ConfigError):
+    """The contraction constants admit no finite window length or count, or
+    plan more grid than the machine can hold; every raise names the config
+    entry to change in ``field``."""
 
 
 class NonConvergenceError(BseiError):
@@ -27,11 +31,3 @@ class NonConvergenceError(BseiError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; ``field`` names the offending entry."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field

@@ -104,21 +104,24 @@ def _orthonormalize(op: FiniteRankOperator):
 def gamma_norm(op: FiniteRankOperator, n_gauss: int, seed: int) -> GammaNormEstimate:
     """Gaussian-sum norm (E||sum_i g_i e~_i||^2)^{1/2} of the operator.
 
-    Estimated with ``n_gauss`` independent standard Gaussian draws per
+    Estimated with ``n_gauss`` >= 2 independent standard Gaussian draws per
     orthonormalized term, and cross-checked against the Euclidean closed
     form (sum_i ||e~_i||^2)^{1/2}.
 
     The work runs in units of the powers of two 2^a and 2^b nearest above
-    the largest |entry| of h and of e, so that squares of tiny or huge
-    entries stay in range; the norms scale by 2^(a + b), restored with
-    ldexp.  Powers of two scale exactly: wherever the unscaled arithmetic
-    neither underflows nor overflows, the results are bitwise the same.
-    Draws that would not fit in physical memory raise ``ConfigError``.
+    the largest |entry| of h and of e, and the window in units of 4^c near
+    t - s, so that squares of tiny or huge entries and cell widths stay in
+    range; the norms scale by 2^(a + b + c), restored with ldexp.  Powers of
+    two scale exactly: wherever the unscaled arithmetic neither underflows
+    nor overflows, the results are bitwise the same.  Draws that would not
+    fit in physical memory raise ``ConfigError``.
     """
-    if n_gauss < 1:
-        raise ValueError("n_gauss must be >= 1")
+    if n_gauss < 2:
+        raise ValueError("n_gauss must be >= 2")
     a, b = (int(np.frexp(np.abs(x).max())[1]) for x in (op.h, op.e))
-    scaled = replace(op, h=np.ldexp(op.h, -a), e=np.ldexp(op.e, -b))
+    c = int(np.frexp(op.window[1] - op.window[0])[1]) // 2
+    scaled = replace(op, window=np.ldexp(op.window, -2 * c),
+                     h=np.ldexp(op.h, -a), e=np.ldexp(op.e, -b))
     e_tilde, dropped = _orthonormalize(scaled)
     exact = float(np.sqrt(np.sum(e_tilde**2)))
     if e_tilde.shape[0] == 0:
@@ -133,9 +136,9 @@ def gamma_norm(op: FiniteRankOperator, n_gauss: int, seed: int) -> GammaNormEsti
     norms_sq = np.sum((draws @ e_tilde) ** 2, axis=1)
     mean_sq = float(norms_sq.mean())
     mc = float(np.sqrt(mean_sq))
-    se_mean = float(norms_sq.std(ddof=1) / np.sqrt(n_gauss)) if n_gauss > 1 else 0.0
+    se_mean = float(norms_sq.std(ddof=1) / np.sqrt(n_gauss))
     se = se_mean / (2.0 * mc) if mc > 0.0 else se_mean
-    return GammaNormEstimate(*(float(np.ldexp(x, a + b)) for x in (mc, exact, se)),
+    return GammaNormEstimate(*(float(np.ldexp(x, a + b + c)) for x in (mc, exact, se)),
                              dropped)
 
 

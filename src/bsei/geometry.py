@@ -113,13 +113,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _dots(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """<x, u> for a point or rows x (..., d) and each direction of a stack u
-    (..., d): one matrix-vector product per direction, so a direction's
-    values do not depend on the stack it came in."""
-    return (x @ u[..., None])[..., 0]
-
-
 @dataclass(frozen=True)
 class Ball:
     """Closed Euclidean ball B(center, radius)."""
@@ -146,7 +139,7 @@ class Ball:
         return self.center[None], np.array([self.radius])
 
     def _support(self, u: np.ndarray) -> np.ndarray:
-        return _dots(self.center, u) + self.radius * _norm(u)
+        return _dot_last(self.center, u) + self.radius * _norm(u)
 
     def _excess(self, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
         # |p - c| + (r - s), not r - (s - |p - c|): translates of one ball then
@@ -227,7 +220,7 @@ def _face_table(vertices: np.ndarray) -> tuple:
 
 def _hull(vertices: np.ndarray, faces: tuple) -> tuple:
     """Outward unit normals (F, d) of the facets, and the face table cut to
-    the faces that lie on a facet.
+    the faces that lie on a facet, all of it that a projection reads.
 
     A d-subset of the table spans a facet when every vertex lies on one side
     of its hyperplane, and a face lies on a facet when all its vertices do,
@@ -259,15 +252,13 @@ def _hull(vertices: np.ndarray, faces: tuple) -> tuple:
 class Polytope:
     """Convex hull of a nonempty list of vertices, one per row.
 
-    Construction builds the face table of the projection once, and from it
-    the facets and the faces that lie on them; at most ``MAX_FACE_SUBSETS``
-    vertex subsets of size <= d + 1 are accepted.
+    Construction builds the face table of the projection once and keeps
+    only ``_hull`` of it, the facets and the faces on them; at most
+    ``MAX_FACE_SUBSETS`` vertex subsets of size <= d + 1 are accepted.
     """
 
     vertices: np.ndarray
-    # both set by translate
-    _faces: tuple = field(default=(), repr=False, compare=False)
-    _hull: tuple = field(default=(), repr=False, compare=False)
+    _hull: tuple = field(default=(), repr=False, compare=False)  # set by translate
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -276,23 +267,23 @@ class Polytope:
         if not np.all(np.isfinite(v)):
             raise ValueError("polytope vertices must be finite")
         object.__setattr__(self, "vertices", _frozen(v))
-        object.__setattr__(self, "_faces", self._faces or _face_table(self.vertices))
-        object.__setattr__(self, "_hull", self._hull or _hull(self.vertices, self._faces))
+        object.__setattr__(self, "_hull", self._hull
+                           or _hull(self.vertices, _face_table(self.vertices)))
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
     def translate(self, shift) -> Polytope:
-        """The set moved by ``shift``, sharing this polytope's face table."""
-        return Polytope(self.vertices + as_point(shift, self.dim), self._faces, self._hull)
+        """The set moved by ``shift``, sharing this polytope's facets and faces."""
+        return Polytope(self.vertices + as_point(shift, self.dim), self._hull)
 
     @property
     def _balls(self) -> tuple:
         return self.vertices, np.zeros(len(self.vertices))
 
     def _support(self, u: np.ndarray) -> np.ndarray:
-        return _dots(self.vertices, u).max(axis=-1)
+        return _dot_last(self.vertices, u[..., None, :]).max(axis=-1)
 
     def _heights(self, p: np.ndarray) -> np.ndarray:
         """n.(p - v0) for each facet normal n and each point of an (m, d)
@@ -328,7 +319,7 @@ class Polytope:
         flat = p.reshape(-1, self.dim)
         normals, offsets = self._facets
         if not len(normals):
-            return self._enumerate(flat, self._faces).reshape(p.shape)
+            return self._enumerate(flat, self._hull[1]).reshape(p.shape)
         # NaN heights, of non-finite or overflowing points, fail the test
         inside = np.empty(len(flat), dtype=bool)
         step = max(1, _CHUNK_ENTRIES // len(normals))

@@ -224,7 +224,8 @@ class Solution:
 @dataclass(frozen=True)
 class SolverConfig:
     """Numerics of a run.  These defaults are the package's only ones: the
-    CLI passes on just the fields a config file sets."""
+    CLI passes on just the fields a config file sets.  A ``min_iter`` above
+    ``n_max`` could never converge, so it raises ``ValueError``."""
 
     steps_per_window: int = 40
     n_paths: int = 10_000
@@ -237,6 +238,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        if self.min_iter > self.n_max:
+            raise ValueError(f"min_iter {self.min_iter} is above n_max {self.n_max}")
 
 
 def _nodes_per_chunk(node: np.ndarray) -> int:

@@ -196,12 +196,5 @@ def _finish(name: str, checks: list) -> dict:
             "checks": checks}
 
 
-_SUITES = {"geometry": geometry_suite, "gamma": gamma_suite, "ito": ito_suite,
-           "representation": representation_suite}
-SUITE_NAMES = tuple(_SUITES)
-
-
-def run_suite(name: str, seed: int = 2024) -> dict:
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _SUITES[name](seed)
+SUITES = {"geometry": geometry_suite, "gamma": gamma_suite, "ito": ito_suite,
+          "representation": representation_suite}

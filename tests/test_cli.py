@@ -154,6 +154,43 @@ def test_validate_unknown_suite(capsys):
     assert main(["validate", "nonsense"]) == 2
 
 
+def test_validate_unknown_suite_names_the_suite_field(capsys):
+    assert main(["validate", "nope"]) == 2
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
+    assert out.out == "" and len(err) == 1
+    assert err[0].startswith("config error [suite]"), err[0]
+
+
+def test_every_input_error_is_a_config_error():
+    # the CLI catches ConfigError alone, so a schedule refusal must be one
+    from bsei.errors import BseiError, ConfigError, ScheduleError
+
+    assert issubclass(ScheduleError, ConfigError)
+    assert issubclass(ConfigError, BseiError) and issubclass(ConfigError, ValueError)
+    assert ScheduleError("no window").field is None
+
+
+@pytest.mark.parametrize("numerics, field", [
+    ({"min_iter": 30, "n_max": 5}, "numerics.min_iter"),
+    ({"min_iter": 30}, "numerics.min_iter"),  # above the default n_max, 25
+    ({"n_max": 1}, "numerics.n_max"),  # below the default min_iter, 2
+])
+def test_min_iter_above_n_max_exits_two(tmp_path, capsys, numerics, field):
+    # such a loop can never stop converged: it used to run to n_max and exit 3
+    from bsei.solver import SolverConfig
+
+    with pytest.raises(ValueError):
+        SolverConfig(**numerics)
+    cfg = demo_config(tmp_path, **{f"numerics.{k}": v for k, v in numerics.items()})
+    assert main(["solve", write(tmp_path, cfg)]) == 2
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
+    assert out.out == "" and len(err) == 1
+    assert err[0].startswith(f"config error [{field}]"), err[0]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_validate_representation_passes(capsys):
     assert main(["validate", "representation"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -212,6 +249,8 @@ _UNIT_TERM = {"h": [1.0], "e": [1.0]}
     ({"window": [0.0, 1.0], "terms": [{"h": [False, 1.0], "e": ["2"]}]}, "terms"),
     ({"window": [0.0, "1"], "terms": [_UNIT_TERM]}, "window"),
     ({"window": [False, True], "terms": [_UNIT_TERM]}, "window"),
+    # one draw has no standard error: it used to be reported as 0.0
+    ({"window": [0.0, 1.0], "terms": [_UNIT_TERM], "n_gauss": 1}, "n_gauss"),
 ])
 def test_gamma_norm_rejects_hostile_operators(tmp_path, capsys, op, field):
     import warnings

@@ -140,6 +140,27 @@ def test_terms_after_a_full_basis_are_projected_in_one_product(k, cells, depende
     assert exact == pytest.approx(want_exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_gauss", [0, 1])
+def test_gamma_norm_needs_two_draws(n_gauss):
+    # one draw has no standard error: it used to be reported as 0.0
+    op = FiniteRankOperator((0.0, 1.0), [[1.0]], [[1.0]])
+    with pytest.raises(ValueError):
+        gamma_norm(op, n_gauss, seed=0)
+
+
+@pytest.mark.parametrize("k", [100, 0, -100, -500, -535, -537])
+def test_gamma_norm_scales_bitwise_with_the_window(k):
+    # the window [0, 4^k] has 2^k times the norms of [0, 1], subnormal widths
+    # included: its cell width is measured in a power-of-two unit too
+    rng = np.random.default_rng(17)
+    h, e = rng.normal(size=(3, 7)), rng.normal(size=(3, 2))
+    want = gamma_norm(FiniteRankOperator((0.0, 1.0), h, e), 1000, seed=3)
+    got = gamma_norm(FiniteRankOperator((0.0, math.ldexp(1.0, 2 * k)), h, e), 1000,
+                     seed=3)
+    for name in ("exact", "monte_carlo", "standard_error"):
+        assert getattr(got, name) == math.ldexp(getattr(want, name), k), name
+
+
 def test_norm_invariant_under_orthogonal_remix():
     rng = np.random.default_rng(7)
     h = np.linalg.qr(rng.normal(size=(16, 3)))[0].T * np.sqrt(16.0)  # orthonormal rows

@@ -326,7 +326,7 @@ def test_polytope_projection_matches_full_table_enumeration(case):
     poly, pts, n_inside = case
     v = poly.vertices
     got = project(pts, poly)
-    want = poly._enumerate(pts, poly._faces)
+    want = poly._enumerate(pts, geometry._face_table(v))
     for p, x, ref in zip(pts, got, want):
         scale = max(np.abs(v).max(), np.abs(p).max())
         assert np.max((v - x) @ (p - x)) <= 1e-12 * scale**2
@@ -354,7 +354,7 @@ def test_non_simplicial_facets_project_as_the_full_table():
     pts = np.array(np.meshgrid(grid, grid, grid)).reshape(3, -1).T
     for poly in (cube, pyramid):
         got = project(pts, poly)
-        want = poly._enumerate(pts, poly._faces)
+        want = poly._enumerate(pts, geometry._face_table(poly.vertices))
         assert np.abs(got - want).max() <= 1e-15
         inside = np.all(poly._heights(pts) <= poly._facets[1][:, None], axis=0)
         assert got[inside].tobytes() == pts[inside].tobytes()
@@ -484,8 +484,9 @@ def test_polytope_table_and_facets_scale_bitwise_under_powers_of_two(s):
     for verts in (rng.normal(size=(6, 3)), rng.normal(size=(5, 2)),
                   np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [3.0, -1.0, 0.0]])):
         poly, scaled = Polytope(verts), Polytope(np.ldexp(verts, s))
-        assert len(poly._faces) == len(scaled._faces)
-        for (idx, w, proj), (idx_s, w_s, proj_s) in zip(poly._faces, scaled._faces):
+        table, table_s = (geometry._face_table(p.vertices) for p in (poly, scaled))
+        assert len(table) == len(table_s)
+        for (idx, w, proj), (idx_s, w_s, proj_s) in zip(table, table_s):
             assert np.array_equal(idx, idx_s)
             assert np.ldexp(w, -s).tobytes() == w_s.tobytes()
             assert proj.tobytes() == proj_s.tobytes()
