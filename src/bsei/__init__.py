@@ -6,12 +6,6 @@ underlying stochastic-integration identities (Gaussian-sum norms, the Ito
 isometry, martingale representation).
 """
 
-import os as _os
-
-if _os.environ.get("BSEI_THREADS"):  # BLAS reads it when numpy loads, below
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["BSEI_THREADS"])
-
 from .errors import (
     BseiError,
     ConfigError,

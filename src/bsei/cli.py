@@ -10,8 +10,7 @@ Subcommands:
 Exit codes: 0 success, 1 validation-suite failure, 2 input error (an
 unwritable output, two outputs on one file and an output on the config
 file included), 3 numerical non-convergence, a non-finite iterate or
-residuals above threshold.  Set BSEI_THREADS to pin the BLAS thread
-count; the package applies it on import, before numpy loads.
+residuals above threshold.
 """
 
 from __future__ import annotations

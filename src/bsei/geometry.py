@@ -31,8 +31,8 @@ CLOSED_FORM_TOL = 1e-9
 # rather than slowed down.
 MAX_FACE_SUBSETS = 4096
 
-# Point x face x coordinate entries, or point x facet heights, evaluated at
-# once; bounds the temporaries of a polytope projection over a large stack.
+# Point x face x coordinate entries evaluated at once; bounds the
+# temporaries of a polytope projection over a large stack.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -312,28 +312,30 @@ class Polytope:
         return out
 
     def _nearest(self, p: np.ndarray) -> np.ndarray:
-        """Nearest points: a point that meets every facet inequality is its
-        own, bitwise; the others are enumerated over the faces on a facet,
-        where by Caratheodory the nearest point of an outside point lies.  A
-        polytope without interior enumerates its whole face table."""
+        """Nearest points, ``_CHUNK_ENTRIES // (d x boundary faces)`` at a
+        time: a point that meets every facet inequality is its own, bitwise;
+        the others go to ``_enumerate`` over the boundary faces, where by
+        Caratheodory the nearest point of an outside point lies.  Without
+        interior there are no facets and the whole table is boundary.  There
+        are at most twice as many facets as boundary faces, so the heights
+        are bounded too."""
         flat = p.reshape(-1, self.dim)
         normals, offsets = self._facets
-        if not len(normals):
-            return self._enumerate(flat, self._hull[1]).reshape(p.shape)
-        # NaN heights, of non-finite or overflowing points, fail the test
-        inside = np.empty(len(flat), dtype=bool)
-        step = max(1, _CHUNK_ENTRIES // len(normals))
-        for lo in range(0, len(flat), step):
-            heights = self._heights(flat[lo:lo + step])
-            inside[lo:lo + step] = np.all(heights <= offsets[:, None], axis=0)
+        faces = self._hull[1]
+        step = max(1, _CHUNK_ENTRIES // (sum(len(idx) for idx, _, _ in faces) * self.dim))
         out = flat.copy()
-        out[~inside] = self._enumerate(flat[~inside], self._hull[1])
+        for lo in range(0, len(flat), step):
+            chunk = flat[lo:lo + step]
+            # NaN heights, of non-finite or overflowing points, fail the test
+            inside = (np.all(self._heights(chunk) <= offsets[:, None], axis=0)
+                      & bool(len(normals)))
+            out[lo:lo + step][~inside] = self._enumerate(chunk[~inside], faces)
         return out.reshape(p.shape)
 
     def _enumerate(self, flat: np.ndarray, faces: tuple) -> np.ndarray:
         """Nearest points of the points ``flat`` (m, d) by enumeration of the
-        face table ``faces``; with the whole table it is exact for every
-        point.
+        face table ``faces``, in one pass of m x faces x d entries, so the
+        caller bounds m; with the whole table it is exact for every point.
 
         A candidate projects p onto the affine hull of one vertex subset and
         is admissible when its barycentric weights are >= 0 (it lies in the
@@ -346,44 +348,35 @@ class Polytope:
         The two factors of a score are within a small multiple of the
         polytope's extent and of a point's reach (its largest coordinate
         distance from vertex 0, or the extent); a score in units of both
-        neither under- nor overflows, and moves by an exact power of two."""
-        d = self.dim
+        neither under- nor overflows, and moves by an exact power of two.
+        Every quantity is per point, so a point's result does not depend on
+        the others in ``flat``."""
         verts = self.vertices
-        out = np.empty_like(flat)
         extent = np.ptp(verts, axis=0).max()
         reach = np.maximum(_abs_max_last(flat - verts[0]), extent)
         shift = -(np.frexp(extent)[1] + np.frexp(reach)[1])[:, None, None]
-        n_faces = sum(len(idx) for idx, _, _ in faces)
-        step = max(1, _CHUNK_ENTRIES // (n_faces * d))
-        for lo in range(0, len(flat), step):
-            q = flat[lo:lo + step, None, :]
-            cands, scores = [], []
-            for idx, weights, proj in faces:
-                v0 = verts[idx[:, 0]]
-                r = q - v0
-                x = v0 + _dot_last(proj, r[..., None, :])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    lam = _dot_last(weights, r[..., None, :])
-                    lam[..., -1] += 1.0
-                    ok = np.all(lam >= 0.0, axis=-1)
-                    # the largest <v - x, q - x>, one vertex v at a time
-                    w = np.ldexp(q - x, shift[lo:lo + step])
-                    kkt = np.full(ok.shape, -np.inf)
-                    for v in verts:
-                        np.maximum(kkt, _dot_last(v - x, w), out=kkt)
-                cands.append(x)
-                scores.append(np.where(ok, kkt, np.inf))
-            best = np.argmin(np.concatenate(scores, axis=1), axis=1)
-            out[lo:lo + step] = np.concatenate(cands, axis=1)[np.arange(len(best)), best]
-        return out
+        q = flat[:, None, :]
+        cands, scores = [], []
+        for idx, weights, proj in faces:
+            v0 = verts[idx[:, 0]]
+            r = q - v0
+            x = v0 + _dot_last(proj, r[..., None, :])
+            with np.errstate(over="ignore", invalid="ignore"):
+                lam = _dot_last(weights, r[..., None, :])
+                lam[..., -1] += 1.0
+                ok = np.all(lam >= 0.0, axis=-1)
+                # the largest <v - x, q - x>, one vertex v at a time
+                w = np.ldexp(q - x, shift)
+                kkt = np.full(ok.shape, -np.inf)
+                for v in verts:
+                    np.maximum(kkt, _dot_last(v - x, w), out=kkt)
+            cands.append(x)
+            scores.append(np.where(ok, kkt, np.inf))
+        best = np.argmin(np.concatenate(scores, axis=1), axis=1)
+        return np.concatenate(cands, axis=1)[np.arange(len(best)), best]
 
 
 ConvexCompactSet = Union[Ball, Polytope]
-
-
-def _check_dims(a, b) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def support(cset: ConvexCompactSet, direction) -> float:
@@ -418,7 +411,8 @@ def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet) -> float:
     distance to a convex set is convex, so each supremum is attained on one
     of those balls, where ``_excess`` gives it.
     """
-    _check_dims(a, b)
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return float(max(b._excess(*a._balls).max(), a._excess(*b._balls).max()))
 
 

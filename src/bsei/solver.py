@@ -440,9 +440,9 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig(), *,
 class ResidualReport:
     inclusion_max: float
     equation: np.ndarray  # (N + 1,) per-node sample norms
-    y_modulus: float = 0.0  # max one-step increment of Y in sample L^p
-    y_mean: np.ndarray | None = None  # (N + 1, d) per-node path means of Y
-    z_mean: np.ndarray | None = None  # and of Z
+    y_modulus: float  # max one-step increment of Y in sample L^p
+    y_mean: np.ndarray  # (N + 1, d) per-node path means of Y
+    z_mean: np.ndarray  # and of Z
 
     @property
     def equation_max(self) -> float:

@@ -16,13 +16,15 @@ from .paths import (TimeGrid, from_function, lp_l2_norm, martingale_representati
                     simulate_brownian)
 
 
-def _check(report: list, name: str, value: float, bound: float,
-           larger_ok: bool = False) -> None:
-    passed = value >= bound if larger_ok else value <= bound
+def _check(report: list, name: str, value: float, bound: float | None = None) -> None:
+    """Append the record of one numeric check, which passes when ``value`` is
+    at most ``bound``; a value without a bound is reported only, with bound
+    None, and passes."""
+    passed = bound is None or value <= bound
     report.append({
         "name": name,
         "value": float(value),
-        "bound": float(bound),
+        "bound": bound if bound is None else float(bound),
         "passed": bool(passed),
     })
 
@@ -105,8 +107,7 @@ def gamma_suite(seed: int = 2024, n_gauss: int = 100_000) -> dict:
             indicator_value = est.monte_carlo
     _check(checks, "indicator gamma-norm MC relative error", worst_rel, 0.02)
     _check(checks, "indicator gamma-norm closed-form gap", worst_exact, 1e-12)
-    checks.append({"name": "indicator gamma-norm sample value",
-                   "value": float(indicator_value), "bound": None, "passed": True})
+    _check(checks, "indicator gamma-norm sample value", indicator_value)
 
     # norm invariance under orthogonal remixing of the scalar factors
     h = np.zeros((2, 8))
@@ -151,8 +152,7 @@ def ito_suite(seed: int = 2024, n_paths: int = 100_000) -> dict:
     for p in (1.5, 3.0):
         phi = from_function(bm, integrands["brownian"], 2)
         rep = ito_isomorphism_report(phi, bm, p)
-        checks.append({"name": f"p={p} isomorphism ratio (reported)",
-                       "value": float(rep.ratio), "bound": None, "passed": True})
+        _check(checks, f"p={p} isomorphism ratio (reported)", rep.ratio)
     return _finish("ito", checks)
 
 
@@ -185,9 +185,7 @@ def representation_suite(seed: int = 2024, n_paths: int = 10_000) -> dict:
     tau_sq = sum(dt * dt * float(np.mean(np.sum(t**2, axis=(0, 2))))
                  for t in rep.taus if t.size)
     g_norm = lp_l2_norm(g, dt, 2.0)
-    checks.append({"name": "kernel/source norm ratio (reported)",
-                   "value": float(np.sqrt(tau_sq) / g_norm), "bound": None,
-                   "passed": True})
+    _check(checks, "kernel/source norm ratio (reported)", np.sqrt(tau_sq) / g_norm)
     return _finish("representation", checks)
 
 

@@ -561,6 +561,30 @@ def test_polytope_projection_in_chunks_matches_one_pass(monkeypatch):
     assert project(pts, poly).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("vertices", [
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.5]],  # with interior
+    [[0.0, 0.0], [1.0, 0.5]],  # a segment in the plane: no facets
+], ids=["pentagon", "segment"])
+def test_polytope_projection_in_several_chunks_is_pointwise(monkeypatch, vertices):
+    # one chunk loop: three points per chunk, each chunk's outside points
+    # enumerated, every point bitwise its own one-point projection
+    poly = Polytope(vertices)
+    rng = np.random.default_rng(12)
+    pts = np.concatenate([
+        [[0.5, 0.5], [0.25, 0.75]],  # inside the pentagon
+        poly.vertices, [[0.5, 0.0], [0.5, 0.25]],  # on the boundary
+        3.0 * rng.normal(size=(11, 2)),  # mostly outside
+        [[np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan]],
+    ])
+    rng.shuffle(pts)
+    n_faces = sum(len(idx) for idx, _, _ in poly._hull[1])
+    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", 3 * 2 * n_faces)
+    got = project(pts, poly)
+    want = np.array([project(p, poly) for p in pts])
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all(axis=1).sum() == len(pts) - 3
+
+
 def test_polytope_rejects_too_many_vertex_subsets():
     rng = np.random.default_rng(10)
     Polytope(rng.normal(size=(29, 2)))  # 29 + 406 + 3654 = 4089 subsets
