@@ -13,6 +13,7 @@ number of paths or steps requested elsewhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -76,14 +77,19 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
-def _philox_normals(seed: int, step: int, n: int) -> np.ndarray:
+def _philox_normals(seed: int, step: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The n standard normals of (seed, step), drawn into ``out`` when given."""
     key = np.array([seed, step], dtype=np.uint64)
-    return Generator(Philox(key=key)).standard_normal(n)
+    return Generator(Philox(key=key)).standard_normal(n, out=out)
 
 
 @dataclass(frozen=True)
 class BrownianEnsemble:
-    """Seeded Gaussian increments dW[k][m] ~ N(0, dt), one stream per step."""
+    """Seeded Gaussian increments dW[k][m] ~ N(0, dt), one stream per step.
+
+    The ensemble keeps the draw alone: W is formed from it by
+    ``levels_from``, on the nodes a caller asks for, and over the whole grid
+    as ``levels`` on first read."""
 
     grid: TimeGrid
     n_paths: int
@@ -98,16 +104,27 @@ class BrownianEnsemble:
             inc = inc.copy()
             inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
-        levels = np.zeros((self.grid.n_steps + 1, self.n_paths))
-        for k, dw in enumerate(inc):  # row by row: cumsum down axis 0 is strided
-            np.add(levels[k], dw, out=levels[k + 1])
-        levels.setflags(write=False)
-        object.__setattr__(self, "_levels", levels)
 
-    @property
+    def levels_from(self, w_lo, k_lo: int, k_hi: int) -> np.ndarray:
+        """W at the nodes k_lo, ..., k_hi, a (k_hi - k_lo + 1, M) array, from
+        W[k_lo] = ``w_lo``: each row is the one below plus its step's
+        increment, the one way W is formed, so rows rebuilt from any node
+        carry the bits of ``levels``."""
+        if not 0 <= k_lo <= k_hi <= self.grid.n_steps:
+            raise ValueError(f"nodes [{k_lo}, {k_hi}] leave the grid of "
+                             f"{self.grid.n_steps} steps")
+        out = np.empty((k_hi - k_lo + 1, self.n_paths))
+        out[0] = w_lo
+        for j, dw in enumerate(self.increments[k_lo:k_hi]):  # cumsum down axis 0 is strided
+            np.add(out[j], dw, out=out[j + 1])
+        return out
+
+    @functools.cached_property
     def levels(self) -> np.ndarray:
-        """Brownian values W[k][m] at the grid nodes, W[0] = 0."""
-        return self._levels
+        """Brownian values W[k][m] at the grid nodes, W[0] = 0, read-only."""
+        levels = self.levels_from(0.0, 0, self.grid.n_steps)
+        levels.setflags(write=False)
+        return levels
 
 
 def simulate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemble:
@@ -117,8 +134,9 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> BrownianEnsemb
     _check_seed(seed)
     sq = np.sqrt(grid.dt)
     inc = np.empty((grid.n_steps, n_paths))
-    for k in range(grid.n_steps):
-        inc[k] = sq * _philox_normals(seed, k, n_paths)
+    for k, row in enumerate(inc):  # each step drawn into its row, then scaled there
+        _philox_normals(seed, k, n_paths, out=row)
+        row *= sq
     inc.setflags(write=False)  # no one else holds the draw: the ensemble keeps it
     return BrownianEnsemble(grid, n_paths, seed, inc)
 
@@ -388,16 +406,18 @@ class KernelRegression:
         return self._design @ (self._c @ q_t)
 
 
-def step_designs(bm: BrownianEnsemble, k_lo: int, n_steps: int,
+def step_designs(bm: BrownianEnsemble, k_lo: int, levels: np.ndarray,
                  degree: int) -> list:
-    """Per step k_lo, ..., k_lo + n_steps - 1: the factored basis projection
-    on the Brownian value W[k], as it is (the basis takes its own unit), and
-    its kernel variant on the increment dW[k].  The steps' base Grams are
-    factored in one batch and then their joint Grams in another, a
-    ``_cholesky_qr`` call per Gram size (W at time zero has one column)."""
-    steps = range(k_lo, k_lo + n_steps)
-    bases = _batch(PolynomialRegression, [(bm.levels[k], degree) for k in steps])
-    kernels = _batch(KernelRegression, [(b, bm.increments[k]) for b, k in zip(bases, steps)])
+    """Per step k = k_lo, ..., k_lo + len(levels) - 1: the factored basis
+    projection on the Brownian value W[k] = ``levels[k - k_lo]``, as it is
+    (the basis takes its own unit), and its kernel variant on the increment
+    dW[k].  The steps' base Grams are factored in one batch and then their
+    joint Grams in another, a ``_cholesky_qr`` call per Gram size (W at time
+    zero has one column).  Each design copies its feature, so the caller's
+    W rows may go once the designs are formed."""
+    bases = _batch(PolynomialRegression, [(w, degree) for w in levels])
+    kernels = _batch(KernelRegression, [(b, bm.increments[k_lo + j])
+                                        for j, b in enumerate(bases)])
     return list(zip(bases, kernels))
 
 
@@ -450,7 +470,7 @@ def martingale_representation(g: np.ndarray, bm: BrownianEnsemble,
     if m != bm.n_paths or n > bm.grid.n_steps + 1:
         raise ValueError(f"process of shape {g.shape} does not fit the Brownian "
                          f"ensemble's {bm.grid.n_steps + 1} nodes x {bm.n_paths} paths")
-    designs = step_designs(bm, 0, n - 1, basis_degree)
+    designs = step_designs(bm, 0, bm.levels[:n - 1], basis_degree)
     mean_part = g.mean(axis=1)
     taus = []
     residuals = np.empty(n)

@@ -57,8 +57,9 @@ class TerminalSpec:
     def dim(self) -> int:
         return self.coeff.size
 
-    def sample(self, bm: BrownianEnsemble) -> np.ndarray:
-        return np.outer(bm.levels[-1] ** self._KINDS.index(self.kind), self.coeff)
+    def sample(self, w_t: np.ndarray) -> np.ndarray:
+        """xi on paths whose W_T is ``w_t``, an (M,) vector: an (M, dim) array."""
+        return np.outer(w_t ** self._KINDS.index(self.kind), self.coeff)
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,11 @@ def select_generator(g: np.ndarray, y: np.ndarray, z: np.ndarray,
 def picard_solve_interval(problem: BSEIProblem, index: int,
                           terminal_values: np.ndarray, schedule: PicardSchedule,
                           s_dt: np.ndarray, bm: BrownianEnsemble,
-                          config: SolverConfig):
+                          config: SolverConfig, w_lo: np.ndarray):
     """Fixed-point iteration of (Y, Z) on window ``index``, the grid nodes
     k_lo = index * ``config.steps_per_window`` <= k < k_hi = k_lo +
-    ``config.steps_per_window``, from Y at k_hi, ``terminal_values``.
+    ``config.steps_per_window``, from Y at k_hi, ``terminal_values``; the
+    window's W is rebuilt from its lower edge W[k_lo] = ``w_lo``.
 
     The iteration starts from Y = the path mean of ``terminal_values`` at
     every node and Z = 0, so a window whose Y stays at its terminal mean
@@ -298,7 +300,8 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
         raise ValueError(f"window {index} leaves the grid of {bm.grid.n_steps} steps")
     p = problem.exponent
     times = bm.grid.nodes[k_lo:k_hi]
-    designs = step_designs(bm, k_lo, n, config.basis_degree)
+    # the W rows live only while the designs copy them
+    designs = step_designs(bm, k_lo, bm.levels_from(w_lo, k_lo, k_hi - 1), config.basis_degree)
     zero = z = np.broadcast_to(0.0, (n, bm.n_paths, problem.dim))  # only read
     # Y starts from the path mean of its terminal data at every node, a
     # deterministic start, so every iterate is adapted; the mean is tiled over
@@ -334,14 +337,16 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
 
 def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig,
                     keep_paths: bool = True) -> int:
-    """Bytes per path of a solve's arrays: W at every node, dW per step, a
+    """Bytes per path of a solve's arrays: dW per step, W at the n_win + 1
+    window edges and on the n + 1 nodes of one window (the edge pass builds
+    each window's W from its lower edge; a window rebuilds its n nodes), a
     window's designs (basis_degree + 1 columns a step), its two (Y, Z)
     iterates and their g, the last window's (Y, Z, g), held until the next
     window returns, the (M, d) tile its Y starts from, and with
     ``keep_paths`` Y, Z and g at every node."""
     n = config.steps_per_window
     grids = 3 * dim * (n_steps + 1) if keep_paths else 0
-    return 8 * (grids + (n_steps + 1) + n_steps
+    return 8 * (grids + n_steps + (n_steps // n + 1) + (n + 1)
                 + 8 * dim * n + dim + n * (config.basis_degree + 1))
 
 
@@ -379,7 +384,9 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig(), *,
     window after it, the last from node N, set first.  Each window is
     verified as it lands, node N first, so the SolveReport carries
     per-window iteration diagnostics and the one residual pass of the run,
-    with the per-node path means of Y and Z.  Returns (Solution, report):
+    with the per-node path means of Y and Z.  W is held at the window edges
+    alone, one forward pass from W_0 = 0, and each window rebuilds its own
+    from its lower edge: ``bm.levels`` is never formed.  Returns (Solution, report):
     the concatenated Solution, which carries the Brownian ensemble and
     S(dt) of the run, or None with ``keep_paths=False``, in which case no
     (N + 1) x M x d array is allocated and the memory budget counts none.
@@ -411,8 +418,14 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig(), *,
         for full, part in zip(grids, triple):
             full[k_lo:k_lo + len(part)] = part
 
+    # W at the window edges k = w n; each window's rows are dropped once its
+    # upper edge is read
+    n = config.steps_per_window
+    edges = np.zeros((n_win + 1, config.n_paths))
+    for w in range(n_win):
+        edges[w + 1] = bm.levels_from(edges[w], w * n, (w + 1) * n)[-1]
     # node N belongs to no window: (xi, 0) and its selection from g = 0
-    y_loc = problem.terminal.sample(bm)[None]
+    y_loc = problem.terminal.sample(edges[-1])[None]
     z_loc = np.zeros_like(y_loc)
     g_loc = select_generator(z_loc, y_loc, z_loc, grid.nodes[n_total:], problem.gspec)
     land(n_total, y_loc, z_loc, g_loc)
@@ -422,7 +435,7 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig(), *,
         # (singleton_demo: 2.6x minor faults)
         try:
             y_loc, z_loc, g_loc, wrep = picard_solve_interval(
-                problem, w, y_loc[0], schedule, s_dt, bm, config)
+                problem, w, y_loc[0], schedule, s_dt, bm, config, edges[w])
         except NonConvergenceError as exc:
             report.windows.insert(0, exc.report)
             report.runtime_seconds = time.perf_counter() - t0
@@ -562,6 +575,6 @@ def _rebuild_z(sol: Solution, basis_degree: int, nodes) -> dict:
     n = sol.grid.n_steps
     wanted = set(int(u) for u in nodes)
     lo = min(wanted, default=n)
-    designs = step_designs(sol.bm, lo, n - lo, basis_degree)
+    designs = step_designs(sol.bm, lo, sol.bm.levels[lo:n], basis_degree)
     _, z = solve_linear_bsee(sol.g[lo:n], sol.y[n], sol.s_dt, sol.grid.dt, designs)
     return {u: z[u - lo] for u in wanted}

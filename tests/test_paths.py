@@ -91,8 +91,9 @@ def test_brownian_moments():
 
 
 def test_draw_is_kept_without_a_copy():
-    # the ensemble keeps simulate_brownian's read-only draw as it is: the
-    # peak is the increments and levels it keeps, not a third copy
+    # each step is drawn into its row and scaled there, and the ensemble
+    # keeps that read-only draw as it is, with no W: the peak is the
+    # increments alone, not a per-step temporary, a copy or the levels
     grid, m = TimeGrid(1.0, 450), 10_000
     tracemalloc.start()
     try:
@@ -100,7 +101,7 @@ def test_draw_is_kept_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * 8 * m * (2 * grid.n_steps + 1)
+    assert peak <= 1.05 * 8 * m * grid.n_steps
 
 
 @pytest.mark.parametrize("n, m", [(1, 7), (5, 3), (450, 1000)])
@@ -109,6 +110,35 @@ def test_levels_are_the_cumulative_sum_of_the_draw(n, m):
     bm = simulate_brownian(TimeGrid(1.0, n), m, 31)
     want = np.vstack([np.zeros((1, m)), np.cumsum(bm.increments, axis=0)])
     assert bm.levels.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), m=st.integers(1, 50), seed=st.integers(0, 2**64 - 1),
+       data=st.data())
+def test_levels_rebuilt_from_any_edge_are_the_levels_bits(n, m, seed, data):
+    # W from the node k_lo on, rebuilt from W[k_lo], is the rows of the full
+    # levels bit for bit, and so is W at the edges of windows of any width
+    # chained from W_0 = 0, as a solve forms them
+    bm = simulate_brownian(TimeGrid(1.0, n), m, seed)
+    k_lo = data.draw(st.integers(0, n), label="k_lo")
+    k_hi = data.draw(st.integers(k_lo, n), label="k_hi")
+    rows = bm.levels_from(bm.levels[k_lo], k_lo, k_hi)
+    assert rows.tobytes() == bm.levels[k_lo:k_hi + 1].tobytes()
+    width = data.draw(st.integers(1, n), label="width")
+    edge = np.zeros(m)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        edge = bm.levels_from(edge, lo, hi)[-1]
+        assert edge.tobytes() == bm.levels[hi].tobytes()
+
+
+def test_levels_are_formed_once_on_first_read():
+    bm = simulate_brownian(TimeGrid(1.0, 6), 5, 3)
+    assert "levels" not in vars(bm)  # the ensemble holds the draw alone
+    assert bm.levels is bm.levels and not bm.levels.flags.writeable
+    for k_lo, k_hi in ((-1, 2), (3, 2), (0, 7)):
+        with pytest.raises(ValueError, match="leave the grid"):
+            bm.levels_from(0.0, k_lo, k_hi)
 
 
 def test_writeable_increments_are_copied():
@@ -643,7 +673,7 @@ def test_sweep_is_bitwise_the_per_step_reference(d, per_basis, degree, k_lo, see
     s_dt = np.eye(d) + 0.3 * rng.normal(size=(d, d))
     g, terminal = rng.normal(size=(4, m, d)), rng.normal(size=(m, d))
     y, z = solve_linear_bsee(g, terminal, s_dt, bm.grid.dt,
-                             step_designs(bm, k_lo, 4, degree))
+                             step_designs(bm, k_lo, bm.levels[k_lo:k_lo + 4], degree))
     y_next = terminal
     for k in range(3, -1, -1):
         base = PolynomialRegression(bm.levels[k_lo + k], degree)
@@ -676,7 +706,7 @@ def test_no_design_of_a_shipped_workload_needs_ridge(config, monkeypatch):
         solver.solve(problem, cfg)
     bm = drawn[0]
     for k in range(bm.grid.n_steps):
-        ((base, kern),) = step_designs(bm, k, 1, cfg.basis_degree)
+        ((base, kern),) = step_designs(bm, k, bm.levels[k:k + 1], cfg.basis_degree)
         assert not (base.ridge_used or kern.ridge_used), f"step {k}"
 
 
@@ -690,8 +720,8 @@ def test_step_designs_do_not_see_the_scale_of_the_brownian_values():
     target = np.column_stack([np.cos(bm.levels[-1]), bm.levels[-1] ** 2])
     direct = PolynomialRegression(huge.levels[4], 2).fit(target)
     assert direct.tobytes() == PolynomialRegression(bm.levels[4], 2).fit(target).tobytes()
-    for (base, kern), (hbase, hkern) in zip(step_designs(bm, 1, 7, 2),
-                                            step_designs(huge, 1, 7, 2)):
+    for (base, kern), (hbase, hkern) in zip(step_designs(bm, 1, bm.levels[1:8], 2),
+                                            step_designs(huge, 1, huge.levels[1:8], 2)):
         assert base.fit(target).tobytes() == hbase.fit(target).tobytes()
         assert kern.kernel(target).tobytes() == np.ldexp(hkern.kernel(target), 500).tobytes()
 
@@ -747,9 +777,10 @@ def test_step_designs_keep_one_path_array_per_step():
     # 9.8 MB, 41 such arrays, where the stored Q factors took 28.9 MB
     m, n = 10_000, 40
     bm = simulate_brownian(TimeGrid(1.0, n), m, seed=29)
+    levels = bm.levels[:n]  # formed before the trace: the designs' input
     tracemalloc.start()
     try:
-        designs = step_designs(bm, 0, n, 2)
+        designs = step_designs(bm, 0, levels, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

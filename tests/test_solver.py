@@ -106,7 +106,7 @@ def _sweep(g, terminal, s_dt, bm, degree):
     """solve_linear_bsee on the N left-endpoint nodes of the grid of ``bm``,
     from Y at T: (Y, Z)."""
     return solve_linear_bsee(g, terminal, s_dt, bm.grid.dt,
-                             step_designs(bm, 0, bm.grid.n_steps, degree))
+                             step_designs(bm, 0, bm.levels[:-1], degree))
 
 
 def test_select_singleton_ignores_previous():
@@ -303,7 +303,7 @@ def test_linear_solve_terminal_exact_bitwise():
                        gspec=singleton_spec(2, a_y=0.2))
     sol, _ = solve(prob, SolverConfig(steps_per_window=5, n_paths=300, seed=7,
                                       basis_degree=1))
-    assert sol.y[-1].tobytes() == prob.terminal.sample(sol.bm).tobytes()
+    assert sol.y[-1].tobytes() == prob.terminal.sample(sol.bm.levels[-1]).tobytes()
 
 
 @pytest.mark.parametrize("coeff", [[1e-300, -0.0], [-0.0, 1e300], [1e300, 1e-300]])
@@ -315,7 +315,7 @@ def test_terminal_sample_is_coeff_times_a_power_of_w_t(coeff):
     want = {"constant": np.tile(c, (50, 1)), "linear": np.outer(w, c),
             "quadratic": np.outer(w**2, c)}
     for kind, xi in want.items():
-        assert TerminalSpec(kind, coeff).sample(bm).tobytes() == xi.tobytes()
+        assert TerminalSpec(kind, coeff).sample(w).tobytes() == xi.tobytes()
     for kind in ("cubic", "", ["linear"], None):
         with pytest.raises(ValueError, match="unknown terminal kind"):
             TerminalSpec(kind, coeff)
@@ -348,7 +348,7 @@ def test_picard_singleton_constant_two_iterations():
     y, z, g, rep = picard_solve_interval(prob, 3, np.full((500, 1), 2.0),
                                          sched, s_dt, bm,
                                          SolverConfig(steps_per_window=4,
-                                                      basis_degree=1))
+                                                      basis_degree=1), bm.levels[12])
     assert rep.converged
     assert len(rep.iterations) == 2
     assert rep.iterations[1].dy + rep.iterations[1].dz <= 1e-12
@@ -364,7 +364,7 @@ def test_picard_nonconvergence_carries_report():
         picard_solve_interval(prob, 3, np.ones((600, 2)), sched,
                               matrix_exponential(bm.grid.dt * prob.generator), bm,
                               SolverConfig(steps_per_window=4, basis_degree=1,
-                                           tol=1e-16, n_max=3))
+                                           tol=1e-16, n_max=3), bm.levels[12])
     assert exc.value.report is not None
     assert len(exc.value.report.iterations) == 3
 
@@ -384,7 +384,7 @@ def test_window_length_guard():
             picard_solve_interval(prob, index, np.ones((600, 2)), sched,
                                   s_dt, bm,
                                   SolverConfig(steps_per_window=steps,
-                                               basis_degree=1))
+                                               basis_degree=1), np.zeros(600))
 
 
 # ------------------------------------------------------------------ solve
@@ -403,10 +403,10 @@ def test_solve_single_window_matches_interval_call():
         grid = sol.grid
         bm = simulate_brownian(grid, 400, 12)
         s_dt = matrix_exponential(grid.dt * prob.generator)
-        terminal = prob.terminal.sample(bm)
+        terminal = prob.terminal.sample(bm.levels[-1])
         for w in range(n_win - 1, -1, -1):
             y, z, g, wrep = picard_solve_interval(prob, w, terminal, rep.schedule,
-                                                  s_dt, bm, cfg)
+                                                  s_dt, bm, cfg, bm.levels[8 * w])
             k_lo, k_hi = wrep.k_lo, wrep.k_hi
             assert (k_lo, k_hi) == (8 * w, 8 * w + 8)
             for got, want in ((sol.y, y), (sol.z, z), (sol.g, g)):
@@ -449,7 +449,7 @@ def test_solve_terminal_condition_exact_per_path():
     sol, _ = solve(prob, SolverConfig(steps_per_window=8, n_paths=500, seed=15))
     grid = sol.grid
     bm = simulate_brownian(grid, 500, 15)
-    xi = prob.terminal.sample(bm)
+    xi = prob.terminal.sample(bm.levels[-1])
     assert np.array_equal(sol.y[-1], xi)
 
 
@@ -476,7 +476,7 @@ def test_solve_singleton_reduction_matches_plain_pipeline():
     for w in range(sched.n_windows - 1, -1, -1):
         k_lo, k_hi = w * n_w, (w + 1) * n_w
         n = k_hi - k_lo
-        designs = step_designs(bm, k_lo, n, cfg.basis_degree)
+        designs = step_designs(bm, k_lo, bm.levels[k_lo:k_hi], cfg.basis_degree)
         y = np.tile(y_all[k_hi].mean(axis=0), (n, 400, 1))  # the terminal mean
         z = np.zeros_like(y)
         g = np.zeros_like(y)
@@ -518,7 +518,7 @@ def test_constant_terminal_saves_the_sweep_a_zero_start_spends():
     for w in range(rep.schedule.n_windows - 1, -1, -1):
         k_lo, k_hi = w * n, (w + 1) * n
         times = grid.nodes[k_lo:k_hi]
-        designs = step_designs(sol.bm, k_lo, n, cfg.basis_degree)
+        designs = step_designs(sol.bm, k_lo, sol.bm.levels[k_lo:k_hi], cfg.basis_degree)
         y = z = zero
         for it in range(1, cfg.n_max + 1):
             g = select_generator(zero, y, z, times, prob.gspec)
@@ -553,7 +553,7 @@ def test_no_window_touches_its_right_end(monkeypatch):
     assert len(seen) == sum(len(w.iterations) for w in rep.windows)
     assert set(seen) == {(4, 4)}
     n, m = sol.grid.n_steps, cfg.n_paths
-    xi = prob.terminal.sample(sol.bm)
+    xi = prob.terminal.sample(sol.bm.levels[-1])
     assert np.array_equal(sol.z[n], np.zeros((m, 2)))
     zero = np.zeros((1, m, 2))
     want = select_generator(zero, xi[None], zero, sol.grid.nodes[n:], prob.gspec)
@@ -575,24 +575,25 @@ def test_solve_reports_the_minimal_norm_selection(shape):
 
 
 def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
-    # per path: 8 (7 * 17 + 16) = 1080 bytes of full-grid arrays at N = 16,
-    # d = 2, and 8 (8 * 2 * 4 + 2 + 4 * 3) = 624 more for a window's two
-    # (Y, Z) iterates and their g, the previous window's result, the tile Y
-    # starts from and the window's designs; 700 kB holds 500 paths of the
-    # first alone.  Streamed, the full-grid arrays are W and dW alone,
-    # 8 (17 + 16) = 264 bytes per path, so 444 kB holds 500 paths streamed,
-    # but not with Y, Z and g kept
+    # per path at N = 16, d = 2, 4 windows of n = 4: 8 (6 * 17 + 16) = 944
+    # bytes of Y, Z, g and dW over the whole grid, 8 (5 + 5) = 80 of W at the
+    # 5 window edges and on one window's n + 1 nodes, and 8 (8 * 2 * 4 + 2 +
+    # 4 * 3) = 624 for a window's two (Y, Z) iterates and their g, the
+    # previous window's result, the tile Y starts from and the window's
+    # designs; 700 kB holds 500 paths of the first alone.  Streamed, the
+    # full-grid array is dW alone, 8 * 16 + 80 + 624 = 832 bytes per path, so
+    # 416 kB holds 500 paths streamed, but not with Y, Z and g kept
     import bsei.solver
     from bsei.errors import ScheduleError
     cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
-    for budget, keep_paths in ((700_000, True), (443_999, False)):
+    for budget, keep_paths in ((700_000, True), (415_999, False)):
         monkeypatch.setattr(bsei.solver, "_physical_memory", lambda b=budget: b)
         with pytest.raises(ScheduleError) as exc:
             solve(_ball_problem(), cfg, keep_paths=keep_paths)
         assert exc.value.field == "numerics.paths"
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 852_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 824_000)
     assert solve(_ball_problem(), cfg)[1].converged
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 444_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 416_000)
     sol, rep = solve(_ball_problem(), cfg, keep_paths=False)
     assert sol is None and rep.converged
     with pytest.raises(ScheduleError):
@@ -620,6 +621,45 @@ def test_traced_peak_stays_within_the_memory_budget(config, keep_paths):
         tracemalloc.stop()
     budget = _bytes_per_path(rep.n_steps_total, problem.dim, cfg, keep_paths) * cfg.n_paths
     assert peak <= 1.05 * budget
+
+
+@pytest.mark.parametrize("keep_paths", [False, True], ids=["streamed", "kept"])
+@pytest.mark.parametrize("shape", ["singleton", "ball", "polytope"])
+def test_solve_never_forms_the_levels(shape, keep_paths, monkeypatch):
+    # a solve holds W at the window edges and rebuilds each window's rows from
+    # its lower edge, so W at all N + 1 nodes is never formed
+    from bsei.paths import BrownianEnsemble
+
+    def levels(bm):
+        raise AssertionError("the solve read BrownianEnsemble.levels")
+
+    monkeypatch.setattr(BrownianEnsemble, "levels", property(levels))
+    _, rep = solve(_scaled_problem(shape, 0),
+                   SolverConfig(steps_per_window=4, n_paths=300, seed=31),
+                   keep_paths=keep_paths)
+    assert rep.converged and len(rep.windows) > 1
+
+
+def test_streamed_singleton_demo_holds_w_at_window_edges():
+    # singleton_demo's 9 windows of 50 steps at M = 2000, d = 1: per path
+    # 8 (450 + 10 + 51 + 8 * 50 + 1 + 50 * 3) = 8496 bytes of dW, W at the 10
+    # window edges and on one window's 51 nodes, the window's iterates and
+    # the tile Y starts from, and its designs.  The traced peak is 0.96 of
+    # that; W at all 451 nodes would add 8 * 451 * M bytes, 0.42 of it
+    from bsei.cli import load_config
+    from bsei.solver import _bytes_per_path
+    root = Path(__file__).resolve().parent.parent
+    problem, cfg, _ = load_config(str(root / "configs" / "singleton_demo.json"))
+    cfg = dataclasses.replace(cfg, n_paths=2_000)
+    tracemalloc.start()
+    try:
+        _, rep = solve(problem, cfg, keep_paths=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.schedule.n_windows, rep.n_steps_total) == (9, 450)
+    assert _bytes_per_path(450, problem.dim, cfg, False) == 8_496
+    assert peak <= 1.05 * 8_496 * cfg.n_paths
 
 
 # ------------------------------------------------------------------ verify
