@@ -332,18 +332,21 @@ def _write_plot_csv(path: str, report) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_outputs(outputs: dict, report) -> None:
+def _write_outputs(outputs: dict, report) -> dict:
     """The convergence CSV and the JSON report of a full or partial run, and
-    with ``emit_plot_data`` the plot CSV of a full one."""
+    with ``emit_plot_data`` the plot CSV of a full one; returns the summary
+    that the JSON report holds."""
+    summary = _summary(report)
     try:
         write_convergence_csv(outputs["convergence_csv_path"], report.windows)
         with open(outputs["report_path"], "w", encoding="utf-8") as fh:
-            json.dump(_summary(report), fh, indent=2, allow_nan=False)
+            json.dump(summary, fh, indent=2, allow_nan=False)
             fh.write("\n")
         if report.residuals is not None and outputs["plot_csv_path"] is not None:
             _write_plot_csv(outputs["plot_csv_path"], report)
     except OSError as exc:
         raise ConfigError(f"cannot write: {exc}", field="outputs") from exc
+    return summary
 
 
 # a number that overflows stops the solve at a non-finite iterate or reaches
@@ -363,15 +366,12 @@ def cmd_solve(config_path: str) -> int:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
 
-    _write_outputs(outputs, report)
-
-    ok = (report.converged
-          and report.inclusion_residual <= _INCLUSION_THRESHOLD
+    summary = _write_outputs(outputs, report)
+    # solve raises unless every window converged
+    ok = (report.inclusion_residual <= _INCLUSION_THRESHOLD
           and report.equation_residual_max <= _EQUATION_THRESHOLD)
-    print(json.dumps({"converged": report.converged,
-                      "inclusion_residual": _residual(report.inclusion_residual),
-                      "equation_residual_max": _residual(report.equation_residual_max),
-                      "ok": ok}, allow_nan=False))
+    keys = ("converged", "inclusion_residual", "equation_residual_max")
+    print(json.dumps({**{key: summary[key] for key in keys}, "ok": ok}, allow_nan=False))
     if not ok:
         print(f"residuals above threshold: inclusion {report.inclusion_residual:.3e}, "
               f"equation {report.equation_residual_max:.3e} (gates "

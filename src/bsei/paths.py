@@ -22,6 +22,8 @@ import numpy as np
 # numpy loads numpy.random lazily; every solve draws, so load it with the package
 from numpy.random import Generator, Philox
 
+from .geometry import _dot_last
+
 _RIDGE_SCALE = 1e-10
 _MIN_PATHS_PER_BASIS = 10
 
@@ -177,29 +179,26 @@ def lp_l2_norm(values: np.ndarray, dt: float, p: float) -> float:
     return _lp_l2(values[:-1], np.broadcast_to(0.0, values[:-1].shape), dt, p)
 
 
-def _sum_columns(a: np.ndarray) -> np.ndarray:
-    """a[..., 0] + a[..., 1] + ... in index order, as ``geometry._dot_last`` sums;
-    numpy's sum over a short last axis is about 15 times slower."""
-    out = a[..., 0].copy()
-    for i in range(1, a.shape[-1]):
-        out += a[..., i]
-    return out
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _sample_norms(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> np.ndarray:
+    """The package's one sample L^p(Omega; L^2) norm of x - y, dt per node, for
+    each row of (n, R, M, d) stacks, n nodes of R rows: an (R,) array of the
+    power means ((1/M) sum_m (s dt)^{p/2})^{1/p} of the path sums s of
+    |x - y|^2 over nodes and coordinates, summed a node at a time.
 
-
-def _path_sums(x: np.ndarray, y: np.ndarray):
-    """Rows of path sums of |x - y|^2 over nodes and coordinates for (n, R, M, d)
-    stacks, n nodes of R rows, a node at a time: the (R, M) sums s and each row's
-    unit exponent e.  e = 0 where the row's max(s) is NaN or lies in
-    [2^-970, 2^970], 2^52 inside the normal range at both ends; any other row is
-    redone in units 2^e above its max |x - y| (an all-zero row stays zero).
-    Callers ignore over- and underflow and invalid operations."""
+    A row whose max(s) is neither NaN nor in [2^-970, 2^970], 2^52 inside the
+    normal range at both ends, is redone in units 2^e above its max |x - y|
+    (an all-zero row stays zero).  Each mean is taken in units 4^u above its
+    row's max(s) dt, so its largest term lies in [1/8, 1).
+    """
     sq = np.zeros(x.shape[1:])
     step = np.empty_like(sq)
     for xk, yk in zip(x, y):
         np.subtract(xk, yk, out=step)
         step *= step
         sq += step
-    s = _sum_columns(sq)
+    ones = np.ones(x.shape[-1])  # the coordinate sums in index order
+    s = _dot_last(sq, ones)
     e = [0] * len(s)
     for r, top in enumerate(s.max(axis=1).tolist()):
         if not (top < 2.0 ** -970 or top > 2.0 ** 970):  # in the window, or NaN
@@ -214,13 +213,7 @@ def _path_sums(x: np.ndarray, y: np.ndarray):
         for xk, yk in zip(xr, yr):  # where e > 0 the stacks are scaled before subtracting
             np.subtract(np.ldexp(xk, -max(er, 0), out=buf), np.ldexp(yk, -max(er, 0)), out=buf)
             sqr += np.square(np.ldexp(buf, -min(er, 0), out=buf), out=buf)
-        s[r] = _sum_columns(sqr)
-    return s, e
-
-
-def _power_mean(s: np.ndarray, e: list, dt: float, p: float) -> np.ndarray:
-    """Per row of ``_path_sums``: the power mean ((1/M) sum_m (s dt)^{p/2})^{1/p}
-    2^e, taken in units 4^u above max(s) dt, so its largest term lies in [1/8, 1)."""
+        s[r] = _dot_last(sqr, ones)
     u = (np.frexp(s.max(axis=1))[1] + math.frexp(dt)[1] + 1) // 2
     means = np.mean((s * np.ldexp(dt, -2 * u)[:, None]) ** (p / 2.0), axis=1)
     # the root a row at a time: numpy's array power may take SIMD loops whose
@@ -229,11 +222,9 @@ def _power_mean(s: np.ndarray, e: list, dt: float, p: float) -> np.ndarray:
                      for mean, k, ek in zip(means, u.tolist(), e)])
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
-    """The package's one sample L^p(Omega; L^2) norm of x - y, dt per node: the
-    one-row case of ``_path_sums`` and ``_power_mean``."""
-    return float(_power_mean(*_path_sums(x[:, None], y[:, None]), dt, p)[0])
+    """The sample norm of x - y over (n, M, d) stacks: ``_sample_norms``'s one row."""
+    return float(_sample_norms(x[:, None], y[:, None], dt, p)[0])
 
 
 def _monomial_design(feature: np.ndarray, degree: int) -> np.ndarray:

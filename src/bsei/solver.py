@@ -30,9 +30,8 @@ from .paths import (
     TimeGrid,
     _check_seed,
     _lp_l2,
-    _path_sums,
     _physical_memory,
-    _power_mean,
+    _sample_norms,
     simulate_brownian,
     solve_linear_bsee,
     step_designs,
@@ -84,10 +83,6 @@ class BSEIProblem:
         object.__setattr__(self, "generator", a)
         if self.terminal.dim != self.dim or self.gspec.dim != self.dim:
             raise ValueError("terminal/set-valued dimensions disagree with the problem")
-
-    @property
-    def lipschitz_k(self) -> float:
-        return self.gspec.lipschitz_k
 
 
 @dataclass(frozen=True)
@@ -395,7 +390,7 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig(), *,
     a = problem.generator
     horizon = problem.horizon
     norms = problem.gspec._norms
-    constants = (problem.lipschitz_k, gamma_bound(a, horizon), horizon, config.c_pe,
+    constants = (problem.gspec.lipschitz_k, gamma_bound(a, horizon), horizon, config.c_pe,
                  "problem.g.a_z" if norms[1] > norms[0] else "problem.g.a_y")
     schedule = schedule_from_constants(*constants)
     n_win = schedule.n_windows
@@ -464,7 +459,7 @@ class ResidualReport:
 
 def _rows(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """The sample norm of a[j] - b[j] for each node j, with dt = 1."""
-    return _power_mean(*_path_sums(a[None], b[None]), 1.0, p)
+    return _sample_norms(a[None], b[None], 1.0, p)
 
 
 class _Verification:

@@ -318,6 +318,22 @@ def test_ball_demo_config_contracts(tmp_path, monkeypatch):
     assert ratios and max(ratios) <= 0.6
 
 
+@pytest.mark.parametrize("scale, paths, code", [(1.0, 4000, 0), (10.0, 1000, 3)])
+def test_solve_stdout_line_is_the_report(tmp_path, capsys, scale, paths, code):
+    # ball_demo at 4000 paths exits 0 (equation residual 0.0361 against the
+    # gate 0.05); with xi x 10 at 1000 paths every window converges and the
+    # equation gate fails, exit 3 (0.654); in both, the stdout line carries
+    # report.json's values bit for bit, and its ok is the exit code's
+    cfg = ball_demo_config(tmp_path, paths=paths)
+    cfg["problem"]["terminal"]["coeff"] = [scale, scale]
+    assert main(["solve", write(tmp_path, cfg)]) == code
+    line = json.loads(capsys.readouterr().out)
+    report = json.loads((tmp_path / "report.json").read_text())
+    keys = ("converged", "inclusion_residual", "equation_residual_max")
+    assert {key: line[key] for key in keys} == {key: report[key] for key in keys}
+    assert line["converged"] is True and line["ok"] is (code == 0)
+
+
 def test_console_entry_point(tmp_path):
     import os
     from pathlib import Path
@@ -580,7 +596,7 @@ def test_declared_lipschitz_below_the_computed_one_exits_two(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
     # within a relative CLOSED_FORM_TOL below L is rounding, not a false claim
     cfg["problem"]["g"]["lipschitz_k"] = 2.0 * (1.0 - 1e-12)
-    assert load_config(write(tmp_path, cfg))[0].lipschitz_k == 2.0
+    assert load_config(write(tmp_path, cfg))[0].gspec.lipschitz_k == 2.0
 
     del cfg["problem"]["g"]["lipschitz_k"]
     # every window converges; at 200 paths the absolute equation gate fails

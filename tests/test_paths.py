@@ -16,9 +16,8 @@ from bsei.paths import (
     _cholesky_qr,
     _lp_l2,
     _monomial_design,
-    _path_sums,
     _philox_normals,
-    _power_mean,
+    _sample_norms,
     from_function,
     ito_integral,
     lp_l2_norm,
@@ -391,7 +390,7 @@ def test_power_mean_rows_are_bitwise_the_one_row_norm(p, dt):
     x[4, 1, 5, 0], x[5, 2, 9, 1] = np.nan, np.inf
     y[6] = x[6] + np.ldexp(rng.normal(size=x[6].shape), -700)  # tiny differences
     with np.errstate(over="ignore", invalid="ignore"):  # as _lp_l2 runs them
-        got = _power_mean(*_path_sums(x.swapaxes(0, 1), y.swapaxes(0, 1)), dt, p)
+        got = _sample_norms(x.swapaxes(0, 1), y.swapaxes(0, 1), dt, p)
     want = [_lp_l2(x[r], y[r], dt, p) for r in range(len(x))]
     assert got.tobytes() == np.array(want).tobytes()
     assert got[3] == 0.0 and np.isnan(got[4]) and got[5] == np.inf

@@ -88,7 +88,7 @@ def test_schedule_uses_semigroup_bound():
     prob = BSEIProblem(horizon=1.0, exponent=2.0, dim=2, generator=a,
                        terminal=TerminalSpec("constant", [1.0, 0.0]),
                        gspec=singleton_spec(2, a_y=1.0))
-    s = schedule_from_constants(prob.lipschitz_k, gamma_bound(a, prob.horizon),
+    s = schedule_from_constants(prob.gspec.lipschitz_k, gamma_bound(a, prob.horizon),
                                 prob.horizon, 1.0)
     assert s.gamma_s == pytest.approx(np.exp(0.5), rel=1e-15)
 
@@ -341,7 +341,7 @@ def test_picard_singleton_constant_two_iterations():
                                            a_z=np.zeros((d, d)),
                                            c0=np.array([0.0])))
     bm = simulate_brownian(TimeGrid(1.0, 16), 500, seed=9)
-    sched = schedule_from_constants(prob.lipschitz_k,
+    sched = schedule_from_constants(prob.gspec.lipschitz_k,
                                     gamma_bound(prob.generator, prob.horizon),
                                     prob.horizon, 1.0)
     s_dt = matrix_exponential(bm.grid.dt * prob.generator)
@@ -357,7 +357,7 @@ def test_picard_singleton_constant_two_iterations():
 def test_picard_nonconvergence_carries_report():
     prob = _ball_problem()
     bm = simulate_brownian(TimeGrid(1.0, 16), 600, seed=10)
-    sched = schedule_from_constants(prob.lipschitz_k,
+    sched = schedule_from_constants(prob.gspec.lipschitz_k,
                                     gamma_bound(prob.generator, prob.horizon),
                                     prob.horizon, 1.0)
     with pytest.raises(NonConvergenceError) as exc:
@@ -372,7 +372,7 @@ def test_picard_nonconvergence_carries_report():
 def test_window_length_guard():
     prob = _ball_problem()
     bm = simulate_brownian(TimeGrid(1.0, 8), 600, seed=11)
-    sched = schedule_from_constants(prob.lipschitz_k,
+    sched = schedule_from_constants(prob.gspec.lipschitz_k,
                                     gamma_bound(prob.generator, prob.horizon),
                                     prob.horizon, 1.0)
     s_dt = matrix_exponential(bm.grid.dt * prob.generator)

@@ -82,6 +82,7 @@ def _rms(a, b):
 
 # each run: its config, and the a_z that replaces the config's, if any
 _RUNS = {"ball_demo": ("configs/ball_demo.json", None),
+         "singleton_demo": ("configs/singleton_demo.json", None),
          "polytope_small": ("perfbench/workloads/polytope_small.json", None),
          # g depends on Z: ball_demo's problem with a_z = diag(0.2, -0.1), whose
          # norm is below a_y's, so the schedule is ball_demo's
@@ -120,8 +121,8 @@ def test_twin_resolution(shipped_run):
     # 4001 W nodes and 40 quadrature nodes against 8001 and 60, within five
     # standard deviations of W at T / 2: measured 1.0e-5 on ball_demo, 9.5e-6
     # with its a_z and 5.5e-5 on polytope_small, whose kinked selection
-    # converges slowest in the quadrature; each is far below the solver gaps
-    # bounded below
+    # converges slowest in the quadrature, and 4.7e-14 on singleton_demo,
+    # whose Y is constant in W; each is far below the solver gaps bounded below
     _, problem, sol, _, tw = shipped_run
     fine = twin(problem, sol.grid, sol.s_dt, n_w=8001, n_q=60)
     probe = np.linspace(-5.0, 5.0, 1001) * math.sqrt(sol.grid.horizon / 2.0)
@@ -137,8 +138,13 @@ def test_twin_resolution(shipped_run):
 # seed 7 0.0032 / 0.0181 / 0.0410; polytope_small (N = 16, M = 400)
 # 0.0143 / 0.0255 / 0.0353, at the shipped seed 11 0.0127 / 0.0088 / 0.0145;
 # ball_demo with a_z = diag(0.2, -0.1) 0.0145 / 0.0195 / 0.0401, at the
-# shipped seed 7 0.0037 / 0.0162 / 0.0356.
+# shipped seed 7 0.0037 / 0.0162 / 0.0356.  singleton_demo (N = 450,
+# M = 1e4): 1.72e-4 / 1.02e-4 / 1.1e-16 at every seed of 0-9.  Its twin is
+# the exact fixed point and its data is constant, so its Y gaps are the
+# Picard loop's stop at tol = 1e-3, bounded at about 1.25 times, and its Z
+# is zero up to rounding, bounded by the floor 1e-12.
 _TWIN_BOUNDS = {"ball_demo": (0.018, 0.027, 0.056),
+                "singleton_demo": (2.2e-4, 1.3e-4, 1e-12),
                 "polytope_small": (0.018, 0.032, 0.045),
                 "ball_demo_a_z": (0.019, 0.025, 0.051)}
 
@@ -151,3 +157,13 @@ def test_solve_matches_twin(shipped_run):
             _rms(sol.y[half], _at(tw, "y", w_half)),
             _rms(sol.z[half], _at(tw, "z", w_half)))
     assert all(gap <= bound for gap, bound in zip(gaps, _TWIN_BOUNDS[name])), gaps
+
+
+@pytest.mark.parametrize("shipped_run", ["singleton_demo"], indirect=True)
+def test_twin_solves_the_singleton_demo_in_closed_form(shipped_run):
+    # g = Y / 2 and xi = 1: Y_k = (1 + dt / 2)^-(N - k) on every path, so
+    # Y_0 = 0.606699039122456 at N = 450; measured 4.9e-15 off
+    _, _, sol, _, tw = shipped_run
+    n = sol.grid.n_steps
+    assert n == 450
+    assert abs(tw["y0"][0] - (1.0 + sol.grid.dt / 2.0) ** -n) <= 1e-12
