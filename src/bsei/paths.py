@@ -107,15 +107,20 @@ class BrownianEnsemble:
             inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
-    def levels_from(self, w_lo, k_lo: int, k_hi: int) -> np.ndarray:
+    def levels_from(self, w_lo, k_lo: int, k_hi: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """W at the nodes k_lo, ..., k_hi, a (k_hi - k_lo + 1, M) array, from
-        W[k_lo] = ``w_lo``: each row is the one below plus its step's
-        increment, the one way W is formed, so rows rebuilt from any node
-        carry the bits of ``levels``."""
+        W[k_lo] = ``w_lo``, written into ``out`` when given: each row is the
+        one below plus its step's increment, the one way W is formed, so rows
+        rebuilt from any node carry the bits of ``levels``."""
         if not 0 <= k_lo <= k_hi <= self.grid.n_steps:
             raise ValueError(f"nodes [{k_lo}, {k_hi}] leave the grid of "
                              f"{self.grid.n_steps} steps")
-        out = np.empty((k_hi - k_lo + 1, self.n_paths))
+        shape = (k_hi - k_lo + 1, self.n_paths)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out of shape {out.shape} does not hold {shape} levels")
         out[0] = w_lo
         for j, dw in enumerate(self.increments[k_lo:k_hi]):  # cumsum down axis 0 is strided
             np.add(out[j], dw, out=out[j + 1])
@@ -227,11 +232,13 @@ def _lp_l2(x: np.ndarray, y: np.ndarray, dt: float, p: float) -> float:
     return float(_sample_norms(x[:, None], y[:, None], dt, p)[0])
 
 
-def _monomial_design(feature: np.ndarray, degree: int) -> np.ndarray:
+def _monomial_design(feature: np.ndarray, degree: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """The powers 1, u, ..., u^degree of one feature f, u = f 2^-e in units
     of the power of two above max |f|, as contiguous columns, each the one
-    before times u.  A feature whose range is at most 1e-12 of max |f| (W at
-    time zero) gives the intercept column alone; a non-finite one raises."""
+    before times u; with ``out``, a (degree + 1, M) array, the columns are
+    its leading rows.  A feature whose range is at most 1e-12 of max |f| (W
+    at time zero) gives the intercept column alone; a non-finite one raises."""
     f = np.asarray(feature, dtype=float)
     if f.ndim != 1:
         raise ValueError(f"the feature must be one vector, got shape {f.shape}")
@@ -239,7 +246,12 @@ def _monomial_design(feature: np.ndarray, degree: int) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("the feature is not finite")
     p = 1 if hi - lo <= 1e-12 * max(-lo, hi) else degree + 1
-    x = np.empty((len(f), p), order="F")
+    if out is None:
+        x = np.empty((len(f), p), order="F")
+    elif out.shape != (degree + 1, len(f)) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous ({degree + 1}, {len(f)}) array")
+    else:
+        x = out[:p].T  # the strides of the fresh Fortran-order design
     x[:, 0] = 1.0
     if p > 1:
         np.ldexp(f, -np.frexp(max(-lo, hi))[1], out=x[:, 1])
@@ -314,10 +326,10 @@ class PolynomialRegression:
         self._form(feature, degree)
         _factor([self])
 
-    def _form(self, feature, degree: int) -> None:
+    def _form(self, feature, degree: int, out: np.ndarray | None = None) -> None:
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        x = _monomial_design(feature, degree)
+        x = _monomial_design(feature, degree, out=out)
         m, p = x.shape
         if m < _MIN_PATHS_PER_BASIS * p:
             raise ValueError(
@@ -398,26 +410,35 @@ class KernelRegression:
 
 
 def step_designs(bm: BrownianEnsemble, k_lo: int, levels: np.ndarray,
-                 degree: int) -> list:
+                 degree: int, out: np.ndarray | None = None) -> list:
     """Per step k = k_lo, ..., k_lo + len(levels) - 1: the factored basis
     projection on the Brownian value W[k] = ``levels[k - k_lo]``, as it is
     (the basis takes its own unit), and its kernel variant on the increment
     dW[k].  The steps' base Grams are factored in one batch and then their
     joint Grams in another, a ``_cholesky_qr`` call per Gram size (W at time
     zero has one column).  Each design copies its feature, so the caller's
-    W rows may go once the designs are formed."""
-    bases = _batch(PolynomialRegression, [(w, degree) for w in levels])
+    W rows may go once the designs are formed; with ``out``, an
+    (len(levels), degree + 1, M) block, step j's design lives in ``out[j]``,
+    and the designs read it for as long as they are used."""
+    if out is not None and len(out) != len(levels):
+        raise ValueError(f"a block of {len(out)} designs for {len(levels)} steps")
+    slabs = [None] * len(levels) if out is None else out
+    bases = _batch(PolynomialRegression, [(w, degree, slab) for w, slab in zip(levels, slabs)])
     kernels = _batch(KernelRegression, [(b, bm.increments[k_lo + j])
                                         for j, b in enumerate(bases)])
     return list(zip(bases, kernels))
 
 
 def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
-                      s_dt: np.ndarray, dt: float, designs: list):
+                      s_dt: np.ndarray, dt: float, designs: list,
+                      out: tuple | None = None):
     """(Y, Z), shaped like g, of one backward sweep of the linear equation
     with frozen source g on the left endpoints of n steps of size ``dt``,
     from the (M, d) terminal values of Y at the right end of the last one;
-    ``s_dt`` is S(dt) and ``designs`` the n steps' ``step_designs``.
+    ``s_dt`` is S(dt) and ``designs`` the n steps' ``step_designs``.  With
+    ``out``, a pair of arrays shaped like g, Y and Z are written there; Y may
+    be g itself, since step k reads g[k] before it writes Y[k] and no later
+    step reads g[k].
 
     Discretization: Y[k] = E[S(dt) Y[k+1] | F_k] - dt g[k] and
     Z[k] = (1/dt) E[S(dt) Y[k+1] dW_k | F_k], both evaluated by regression;
@@ -428,7 +449,10 @@ def solve_linear_bsee(g: np.ndarray, terminal_values: np.ndarray,
     y_next = np.asarray(terminal_values, dtype=float)
     if y_next.shape != g.shape[1:] or len(designs) != len(g):
         raise ValueError("need one design per source node, one terminal per path")
-    y, z = np.empty(g.shape), np.empty(g.shape)
+    y, z = (np.empty(g.shape), np.empty(g.shape)) if out is None else out
+    if out is not None and (y.shape != g.shape or z.shape != g.shape
+                            or np.may_share_memory(z, y) or np.may_share_memory(z, g)):
+        raise ValueError("need two outputs shaped like the source, Z apart from Y and g")
     s_t = np.ascontiguousarray(s_dt.T)  # np.dot on it is numpy's fast path
     for k in range(len(g) - 1, -1, -1):
         base, kern = designs[k]

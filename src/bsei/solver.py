@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,15 +245,21 @@ def _nodes_per_chunk(node: np.ndarray) -> int:
 
 
 def select_generator(g: np.ndarray, y: np.ndarray, z: np.ndarray,
-                     times: np.ndarray, gspec: SetValuedSpec) -> np.ndarray:
+                     times: np.ndarray, gspec: SetValuedSpec,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise nearest-point selection of g[k][m] in G(t_k, Y[k][m], Z[k][m]).
 
-    The three stacks are (n, M, d) arrays on the n nodes ``times``.
-    Projection of adapted data through a deterministic map, so the output is
-    adapted.  From a zero stack it is the minimal-norm selection m(G) that a
-    solve reports; from any g, g less it is g's gap to its constraint set.
+    The three stacks are (n, M, d) arrays on the n nodes ``times``; the
+    selection is written into ``out`` when given, an array shaped like them
+    that none of them shares.  Projection of adapted data through a
+    deterministic map, so the output is adapted.  From a zero stack it is
+    the minimal-norm selection m(G) that a solve reports; from any g, g less
+    it is g's gap to its constraint set.
     """
-    out = np.empty_like(g)
+    if out is None:
+        out = np.empty_like(g)
+    elif out.shape != g.shape:
+        raise ValueError(f"out of shape {out.shape} for stacks of shape {g.shape}")
     # every constraint set is the translate c + base of one base set; chunks
     # of whole nodes are centred, projected and re-centred while they are in
     # cache, so no stack-sized centre is built
@@ -265,14 +272,36 @@ def select_generator(g: np.ndarray, y: np.ndarray, z: np.ndarray,
     return out
 
 
+class _Workspace(NamedTuple):
+    """A window's working set, allocated once per solve and reused by every
+    window: four (n, M, d) stacks that the Picard iterates rotate through,
+    the (n, basis_degree + 1, M) block of the window's designs, and W on
+    the window's n nodes, which the designs are built from."""
+
+    stacks: tuple
+    designs: np.ndarray
+    w_rows: np.ndarray
+
+
+def _workspace(n: int, n_paths: int, dim: int, basis_degree: int) -> _Workspace:
+    return _Workspace(tuple(np.empty((n, n_paths, dim)) for _ in range(4)),
+                      np.empty((n, basis_degree + 1, n_paths)), np.empty((n, n_paths)))
+
+
 def picard_solve_interval(problem: BSEIProblem, index: int,
                           terminal_values: np.ndarray, schedule: PicardSchedule,
                           s_dt: np.ndarray, bm: BrownianEnsemble,
-                          config: SolverConfig, w_lo: np.ndarray):
+                          config: SolverConfig, w_lo: np.ndarray,
+                          workspace: _Workspace | None = None):
     """Fixed-point iteration of (Y, Z) on window ``index``, the grid nodes
     k_lo = index * ``config.steps_per_window`` <= k < k_hi = k_lo +
     ``config.steps_per_window``, from Y at k_hi, ``terminal_values``; the
     window's W is rebuilt from its lower edge W[k_lo] = ``w_lo``.
+
+    The window works in ``workspace`` (its own when None), and Y, Z and g
+    are returned in its stacks, so they hold only until the workspace's next
+    window starts; the terminal values are copied first, so they may lie in
+    those stacks.
 
     The iteration starts from Y = the path mean of ``terminal_values`` at
     every node and Z = 0, so a window whose Y stays at its terminal mean
@@ -295,30 +324,39 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
         raise ValueError(f"window {index} leaves the grid of {bm.grid.n_steps} steps")
     p = problem.exponent
     times = bm.grid.nodes[k_lo:k_hi]
-    # the W rows live only while the designs copy them
-    designs = step_designs(bm, k_lo, bm.levels_from(w_lo, k_lo, k_hi - 1), config.basis_degree)
+    if workspace is None:
+        workspace = _workspace(n, bm.n_paths, problem.dim, config.basis_degree)
+    terminal = np.array(terminal_values, dtype=float)  # the stacks are overwritten below
+    # the designs copy the window's W rows into their block, so the rows may
+    # go, or be overwritten, once they are formed
+    w_rows = bm.levels_from(w_lo, k_lo, k_hi - 1, out=workspace.w_rows)
+    designs = step_designs(bm, k_lo, w_rows, config.basis_degree, out=workspace.designs)
     zero = z = np.broadcast_to(0.0, (n, bm.n_paths, problem.dim))  # only read
     # Y starts from the path mean of its terminal data at every node, a
     # deterministic start, so every iterate is adapted; the mean is tiled over
     # the paths once, since a (d,) vector broadcast over them would send the
     # centres and the norms through numpy's length-d inner loop
-    y = np.broadcast_to(np.tile(terminal_values.mean(axis=0), (bm.n_paths, 1)), z.shape)
+    y = np.broadcast_to(np.tile(terminal.mean(axis=0), (bm.n_paths, 1)), z.shape)
     # ridge fallback depends on the design alone, so count it per window
     report = WindowReport(
         index=index, k_lo=k_lo, k_hi=k_hi, iterations=[], converged=False,
         ridge_events=sum(int(b.ridge_used) + int(k.ridge_used) for b, k in designs))
-    prev_sum = None
+    prev_sum, free = None, list(workspace.stacks)
     for it in range(1, config.n_max + 1):
-        # g = m(G(t, Y, Z)) lives for the sweep alone, so no g is carried
+        # g = m(G(t, Y, Z)) goes into a free stack and the sweep writes the
+        # new Y over it, the new Z into another; the old pair frees two more
+        g, z_out = free.pop(), free.pop()
         y_new, z_new = solve_linear_bsee(
-            select_generator(zero, y, z, times, problem.gspec),
-            terminal_values, s_dt, dt, designs)
+            select_generator(zero, y, z, times, problem.gspec, out=g),
+            terminal, s_dt, dt, designs, out=(g, z_out))
         dy, dz = _lp_l2(y_new, y, dt, p), _lp_l2(z_new, z, dt, p)
         ratio = (dy + dz) / prev_sum if (it >= 2 and prev_sum) else None
         report.iterations.append(IterationRecord(it, dy, dz, ratio, schedule.eps(it)))
         if not (math.isfinite(dy) and math.isfinite(dz)):  # y and z are finite
             raise NonConvergenceError(f"window [{k_lo}, {k_hi}] iteration {it}: "
                                       "non-finite iterate or norm", report=report)
+        if it > 1:  # the start is no stack
+            free += [y, z]
         y, z, prev_sum = y_new, z_new, dy + dz
         if it >= config.min_iter and dy + dz <= config.tol:
             report.converged = True
@@ -327,22 +365,36 @@ def picard_solve_interval(problem: BSEIProblem, index: int,
         raise NonConvergenceError(
             f"window [{k_lo}, {k_hi}] still above tol after {config.n_max} "
             f"iterations (last dY+dZ = {prev_sum:.3e})", report=report)
-    return y, z, select_generator(zero, y, z, times, problem.gspec), report
+    return y, z, select_generator(zero, y, z, times, problem.gspec, out=free.pop()), report
 
 
 def _bytes_per_path(n_steps: int, dim: int, config: SolverConfig,
                     keep_paths: bool = True) -> int:
     """Bytes per path of a solve's arrays: dW per step, W at the n_win + 1
-    window edges and on the n + 1 nodes of one window (the edge pass builds
-    each window's W from its lower edge; a window rebuilds its n nodes), a
-    window's designs (basis_degree + 1 columns a step), its two (Y, Z)
-    iterates and their g, the last window's (Y, Z, g), held until the next
-    window returns, the (M, d) tile its Y starts from, and with
-    ``keep_paths`` Y, Z and g at every node."""
+    window edges and on the n + 1 nodes of one window (the edge pass's rows,
+    then the workspace's n), the rest of the window workspace
+    (``_Workspace``: four (n, M, d) stacks and a design block of
+    basis_degree + 1 columns a step), four (M, d) arrays beside it (the
+    tile a window's Y starts from, its copy of its terminal values, and the
+    verification's u and Y at the lowest node verified), and with
+    ``keep_paths`` Y, Z and g at every node; ``_fixed_bytes`` is the rest of
+    the budget."""
     n = config.steps_per_window
     grids = 3 * dim * (n_steps + 1) if keep_paths else 0
     return 8 * (grids + n_steps + (n_steps // n + 1) + (n + 1)
-                + 8 * dim * n + dim + n * (config.basis_degree + 1))
+                + 4 * dim * n + 4 * dim + n * (config.basis_degree + 1))
+
+
+def _fixed_bytes() -> int:
+    """Bytes of a solve's arrays that do not grow with the path count: eight
+    arrays of ``geometry._CHUNK_ENTRIES`` floats for the temporaries of
+    selection and verification, which the chunk size alone bounds (a
+    block's centres, projections and gaps and the two sums of its sample
+    norms).  Traced streamed ball_demo and singleton_demo solves exceed the
+    per-path part by 3.6 to 5.8 such arrays at M = 4,000, n = 10 and chunks
+    of 2^14 or 2^16 entries, and by 2.0 to 3.1 MB at the shipped 2^16 and n
+    from M = 2,000 to 10,000."""
+    return 8 * 8 * geometry._CHUNK_ENTRIES
 
 
 def _about(n: int) -> str:
@@ -356,11 +408,11 @@ def _check_memory(n_steps: int, dim: int, config: SolverConfig,
     """Raise ScheduleError before allocating when the solve's arrays would
     exceed the machine's physical memory."""
     budget = _physical_memory()
-    per_path = _bytes_per_path(n_steps, dim, config, keep_paths)
-    need = per_path * config.n_paths
+    per_path, fixed = _bytes_per_path(n_steps, dim, config, keep_paths), _fixed_bytes()
+    need = per_path * config.n_paths + fixed
     if budget is not None and need > budget:
         # blame the path count only when the steps alone would fit
-        field = "numerics.paths" if per_path <= budget else steps_field
+        field = "numerics.paths" if per_path + fixed <= budget else steps_field
         raise ScheduleError(
             f"the schedule plans {_about(n_steps)} steps x {config.n_paths} paths, "
             f"about {_about(need)} bytes of solver arrays, more than the "
@@ -381,7 +433,9 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig(), *,
     per-window iteration diagnostics and the one residual pass of the run,
     with the per-node path means of Y and Z.  W is held at the window edges
     alone, one forward pass from W_0 = 0, and each window rebuilds its own
-    from its lower edge: ``bm.levels`` is never formed.  Returns (Solution, report):
+    from its lower edge: ``bm.levels`` is never formed.  Every window works
+    in one ``_Workspace``, allocated here once, so a window's (Y, Z, g) is
+    verified and kept before the next window starts.  Returns (Solution, report):
     the concatenated Solution, which carries the Brownian ensemble and
     S(dt) of the run, or None with ``keep_paths=False``, in which case no
     (N + 1) x M x d array is allocated and the memory budget counts none.
@@ -413,24 +467,31 @@ def solve(problem: BSEIProblem, config: SolverConfig = SolverConfig(), *,
         for full, part in zip(grids, triple):
             full[k_lo:k_lo + len(part)] = part
 
-    # W at the window edges k = w n; each window's rows are dropped once its
-    # upper edge is read
+    # W at the window edges k = w n, each window's n + 1 rows built in one
+    # buffer of the pass, freed when it ends.  That free is the solve's
+    # first above glibc's mmap threshold, and it raises the threshold, and
+    # the heap's trim threshold with it, above every chunk temporary of
+    # selection and verification; with the buffer in the workspace, those
+    # temporaries are trimmed and faulted in again at every chunk
+    # (ball_demo's first solve: 101k minor faults against 5.4k)
     n = config.steps_per_window
-    edges = np.zeros((n_win + 1, config.n_paths))
+    edges, rows = np.zeros((n_win + 1, config.n_paths)), np.empty((n + 1, config.n_paths))
     for w in range(n_win):
-        edges[w + 1] = bm.levels_from(edges[w], w * n, (w + 1) * n)[-1]
+        edges[w + 1] = bm.levels_from(edges[w], w * n, (w + 1) * n, out=rows)[-1]
+    del rows
+    # every window works in this one workspace, allocated here once: a
+    # window's (Y, Z, g) lie in its stacks, so each is verified and kept as
+    # it lands, and the next window copies its terminal values first
+    workspace = _workspace(n, config.n_paths, problem.dim, config.basis_degree)
     # node N belongs to no window: (xi, 0) and its selection from g = 0
     y_loc = problem.terminal.sample(edges[-1])[None]
-    z_loc = np.zeros_like(y_loc)
-    g_loc = select_generator(z_loc, y_loc, z_loc, grid.nodes[n_total:], problem.gspec)
-    land(n_total, y_loc, z_loc, g_loc)
+    z_loc = np.broadcast_to(0.0, y_loc.shape)
+    land(n_total, y_loc, z_loc,
+         select_generator(z_loc, y_loc, z_loc, grid.nodes[n_total:], problem.gspec))
     for w in range(n_win - 1, -1, -1):
-        # the window above is held until this one returns, as _bytes_per_path
-        # counts: freed sooner, glibc trims the heap between windows
-        # (singleton_demo: 2.6x minor faults)
         try:
             y_loc, z_loc, g_loc, wrep = picard_solve_interval(
-                problem, w, y_loc[0], schedule, s_dt, bm, config, edges[w])
+                problem, w, y_loc[0], schedule, s_dt, bm, config, edges[w], workspace)
         except NonConvergenceError as exc:
             report.windows.insert(0, exc.report)
             report.runtime_seconds = time.perf_counter() - t0
@@ -501,7 +562,7 @@ class _Verification:
         for hi in range(len(y), 0, -step):
             lo = max(0, hi - step)
             self._block(y[lo:hi], z[lo:hi], g[lo:hi], y[lo + 1:hi + 1])
-        self.y_lo = y[0]
+        self.y_lo = y[0].copy()  # a caller may reuse the range's arrays
 
     def _block(self, y: np.ndarray, z: np.ndarray, g: np.ndarray, y_up: np.ndarray) -> None:
         """Verify a block's nodes as the range below those verified; ``y_up``

@@ -385,10 +385,10 @@ def test_solve_draws_builds_and_verifies_once(tmp_path, monkeypatch):
         finally:
             verifying.pop()
 
-    def selecting(g, y, z, times, gspec):
+    def selecting(g, y, z, times, gspec, **kwargs):
         if verifying:
             blocks.append(times.tolist())
-        return select(g, y, z, times, gspec)
+        return select(g, y, z, times, gspec, **kwargs)
 
     monkeypatch.setattr(bsei.solver._Verification, "feed", feeding)
     monkeypatch.setattr(bsei.solver, "select_generator", selecting)

@@ -306,6 +306,63 @@ def test_linear_solve_terminal_exact_bitwise():
     assert sol.y[-1].tobytes() == prob.terminal.sample(sol.bm.levels[-1]).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(["singleton", "ball", "polytope"]), d=st.integers(1, 3),
+       m=st.integers(40, 80), n=st.integers(1, 5), k_lo=st.integers(0, 3),
+       degree=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+# W at time zero: the first step's design is one column of its slab
+@example(shape="ball", d=2, m=40, n=3, k_lo=0, degree=2, seed=1)
+def test_writes_into_a_workspace_are_bitwise_the_fresh_outputs(shape, d, m, n, k_lo,
+                                                                degree, seed):
+    # a Picard iteration's writes into buffers that hold another window's
+    # data: the selection into one stack, the sweep's Y over that same g and
+    # its Z into a second, and the designs into a block, each the bits of
+    # the call that allocates its own output
+    rng = np.random.default_rng(seed)
+    spec = SetValuedSpec(base=_bases(d, rng)[shape], a_y=_centre_map("dense", d, rng),
+                         a_z=_centre_map("diagonal", d, rng), c0=rng.normal(size=d))
+    bm = simulate_brownian(TimeGrid(1.0, k_lo + n), m, seed)
+    s_dt = matrix_exponential(bm.grid.dt * (-np.eye(d) + 0.3 * rng.normal(size=(d, d))))
+    times = bm.grid.nodes[k_lo:k_lo + n]
+    y, z, buf_g, buf_z = rng.normal(size=(4, n, m, d))  # the buffers hold stale data
+    terminal = rng.normal(size=(m, d))
+    zero = np.broadcast_to(0.0, y.shape)
+    levels = bm.levels[k_lo:k_lo + n]
+    block = rng.normal(size=(n, degree + 1, m))
+
+    g = select_generator(zero, y, z, times, spec, out=buf_g)
+    want_g = select_generator(zero, y, z, times, spec)
+    assert g is buf_g and g.tobytes() == want_g.tobytes()
+    designs = step_designs(bm, k_lo, levels, degree, out=block)
+    fresh = step_designs(bm, k_lo, levels, degree)
+    for (base, kern), (want_base, want_kern) in zip(designs, fresh):
+        assert np.shares_memory(base._design, block)
+        assert base._design.tobytes() == want_base._design.tobytes()
+        assert base._r_inv.tobytes() == want_base._r_inv.tobytes()
+        assert (kern._s.tobytes(), kern._c.tobytes()) == (want_kern._s.tobytes(),
+                                                          want_kern._c.tobytes())
+    got = solve_linear_bsee(g, terminal, s_dt, bm.grid.dt, designs, out=(g, buf_z))
+    want = solve_linear_bsee(want_g, terminal, s_dt, bm.grid.dt, fresh)
+    assert got[0] is g and got[1] is buf_z
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_workspace_outputs_refuse_an_aliased_z():
+    # Y may be written over g, since step k reads g[k] before it writes
+    # Y[k], but Z is written first, so it may share neither
+    prob = _ball_problem()
+    bm = simulate_brownian(TimeGrid(1.0, 4), 50, 3)
+    designs = step_designs(bm, 0, bm.levels[:4], 1)
+    g, other = np.zeros((2, 4, 50, 2))
+    s_dt = matrix_exponential(bm.grid.dt * prob.generator)
+    for out in ((g, g), (other, g), (g, other[:3])):
+        with pytest.raises(ValueError, match="shaped like the source"):
+            solve_linear_bsee(g, np.ones((50, 2)), s_dt, bm.grid.dt, designs, out=out)
+    with pytest.raises(ValueError, match="out of shape"):
+        select_generator(g, g, g, bm.grid.nodes[:4], prob.gspec, out=other[:3])
+
+
 @pytest.mark.parametrize("coeff", [[1e-300, -0.0], [-0.0, 1e300], [1e300, 1e-300]])
 def test_terminal_sample_is_coeff_times_a_power_of_w_t(coeff):
     # kind picks the power of W_T: the bits of the tiled constant, of
@@ -542,9 +599,9 @@ def test_no_window_touches_its_right_end(monkeypatch):
     import bsei.solver
     sweep, seen = bsei.solver.solve_linear_bsee, []
 
-    def spy(g, terminal, s_dt, dt, designs):
+    def spy(g, terminal, s_dt, dt, designs, **kwargs):
         seen.append((len(g), len(designs)))
-        return sweep(g, terminal, s_dt, dt, designs)
+        return sweep(g, terminal, s_dt, dt, designs, **kwargs)
     monkeypatch.setattr(bsei.solver, "solve_linear_bsee", spy)
     prob = _ball_problem()
     cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
@@ -577,23 +634,24 @@ def test_solve_reports_the_minimal_norm_selection(shape):
 def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
     # per path at N = 16, d = 2, 4 windows of n = 4: 8 (6 * 17 + 16) = 944
     # bytes of Y, Z, g and dW over the whole grid, 8 (5 + 5) = 80 of W at the
-    # 5 window edges and on one window's n + 1 nodes, and 8 (8 * 2 * 4 + 2 +
-    # 4 * 3) = 624 for a window's two (Y, Z) iterates and their g, the
-    # previous window's result, the tile Y starts from and the window's
-    # designs; 700 kB holds 500 paths of the first alone.  Streamed, the
-    # full-grid array is dW alone, 8 * 16 + 80 + 624 = 832 bytes per path, so
-    # 416 kB holds 500 paths streamed, but not with Y, Z and g kept
+    # 5 window edges and in the workspace's n + 1 rows, and 8 (4 * 2 * 4 + 4
+    # * 2 + 4 * 3) = 416 for the workspace's four (n, M, d) stacks, the four
+    # (M, d) arrays beside them and the window's designs: 1,440 bytes.
+    # Streamed, the full-grid array is dW alone, 8 * 16 + 80 + 416 = 624
+    # bytes.  Beside them a solve plans 8 * 8 * 2^16 = 4,194,304 bytes of
+    # chunk-bounded temporaries, so 500 paths need 4,914,304 bytes kept and
+    # 4,506,304 streamed: one byte less is refused, naming the path count
     import bsei.solver
     from bsei.errors import ScheduleError
     cfg = SolverConfig(steps_per_window=4, n_paths=500, seed=29)
-    for budget, keep_paths in ((700_000, True), (415_999, False)):
-        monkeypatch.setattr(bsei.solver, "_physical_memory", lambda b=budget: b)
+    for need, keep_paths in ((4_914_304, True), (4_506_304, False)):
+        monkeypatch.setattr(bsei.solver, "_physical_memory", lambda b=need - 1: b)
         with pytest.raises(ScheduleError) as exc:
             solve(_ball_problem(), cfg, keep_paths=keep_paths)
         assert exc.value.field == "numerics.paths"
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 824_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 4_914_304)
     assert solve(_ball_problem(), cfg)[1].converged
-    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 416_000)
+    monkeypatch.setattr(bsei.solver, "_physical_memory", lambda: 4_506_304)
     sol, rep = solve(_ball_problem(), cfg, keep_paths=False)
     assert sol is None and rep.converged
     with pytest.raises(ScheduleError):
@@ -604,12 +662,12 @@ def test_memory_budget_counts_window_iterates_and_designs(monkeypatch):
     pytest.param(config, keep, id=config + ("" if keep else "-streamed"))
     for keep in (True, False) for config in ("ball_demo", "singleton_demo")])
 def test_traced_peak_stays_within_the_memory_budget(config, keep_paths):
-    # the budget counts every array a solve holds at once, so the traced
-    # peak per path may exceed it only by what is fixed, not per path;
+    # the budget counts every array a solve holds at once, per path and the
+    # fixed chunk-bounded temporaries, so the traced peak stays within it;
     # polytope_small is left out, its projection temporaries are bounded
     # by geometry._CHUNK_ENTRIES and so are fixed
     from bsei.cli import load_config
-    from bsei.solver import _bytes_per_path
+    from bsei.solver import _bytes_per_path, _fixed_bytes
     root = Path(__file__).resolve().parent.parent
     problem, cfg, _ = load_config(str(root / "configs" / f"{config}.json"))
     cfg = dataclasses.replace(cfg, n_paths=4_000, steps_per_window=10)
@@ -619,8 +677,8 @@ def test_traced_peak_stays_within_the_memory_budget(config, keep_paths):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    budget = _bytes_per_path(rep.n_steps_total, problem.dim, cfg, keep_paths) * cfg.n_paths
-    assert peak <= 1.05 * budget
+    per_path = _bytes_per_path(rep.n_steps_total, problem.dim, cfg, keep_paths)
+    assert peak <= 1.05 * (per_path * cfg.n_paths + _fixed_bytes())
 
 
 @pytest.mark.parametrize("keep_paths", [False, True], ids=["streamed", "kept"])
@@ -642,12 +700,13 @@ def test_solve_never_forms_the_levels(shape, keep_paths, monkeypatch):
 
 def test_streamed_singleton_demo_holds_w_at_window_edges():
     # singleton_demo's 9 windows of 50 steps at M = 2000, d = 1: per path
-    # 8 (450 + 10 + 51 + 8 * 50 + 1 + 50 * 3) = 8496 bytes of dW, W at the 10
-    # window edges and on one window's 51 nodes, the window's iterates and
-    # the tile Y starts from, and its designs.  The traced peak is 0.96 of
-    # that; W at all 451 nodes would add 8 * 451 * M bytes, 0.42 of it
+    # 8 (450 + 10 + 51 + 4 * 50 + 4 + 50 * 3) = 6920 bytes of dW, W at the 10
+    # window edges and in the workspace's 51 rows, its four iterate stacks,
+    # the four (M, d) arrays beside them, and its designs, and 4,194,304
+    # bytes of chunk-bounded temporaries beside them.  The traced peak is
+    # 0.94 of that; W at all 451 nodes would add 8 * 451 * M bytes, 0.40 of it
     from bsei.cli import load_config
-    from bsei.solver import _bytes_per_path
+    from bsei.solver import _bytes_per_path, _fixed_bytes
     root = Path(__file__).resolve().parent.parent
     problem, cfg, _ = load_config(str(root / "configs" / "singleton_demo.json"))
     cfg = dataclasses.replace(cfg, n_paths=2_000)
@@ -658,8 +717,47 @@ def test_streamed_singleton_demo_holds_w_at_window_edges():
     finally:
         tracemalloc.stop()
     assert (rep.schedule.n_windows, rep.n_steps_total) == (9, 450)
-    assert _bytes_per_path(450, problem.dim, cfg, False) == 8_496
-    assert peak <= 1.05 * 8_496 * cfg.n_paths
+    assert _bytes_per_path(450, problem.dim, cfg, False) == 6_920
+    assert _fixed_bytes() == 4_194_304
+    assert peak <= 1.05 * (6_920 * cfg.n_paths + 4_194_304)
+
+
+def test_streamed_ball_demo_peak_is_the_workspace_budget():
+    # full-size ball_demo, 4 windows of 40 steps at M = 10,000, d = 2,
+    # streamed: per path 8 (160 + 5 + 41 + 4 * 2 * 40 + 4 * 2 + 40 * 3) =
+    # 5,232 bytes, and 4,194,304 bytes of chunk-bounded temporaries, 56.5 MB
+    # in all; the traced peak is 54.4 MB.  Eight window-sized iterate
+    # arrays in place of the workspace's four peaked at 74.8 MB, above 1.05x
+    from bsei.cli import load_config
+    from bsei.solver import _bytes_per_path, _fixed_bytes
+    root = Path(__file__).resolve().parent.parent
+    problem, cfg, _ = load_config(str(root / "configs" / "ball_demo.json"))
+    tracemalloc.start()
+    try:
+        _, rep = solve(problem, cfg, keep_paths=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.schedule.n_windows, rep.n_steps_total, cfg.n_paths) == (4, 160, 10_000)
+    assert _bytes_per_path(160, problem.dim, cfg, False) == 5_232
+    assert peak <= 1.05 * (5_232 * cfg.n_paths + _fixed_bytes())
+
+
+def test_window_edges_are_the_levels_bits(monkeypatch):
+    # the edge pass chains W from W_0 = 0 a window at a time, and each
+    # window is handed W at its lowest node bit for bit
+    import bsei.solver
+    interval, handed = bsei.solver.picard_solve_interval, {}
+
+    def spy(problem, index, *args):
+        handed[index] = args[5].copy()  # w_lo
+        return interval(problem, index, *args)
+    monkeypatch.setattr(bsei.solver, "picard_solve_interval", spy)
+    cfg = SolverConfig(steps_per_window=4, n_paths=300, seed=31)
+    sol, rep = solve(_ball_problem(), cfg)
+    assert sorted(handed) == list(range(rep.schedule.n_windows)) and len(handed) > 2
+    for w, edge in handed.items():
+        assert edge.tobytes() == sol.bm.levels[w * 4].tobytes()
 
 
 # ------------------------------------------------------------------ verify
@@ -787,7 +885,7 @@ def test_solve_counts_ridge_fallbacks_of_window_designs(monkeypatch):
     assert plain.ridge_events == 0
     design = bsei.paths._monomial_design
 
-    def duplicated_last_column(features, degree):
+    def duplicated_last_column(features, degree, **kwargs):  # too wide for a design block
         x = design(features, degree)
         return np.column_stack([x, x[:, -1]])
     monkeypatch.setattr(bsei.paths, "_monomial_design", duplicated_last_column)
@@ -802,7 +900,7 @@ def test_partial_report_counts_the_failing_windows_ridge_fallbacks(monkeypatch):
     import bsei.paths
     design = bsei.paths._monomial_design
 
-    def duplicated_last_column(features, degree):
+    def duplicated_last_column(features, degree, **kwargs):  # too wide for a design block
         x = design(features, degree)
         return np.column_stack([x, x[:, -1]])
     monkeypatch.setattr(bsei.paths, "_monomial_design", duplicated_last_column)
@@ -1015,6 +1113,29 @@ def test_streamed_verification_is_bitwise_verify_solution(
     assert np.float64(got.inclusion_max).tobytes() == np.float64(want.inclusion_max).tobytes()
     assert got.equation.tobytes() == want.equation.tobytes()
     assert np.float64(got.y_modulus).tobytes() == np.float64(want.y_modulus).tobytes()
+
+
+@pytest.mark.parametrize("shape", ["singleton", "ball", "polytope"])
+def test_verification_keeps_no_view_of_a_fed_range(shape):
+    # a solve feeds each window from its workspace and then overwrites it:
+    # every fed range is filled with garbage before the next feed, and the
+    # report is bitwise that of the untouched arrays
+    from bsei.solver import _Verification
+    n, steps = 12, 4
+    sol, prob = _random_solution(shape, 2, 2.0, 50, n, 7)
+    want = verify_solution(sol, prob)
+    check = _Verification(prob, sol.bm, sol.s_dt)
+    rng = np.random.default_rng(7)
+    for lo, hi in [(n, n + 1)] + [(w * steps, (w + 1) * steps) for w in reversed(range(3))]:
+        fed = [a[lo:hi].copy() for a in (sol.y, sol.z, sol.g)]
+        check.feed(*fed)
+        for a in fed:
+            a[...] = rng.normal(size=a.shape)
+            a.flat[::7] = np.nan
+    got = check.report()
+    for name in ("equation", "y_mean", "z_mean"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.inclusion_max, got.y_modulus) == (want.inclusion_max, want.y_modulus)
 
 
 def test_streamed_solve_reports_the_kept_solve_bitwise(monkeypatch):
